@@ -19,8 +19,8 @@ columns.  stdout carries data, stderr carries diagnostics.
 
 Exit codes: 0 success, 1 parse/validation/runtime error, 2 oracle mismatch
 (mld --brute-force), 3 witness precondition violated, 4 threshold inequality
-violated (check).  The environment variable TORICMLD_GUARD overrides the
-brute-force enumeration guard (default 10^7 points).
+violated (check).  The environment variable TORICMLD_GUARD, a positive
+integer, overrides the brute-force enumeration guard (default 10^7 points).
 """
 
 from __future__ import annotations
@@ -229,10 +229,13 @@ def _guard() -> int:
     if raw is None:
         return DEFAULT_GUARD
     try:
-        return int(raw)
+        guard = int(raw)
     except ValueError:
-        print(f"warning: ignoring bad TORICMLD_GUARD={raw!r}", file=sys.stderr)
-        return DEFAULT_GUARD
+        guard = 0
+    if guard > 0:
+        return guard
+    print(f"warning: ignoring bad TORICMLD_GUARD={raw!r}", file=sys.stderr)
+    return DEFAULT_GUARD
 
 
 def _variety_for_mld(instance) -> ToricVariety:

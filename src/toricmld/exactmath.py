@@ -330,11 +330,13 @@ def iroot_floor(n: int, k: int) -> int:
     """Largest integer r with r**k <= n, for n >= 0, k >= 1."""
     if n < 0 or k < 1:
         raise ValueError("iroot_floor needs n >= 0, k >= 1")
-    if n == 0:
-        return 0
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    if n < 2 or k == 1:
+        return n
+    # integer Newton from a power of two at or above the root: the iterates
+    # decrease strictly until the first one that does not, which is the root
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s

@@ -15,8 +15,10 @@ so groups of order ~10^6 never get materialized.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .exactmath import det, hnf, inverse, snf, vec_mat
@@ -210,34 +212,34 @@ class QuotientGroup:
         Enumeration order is a fixed mixed-radix count over the invariant
         factors, so repeated runs agree.
         """
-        dim = len(self.generator_rows)
         denom = self.denominator
-        active = [i for i in range(dim) if self.invariant_factors[i] > 1]
-        cur = [0] * dim
-        counters = [0] * len(active)
-        yield tuple(cur)
+        factors = self.invariant_factors
+        active = [i for i in range(len(factors)) if factors[i] > 1]
         if not active:
+            yield (0,) * len(self.generator_rows)
             return
-        while True:
-            # increment the mixed-radix counter, least significant digit last
-            pos = len(active) - 1
-            while pos >= 0:
-                idx = active[pos]
-                counters[pos] += 1
-                row = self.generator_rows[idx]
-                if counters[pos] < self.invariant_factors[idx]:
-                    for j in range(dim):
-                        cur[j] = (cur[j] + row[j]) % denom
-                    break
-                # digit wraps: roll back its contribution
-                counters[pos] = 0
-                back = self.invariant_factors[idx] - 1
-                for j in range(dim):
-                    cur[j] = (cur[j] - back * row[j]) % denom
-                pos -= 1
-            else:
-                return
-            yield tuple(cur)
+        # Mixed-radix count with the last active factor as the least
+        # significant digit: the outer digits are a product loop, and the
+        # inner digit's run of f cosets is streamed column by column as
+        # arithmetic progressions mod denom, so each coset costs no Python
+        # bytecode of its own.
+        *outer, inner = active
+        f = factors[inner]
+        step = self.generator_rows[inner]
+        outer_rows = [self.generator_rows[i] for i in outer]
+        for digits in product(*(range(factors[i]) for i in outer)):
+            base = [
+                sum(d * row[j] for d, row in zip(digits, outer_rows)) % denom
+                for j in range(len(step))
+            ]
+            yield from zip(
+                *(
+                    map(operator.mod, range(b, b + f * c, c), repeat(denom, f))
+                    if c
+                    else repeat(b, f)
+                    for b, c in zip(base, step)
+                )
+            )
 
     def reps(self) -> Iterator[Vector]:
         """Ambient coset representatives, sub-basis coordinates in [0,1)^d."""

@@ -3,11 +3,13 @@ small-discrepancy lattice point on the total space.
 
 Sketch of the construction, with delta the base discrepancy and m the fiber
 dimension: lift the base witness A to P in the total lattice with fiber
-coordinates in [0,1), form the multiples k*P mod Z^(m+n) for k = 0..T with
-T = floor(delta^(-m/(m+1))), and pick two whose fiber parts are within
-delta^(1/(m+1)) of each other in every coordinate on the torus (the box
-principle guarantees such a pair because (T+1) * delta^(m/(m+1)) >= 1).
-Their difference, with the fiber part re-centered to the nearest-integer
+coordinates b in [0,1)^m, and look at the multiples k*b mod Z^m for
+k = 0..T with T = floor(delta^(-m/(m+1))).  The box principle guarantees two
+of them within delta^(1/(m+1)) of each other in every coordinate on the
+torus, because (T+1) * delta^(m/(m+1)) >= 1.  Since k -> k*b mod Z^m is
+additive, the first such pair is always (0, k*) with k* the smallest k >= 1
+whose multiple k*b is that close to the origin, so the search is a scan over
+k.  The multiple k*P, with the fiber part re-centered to the nearest-integer
 representative, is a nonzero lattice point Q with nonnegative base part; its
 log discrepancy is at most (C+1) * delta^(1/(m+1)) where C is the largest
 coefficient 1-norm among the linear pieces of the fiber's discrepancy
@@ -26,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exactmath import hnf, iroot_floor, solve_exact
-from .lattice import NotInLatticeError, Vector, ZeroVectorError
+from .lattice import NotInLatticeError, Vector, ZeroVectorError, _frac
 from .mfs import FiberData, ToricMfs, generic_fiber
 from .mld import MldResult, mld
 from .toric import find_containing_cone, log_discrepancy
@@ -90,10 +92,6 @@ class WitnessReport:
         return float(self.bound_coefficient) * float(self.delta) ** (1.0 / (m + 1))
 
 
-def _frac(x: Fraction) -> Fraction:
-    return x - math.floor(x)
-
-
 def lift_to_X(mfs: ToricMfs, a: Sequence) -> Vector:
     """Preimage of base lattice point A with fiber coordinates in [0,1).
 
@@ -154,9 +152,11 @@ def _pair_search(
 ) -> Optional[tuple[int, int]]:
     """First pair (smallest j, then smallest i < j) satisfying ``qualifies``.
 
-    Buckets the torus into g cells per axis; any pair within the threshold
-    1/(g-1) differs by at most 2 cells per axis, so scanning the 5^m
-    neighborhood of each point sees every qualifying pair.
+    Serves ``dirichlet_pair``, whose points are arbitrary and carry no group
+    structure (``find_witness`` scans multiples directly instead).  Buckets
+    the torus into g cells per axis; any pair within the threshold 1/(g-1)
+    differs by at most 2 cells per axis, so scanning the 5^m neighborhood of
+    each point sees every qualifying pair.
     """
     if not points:
         return None
@@ -222,12 +222,6 @@ def dirichlet_pair(points: Sequence[Sequence], t: Fraction) -> tuple[int, int]:
 
     g = _min_grid(t, m)
     found = _pair_search(pts, qualifies, g)
-    if found is None and len(pts) <= 4096:
-        # grid search is complete; this fallback only defends against bugs
-        for j in range(1, len(pts)):
-            for i in range(j):
-                if qualifies(i, j):
-                    return (i, j)
     if found is None:
         raise NoPairFoundError(
             f"no pair within t^(-1/m) among {len(pts)} points (need more than t={t})"
@@ -253,9 +247,13 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
     """Run the box-principle construction at threshold delta.
 
     delta defaults to the exact base discrepancy; an explicit delta below it
-    raises PreconditionFailedError.  The report is self-verifying: Q is a
-    nonzero lattice point of the total space, its base image is
-    componentwise nonnegative, and ld_q is recomputed from scratch.
+    raises PreconditionFailedError.  The pair is (0, k*) for the smallest
+    k* <= T whose multiple of the lifted fiber part lies within
+    delta^(1/(m+1)) of the origin on the torus, found by an exact integer
+    scan over k; NoPairFoundError is raised if no k <= T qualifies.  The
+    report is self-verifying: Q is a nonzero lattice point of the total
+    space, its base image is componentwise nonnegative, and ld_q is
+    recomputed from scratch.
     """
     base = mld(mfs.y)
     if delta is None:
@@ -276,18 +274,24 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
     num, den = delta.numerator, delta.denominator
     t_count = iroot_floor((den**m) // (num**m), m + 1)
     t_count = max(t_count, 1)
-    points = [tuple(_frac(k * b[l]) for l in range(m)) for k in range(t_count + 1)]
 
-    def qualifies(i: int, j: int) -> bool:
-        worst = max(_toroidal_gaps(points[i], points[j]))
-        return worst ** (m + 1) <= delta
-
-    g = _min_grid(1 / delta, m + 1)
-    pair = _pair_search(points, qualifies, g)
-    if pair is None:
+    # The gap between multiples i < j is the distance of (j-i)*b from the
+    # origin on the torus, so a pair (i, j) qualifies iff (0, j-i) does, and
+    # the first qualifying pair (smallest j, then smallest i) is (0, k*) for
+    # the first qualifying k*.  Scan k exactly over a common denominator D:
+    # with cur = k*B mod D, k qualifies iff every min(x, D-x)/D is at most
+    # delta^(1/(m+1)), i.e. min(x, D-x)^(m+1) * den <= num * D^(m+1).
+    d = math.lcm(*(c.denominator for c in b))
+    step = [int(c * d) for c in b]
+    limit = num * d ** (m + 1)
+    cur = [0] * m
+    for k in range(1, t_count + 1):
+        cur = [(x + s) % d for x, s in zip(cur, step)]
+        if max(min(x, d - x) for x in cur) ** (m + 1) * den <= limit:
+            break
+    else:
         raise NoPairFoundError("box principle failed; threshold inconsistent")
-    i, j = pair
-    k = j - i
+    pair = (0, k)
 
     q_fiber = []
     for l in range(m):

@@ -99,6 +99,17 @@ def test_mld_guard_env(tmp_path, capsys, monkeypatch):
     assert "guard" in capsys.readouterr().err
 
 
+def test_mld_guard_env_rejects_nonpositive(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "q17.json", quotient_17_doc())
+    for raw in ("0", "-5", "many"):
+        monkeypatch.setenv("TORICMLD_GUARD", raw)
+        # falls back to the default guard, which the 17-point scan fits in
+        assert main(["mld", path, "--brute-force"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert f"warning: ignoring bad TORICMLD_GUARD={raw!r}" in captured.err
+        assert "mld = 2/17" in captured.out
+
+
 def test_validate_family(tmp_path, capsys):
     path = write(tmp_path, "fam3.json", family_doc(3))
     assert main(["validate", path]) == EXIT_OK

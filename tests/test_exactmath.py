@@ -279,6 +279,22 @@ def test_iroot_floor():
         assert r**k <= n < (r + 1) ** k
 
 
+def test_iroot_floor_huge():
+    # beyond float range, and far beyond where a float seed is accurate
+    assert iroot_floor(10**300, 2) == 10**150
+    assert iroot_floor(10**400, 2) == 10**200
+    assert iroot_floor(10**400 - 1, 2) == 10**200 - 1
+    assert iroot_floor(10**399, 7) == 10**57
+    assert iroot_floor(10**399 - 1, 7) == 10**57 - 1
+    rng = random.Random(22)
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        r = rng.randint(2, 10 ** rng.randint(1, 120))
+        assert iroot_floor(r**k, k) == r
+        assert iroot_floor(r**k - 1, k) == r - 1
+        assert iroot_floor((r + 1) ** k - 1, k) == r
+
+
 def test_vec_mat_convention():
     assert vec_mat([1, 2], [[1, 0], [0, 1]]) == [1, 2]
     assert vec_mat([1, 2], [[0, 1], [1, 0]]) == [2, 1]

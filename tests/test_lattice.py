@@ -9,8 +9,10 @@ from toricmld import (
     Lattice,
     NotInLatticeError,
     NotSublatticeError,
+    QuotientGroup,
     ZeroVectorError,
 )
+from toricmld.exactmath import det_bareiss
 
 F = Fraction
 
@@ -157,6 +159,71 @@ def test_quotient_reps_is_a_stream():
     assert iter(stream) is stream
     first = next(stream)
     assert first == (F(0), F(0))
+
+
+def reference_reps_scaled(qg):
+    """Mixed-radix count over the nontrivial invariant factors, last digit
+    least significant, each coset the digit combination of the generator
+    rows reduced mod the denominator."""
+    active = [i for i, f in enumerate(qg.invariant_factors) if f > 1]
+    dim = len(qg.generator_rows)
+    out = []
+    for n in range(qg.order):
+        digits = {}
+        for i in reversed(active):
+            n, digits[i] = divmod(n, qg.invariant_factors[i])
+        out.append(
+            tuple(
+                sum(digits[i] * qg.generator_rows[i][j] for i in active) % qg.denominator
+                for j in range(dim)
+            )
+        )
+    return out
+
+
+def test_reps_scaled_matches_mixed_radix_reference():
+    rng = random.Random(36)
+    multi = 0
+    groups = [Lattice.standard(2).quotient_group([(1, 0), (0, 1)])]
+    # diagonal sublattices: several factors, and zero columns in the rows
+    groups.append(Lattice.standard(3).quotient_group([(1, 0, 0), (0, 2, 0), (0, 0, 4)]))
+    groups.append(Lattice.standard(3).quotient_group([(2, 0, 0), (0, 6, 0), (0, 0, 6)]))
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        lat = rand_overlattice(rng, d, 12)
+        while True:
+            b = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+            if det_bareiss(b) != 0:
+                break
+        groups.append(lat.quotient_group(b))
+    for qg in groups:
+        if sum(f > 1 for f in qg.invariant_factors) > 1:
+            multi += 1
+        assert list(qg.reps_scaled()) == reference_reps_scaled(qg)
+    assert multi >= 10
+
+
+def test_reps_scaled_zero_columns_and_trivial_group():
+    trivial = QuotientGroup(
+        order=1,
+        invariant_factors=(1, 1, 1),
+        denominator=1,
+        generator_rows=((0, 0, 0),) * 3,
+        sub_basis=(),
+    )
+    assert list(trivial.reps_scaled()) == [(0, 0, 0)]
+    qg = QuotientGroup(
+        order=2 * 6,
+        invariant_factors=(1, 2, 6),
+        denominator=6,
+        generator_rows=((0, 0, 0), (3, 0, 0), (1, 0, 5)),
+        sub_basis=(),
+    )
+    reps = list(qg.reps_scaled())
+    assert reps == reference_reps_scaled(qg)
+    assert reps[0] == (0, 0, 0)
+    assert all(r[1] == 0 for r in reps)
+    assert len(set(reps)) == 12
 
 
 def test_quotient_errors():

@@ -210,6 +210,48 @@ def test_find_witness_precondition():
         find_witness(mfs, F(1, 1000000))
 
 
+def scan_oracle_pair(mfs, delta):
+    """The pair that the grid search of ``dirichlet_pair`` picks among the
+    explicit multiples k*b mod Z^m, k = 0..T.  A zero coordinate pads the
+    points to dimension m+1 so its test gap^(m+1) * (1/delta) <= 1 is the
+    witness threshold."""
+    m = mfs.m
+    b = lift_to_X(mfs, mld(mfs.y).witness)[:m]
+    t = int(find_witness(mfs, delta).t)
+    points = [tuple((k * c) % 1 for c in b) + (F(0),) for k in range(t + 1)]
+    return dirichlet_pair(points, 1 / F(delta))
+
+
+def test_find_witness_pair_matches_grid_search_oracle():
+    rng = random.Random(76)
+    instances = [example_family(l) for l in range(2, 9)]
+    for _ in range(30):
+        m = rng.choice([1, 2, 3])
+        instances.append(rand_standard_simplex_mfs(rng, m, rng.choice([1, 2]), 300))
+    # over 1/r(1, 1) with random fiber weights k* is mostly well above 1
+    for _ in range(12):
+        m = rng.choice([2, 3])
+        r = rng.randint(200, 2000)
+        gen = tuple(F(rng.randrange(r), r) for _ in range(m)) + (F(1, r), F(1, r))
+        instances.append(make_mfs(m, 2, standard_fiber_rays(m), (1, 1), [gen]))
+    # the gap at k = 1 meets the threshold with equality: 4^2 = 2*8, 10^2 = 2*50
+    for r, w in ((8, 4), (50, 10)):
+        gen = (F(w, r), F(1, r), F(1, r))
+        instances.append(make_mfs(1, 2, standard_fiber_rays(1), (1, 1), [gen]))
+    for mfs in instances:
+        base = mld(mfs.y).value
+        for delta in (base, min(8 * base, F(1))):
+            report = find_witness(mfs, delta)
+            assert report.pair == scan_oracle_pair(mfs, delta)
+            assert report.pair[0] == 0
+            check_witness_report(mfs, report)
+
+
+def test_dirichlet_pair_huge_threshold_raises():
+    with pytest.raises(NoPairFoundError):
+        dirichlet_pair([(F(0),), (F(1, 2),)], F(10**300))
+
+
 def test_check_eps_delta_family():
     for l in range(2, 9):
         cert = check_eps_delta(example_family(l))
