@@ -38,7 +38,9 @@ from .mfs import (
     BadParameterError,
     FamilySweepRow,
     ToricMfs,
+    assemble_mfs,
     example_family,
+    family_spec,
     loglog_slope,
     make_mfs,
     sweep_family,
@@ -148,53 +150,20 @@ def _assemble_mfs(doc: dict, strict: bool) -> ToricMfs:
         _get(doc, "base_multiples"), "$.base_multiples", parse=_parse_int
     )
     extras = _parse_matrix(doc.get("extra_generators", []), "$.extra_generators")
-    if strict and "rays" not in doc and "max_cones" not in doc:
+    rays = _parse_matrix(doc["rays"], "$.rays") if "rays" in doc else None
+    cones = (
+        _parse_matrix(doc["max_cones"], "$.max_cones", parse=_parse_int)
+        if "max_cones" in doc
+        else None
+    )
+    if strict and rays is None and cones is None:
         return make_mfs(m, n, fiber_rays, base_multiples, extras)
-    # lenient assembly: build the pieces without constructor gating so that
-    # validate() can report exactly which structural check fails
+    # assemble without the geometric gates so that validate() can report
+    # exactly which structural check fails; bad parameter shapes still raise
     try:
-        x_lattice = Lattice.from_generators(m + n, extras)
-        y_lattice = Lattice.from_generators(
-            n,
-            [
-                tuple(
-                    Fraction(int(j == l), int(base_multiples[l])) for j in range(n)
-                )
-                for l in range(n)
-            ]
-            + [g[m:] for g in extras],
-        )
-        if "rays" in doc:
-            rays = _parse_matrix(doc["rays"], "$.rays")
-        else:
-            rays = [
-                x_lattice.primitivize(tuple(Fraction(c) for c in v) + (Fraction(0),) * n)
-                for v in fiber_rays
-            ] + [
-                x_lattice.primitivize(
-                    tuple(Fraction(int(j == m + l)) for j in range(m + n))
-                )
-                for l in range(n)
-            ]
-        if "max_cones" in doc:
-            cone_indices = [
-                list(c)
-                for c in _parse_matrix(doc["max_cones"], "$.max_cones", parse=_parse_int)
-            ]
-        else:
-            cone_indices = [
-                [i for i in range(len(rays)) if i != j] for j in range(m + 1)
-            ]
-        x_var = ToricVariety(x_lattice, Fan.build(rays, cone_indices))
-        y_rays = [
-            y_lattice.primitivize(tuple(Fraction(int(j == l)) for j in range(n)))
-            for l in range(n)
-        ]
-        y_var = ToricVariety(y_lattice, Fan.build(y_rays, [list(range(n))]))
-        f_matrix = tuple(
-            tuple(0 if j < m else int(j - m == l) for j in range(m + n)) for l in range(n)
-        )
-        mfs = ToricMfs(x=x_var, y=y_var, f_matrix=f_matrix, m=m, n=n)
+        mfs = assemble_mfs(m, n, fiber_rays, base_multiples, extras, rays, cones)
+    except BadParameterError:
+        raise
     except ValueError as exc:
         raise InstanceParseError("$", str(exc))
     if strict:
@@ -289,28 +258,13 @@ def cmd_validate(args) -> int:
 
 def cmd_family(args) -> int:
     fam = example_family(args.l)
-    r = args.l**4 + 1
     if args.emit == "json":
-        doc = serialize_mfs(
-            m=2,
-            n=2,
-            fiber_rays=[(1, 0), (-(args.l - 1), 1), (-(args.l - 1), -1)],
-            base_multiples=(1, 1),
-            extra_generators=[
-                (
-                    Fraction(args.l, r),
-                    Fraction(args.l**2, r),
-                    Fraction(1, r),
-                    Fraction(1, r),
-                )
-            ],
-        )
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(serialize_mfs(**family_spec(args.l)), indent=2))
     else:
         mx = mld(fam.x)
         my = mld(fam.y)
         print(f"l = {args.l}")
-        print(f"r = {r}")
+        print(f"r = {fam.y.lattice.index_over_standard}")
         print(f"rays = {len(fam.x.fan.rays)}")
         print(f"max_cones = {len(fam.x.fan.max_cones)}")
         print(f"mld_X = {mx.value}")
@@ -359,7 +313,7 @@ def cmd_witness(args) -> int:
     instance = load_instance(args.path)
     if not isinstance(instance, ToricMfs):
         raise InstanceParseError("$.kind", "witness needs an mfs instance")
-    delta = None if args.delta == "auto" else Fraction(args.delta)
+    delta = None if args.delta == "auto" else _parse_rational(args.delta, "--delta")
     try:
         report = find_witness(instance, delta)
     except PreconditionFailedError as exc:

@@ -54,15 +54,6 @@ def vec_mat(v: Sequence, m) -> list:
     return [sum(v[i] * m[i][j] for i in range(len(m))) for j in range(cols)]
 
 
-def mat_vec(m, v: Sequence) -> list:
-    """Matrix times column vector."""
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
 def det_bareiss(m: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix.
 
@@ -107,14 +98,16 @@ def det(m) -> Fraction:
     return scale * det_bareiss(int_rows)
 
 
-def rank(m) -> int:
-    """Exact rank of a rectangular matrix over the rationals."""
-    if not m:
-        return 0
+def _gauss_jordan(m) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of m over the rationals, and its pivot columns."""
     a = [[Fraction(x) for x in row] for row in m]
-    rows, cols = len(a), len(a[0])
-    r = 0
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots: list[int] = []
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
         if pivot is None:
             continue
@@ -125,10 +118,20 @@ def rank(m) -> int:
             if i != r and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+        pivots.append(c)
+    return a, pivots
+
+
+def _require_nonsingular(pivots: list[int], n: int) -> None:
+    # pivots increase, so the left n x n block is invertible iff they start 0..n-1
+    if pivots[:n] != list(range(n)):
+        c = next(c for c in range(n) if c not in pivots)
+        raise SingularMatrixError(f"matrix is singular at column {c}")
+
+
+def rank(m) -> int:
+    """Exact rank of a rectangular matrix over the rationals."""
+    return len(_gauss_jordan(m)[1])
 
 
 def hnf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -275,38 +278,19 @@ def solve_exact(a, b: Sequence) -> list[Fraction]:
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise ValueError("solve_exact needs a square system")
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError(f"matrix is singular at column {c}")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [aug[i][n] for i in range(n)]
+    reduced, pivots = _gauss_jordan([list(row) + [b[i]] for i, row in enumerate(a)])
+    _require_nonsingular(pivots, n)
+    return [row[n] for row in reduced]
 
 
 def inverse(a) -> list[list[Fraction]]:
     """Exact inverse of a square nonsingular matrix."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError(f"matrix is singular at column {c}")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    reduced, pivots = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    )
+    _require_nonsingular(pivots, n)
+    return [row[n:] for row in reduced]
 
 
 def integer_row_kernel(m: Sequence[Sequence[int]]) -> list[list[int]]:

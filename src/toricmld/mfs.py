@@ -9,9 +9,12 @@ exactly the full index sets omitting one fiber ray.
 
 ``validate`` re-checks every piece of that structure independently and
 reports per-check results instead of raising, so deliberately broken inputs
-can be diagnosed.  ``make_mfs`` is the safe constructor; ``example_family``
-builds the weighted-quotient family whose base discrepancy shrinks like the
-fourth power of the total-space discrepancy.
+can be diagnosed.  ``assemble_mfs`` is the one place that builds a
+fibration from its normal-form parameters; it checks their shapes but not
+the geometry, so ``validate`` can report every failed check.  ``make_mfs``
+is the safe constructor that gates the assembly.  ``example_family`` builds
+the weighted-quotient family (parameters in ``family_spec``) whose base
+discrepancy shrinks like the fourth power of the total-space discrepancy.
 """
 
 from __future__ import annotations
@@ -49,6 +52,11 @@ class BadParameterError(ValueError):
     pass
 
 
+def projection_matrix(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The lattice map F of the normal form: projection onto the last n coordinates."""
+    return tuple(tuple(int(j - m == l) for j in range(m + n)) for l in range(n))
+
+
 @dataclass(frozen=True)
 class ToricMfs:
     """A fibration X -> Y in normal form; F is stored but must be the projection."""
@@ -63,10 +71,7 @@ class ToricMfs:
         m, n = self.m, self.n
         if self.x.dim != m + n or self.y.dim != n:
             raise InvalidMfsError("dimensions of X and Y do not match m and n")
-        expected = tuple(
-            tuple(0 if j < m else int(j - m == l) for j in range(m + n)) for l in range(n)
-        )
-        if self.f_matrix != expected:
+        if self.f_matrix != projection_matrix(m, n):
             raise InvalidMfsError("lattice map must be the projection onto the last n coordinates")
 
     def project(self, v: Sequence) -> Vector:
@@ -252,8 +257,63 @@ def generic_fiber_group(mfs: ToricMfs) -> tuple[int, ...]:
     return tuple(invariant_factors(rows))
 
 
-def _embed_fiber(v: Sequence[int], n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in v) + (Fraction(0),) * n
+def _check_parameters(m, n, fiber_rays, base_multiples, extra_generators) -> list[Vector]:
+    """Shape checks on normal-form parameters; returns the extra generators."""
+    if m < 1 or n < 1:
+        raise BadParameterError("fiber and base dimensions must be positive")
+    if len(fiber_rays) != m + 1:
+        raise BadParameterError(f"need {m + 1} fiber rays, got {len(fiber_rays)}")
+    if any(len(v) != m for v in fiber_rays):
+        raise BadParameterError("fiber rays must have the fiber dimension")
+    if len(base_multiples) != n or any(int(c) < 1 for c in base_multiples):
+        raise BadParameterError("base multiples must be n positive integers")
+    extras = [tuple(Fraction(x) for x in g) for g in extra_generators]
+    if any(len(g) != m + n for g in extras):
+        raise BadParameterError("extra generators must have dimension m+n")
+    return extras
+
+
+def _normal_form_rays(m: int, n: int, fiber_rays: Sequence[Sequence[int]]) -> list[Vector]:
+    """The fiber rays in the first m coordinates, then the n base axes."""
+    return [tuple(Fraction(c) for c in v) + (Fraction(0),) * n for v in fiber_rays] + [
+        tuple(Fraction(int(j == m + l)) for j in range(m + n)) for l in range(n)
+    ]
+
+
+def assemble_mfs(
+    m: int,
+    n: int,
+    fiber_rays: Sequence[Sequence[int]],
+    base_multiples: Sequence[int],
+    extra_generators: Sequence[Sequence] = (),
+    rays: Optional[Sequence[Sequence]] = None,
+    max_cones: Optional[Sequence[Sequence[int]]] = None,
+) -> ToricMfs:
+    """Build X -> Y from normal-form parameters without geometric gating.
+
+    Only the parameter shapes are checked (BadParameterError), so that
+    ``validate`` can report every structural check on the result.  The rays
+    of X are the primitive generators on the fiber rays and the base axes,
+    and each maximal cone omits one fiber ray, unless ``rays`` and
+    ``max_cones`` override them.  Y is the orthant over its primitive axis
+    rays in Z^n + (1/c_l) e_l + the base parts of the extra generators.
+    """
+    extras = _check_parameters(m, n, fiber_rays, base_multiples, extra_generators)
+    x_lattice = Lattice.from_generators(m + n, extras)
+    units = [tuple(Fraction(int(j == l)) for j in range(n)) for l in range(n)]
+    y_lattice = Lattice.from_generators(
+        n,
+        [tuple(c / int(base_multiples[l]) for c in units[l]) for l in range(n)]
+        + [g[m:] for g in extras],
+    )
+    if rays is None:
+        rays = [x_lattice.primitivize(v) for v in _normal_form_rays(m, n, fiber_rays)]
+    if max_cones is None:
+        max_cones = [[i for i in range(len(rays)) if i != j] for j in range(m + 1)]
+    x_var = ToricVariety(x_lattice, Fan.build(rays, max_cones))
+    y_rays = [y_lattice.primitivize(u) for u in units]
+    y_var = ToricVariety(y_lattice, Fan.build(y_rays, [list(range(n))]))
+    return ToricMfs(x=x_var, y=y_var, f_matrix=projection_matrix(m, n), m=m, n=n)
 
 
 def make_mfs(
@@ -275,65 +335,28 @@ def make_mfs(
     Rays that fail to be primitive in the extended lattice are replaced by
     their primitive generators (with a warning).
     """
-    if m < 1 or n < 1:
-        raise BadParameterError("fiber and base dimensions must be positive")
-    if len(fiber_rays) != m + 1:
-        raise BadParameterError(f"need {m + 1} fiber rays, got {len(fiber_rays)}")
-    if any(len(v) != m for v in fiber_rays):
-        raise BadParameterError("fiber rays must have the fiber dimension")
-    if len(base_multiples) != n or any(int(c) < 1 for c in base_multiples):
-        raise BadParameterError("base multiples must be n positive integers")
-    extras = [tuple(Fraction(x) for x in g) for g in extra_generators]
-    if any(len(g) != m + n for g in extras):
-        raise BadParameterError("extra generators must have dimension m+n")
-
+    # shapes first: the simplex gate needs them, and it must precede the
+    # assembly, whose fan cannot be built over a degenerate simplex
+    _check_parameters(m, n, fiber_rays, base_multiples, extra_generators)
     ys = origin_barycentrics([tuple(Fraction(c) for c in v) for v in fiber_rays])
     if ys is None or any(y <= 0 for y in ys):
         raise DegenerateSimplexError(
             "fiber rays must form a simplex with the origin strictly inside"
         )
+    mfs = assemble_mfs(m, n, fiber_rays, base_multiples, extra_generators)
 
-    x_lattice = Lattice.from_generators(m + n, extras)
-    unit = lambda l: tuple(Fraction(int(j == l)) for j in range(n))
-    y_lattice = Lattice.from_generators(
-        n,
-        [tuple(c / int(base_multiples[l]) for c in unit(l)) for l in range(n)]
-        + [g[m:] for g in extras],
-    )
-    image = Lattice.from_generators(n, [row[m:] for row in x_lattice.basis])
-    if image != y_lattice:
+    image = Lattice.from_generators(n, [row[m:] for row in mfs.x.lattice.basis])
+    if image != mfs.y.lattice:
         raise NonSurjectiveError(
             "projection image of the total lattice is smaller than the base lattice"
         )
-
-    rays = []
-    for v in fiber_rays:
-        emb = _embed_fiber(v, n)
-        prim = x_lattice.primitivize(emb)
-        if prim != emb:
-            warnings.warn(f"fiber ray {tuple(v)} replaced by primitive generator {prim}")
-        rays.append(prim)
+    rays, y_rays = mfs.x.fan.rays, mfs.y.fan.rays
+    for i, emb in enumerate(_normal_form_rays(m, n, fiber_rays)):
+        if rays[i] != emb:
+            what = f"fiber ray {tuple(fiber_rays[i])}" if i <= m else f"base ray {i - m}"
+            warnings.warn(f"{what} replaced by primitive generator {rays[i]}")
     for l in range(n):
-        emb = (Fraction(0),) * m + unit(l)
-        prim = x_lattice.primitivize(emb)
-        if prim != emb:
-            warnings.warn(f"base ray {l + 1} replaced by primitive generator {prim}")
-        rays.append(prim)
-
-    cone_indices = [
-        [i for i in range(m + n + 1) if i != j] for j in range(m + 1)
-    ]
-    x_var = ToricVariety(x_lattice, Fan.build(rays, cone_indices))
-    y_rays = [y_lattice.primitivize(unit(l)) for l in range(n)]
-    y_var = ToricVariety(y_lattice, Fan.build(y_rays, [list(range(n))]))
-    f_matrix = tuple(
-        tuple(0 if j < m else int(j - m == l) for j in range(m + n)) for l in range(n)
-    )
-    mfs = ToricMfs(x=x_var, y=y_var, f_matrix=f_matrix, m=m, n=n)
-
-    for l in range(n):
-        image_vec = rays[m + 1 + l][m:]
-        ratio = image_vec[l] / y_rays[l][l]
+        ratio = rays[m + 1 + l][m + l] / y_rays[l][l]
         if ratio != int(base_multiples[l]):
             raise BaseMultipleMismatchError(
                 f"base axis {l + 1}: requested multiple {base_multiples[l]}, lattice gives {ratio}"
@@ -346,6 +369,20 @@ def make_mfs(
     return mfs
 
 
+def family_spec(l: int) -> dict:
+    """``make_mfs`` arguments of the family member l (see ``example_family``)."""
+    if l < 2:
+        raise BadParameterError(f"family parameter must be at least 2, got {l}")
+    r = l**4 + 1
+    return dict(
+        m=2,
+        n=2,
+        fiber_rays=[(1, 0), (-(l - 1), 1), (-(l - 1), -1)],
+        base_multiples=(1, 1),
+        extra_generators=[(Fraction(l, r), Fraction(l * l, r), Fraction(1, r), Fraction(1, r))],
+    )
+
+
 def example_family(l: int) -> ToricMfs:
     """The weighted-quotient family with m = n = 2 and group order l^4 + 1.
 
@@ -353,18 +390,7 @@ def example_family(l: int) -> ToricMfs:
     quotiented by the cyclic group of order r = l^4+1 acting with weights
     (l, l^2; 1, 1)/r.  The base is the cyclic quotient surface 1/r (1,1).
     """
-    if l < 2:
-        raise BadParameterError(f"family parameter must be at least 2, got {l}")
-    r = l**4 + 1
-    return make_mfs(
-        m=2,
-        n=2,
-        fiber_rays=[(1, 0), (-(l - 1), 1), (-(l - 1), -1)],
-        base_multiples=(1, 1),
-        extra_generators=[
-            (Fraction(l, r), Fraction(l * l, r), Fraction(1, r), Fraction(1, r))
-        ],
-    )
+    return make_mfs(**family_spec(l))
 
 
 @dataclass(frozen=True)
@@ -385,7 +411,7 @@ class FamilySweepRow:
         my = mld(fam.y).value
         return cls(
             l=l,
-            r=l**4 + 1,
+            r=fam.y.lattice.index_over_standard,
             mld_x=mx,
             mld_y=my,
             ratio_approx=float(my / mx**4),

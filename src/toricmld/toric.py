@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
-from .exactmath import det, solve_exact
+from .exactmath import SingularMatrixError, det, inverse, rank, solve_exact
 from .lattice import Lattice, NotInLatticeError, Vector, ZeroVectorError
 
 
@@ -78,11 +79,8 @@ class Fan:
                     raise NonSimplicialError(f"cone {idx} generators are dependent")
             elif len(gens) > dim:
                 raise NonSimplicialError(f"cone {idx} has more generators than the dimension")
-            else:
-                from .exactmath import rank
-
-                if rank(gens) != len(gens):
-                    raise NonSimplicialError(f"cone {idx} generators are dependent")
+            elif rank(gens) != len(gens):
+                raise NonSimplicialError(f"cone {idx} generators are dependent")
             covered.update(idx)
             cones.append(SimplicialCone(ray_indices=idx, generator_matrix=gens))
         if covered != set(range(len(ray_rows))):
@@ -122,8 +120,6 @@ class ToricVariety:
     def _cone_inverse(self, cone_index: int):
         inv = self._cone_inverses.get(cone_index)
         if inv is None:
-            from .exactmath import inverse
-
             g = self.fan.max_cones[cone_index].generator_matrix
             inv = tuple(tuple(row) for row in inverse(g))
             self._cone_inverses[cone_index] = inv
@@ -139,9 +135,8 @@ class ToricVariety:
 def barycentric(cone: SimplicialCone, v: Sequence) -> Vector:
     """Coefficients x with sum_i x_i * P_i = v, for the cone's generators P_i.
 
-    v lies in the cone iff all coefficients are >= 0.  For a full-dimensional
-    cone the system is square; lower-dimensional cones are solved on an
-    independent coordinate subset and verified on the rest.
+    v lies in the cone iff all coefficients are >= 0.  The cone must be
+    full-dimensional (NonSimplicialError otherwise).
     """
     g = cone.generator_matrix
     if not g:
@@ -150,39 +145,24 @@ def barycentric(cone: SimplicialCone, v: Sequence) -> Vector:
     vv = [Fraction(x) for x in v]
     if len(vv) != dim:
         raise DimensionMismatchError(f"vector has dimension {len(vv)}, expected {dim}")
-    k = len(g)
-    if k == dim:
-        return tuple(solve_exact([[g[i][j] for i in range(k)] for j in range(dim)], vv))
-    # lower-dimensional: pick k independent columns, solve, verify the rest
-    cols = _independent_columns(g, k)
-    sub = [[g[i][j] for i in range(k)] for j in cols]
-    x = solve_exact(sub, [vv[j] for j in cols])
-    for j in range(dim):
-        if sum(x[i] * g[i][j] for i in range(k)) != vv[j]:
-            raise ValueError("vector is not in the span of the cone")
-    return tuple(x)
+    if len(g) != dim:
+        raise NonSimplicialError(f"cone {cone.ray_indices} is not full-dimensional")
+    return tuple(solve_exact([[g[i][j] for i in range(dim)] for j in range(dim)], vv))
 
 
-def _independent_columns(g, k: int) -> list[int]:
-    from .exactmath import rank
-
-    cols: list[int] = []
-    for j in range(len(g[0])):
-        trial = cols + [j]
-        if rank([[g[i][c] for c in trial] for i in range(len(g))]) == len(trial):
-            cols.append(j)
-        if len(cols) == k:
-            return cols
-    raise NonSimplicialError("cone generators are dependent")
-
-
-def _try_barycentric(x_var: ToricVariety, cone_index: int, v: Sequence) -> Optional[Vector]:
-    cone = x_var.fan.max_cones[cone_index]
-    if len(cone.generator_matrix) != x_var.dim:
-        return None
-    inv = x_var._cone_inverse(cone_index)
-    vv = [Fraction(c) for c in v]
-    return tuple(sum(vv[i] * inv[i][j] for i in range(len(vv))) for j in range(x_var.dim))
+def _locate(x_var: ToricVariety, vv: Vector) -> Optional[tuple[int, Vector]]:
+    """Lowest-index maximal cone containing vv, with vv's barycentrics there."""
+    dim = x_var.dim
+    if len(vv) != dim:
+        raise DimensionMismatchError(f"vector has dimension {len(vv)}, expected {dim}")
+    for ci, cone in enumerate(x_var.fan.max_cones):
+        if len(cone.generator_matrix) != dim:
+            continue
+        inv = x_var._cone_inverse(ci)
+        coords = tuple(sum(vv[i] * inv[i][j] for i in range(dim)) for j in range(dim))
+        if all(c >= 0 for c in coords):
+            return ci, coords
+    return None
 
 
 def log_discrepancy(x_var: ToricVariety, v: Sequence) -> Optional[Fraction]:
@@ -197,21 +177,14 @@ def log_discrepancy(x_var: ToricVariety, v: Sequence) -> Optional[Fraction]:
         raise ZeroVectorError("log discrepancy is undefined at the origin")
     if not x_var.lattice.contains(vv):
         raise NotInLatticeError(f"{v!r} is not a lattice point")
-    for ci in range(len(x_var.fan.max_cones)):
-        coords = _try_barycentric(x_var, ci, vv)
-        if coords is not None and all(c >= 0 for c in coords):
-            return sum(coords)
-    return None
+    hit = _locate(x_var, vv)
+    return None if hit is None else sum(hit[1])
 
 
 def find_containing_cone(x_var: ToricVariety, v: Sequence) -> Optional[int]:
     """Lowest index of a maximal cone containing v, or None."""
-    vv = tuple(Fraction(c) for c in v)
-    for ci in range(len(x_var.fan.max_cones)):
-        coords = _try_barycentric(x_var, ci, vv)
-        if coords is not None and all(c >= 0 for c in coords):
-            return ci
-    return None
+    hit = _locate(x_var, tuple(Fraction(c) for c in v))
+    return None if hit is None else hit[0]
 
 
 def is_complete(fan: Fan) -> bool:
@@ -225,8 +198,6 @@ def is_complete(fan: Fan) -> bool:
     d = fan.dim
     if len(fan.rays) != d + 1:
         raise WrongShapeError(f"expected {d + 1} rays, got {len(fan.rays)}")
-    from itertools import combinations
-
     expected = {frozenset(c) for c in combinations(range(d + 1), d)}
     actual = {frozenset(c.ray_indices) for c in fan.max_cones}
     if actual != expected:
@@ -244,8 +215,6 @@ def origin_barycentrics(vertices: Sequence[Vector]) -> Optional[tuple[Fraction, 
     a = [[vertices[i][j] for i in range(k)] for j in range(dim)]
     a.append([Fraction(1)] * k)
     b = [Fraction(0)] * dim + [Fraction(1)]
-    from .exactmath import SingularMatrixError
-
     try:
         return tuple(solve_exact(a, b))
     except SingularMatrixError:

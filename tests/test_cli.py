@@ -3,6 +3,8 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
+
 from toricmld import example_family, mld
 from toricmld.cli import (
     EXIT_ERROR,
@@ -222,6 +224,46 @@ def test_witness_precondition(tmp_path, capsys):
     }
     path = write(tmp_path, "smooth.json", doc)
     assert main(["witness", path, "--delta", "1/1000000"]) == EXIT_PRECONDITION
+
+
+def line_doc(**fields):
+    doc = {
+        "kind": "mfs",
+        "m": 1,
+        "n": 1,
+        "fiber_rays": [[1], [-1]],
+        "base_multiples": [1],
+        "extra_generators": [],
+    }
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("multiples", [[0], [1, 1], [-2]], ids=["zero", "two", "negative"])
+def test_validate_rejects_bad_base_multiples(tmp_path, capsys, multiples):
+    # validate assembles without the geometric gates, but not without the
+    # shape checks: it rejects what mld, witness and check reject
+    path = write(tmp_path, "bad.json", line_doc(base_multiples=multiples))
+    for command in ("validate", "mld", "witness", "check"):
+        assert main([command, path]) == EXIT_ERROR, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: base multiples must be n positive integers\n", command
+
+
+def test_validate_rejects_zero_fiber_dimension(tmp_path, capsys):
+    path = write(tmp_path, "m0.json", line_doc(m=0))
+    assert main(["validate", path]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: fiber and base dimensions must be positive"
+
+
+def test_witness_rejects_zero_denominator_delta(tmp_path, capsys):
+    path = write(tmp_path, "fam2.json", family_doc(2))
+    assert main(["witness", path, "--delta", "1/0"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: --delta: bad rational string '1/0'")
 
 
 def test_check_family(tmp_path, capsys):

@@ -150,6 +150,14 @@ def test_find_containing_cone_line():
     assert find_containing_cone(v, (2,)) == 0
 
 
+def test_find_containing_cone_dimension_mismatch():
+    from toricmld import DimensionMismatchError
+
+    for point in ((-1,), (1, 2, 3)):
+        with pytest.raises(DimensionMismatchError):
+            find_containing_cone(fiber_triangle(2), point)
+
+
 def test_find_containing_cone_triangle():
     v = fiber_triangle(2)
     # (-1,-1) is the third vertex: cones {0,2} and {1,2} both contain it,
@@ -190,12 +198,11 @@ def test_variety_rejects_nonlattice_ray():
         ToricVariety(lat, Fan.build([(F(1, 2), F(0)), (0, 1)], [[0, 1]]))
 
 
-def test_barycentric_lower_dimensional_cone():
+def test_barycentric_lower_dimensional_cone_rejected():
     fan = Fan.build([(1, 0, 0), (1, 1, 0), (0, 0, 1)], [[0, 1, 2], [0, 1]])
     face = fan.max_cones[1]
-    assert barycentric(face, (2, 1, 0)) == (F(1), F(1))
-    with pytest.raises(ValueError):
-        barycentric(face, (0, 0, 1))  # off the span of the face
+    with pytest.raises(NonSimplicialError):
+        barycentric(face, (2, 1, 0))
 
 
 def test_barycentric_dimension_mismatch():
