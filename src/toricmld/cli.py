@@ -20,7 +20,8 @@ columns.  stdout carries data, stderr carries diagnostics.
 Exit codes: 0 success, 1 parse/validation/runtime error, 2 oracle mismatch
 (mld --brute-force), 3 witness precondition violated, 4 threshold inequality
 violated (check).  The environment variable TORICMLD_GUARD, a positive
-integer, overrides the brute-force enumeration guard (default 10^7 points).
+integer, overrides the work guard of ``mld`` and of its brute-force oracle
+(default 10^7 points each); a run past it exits 1.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .mfs import (
     make_mfs,
     sweep_family,
     validate,
+    warn_replaced_rays,
 )
 from .mld import DEFAULT_GUARD, mld, mld_bruteforce
 from .toric import Fan, ToricVariety
@@ -166,6 +168,8 @@ def _assemble_mfs(doc: dict, strict: bool) -> ToricMfs:
         raise
     except ValueError as exc:
         raise InstanceParseError("$", str(exc))
+    if rays is None:
+        warn_replaced_rays(mfs, fiber_rays)
     if strict:
         report = validate(mfs)
         if not report.overall:
@@ -214,9 +218,10 @@ def _variety_for_mld(instance) -> ToricVariety:
 def cmd_mld(args) -> int:
     instance = load_instance(args.path)
     variety = _variety_for_mld(instance)
-    result = mld(variety)
+    guard = _guard()
+    result = mld(variety, guard=guard)
     if args.brute_force:
-        oracle = mld_bruteforce(variety, guard=_guard())
+        oracle = mld_bruteforce(variety, guard=guard)
         if oracle.value != result.value or oracle.witness != result.witness:
             print(
                 "oracle mismatch:\n"
@@ -257,18 +262,18 @@ def cmd_validate(args) -> int:
 
 
 def cmd_family(args) -> int:
-    fam = example_family(args.l)
     if args.emit == "json":
         print(json.dumps(serialize_mfs(**family_spec(args.l)), indent=2))
-    else:
-        mx = mld(fam.x)
-        my = mld(fam.y)
-        print(f"l = {args.l}")
-        print(f"r = {fam.y.lattice.index_over_standard}")
-        print(f"rays = {len(fam.x.fan.rays)}")
-        print(f"max_cones = {len(fam.x.fan.max_cones)}")
-        print(f"mld_X = {mx.value}")
-        print(f"mld_Y = {my.value}")
+        return EXIT_OK
+    fam = example_family(args.l)
+    mx = mld(fam.x)
+    my = mld(fam.y)
+    print(f"l = {args.l}")
+    print(f"r = {fam.y.lattice.index_over_standard}")
+    print(f"rays = {len(fam.x.fan.rays)}")
+    print(f"max_cones = {len(fam.x.fan.max_cones)}")
+    print(f"mld_X = {mx.value}")
+    print(f"mld_Y = {my.value}")
     return EXIT_OK
 
 

@@ -316,6 +316,15 @@ def assemble_mfs(
     return ToricMfs(x=x_var, y=y_var, f_matrix=projection_matrix(m, n), m=m, n=n)
 
 
+def warn_replaced_rays(mfs: ToricMfs, fiber_rays: Sequence[Sequence[int]]) -> None:
+    """Warn for each normal-form ray that assembly replaced by its primitive generator."""
+    rays = mfs.x.fan.rays
+    for i, emb in enumerate(_normal_form_rays(mfs.m, mfs.n, fiber_rays)):
+        if rays[i] != emb:
+            what = f"fiber ray {tuple(fiber_rays[i])}" if i <= mfs.m else f"base ray {i - mfs.m}"
+            warnings.warn(f"{what} replaced by primitive generator {rays[i]}")
+
+
 def make_mfs(
     m: int,
     n: int,
@@ -350,11 +359,8 @@ def make_mfs(
         raise NonSurjectiveError(
             "projection image of the total lattice is smaller than the base lattice"
         )
+    warn_replaced_rays(mfs, fiber_rays)
     rays, y_rays = mfs.x.fan.rays, mfs.y.fan.rays
-    for i, emb in enumerate(_normal_form_rays(m, n, fiber_rays)):
-        if rays[i] != emb:
-            what = f"fiber ray {tuple(fiber_rays[i])}" if i <= m else f"base ray {i - m}"
-            warnings.warn(f"{what} replaced by primitive generator {rays[i]}")
     for l in range(n):
         ratio = rays[m + 1 + l][m + l] / y_rays[l][l]
         if ratio != int(base_multiples[l]):

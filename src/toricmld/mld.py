@@ -12,9 +12,27 @@ fundamental parallelepiped of the cone generators, capped at 1:
 * any other lattice point of the cone dominates the representative with the
   same fractional barycentric part, coordinate by coordinate.
 
-So scanning coset representatives of the generator sublattice and capping at
-1 is complete.  ``mld_bruteforce`` re-derives the same minimum by walking an
-ambient integer box directly and exists purely to cross-check ``mld``.
+So the minimum over coset representatives of the generator sublattice,
+capped at 1, is complete.  ``mld`` finds it without visiting every coset.
+In barycentric coordinates the lattice is an overlattice of Z^d; scaled by
+D, the lcm of the denominators of its basis, it becomes an integer lattice
+L containing D Z^d.  The nonzero representatives are the points x of L with
+0 <= x_i < D, of value sum(x) / D.  The Hermite form of L is upper
+triangular with diagonal h_i dividing D, so once x_0 .. x_{i-1} are fixed,
+x_i runs over one residue class mod h_i; a row with h_i = D is D e_i and
+fixes x_i.  The sweep walks the levels in that order and stops each level
+at ``best - used``, where ``best`` is the value numerator of the incumbent
+(D at the start, value 1) and ``used`` the sum of the coordinates already
+fixed.  This is complete: every coordinate is >= 0, so each partial sum of
+a representative is at most its value numerator, and a representative that
+could beat or tie the incumbent never exceeds the bound at any level.  The
+bound is inclusive so that ties reach the lexicographic tie-break.  Each
+level visits at most the projection of the group onto the coordinates fixed
+so far, so the sweep is never asymptotically worse than the full scan; the
+innermost free level is streamed as arithmetic progressions mod D.
+
+``mld_bruteforce`` re-derives the same minimum by walking an ambient integer
+box directly and exists purely to cross-check ``mld``.
 """
 
 from __future__ import annotations
@@ -22,8 +40,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import add, eq, mod
 from typing import Optional, Sequence
 
+from .exactmath import hnf, vec_mat
 from .lattice import Lattice, Vector
 from .toric import (
     Fan,
@@ -33,6 +54,7 @@ from .toric import (
 )
 
 DEFAULT_GUARD = 10**7
+_CHUNK_MIN, _CHUNK_MAX = 64, 8192  # innermost stream chunk sizes, doubling
 
 
 class EmptyFanError(ValueError):
@@ -40,7 +62,7 @@ class EmptyFanError(ValueError):
 
 
 class TooLargeError(RuntimeError):
-    """Brute-force enumeration would exceed the point guard."""
+    """The sweep or the brute-force enumeration would exceed its point guard."""
 
 
 class InvalidWeightsError(ValueError):
@@ -79,6 +101,21 @@ class _Best:
             self.witness = witness
 
 
+class _Budget:
+    """Points the sweep may still visit before it gives up."""
+
+    __slots__ = ("guard", "left")
+
+    def __init__(self, guard: int):
+        self.guard = guard
+        self.left = guard
+
+    def spend(self, n: int) -> None:
+        self.left -= n
+        if self.left < 0:
+            raise TooLargeError(f"mld sweep exceeded guard of {self.guard} points")
+
+
 def _check_cones(x_var: ToricVariety) -> None:
     if not x_var.fan.max_cones:
         raise EmptyFanError("fan has no maximal cones")
@@ -105,38 +142,100 @@ def _finalize(x_var: ToricVariety, best: _Best, method: str, ray_cap: bool = Tru
     return MldResult(value=best.value, witness=best.witness, cone_index=cone_index, method=method)
 
 
-def mld(x_var: ToricVariety) -> MldResult:
-    """Minimal log discrepancy via the fundamental-parallelepiped scan."""
+def mld(x_var: ToricVariety, guard: Optional[int] = None) -> MldResult:
+    """Minimal log discrepancy via a bounded sweep of each cone's coset lattice.
+
+    Raises TooLargeError once the sweep has visited more than ``guard``
+    points (default 10^7), counting partial points at the outer levels and
+    streamed representatives at the innermost one.
+    """
     _check_cones(x_var)
+    budget = _Budget(DEFAULT_GUARD if guard is None else guard)
     best = _Best()
-    for cone in x_var.fan.max_cones:
-        g = cone.generator_matrix
-        qg = x_var.lattice.quotient_group(g)
-        denom = qg.denominator
-
-        def ambient(num):
-            return tuple(
-                sum(Fraction(num[i], denom) * g[i][j] for i in range(cone.dim))
-                for j in range(x_var.dim)
-            )
-
-        # integer running minimum of the value numerator; ambient points are
-        # only materialized when a representative matches or beats it
-        best_num: Optional[int] = None
-        best_point: Optional[Vector] = None
-        for num in qg.reps_scaled():
-            s = sum(num)
-            if s == 0:
-                continue  # the origin's coset
-            if best_num is None or s < best_num:
-                best_num = s
-                best_point = ambient(num)
-            elif s == best_num:
-                best_point = min(best_point, ambient(num))
-        if best_num is None:
-            continue  # trivial quotient: only the origin
-        best.offer(Fraction(best_num, denom), best_point)
+    for ci in range(len(x_var.fan.max_cones)):
+        _sweep_cone(x_var, ci, best, budget)
     return _finalize(x_var, best, "parallelepiped")
+
+
+def _sweep_cone(x_var: ToricVariety, ci: int, best: _Best, budget: _Budget) -> None:
+    """Offer cone ``ci``'s smallest representative of value <= the incumbent."""
+    d = x_var.dim
+    g = x_var.fan.max_cones[ci].generator_matrix
+    inv = x_var._cone_inverse(ci)
+    bary = [vec_mat(row, inv) for row in x_var.lattice.basis]
+    denom = math.lcm(1, *(x.denominator for row in bary for x in row))
+    if denom == 1:
+        return  # trivial quotient: only the origin
+    scaled = [[int(x * denom) for x in row] for row in bary]
+    scaled += [[denom * (i == j) for j in range(d)] for i in range(d)]
+    h = hnf(scaled)[0][:d]
+    last = max(i for i in range(d) if h[i][i] < denom)
+    gden = math.lcm(1, *(x.denominator for row in g for x in row))
+    gint = [[int(x * gden) for x in row] for row in g]
+    # the incumbent's value numerator over denom, the sweep's inclusive bound
+    limit = denom if best.value is None else math.floor(best.value * denom)
+    found: Optional[int] = None  # smallest numerator seen in this cone
+    key: Optional[tuple[int, ...]] = None  # its lex-min ambient point, scaled
+    x = [0] * d
+
+    def consider(total: int, point: Sequence[int]) -> None:
+        nonlocal limit, found, key
+        k = tuple(sum(point[i] * gint[i][j] for i in range(d)) for j in range(d))
+        if found is None or total < found or k < key:
+            found, key, limit = total, k, total
+
+    def stream(p: list[int], used: int) -> None:
+        # x[last] runs over start + t*step; every deeper row is denom*e_k, so
+        # x[k] for k > last is (base_k + t*h[last][k]) mod denom
+        step = h[last][last]
+        start = p[last] % step
+        c0 = (start - p[last]) // step
+        tail = [(p[k] + c0 * h[last][k], h[last][k]) for k in range(last + 1, d)]
+        t = 0
+        if used == 0 and start == 0 and all(b % denom == 0 for b, _ in tail):
+            t = 1  # the origin
+        chunk = _CHUNK_MIN
+        while True:
+            lo = start + t * step
+            top = min(denom - 1, limit - used)
+            if lo > top:
+                return
+            n = min(chunk, (top - lo) // step + 1)
+            budget.spend(n)
+            total = range(used + lo, used + lo + n * step, step)
+            for b, s in tail:
+                if s:
+                    col = map(mod, range(b + t * s, b + (t + n) * s, s), repeat(denom, n))
+                else:
+                    col = repeat(b % denom, n)
+                total = map(add, total, col)
+            totals = list(total)
+            low = min(totals)
+            if low <= limit:
+                for j in compress(range(n), map(eq, totals, repeat(low, n))):
+                    x[last] = lo + j * step
+                    for k, (b, s) in enumerate(tail, last + 1):
+                        x[k] = (b + (t + j) * s) % denom
+                    consider(low, x)
+            t += n
+            chunk = min(2 * chunk, _CHUNK_MAX)
+
+    def sweep(i: int, p: list[int], used: int) -> None:
+        if i == last:
+            stream(p, used)
+            return
+        step = h[i][i]
+        xi = p[i] % step
+        while xi <= min(denom - 1, limit - used):
+            budget.spend(1)
+            c = (xi - p[i]) // step
+            x[i] = xi
+            sweep(i + 1, [p[k] + c * h[i][k] for k in range(d)], used + xi)
+            xi += step
+
+    sweep(0, [0] * d, 0)
+    if found is not None:
+        best.offer(Fraction(found, denom), tuple(Fraction(a, denom * gden) for a in key))
 
 
 def mld_bruteforce(

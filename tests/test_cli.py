@@ -112,6 +112,36 @@ def test_mld_guard_env_rejects_nonpositive(tmp_path, capsys, monkeypatch):
         assert "mld = 2/17" in captured.out
 
 
+def test_mld_guard_env_bounds_the_bruteforce_oracle(tmp_path, capsys, monkeypatch):
+    # smooth A^3 has a trivial quotient, so the sweep visits nothing and
+    # only the box scan of the oracle can exceed the guard
+    doc = {
+        "kind": "toric",
+        "dim": 3,
+        "lattice_generators": [],
+        "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "max_cones": [[0, 1, 2]],
+    }
+    path = write(tmp_path, "a3.json", doc)
+    monkeypatch.setenv("TORICMLD_GUARD", "3")
+    assert main(["mld", path]) == EXIT_OK
+    assert main(["mld", path, "--brute-force"]) == EXIT_ERROR
+    assert "enumeration exceeded guard of 3 points" in capsys.readouterr().err
+
+
+def test_mld_guard_env_bounds_the_sweep(tmp_path, capsys, monkeypatch):
+    # every nonzero coset of 1/r(1, r-1) ties with the rays at value 1, so
+    # without a budget the sweep would stream all r - 1 of them
+    r = 10**12
+    doc = dict(quotient_17_doc(), lattice_generators=[[f"1/{r}", f"{r - 1}/{r}"]])
+    path = write(tmp_path, "tie.json", doc)
+    monkeypatch.setenv("TORICMLD_GUARD", "1000")
+    assert main(["mld", path]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mld sweep exceeded guard of 1000 points\n"
+
+
 def test_validate_family(tmp_path, capsys):
     path = write(tmp_path, "fam3.json", family_doc(3))
     assert main(["validate", path]) == EXIT_OK
@@ -163,6 +193,18 @@ def test_family_json_roundtrip(tmp_path, capsys):
     capsys.readouterr()
     instance = load_instance(path)
     assert mld(instance.x).value == F(12, 17)
+
+
+def test_family_json_builds_no_fibration(capsys, monkeypatch):
+    import toricmld.cli as cli_mod
+
+    def no_build(l):
+        raise AssertionError("family --emit json built the fibration")
+
+    monkeypatch.setattr(cli_mod, "example_family", no_build)
+    assert main(["family", "--l", "40", "--emit", "json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["extra_generators"] == [["40/2560001", "1600/2560001", "1/2560001", "1/2560001"]]
 
 
 def test_family_bad_parameter(capsys):
@@ -249,6 +291,16 @@ def test_validate_rejects_bad_base_multiples(tmp_path, capsys, multiples):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: base multiples must be n positive integers\n", command
+
+
+def test_validate_warns_on_non_primitive_fiber_ray(tmp_path, capsys):
+    # validate reports on the primitive ray, so it must say that it replaced
+    # the file's ray, as mld, witness and check do
+    path = write(tmp_path, "nonprim.json", dict(family_doc(2), fiber_rays=[[2, 0], [-1, 1], [-1, -1]]))
+    for command in ("validate", "mld", "witness", "check"):
+        with pytest.warns(UserWarning, match=r"fiber ray \(2, 0\) replaced by primitive generator"):
+            assert main([command, path]) == EXIT_OK, command
+    capsys.readouterr()
 
 
 def test_validate_rejects_zero_fiber_dimension(tmp_path, capsys):

@@ -1,0 +1,187 @@
+"""The coset-lattice sweep in ``mld`` against two independent oracles.
+
+``scan_mld`` below is the fundamental-parallelepiped scan: it visits every
+coset of every maximal cone through ``Lattice.quotient_group(...)
+.reps_scaled()``.  ``mld_bruteforce`` walks an ambient box.  The sweep must
+return the same value, the same tie-broken witness and the same cone as
+both, on generated inputs chosen to stress its bound and its tie-break.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import apply_unimodular
+from toricmld import (
+    Fan,
+    Lattice,
+    TooLargeError,
+    ToricVariety,
+    cyclic_quotient,
+    example_family,
+    find_containing_cone,
+    log_discrepancy,
+    mld,
+    mld_bruteforce,
+)
+from toricmld.exactmath import det_bareiss
+
+F = Fraction
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def scan_mld(x_var):
+    """(value, witness, cone) from every coset representative of every cone."""
+    candidates = [(F(1), ray) for ray in x_var.fan.rays]  # the rays cap at 1
+    for cone in x_var.fan.max_cones:
+        g = cone.generator_matrix
+        qg = x_var.lattice.quotient_group(g)
+        denom = qg.denominator
+        low, point = None, None
+        for num in qg.reps_scaled():
+            s = sum(num)
+            if s == 0 or (low is not None and s > low):
+                continue
+            amb = tuple(
+                sum(F(num[i], denom) * g[i][j] for i in range(x_var.dim))
+                for j in range(x_var.dim)
+            )
+            if low is None or s < low or amb < point:
+                low, point = s, amb
+        if low is not None and low <= denom:
+            candidates.append((F(low, denom), point))
+    value, witness = min(candidates)
+    return value, witness, find_containing_cone(x_var, witness)
+
+
+def assert_agrees(x_var, brute_cap=1):
+    got = mld(x_var)
+    assert got.method == "parallelepiped"
+    want = (got.value, got.witness, got.cone_index)
+    assert scan_mld(x_var) == want
+    # any point of value <= v has every barycentric coordinate <= v, so a
+    # box scan capped at the answer still sees the whole competition
+    brute = mld_bruteforce(x_var, cap=max(got.value, brute_cap))
+    assert (brute.value, brute.witness, brute.cone_index) == want
+    assert x_var.lattice.contains(got.witness)
+    assert log_discrepancy(x_var, got.witness) == got.value
+    return got
+
+
+@st.composite
+def affine_varieties(draw, max_dim=4, max_index=60, generators=1, dims=None):
+    """One full-dimensional cone over Z^d plus ``generators`` vectors in (1/r)Z^d."""
+    d = draw(st.sampled_from(dims) if dims else st.integers(1, max_dim))
+    r = draw(st.integers(2, max_index))
+    coords = st.lists(st.integers(0, r - 1), min_size=d, max_size=d)
+    gens = [tuple(F(a, r) for a in draw(coords)) for _ in range(generators)]
+    lattice = Lattice.from_generators(d, gens)
+    entries = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    rows = draw(st.lists(entries, min_size=d, max_size=d))
+    assume(det_bareiss(rows) != 0)
+    rays = [lattice.primitivize(tuple(F(c) for c in row)) for row in rows]
+    return ToricVariety(lattice, Fan.build(rays, [list(range(d))]))
+
+
+@st.composite
+def unimodular_matrices(draw, d):
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        if i != j:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        else:
+            u[i] = [-a for a in u[i]]
+    return u
+
+
+@pytest.mark.parametrize("l", range(2, 13))
+def test_family_matches_scan_and_bruteforce(l):
+    fam = example_family(l)
+    assert_agrees(fam.x, brute_cap=0)
+    assert assert_agrees(fam.y, brute_cap=0).value == F(2, l**4 + 1)
+
+
+def test_family_l20_total_space():
+    res = mld(example_family(20).x)
+    r = 20**4 + 1
+    assert res.value == F(8022, r)
+    assert res.witness == (F(20, r), F(400, r), F(1, r), F(1, r))
+
+
+@PROPERTY
+@given(st.integers(2, 400))
+def test_every_coset_ties_with_the_rays(r):
+    # every nonzero coset of 1/r(1, r-1) has value exactly 1
+    res = assert_agrees(cyclic_quotient(r, (1, r - 1)))
+    assert res.value == 1
+
+
+@PROPERTY
+@given(
+    st.integers(2, 12),
+    st.integers(2, 12),
+    st.lists(st.integers(0, 143), min_size=1, max_size=2),
+    st.integers(1, 143),
+)
+def test_weights_sharing_factors_with_r(p, q, others, a):
+    r = p * q
+    weights = [p * a % r] + [w % r for w in others]
+    assume(any(weights))
+    assert_agrees(cyclic_quotient(r, weights))
+
+
+@PROPERTY
+@given(affine_varieties(max_index=12, generators=2, dims=(2, 3, 4)))
+def test_non_cyclic_groups(x_var):
+    cone = x_var.fan.max_cones[0]
+    factors = x_var.lattice.quotient_group(cone.generator_matrix).invariant_factors
+    assume(sum(f > 1 for f in factors) >= 2)
+    assert_agrees(x_var)
+
+
+@PROPERTY
+@given(affine_varieties())
+def test_random_affine_varieties(x_var):
+    assert_agrees(x_var)
+
+
+@PROPERTY
+@given(st.data())
+def test_unimodular_invariance(data):
+    x_var = data.draw(affine_varieties(max_index=40))
+    u = data.draw(unimodular_matrices(x_var.dim))
+    assert abs(det_bareiss(u)) == 1
+    moved = apply_unimodular(x_var, u)
+    got = mld(moved)
+    assert got.value == mld(x_var).value
+    assert scan_mld(moved) == (got.value, got.witness, got.cone_index)
+
+
+@pytest.mark.parametrize(
+    "gens, rows",
+    [
+        (["1/3 0 1/3 0", "0 2/3 2/3 1/3"],
+         [[-1, 1, 1, 1], [0, -1, -2, -1], [0, 0, -1, -1], [1, -1, 1, -1]]),
+        (["1/4 5/6 1/3 11/12", "1/3 11/12 5/6 1/3"],
+         [[0, -1, 0, 2], [2, 0, -1, 1], [2, -2, -1, 1], [2, -1, 1, 1]]),
+    ],
+)
+def test_tie_on_the_bound_of_an_outer_level(gens, rows):
+    # the lex-smallest minimizer takes the largest value an outer sweep
+    # level allows, so that level's bound must be inclusive
+    lattice = Lattice.from_generators(4, [tuple(F(x) for x in g.split()) for g in gens])
+    rays = [lattice.primitivize(tuple(F(c) for c in row)) for row in rows]
+    assert_agrees(ToricVariety(lattice, Fan.build(rays, [[0, 1, 2, 3]])))
+
+
+def test_guard_stops_a_sweep_of_ties():
+    r = 10**12
+    with pytest.raises(TooLargeError, match="guard of 1000 points"):
+        mld(cyclic_quotient(r, (1, r - 1)), guard=1000)
+    assert mld(cyclic_quotient(17, (1, 16)), guard=1000).value == 1
