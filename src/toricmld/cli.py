@@ -20,8 +20,8 @@ columns.  stdout carries data, stderr carries diagnostics.
 Exit codes: 0 success, 1 parse/validation/runtime error, 2 oracle mismatch
 (mld --brute-force), 3 witness precondition violated, 4 threshold inequality
 violated (check).  The environment variable TORICMLD_GUARD, a positive
-integer, overrides the work guard of ``mld`` and of its brute-force oracle
-(default 10^7 points each); a run past it exits 1.
+integer, overrides the work guard of ``mld`` (with its brute-force oracle)
+and of ``family`` (default 10^7 points each); a run past it exits 1.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .mfs import (
     loglog_slope,
     make_mfs,
     sweep_family,
-    validate,
     warn_replaced_rays,
 )
 from .mld import DEFAULT_GUARD, mld, mld_bruteforce
@@ -102,18 +101,14 @@ def _get(doc: dict, key: str, path: str = "$"):
     return doc[key]
 
 
-def fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def serialize_toric(variety: ToricVariety) -> dict:
     return {
         "kind": "toric",
         "dim": variety.dim,
         "lattice_generators": [
-            [fraction_str(x) for x in row] for row in variety.lattice.basis
+            [str(x) for x in row] for row in variety.lattice.basis
         ],
-        "rays": [[fraction_str(x) for x in r] for r in variety.fan.rays],
+        "rays": [[str(x) for x in r] for r in variety.fan.rays],
         "max_cones": [list(c.ray_indices) for c in variety.fan.max_cones],
     }
 
@@ -126,7 +121,7 @@ def serialize_mfs(m: int, n: int, fiber_rays, base_multiples, extra_generators) 
         "fiber_rays": [[int(c) for c in v] for v in fiber_rays],
         "base_multiples": [int(c) for c in base_multiples],
         "extra_generators": [
-            [fraction_str(Fraction(x)) for x in g] for g in extra_generators
+            [str(Fraction(x)) for x in g] for g in extra_generators
         ],
     }
 
@@ -171,7 +166,7 @@ def _assemble_mfs(doc: dict, strict: bool) -> ToricMfs:
     if rays is None:
         warn_replaced_rays(mfs, fiber_rays)
     if strict:
-        report = validate(mfs)
+        report = mfs.report
         if not report.overall:
             failed = [c.name for c in report.checks if not c.passed]
             raise InstanceParseError("$", f"instance fails validation: {failed}")
@@ -211,13 +206,9 @@ def _guard() -> int:
     return DEFAULT_GUARD
 
 
-def _variety_for_mld(instance) -> ToricVariety:
-    return instance.x if isinstance(instance, ToricMfs) else instance
-
-
 def cmd_mld(args) -> int:
     instance = load_instance(args.path)
-    variety = _variety_for_mld(instance)
+    variety = instance.x if isinstance(instance, ToricMfs) else instance
     guard = _guard()
     result = mld(variety, guard=guard)
     if args.brute_force:
@@ -234,8 +225,8 @@ def cmd_mld(args) -> int:
         print(
             json.dumps(
                 {
-                    "mld": fraction_str(result.value),
-                    "witness": [fraction_str(x) for x in result.witness],
+                    "mld": str(result.value),
+                    "witness": [str(x) for x in result.witness],
                     "cone_index": result.cone_index,
                     "method": result.method,
                 }
@@ -252,7 +243,7 @@ def cmd_validate(args) -> int:
     instance = load_instance(args.path, strict=False)
     if not isinstance(instance, ToricMfs):
         raise InstanceParseError("$.kind", "validate needs an mfs instance")
-    report = validate(instance)
+    report = instance.report
     width = max(len(c.name) for c in report.checks)
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
@@ -266,8 +257,9 @@ def cmd_family(args) -> int:
         print(json.dumps(serialize_mfs(**family_spec(args.l)), indent=2))
         return EXIT_OK
     fam = example_family(args.l)
-    mx = mld(fam.x)
-    my = mld(fam.y)
+    guard = _guard()
+    mx = mld(fam.x, guard=guard)
+    my = mld(fam.y, guard=guard)
     print(f"l = {args.l}")
     print(f"r = {fam.y.lattice.index_over_standard}")
     print(f"rays = {len(fam.x.fan.rays)}")
@@ -291,8 +283,8 @@ def write_sweep_csv(rows: Sequence[FamilySweepRow], out) -> None:
             [
                 row.l,
                 row.r,
-                fraction_str(row.mld_x),
-                fraction_str(row.mld_y),
+                str(row.mld_x),
+                str(row.mld_y),
                 repr(row.ratio_approx),
                 "" if slope is None else repr(slope),
             ]

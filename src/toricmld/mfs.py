@@ -1,20 +1,23 @@
 """Toric Mori fiber spaces in fan normal form.
 
-Normal form: X has dimension m+n, the lattice map F to the n-dimensional
-base is the coordinate projection onto the last n coordinates, the base Y is
-the nonnegative orthant cone over the image lattice, and the fan of X has
-exactly m+n+1 rays: m+1 "fiber" rays spanning ker F with the origin strictly
-inside their simplex, one ray over each base axis, and the maximal cones are
-exactly the full index sets omitting one fiber ray.
+Normal form: X has dimension m+n and Y dimension n, so a fibration is just
+the pair (X, Y).  The lattice map F to the base is the projection onto the
+last n = dim Y coordinates, the base Y is the nonnegative orthant cone over
+the image lattice, and the fan of X has exactly m+n+1 rays: m+1 "fiber" rays
+spanning ker F with the origin strictly inside their simplex, one ray over
+each base axis, and the maximal cones are exactly the full index sets
+omitting one fiber ray.
 
 ``validate`` re-checks every piece of that structure independently and
 reports per-check results instead of raising, so deliberately broken inputs
-can be diagnosed.  ``assemble_mfs`` is the one place that builds a
-fibration from its normal-form parameters; it checks their shapes but not
-the geometry, so ``validate`` can report every failed check.  ``make_mfs``
-is the safe constructor that gates the assembly.  ``example_family`` builds
-the weighted-quotient family (parameters in ``family_spec``) whose base
-discrepancy shrinks like the fourth power of the total-space discrepancy.
+can be diagnosed.  ``ToricMfs.report`` runs it once per fibration and keeps
+the result, so every gate reads the same report.  ``assemble_mfs`` is the
+one place that builds a fibration from its normal-form parameters; it checks
+their shapes but not the geometry, so ``validate`` can report every failed
+check.  ``make_mfs`` is the safe constructor that gates the assembly.
+``example_family`` builds the weighted-quotient family (parameters in
+``family_spec``) whose base discrepancy shrinks like the fourth power of the
+total-space discrepancy.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -52,27 +56,28 @@ class BadParameterError(ValueError):
     pass
 
 
-def projection_matrix(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """The lattice map F of the normal form: projection onto the last n coordinates."""
-    return tuple(tuple(int(j - m == l) for j in range(m + n)) for l in range(n))
-
-
 @dataclass(frozen=True)
 class ToricMfs:
-    """A fibration X -> Y in normal form; F is stored but must be the projection."""
+    """A fibration X -> Y in normal form, F being the projection onto the
+    last dim Y coordinates; ``report`` is its one validation."""
 
     x: ToricVariety
     y: ToricVariety
-    f_matrix: tuple[tuple[int, ...], ...]
-    m: int
-    n: int
 
-    def __post_init__(self):
-        m, n = self.m, self.n
-        if self.x.dim != m + n or self.y.dim != n:
-            raise InvalidMfsError("dimensions of X and Y do not match m and n")
-        if self.f_matrix != projection_matrix(m, n):
-            raise InvalidMfsError("lattice map must be the projection onto the last n coordinates")
+    @property
+    def m(self) -> int:
+        """Fiber dimension."""
+        return self.x.dim - self.y.dim
+
+    @property
+    def n(self) -> int:
+        """Base dimension."""
+        return self.y.dim
+
+    @cached_property
+    def report(self) -> ValidationReport:
+        """``validate(self)``, computed on first use and kept."""
+        return validate(self)
 
     def project(self, v: Sequence) -> Vector:
         """Apply F: drop the first m (fiber) coordinates."""
@@ -116,26 +121,31 @@ def _kernel_ray_indices(mfs: ToricMfs) -> list[int]:
 def validate(mfs: ToricMfs) -> ValidationReport:
     """Run every normal-form check independently; failures become report rows."""
     checks: list[CheckResult] = []
+    m, n = mfs.m, mfs.n
+    x_rays = mfs.x.fan.rays
 
-    def run(name: str, fn) -> bool:
+    # the fiber/base split of the rays, shared by the checks that need it
+    try:
+        kernel = _kernel_ray_indices(mfs)
+        bad_kernel = None
+        if len(kernel) != m + 1:
+            bad_kernel = f"{len(kernel)} rays in ker F, expected {m + 1}"
+    except Exception as exc:  # a failed check must never abort the report
+        kernel, bad_kernel = [], f"check crashed: {exc}"
+
+    def run(name: str, fn, needs_kernel: bool = False) -> bool:
         try:
-            passed, detail = fn()
+            passed, detail = (False, bad_kernel) if needs_kernel and bad_kernel else fn()
         except Exception as exc:  # a failed check must never abort the report
             passed, detail = False, f"check crashed: {exc}"
         checks.append(CheckResult(name, passed, detail))
         return passed
-
-    m, n = mfs.m, mfs.n
-    x_rays = mfs.x.fan.rays
 
     def ray_count():
         want = n + m + 1
         return len(x_rays) == want, f"{len(x_rays)} rays, expected {want}"
 
     def ray_roles():
-        kernel = _kernel_ray_indices(mfs)
-        if len(kernel) != m + 1:
-            return False, f"{len(kernel)} rays in ker F, expected {m + 1}"
         axis_of: dict[int, int] = {}
         for i, r in enumerate(x_rays):
             if i in kernel:
@@ -165,9 +175,6 @@ def validate(mfs: ToricMfs) -> ValidationReport:
         return True, "all ray generators primitive"
 
     def fiber_simplex():
-        kernel = _kernel_ray_indices(mfs)
-        if len(kernel) != m + 1:
-            return False, f"{len(kernel)} rays in ker F, expected {m + 1}"
         verts = [tuple(x_rays[i][:m]) for i in kernel]
         ys = origin_barycentrics(verts)
         if ys is None:
@@ -177,9 +184,6 @@ def validate(mfs: ToricMfs) -> ValidationReport:
         return True, f"origin barycentrics {tuple(map(str, ys))}"
 
     def cone_shape():
-        kernel = set(_kernel_ray_indices(mfs))
-        if len(kernel) != m + 1:
-            return False, f"{len(kernel)} rays in ker F, expected {m + 1}"
         everything = set(range(len(x_rays)))
         expected = {frozenset(everything - {j}) for j in kernel}
         actual = {frozenset(c.ray_indices) for c in mfs.x.fan.max_cones}
@@ -210,10 +214,10 @@ def validate(mfs: ToricMfs) -> ValidationReport:
         return False, "support condition fails (see fiber_simplex / cone_shape)"
 
     run("ray_count", ray_count)
-    run("ray_roles", ray_roles)
+    run("ray_roles", ray_roles, needs_kernel=True)
     run("rays_primitive", rays_primitive)
-    run("fiber_simplex", fiber_simplex)
-    run("cone_shape", cone_shape)
+    run("fiber_simplex", fiber_simplex, needs_kernel=True)
+    run("cone_shape", cone_shape, needs_kernel=True)
     run("lattice_surjectivity", lattice_surjectivity)
     run("relative_picard_rank", picard_rank)
     by_name = {c.name: c.passed for c in checks}
@@ -225,7 +229,7 @@ def validate(mfs: ToricMfs) -> ValidationReport:
 def generic_fiber(mfs: ToricMfs) -> FiberData:
     """The fiber over the dense base point: kernel lattice, simplex fan, and
     the barycentric coordinates of the origin in the fiber simplex."""
-    report = validate(mfs)
+    report = mfs.report
     if not report.overall:
         failed = [c.name for c in report.checks if not c.passed]
         raise InvalidMfsError(f"normal-form validation failed: {failed}")
@@ -313,7 +317,7 @@ def assemble_mfs(
     x_var = ToricVariety(x_lattice, Fan.build(rays, max_cones))
     y_rays = [y_lattice.primitivize(u) for u in units]
     y_var = ToricVariety(y_lattice, Fan.build(y_rays, [list(range(n))]))
-    return ToricMfs(x=x_var, y=y_var, f_matrix=projection_matrix(m, n), m=m, n=n)
+    return ToricMfs(x=x_var, y=y_var)
 
 
 def warn_replaced_rays(mfs: ToricMfs, fiber_rays: Sequence[Sequence[int]]) -> None:
@@ -354,8 +358,8 @@ def make_mfs(
         )
     mfs = assemble_mfs(m, n, fiber_rays, base_multiples, extra_generators)
 
-    image = Lattice.from_generators(n, [row[m:] for row in mfs.x.lattice.basis])
-    if image != mfs.y.lattice:
+    report = mfs.report
+    if not report["lattice_surjectivity"].passed:
         raise NonSurjectiveError(
             "projection image of the total lattice is smaller than the base lattice"
         )
@@ -368,7 +372,6 @@ def make_mfs(
                 f"base axis {l + 1}: requested multiple {base_multiples[l]}, lattice gives {ratio}"
             )
 
-    report = validate(mfs)
     if not report.overall:
         failed = [c.name for c in report.checks if not c.passed]
         raise InvalidMfsError(f"construction failed validation: {failed}")

@@ -207,7 +207,7 @@ def test_criterion_8_validator_and_mutations():
     cones = [[i for i in range(4) if i != j] for j in range(3)]
     dropped = ToricMfs(
         x=ToricVariety(fam.x.lattice, Fan.build(rays, cones)),
-        y=fam.y, f_matrix=fam.f_matrix, m=2, n=2,
+        y=fam.y,
     )
     rep = validate(dropped)
     assert not rep.overall and not rep["ray_count"].passed
@@ -215,7 +215,7 @@ def test_criterion_8_validator_and_mutations():
 
     # break surjectivity -> only the lattice check fails
     coarse_y = ToricVariety(Lattice.standard(2), Fan.build([(1, 0), (0, 1)], [[0, 1]]))
-    nonsurj = ToricMfs(x=fam.x, y=coarse_y, f_matrix=fam.f_matrix, m=2, n=2)
+    nonsurj = ToricMfs(x=fam.x, y=coarse_y)
     rep = validate(nonsurj)
     assert not rep.overall and not rep["lattice_surjectivity"].passed
     for other in ("ray_count", "ray_roles", "rays_primitive", "fiber_simplex",
@@ -228,7 +228,6 @@ def test_criterion_8_validator_and_mutations():
     shifted = ToricMfs(
         x=ToricVariety(Lattice.standard(4), Fan.build(rays, cones)),
         y=ToricVariety(Lattice.standard(2), Fan.build([(1, 0), (0, 1)], [[0, 1]])),
-        f_matrix=((0, 0, 1, 0), (0, 0, 0, 1)), m=2, n=2,
     )
     rep = validate(shifted)
     assert not rep.overall and not rep["fiber_simplex"].passed

@@ -142,6 +142,14 @@ def test_mld_guard_env_bounds_the_sweep(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: mld sweep exceeded guard of 1000 points\n"
 
 
+def test_family_guard_env_bounds_the_sweep(capsys, monkeypatch):
+    monkeypatch.setenv("TORICMLD_GUARD", "3")
+    assert main(["family", "--l", "3"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mld sweep exceeded guard of 3 points\n"
+
+
 def test_validate_family(tmp_path, capsys):
     path = write(tmp_path, "fam3.json", family_doc(3))
     assert main(["validate", path]) == EXIT_OK

@@ -15,7 +15,9 @@ from toricmld import (
     NonSurjectiveError,
     ToricMfs,
     ToricVariety,
+    check_eps_delta,
     example_family,
+    find_witness,
     generic_fiber,
     generic_fiber_group,
     loglog_slope,
@@ -24,6 +26,7 @@ from toricmld import (
     sweep_family,
     validate,
 )
+from toricmld import mfs as mfs_module
 
 F = Fraction
 
@@ -72,7 +75,7 @@ def test_validate_reports_nonprimitive_rays():
     fan = Fan.build(rays, [[1, 2], [0, 2]])
     x = ToricVariety(lat, fan)
     y = ToricVariety(Lattice.standard(1), Fan.build([(1,)], [[0]]))
-    mfs = ToricMfs(x=x, y=y, f_matrix=((0, 1),), m=1, n=1)
+    mfs = ToricMfs(x=x, y=y)
     report = validate(mfs)
     assert not report.overall
     assert not report["rays_primitive"].passed
@@ -106,12 +109,24 @@ def test_generic_fiber_of_invalid_mfs():
         y=ToricVariety(
             Lattice.standard(2), Fan.build([(1, 0), (0, 1)], [[0, 1]])
         ),
-        f_matrix=fam.f_matrix,
-        m=2,
-        n=2,
     )
     with pytest.raises(InvalidMfsError):
         generic_fiber(broken)
+
+
+def test_fibration_is_validated_once(monkeypatch):
+    calls = []
+
+    def counting_validate(mfs):
+        calls.append(mfs)
+        return validate(mfs)
+
+    monkeypatch.setattr(mfs_module, "validate", counting_validate)
+    fam = make_mfs(**mfs_module.family_spec(3))
+    check_eps_delta(fam)
+    find_witness(fam)
+    generic_fiber(fam)
+    assert len(calls) == 1
 
 
 def test_generic_fiber_group():
@@ -187,7 +202,7 @@ def test_mutation_drop_ray():
     rays = list(fam.x.fan.rays)[:4]  # drop the last base ray
     cones = [[i for i in range(4) if i != j] for j in range(3)]
     x = ToricVariety(fam.x.lattice, Fan.build(rays, cones))
-    mutated = ToricMfs(x=x, y=fam.y, f_matrix=fam.f_matrix, m=2, n=2)
+    mutated = ToricMfs(x=x, y=fam.y)
     report = validate(mutated)
     assert not report.overall
     assert not report["ray_count"].passed
@@ -201,7 +216,7 @@ def test_mutation_break_surjectivity():
     coarse = ToricVariety(
         Lattice.standard(2), Fan.build([(1, 0), (0, 1)], [[0, 1]])
     )
-    mutated = ToricMfs(x=fam.x, y=coarse, f_matrix=fam.f_matrix, m=2, n=2)
+    mutated = ToricMfs(x=fam.x, y=coarse)
     report = validate(mutated)
     assert not report.overall
     assert not report["lattice_surjectivity"].passed
@@ -224,8 +239,7 @@ def test_mutation_shift_fiber_simplex():
     cones = [[i for i in range(5) if i != j] for j in range(3)]
     x = ToricVariety(lat, Fan.build(rays, cones))
     y = ToricVariety(Lattice.standard(2), Fan.build([(1, 0), (0, 1)], [[0, 1]]))
-    f = ((0, 0, 1, 0), (0, 0, 0, 1))
-    mutated = ToricMfs(x=x, y=y, f_matrix=f, m=2, n=2)
+    mutated = ToricMfs(x=x, y=y)
     report = validate(mutated)
     assert not report.overall
     assert not report["fiber_simplex"].passed
@@ -239,7 +253,7 @@ def test_mutation_six_rays():
     rays = list(fam.x.fan.rays) + [(F(1), F(1), F(0), F(0))]
     cones = [list(c.ray_indices) for c in fam.x.fan.max_cones] + [[5, 0, 3, 4]]
     x = ToricVariety(fam.x.lattice, Fan.build(rays, cones))
-    mutated = ToricMfs(x=x, y=fam.y, f_matrix=fam.f_matrix, m=2, n=2)
+    mutated = ToricMfs(x=x, y=fam.y)
     report = validate(mutated)
     assert not report.overall
     assert not report["ray_count"].passed
