@@ -20,8 +20,9 @@ columns.  stdout carries data, stderr carries diagnostics.
 Exit codes: 0 success, 1 parse/validation/runtime error, 2 oracle mismatch
 (mld --brute-force), 3 witness precondition violated, 4 threshold inequality
 violated (check).  The environment variable TORICMLD_GUARD, a positive
-integer, overrides the work guard of ``mld`` (with its brute-force oracle)
-and of ``family`` (default 10^7 points each); a run past it exits 1.
+integer, overrides the point guard of every mld computation a subcommand
+runs (``mld.GUARD``, default 10^7 points per computation); a run past it
+exits 1.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .mfs import (
     sweep_family,
     warn_replaced_rays,
 )
-from .mld import DEFAULT_GUARD, mld, mld_bruteforce
+from .mld import DEFAULT_GUARD, GUARD, mld, mld_bruteforce
 from .toric import Fan, ToricVariety
 from .witness import PreconditionFailedError, check_eps_delta, find_witness
 
@@ -209,10 +210,9 @@ def _guard() -> int:
 def cmd_mld(args) -> int:
     instance = load_instance(args.path)
     variety = instance.x if isinstance(instance, ToricMfs) else instance
-    guard = _guard()
-    result = mld(variety, guard=guard)
+    result = mld(variety)
     if args.brute_force:
-        oracle = mld_bruteforce(variety, guard=guard)
+        oracle = mld_bruteforce(variety)
         if oracle.value != result.value or oracle.witness != result.witness:
             print(
                 "oracle mismatch:\n"
@@ -257,9 +257,8 @@ def cmd_family(args) -> int:
         print(json.dumps(serialize_mfs(**family_spec(args.l)), indent=2))
         return EXIT_OK
     fam = example_family(args.l)
-    guard = _guard()
-    mx = mld(fam.x, guard=guard)
-    my = mld(fam.y, guard=guard)
+    mx = mld(fam.x)
+    my = mld(fam.y)
     print(f"l = {args.l}")
     print(f"r = {fam.y.lattice.index_over_standard}")
     print(f"rays = {len(fam.x.fan.rays)}")
@@ -403,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    token = GUARD.set(_guard())
     try:
         return args.func(args)
     except InstanceParseError as exc:
@@ -411,6 +411,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (BadParameterError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        GUARD.reset(token)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Finite overlattices of Z^d and their quotient groups.
 
-A :class:`Lattice` is a rank-d subgroup N of Q^d containing Z^d, stored by a
-canonical basis so equal lattices compare equal.  Canonicalization: scale any
-generating set to a common denominator D, take the Hermite form of the
-resulting integer row lattice, divide by D again.  The result does not depend
-on the choice of D.
+A :class:`Lattice` is a rank-d subgroup N of Q^d containing Z^d, stored in
+a canonical integer form so equal lattices compare equal: D, the lcm of the
+generators' denominators (the least D with D N inside Z^d), and the d x d
+upper-triangular Hermite rows of the integer lattice D N.  The rational basis
+is those rows divided by D, and coordinates of a vector are found by
+substitution on the triangular rows, so no inverse is ever formed.
 
 Coset enumeration for a full-rank sublattice runs through the Smith normal
 form of the coordinate-change matrix; representatives are produced as a
@@ -21,7 +22,7 @@ from fractions import Fraction
 from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .exactmath import det, hnf, inverse, snf, vec_mat
+from .exactmath import det, hnf, snf, vec_mat
 
 Vector = tuple[Fraction, ...]
 
@@ -57,32 +58,23 @@ def _frac(x: Fraction) -> Fraction:
 
 
 class Lattice:
-    """A finite-index overlattice N of Z^d, N subset of Q^d."""
+    """A finite-index overlattice N of Z^d, N subset of Q^d; basis = rows / denominator."""
 
-    __slots__ = ("dim", "basis", "_inv", "_index")
+    __slots__ = ("dim", "denominator", "rows", "basis", "_index")
 
-    def __init__(self, dim: int, basis: Sequence[Sequence[Fraction]], _canonical: bool = False):
+    def __init__(self, dim: int, gens: Sequence[Sequence[Fraction]]):
         self.dim = dim
-        if _canonical:
-            rows = tuple(tuple(Fraction(x) for x in row) for row in basis)
-        else:
-            rows = _canonicalize(dim, basis)
-        self.basis = rows
-        self._inv = None
-        d = det(rows)
-        if d == 0:
-            raise DegenerateBasisError("lattice basis is singular")
-        index = 1 / abs(d)
+        self.denominator, self.rows = _canonicalize(dim, gens)
+        denom = self.denominator
+        self.basis = tuple(tuple(Fraction(x, denom) for x in row) for row in self.rows)
+        index = Fraction(denom**dim, math.prod(self.rows[i][i] for i in range(dim)))
         if index.denominator != 1:
             raise LatticeError("basis does not contain Z^d with finite index")
         self._index = int(index)
 
     @classmethod
     def standard(cls, dim: int) -> "Lattice":
-        one = Fraction(1)
-        zero = Fraction(0)
-        rows = tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim))
-        return cls(dim, rows, _canonical=True)
+        return cls.from_generators(dim, [])
 
     @classmethod
     def from_generators(cls, dim: int, gens: Iterable[Sequence]) -> "Lattice":
@@ -93,19 +85,18 @@ class Lattice:
         rows = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
         return cls(dim, rows + gen_rows)
 
-    @property
-    def basis_inverse(self):
-        if self._inv is None:
-            self._inv = tuple(tuple(row) for row in inverse(self.basis))
-        return self._inv
-
     def coords(self, v: Sequence) -> Vector:
-        """Coordinates of v relative to the basis rows (rational, always defined)."""
+        """Coordinates c of v in the basis (rational): c @ rows = D v, by substitution."""
         vv = _as_vector(v, self.dim)
-        return tuple(vec_mat(vv, self.basis_inverse))
+        h = self.rows
+        c: list[Fraction] = []
+        for j, x in enumerate(vv):
+            c.append((self.denominator * x - sum(c[i] * h[i][j] for i in range(j))) / h[j][j])
+        return tuple(c)
 
     def to_ambient(self, c: Sequence) -> Vector:
-        return tuple(vec_mat([Fraction(x) for x in c], self.basis))
+        """The point with coordinates c: (c @ rows) / D."""
+        return tuple(Fraction(x) / self.denominator for x in vec_mat(c, self.rows))
 
     def contains(self, v: Sequence) -> bool:
         return all(x.denominator == 1 for x in self.coords(v))
@@ -123,8 +114,8 @@ class Lattice:
         c = self.coords(vv)
         if any(x.denominator != 1 for x in c):
             raise NotInLatticeError(f"{v!r} is not a lattice point")
-        g = math.gcd(*(abs(int(x)) for x in c))
-        return self.to_ambient([x / g for x in c])
+        g = math.gcd(*(x.numerator for x in c))
+        return self.to_ambient([x.numerator // g for x in c])
 
     def quotient_group(self, sub_basis: Sequence[Sequence]) -> "QuotientGroup":
         """Quotient N / <rows of sub_basis>, for a full-rank sublattice."""
@@ -176,17 +167,17 @@ class Lattice:
         return f"Lattice(dim={self.dim}, basis=[{rows}])"
 
 
-def _canonicalize(dim: int, rows: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
-    rows = [_as_vector(r, dim) for r in rows]
-    if len(rows) < dim:
+def _canonicalize(dim: int, gens: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, H): D the lcm of the generators' denominators, H the Hermite rows of D N."""
+    gens = [_as_vector(r, dim) for r in gens]
+    if len(gens) < dim:
         raise DegenerateBasisError("need at least d generating rows")
-    d = math.lcm(*(x.denominator for row in rows for x in row))
-    int_rows = [[int(x * d) for x in row] for row in rows]
-    h, _ = hnf(int_rows)
+    d = math.lcm(*(x.denominator for row in gens for x in row))
+    h, _ = hnf([[int(x * d) for x in row] for row in gens])
     top = h[:dim]
     if any(top[i][i] == 0 for i in range(dim)):
         raise DegenerateBasisError("generators do not span Q^d")
-    return tuple(tuple(Fraction(x, d) for x in row) for row in top)
+    return d, tuple(tuple(row) for row in top)
 
 
 @dataclass(frozen=True)

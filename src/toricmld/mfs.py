@@ -235,10 +235,7 @@ def generic_fiber(mfs: ToricMfs) -> FiberData:
         raise InvalidMfsError(f"normal-form validation failed: {failed}")
     m = mfs.m
     # kernel of the projection restricted to the lattice, as a sublattice of Q^m
-    proj_cols = [row[m:] for row in mfs.x.lattice.basis]
-    denom = math.lcm(1, *(x.denominator for row in proj_cols for x in row))
-    int_cols = [[int(x * denom) for x in row] for row in proj_cols]
-    kernel_rows = integer_row_kernel(int_cols)
+    kernel_rows = integer_row_kernel([row[m:] for row in mfs.x.lattice.rows])
     ambient = [mfs.x.lattice.to_ambient(row) for row in kernel_rows]
     z_lattice = Lattice.from_generators(m, [v[:m] for v in ambient])
     verts = [tuple(mfs.x.fan.rays[i][:m]) for i in _kernel_ray_indices(mfs)]

@@ -14,9 +14,11 @@ fundamental parallelepiped of the cone generators, capped at 1:
 
 So the minimum over coset representatives of the generator sublattice,
 capped at 1, is complete.  ``mld`` finds it without visiting every coset.
-In barycentric coordinates the lattice is an overlattice of Z^d; scaled by
-D, the lcm of the denominators of its basis, it becomes an integer lattice
-L containing D Z^d.  The nonzero representatives are the points x of L with
+In barycentric coordinates the lattice is an overlattice of Z^d, spanned by
+(H K) / (D_N q) for the lattice's Hermite rows H over its denominator D_N
+and the cone's integer inverse K over q.  Scaled by D, the denominator of
+that matrix in lowest terms, it becomes an integer lattice L containing
+D Z^d.  The nonzero representatives are the points x of L with
 0 <= x_i < D, of value sum(x) / D.  The Hermite form of L is upper
 triangular with diagonal h_i dividing D, so once x_0 .. x_{i-1} are fixed,
 x_i runs over one residue class mod h_i; a row with h_i = D is D e_i and
@@ -38,13 +40,14 @@ box directly and exists purely to cross-check ``mld``.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import add, eq, mod
 from typing import Optional, Sequence
 
-from .exactmath import hnf, vec_mat
+from .exactmath import hnf, mat_mul
 from .lattice import Lattice, Vector
 from .toric import (
     Fan,
@@ -54,6 +57,8 @@ from .toric import (
 )
 
 DEFAULT_GUARD = 10**7
+# the point guard of ``mld`` and ``mld_bruteforce`` when they get no ``guard=``
+GUARD: ContextVar[int] = ContextVar("toricmld_guard", default=DEFAULT_GUARD)
 _CHUNK_MIN, _CHUNK_MAX = 64, 8192  # innermost stream chunk sizes, doubling
 
 
@@ -146,11 +151,11 @@ def mld(x_var: ToricVariety, guard: Optional[int] = None) -> MldResult:
     """Minimal log discrepancy via a bounded sweep of each cone's coset lattice.
 
     Raises TooLargeError once the sweep has visited more than ``guard``
-    points (default 10^7), counting partial points at the outer levels and
-    streamed representatives at the innermost one.
+    points (default ``GUARD``), counting partial points at the outer levels
+    and streamed representatives at the innermost one.
     """
     _check_cones(x_var)
-    budget = _Budget(DEFAULT_GUARD if guard is None else guard)
+    budget = _Budget(GUARD.get() if guard is None else guard)
     best = _Best()
     for ci in range(len(x_var.fan.max_cones)):
         _sweep_cone(x_var, ci, best, budget)
@@ -160,18 +165,19 @@ def mld(x_var: ToricVariety, guard: Optional[int] = None) -> MldResult:
 def _sweep_cone(x_var: ToricVariety, ci: int, best: _Best, budget: _Budget) -> None:
     """Offer cone ``ci``'s smallest representative of value <= the incumbent."""
     d = x_var.dim
-    g = x_var.fan.max_cones[ci].generator_matrix
-    inv = x_var._cone_inverse(ci)
-    bary = [vec_mat(row, inv) for row in x_var.lattice.basis]
-    denom = math.lcm(1, *(x.denominator for row in bary for x in row))
+    lat = x_var.lattice
+    k, q = x_var._cone_inverse(ci)
+    bary = mat_mul(lat.rows, k)  # over D q; reduced to lowest terms below
+    common = math.gcd(lat.denominator * q, *(x for row in bary for x in row))
+    denom = lat.denominator * q // common
     if denom == 1:
         return  # trivial quotient: only the origin
-    scaled = [[int(x * denom) for x in row] for row in bary]
+    scaled = [[x // common for x in row] for row in bary]
     scaled += [[denom * (i == j) for j in range(d)] for i in range(d)]
     h = hnf(scaled)[0][:d]
     last = max(i for i in range(d) if h[i][i] < denom)
-    gden = math.lcm(1, *(x.denominator for row in g for x in row))
-    gint = [[int(x * gden) for x in row] for row in g]
+    gens = x_var.fan.max_cones[ci].generator_matrix  # lattice points: D gens is integral
+    gint = [[int(x * lat.denominator) for x in row] for row in gens]
     # the incumbent's value numerator over denom, the sweep's inclusive bound
     limit = denom if best.value is None else math.floor(best.value * denom)
     found: Optional[int] = None  # smallest numerator seen in this cone
@@ -235,7 +241,7 @@ def _sweep_cone(x_var: ToricVariety, ci: int, best: _Best, budget: _Budget) -> N
 
     sweep(0, [0] * d, 0)
     if found is not None:
-        best.offer(Fraction(found, denom), tuple(Fraction(a, denom * gden) for a in key))
+        best.offer(Fraction(found, denom), tuple(Fraction(a, denom * lat.denominator) for a in key))
 
 
 def mld_bruteforce(
@@ -250,27 +256,24 @@ def mld_bruteforce(
     of the scaled cone parallelepiped is swept coordinate by coordinate, and
     each candidate is filtered through an exact barycentric test.  Intended
     for small instances; raises TooLargeError once more than ``guard`` points
-    (default 10^7) have been enumerated.
+    (default ``GUARD``) have been enumerated.
     """
     if guard is None:
-        guard = DEFAULT_GUARD
+        guard = GUARD.get()
     cap = Fraction(cap)
     if cap <= 0:
         raise ValueError("cap must be positive")
     _check_cones(x_var)
     d = x_var.dim
-    # scaled-integer form of the lattice: points are (c @ h_rows) / denom
-    denom = math.lcm(1, *(x.denominator for row in x_var.lattice.basis for x in row))
-    h_rows = [[int(x * denom) for x in row] for row in x_var.lattice.basis]
+    # lattice points are (c @ h_rows) / denom for integer c
+    denom, h_rows = x_var.lattice.denominator, x_var.lattice.rows
     best = _Best()
     visited = 0
 
     for ci, cone in enumerate(x_var.fan.max_cones):
         g = cone.generator_matrix
-        ginv = x_var._cone_inverse(ci)
-        gden = math.lcm(1, *(x.denominator for row in ginv for x in row))
-        k = [[int(ginv[a][b] * gden) for b in range(d)] for a in range(d)]
-        scale = denom * gden  # barycentric numerators live over this
+        k, q = x_var._cone_inverse(ci)
+        scale = denom * q  # barycentric numerators live over this
         cap_num, cap_den = cap.numerator, cap.denominator
         # integer bounds for the ambient bounding box of the scaled cone body
         lo = [

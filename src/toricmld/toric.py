@@ -13,6 +13,7 @@ an error, because search code needs to probe and branch on that case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -83,6 +84,8 @@ class Fan:
                 raise NonSimplicialError(f"cone {idx} generators are dependent")
             covered.update(idx)
             cones.append(SimplicialCone(ray_indices=idx, generator_matrix=gens))
+        if len({frozenset(c.ray_indices) for c in cones}) != len(cones):
+            raise ValueError("duplicate maximal cones in fan")
         if covered != set(range(len(ray_rows))):
             raise ValueError("every ray must appear in at least one cone")
         return cls(rays=ray_rows, max_cones=tuple(cones), dim=dim)
@@ -117,13 +120,15 @@ class ToricVariety:
     def rays_primitive(self) -> list[bool]:
         return [self.lattice.primitivize(r) == r for r in self.fan.rays]
 
-    def _cone_inverse(self, cone_index: int):
-        inv = self._cone_inverses.get(cone_index)
-        if inv is None:
-            g = self.fan.max_cones[cone_index].generator_matrix
-            inv = tuple(tuple(row) for row in inverse(g))
-            self._cone_inverses[cone_index] = inv
-        return inv
+    def _cone_inverse(self, cone_index: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(K, q): integers with inverse(generator matrix) = K / q, q > 0 least."""
+        hit = self._cone_inverses.get(cone_index)
+        if hit is None:
+            inv = inverse(self.fan.max_cones[cone_index].generator_matrix)
+            q = math.lcm(*(x.denominator for row in inv for x in row))
+            hit = (tuple(tuple(int(x * q) for x in row) for row in inv), q)
+            self._cone_inverses[cone_index] = hit
+        return hit
 
     def __repr__(self) -> str:
         return (
@@ -155,13 +160,15 @@ def _locate(x_var: ToricVariety, vv: Vector) -> Optional[tuple[int, Vector]]:
     dim = x_var.dim
     if len(vv) != dim:
         raise DimensionMismatchError(f"vector has dimension {len(vv)}, expected {dim}")
+    e = math.lcm(*(c.denominator for c in vv))
+    w = [int(c * e) for c in vv]
     for ci, cone in enumerate(x_var.fan.max_cones):
         if len(cone.generator_matrix) != dim:
             continue
-        inv = x_var._cone_inverse(ci)
-        coords = tuple(sum(vv[i] * inv[i][j] for i in range(dim)) for j in range(dim))
-        if all(c >= 0 for c in coords):
-            return ci, coords
+        k, q = x_var._cone_inverse(ci)
+        nums = [sum(w[i] * k[i][j] for i in range(dim)) for j in range(dim)]
+        if all(c >= 0 for c in nums):
+            return ci, tuple(Fraction(c, e * q) for c in nums)
     return None
 
 

@@ -105,17 +105,13 @@ def lift_to_X(mfs: ToricMfs, a: Sequence) -> Vector:
         raise ValueError(f"base point has dimension {len(av)}, expected {n}")
     if all(c == 0 for c in av):
         raise ZeroVectorError("cannot lift the zero point: witnesses must be nonzero")
-    basis = mfs.x.lattice.basis
+    lat = mfs.x.lattice
     d = m + n
-    proj = [row[m:] for row in basis]
-    denom = math.lcm(
-        1,
-        *(x.denominator for row in proj for x in row),
-        *(c.denominator for c in av),
-    )
-    mat = [[int(x * denom) for x in row] for row in proj]
-    target = [int(c * denom) for c in av]
-    h, u = hnf(mat)
+    # the image of D N is D times the base lattice, so D A must be integral
+    if any(lat.denominator % c.denominator for c in av):
+        raise NotInBaseLatticeError(f"{a!r} is not in the base lattice")
+    target = [int(c * lat.denominator) for c in av]
+    h, u = hnf([row[m:] for row in lat.rows])
     # back-substitute y @ H = target over the pivot rows of H
     y = [0] * d
     residual = list(target)
@@ -132,7 +128,7 @@ def lift_to_X(mfs: ToricMfs, a: Sequence) -> Vector:
     if any(residual):
         raise NotInBaseLatticeError(f"{a!r} is not in the base lattice")
     coeffs = [sum(y[i] * u[i][j] for i in range(d)) for j in range(d)]
-    point = mfs.x.lattice.to_ambient(coeffs)
+    point = lat.to_ambient(coeffs)
     lifted = tuple(_frac(point[j]) for j in range(m)) + av
     return lifted
 

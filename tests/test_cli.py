@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricmld import example_family, mld
+from toricmld import DEFAULT_GUARD, GUARD, example_family, mld
 from toricmld.cli import (
     EXIT_ERROR,
     EXIT_INEQUALITY,
@@ -148,6 +148,29 @@ def test_family_guard_env_bounds_the_sweep(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: mld sweep exceeded guard of 3 points\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--l-min", "3", "--l-max", "3"], ["witness", "FILE"], ["check", "FILE"]],
+)
+def test_guard_env_reaches_every_mld_computation(tmp_path, capsys, monkeypatch, argv):
+    # sweep, witness and check reach mld only through library calls that
+    # take no guard argument; the guard still bounds them
+    path = write(tmp_path, "fam3.json", family_doc(3))
+    monkeypatch.setenv("TORICMLD_GUARD", "3")
+    assert main([path if a == "FILE" else a for a in argv]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mld sweep exceeded guard of 3 points\n"
+
+
+def test_guard_env_is_reset_after_each_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TORICMLD_GUARD", "3")
+    assert main(["family", "--l", "3"]) == EXIT_ERROR
+    capsys.readouterr()
+    assert GUARD.get() == DEFAULT_GUARD
+    assert mld(example_family(3).x).value == F(16, 41)
 
 
 def test_validate_family(tmp_path, capsys):

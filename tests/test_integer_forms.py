@@ -1,0 +1,92 @@
+"""Property tests for the integer forms behind lattices and cones.
+
+A ``Lattice`` stores its denominator D and the integer Hermite rows of D N;
+``ToricVariety._cone_inverse`` stores each cone's inverse as integers K over
+q.  Every reader of those forms relies on the invariants checked here, on
+random lattices and cones of dimension at most 4, against the rational
+Gauss-Jordan inverse of ``exactmath``.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from toricmld import Fan, Lattice, ToricVariety
+from toricmld.exactmath import det, det_bareiss, inverse, mat_mul, vec_mat
+
+F = Fraction
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def rationals(max_den=12, bound=3):
+    return st.builds(F, st.integers(-bound * max_den, bound * max_den), st.integers(1, max_den))
+
+
+@st.composite
+def lattices(draw, max_dim=4):
+    """Z^d plus up to three random rational generators."""
+    d = draw(st.integers(1, max_dim))
+    vectors = st.lists(rationals(), min_size=d, max_size=d)
+    gens = draw(st.lists(vectors, max_size=3))
+    return Lattice.from_generators(d, gens)
+
+
+@st.composite
+def varieties(draw, max_dim=4):
+    """A random lattice with one full-dimensional cone of lattice-point rays."""
+    lat = draw(lattices(max_dim))
+    d = lat.dim
+    entries = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    coords = draw(st.lists(entries, min_size=d, max_size=d))
+    assume(det_bareiss(coords) != 0)
+    rays = [lat.to_ambient(c) for c in coords]
+    return ToricVariety(lat, Fan.build(rays, [list(range(d))]))
+
+
+@PROPERTY
+@given(lattices())
+def test_rows_are_a_hermite_form(lat):
+    h = lat.rows
+    assert len(h) == lat.dim
+    for i, row in enumerate(h):
+        assert all(isinstance(x, int) for x in row)
+        assert all(x == 0 for x in row[:i])
+        assert row[i] > 0
+        assert all(0 <= h[k][i] < row[i] for k in range(i))
+
+
+@PROPERTY
+@given(lattices())
+def test_basis_is_rows_over_the_denominator(lat):
+    d = lat.denominator
+    assert lat.basis == tuple(tuple(F(x, d) for x in row) for row in lat.rows)
+    assert d == math.lcm(*(x.denominator for row in lat.basis for x in row))
+    assert F(lat.index_over_standard) == 1 / abs(det(lat.basis))
+
+
+@PROPERTY
+@given(lattices(), st.data())
+def test_coords_and_contains_agree_with_the_inverse(lat, data):
+    binv = inverse(lat.basis)
+    for _ in range(4):
+        v = data.draw(st.lists(rationals(), min_size=lat.dim, max_size=lat.dim))
+        want = tuple(vec_mat(v, binv))
+        assert lat.coords(v) == want
+        assert lat.contains(v) == all(x.denominator == 1 for x in want)
+        assert lat.to_ambient(want) == tuple(F(x) for x in v)
+
+
+@PROPERTY
+@given(varieties())
+def test_cone_inverse_is_integral_and_reduced(x_var):
+    k, q = x_var._cone_inverse(0)
+    g = x_var.fan.max_cones[0].generator_matrix
+    d = x_var.dim
+    assert q > 0 and all(isinstance(x, int) for row in k for x in row)
+    assert mat_mul(g, k) == [[q * (i == j) for j in range(d)] for i in range(d)]
+    assert math.gcd(q, *(x for row in k for x in row)) == 1
+    assert [[F(x, q) for x in row] for row in k] == inverse(g)

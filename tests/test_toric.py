@@ -190,6 +190,8 @@ def test_fan_rejects_bad_input():
         Fan.build([(1, 0), (0, 1)], [[0]])  # ray 1 uncovered
     with pytest.raises(ValueError):
         Fan.build([(1, 0)], [[0, 3]])  # index out of range
+    with pytest.raises(ValueError):
+        Fan.build([(1, 0), (0, 1)], [[0, 1], [1, 0]])  # one cone listed twice
 
 
 def test_variety_rejects_nonlattice_ray():
