@@ -85,25 +85,28 @@ def det_bareiss(m: Sequence[Sequence[int]]) -> int:
 
 def det(m) -> Fraction:
     """Determinant of a square matrix with Fraction (or int) entries."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows = []
-    for row in m:
-        row = [Fraction(x) for x in row]
-        d = math.lcm(*(x.denominator for x in row))
-        scale /= d
-        int_rows.append([int(x * d) for x in row])
-    return scale * det_bareiss(int_rows)
+    a, e = _integral(m)
+    return Fraction(det_bareiss(a), e ** len(m))
 
 
-def _gauss_jordan(m) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of m over the rationals, and its pivot columns."""
-    a = [[Fraction(x) for x in row] for row in m]
+def _integral(m) -> tuple[list[list[int]], int]:
+    """(A, e): integers with m = A / e, e the lcm of the denominators of m."""
+    e = math.lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (e // x.denominator) for x in row] for row in m], e
+
+
+def _gauss_jordan(a: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) Gauss-Jordan of an integer matrix, in place.
+
+    Returns the pivot columns and the sign of the row permutation.  Every
+    division is exact, so entries stay integers the size of minors of the
+    input.  At the end each pivot row has the last pivot p in its own pivot
+    column and 0 in the others, so its reduced row echelon row is row / p.
+    """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []
+    sign, prev = 1, 1
     for c in range(cols):
         r = len(pivots)
         if r == rows:
@@ -111,15 +114,17 @@ def _gauss_jordan(m) -> tuple[list[list[Fraction]], list[int]]:
         pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
         if pivot is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        p, row_r = a[r][c], a[r]
         for i in range(rows):
-            if i != r and a[i][c] != 0:
+            if i != r:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_r)]
+        prev = p
         pivots.append(c)
-    return a, pivots
+    return pivots, sign
 
 
 def _require_nonsingular(pivots: list[int], n: int) -> None:
@@ -131,7 +136,7 @@ def _require_nonsingular(pivots: list[int], n: int) -> None:
 
 def rank(m) -> int:
     """Exact rank of a rectangular matrix over the rationals."""
-    return len(_gauss_jordan(m)[1])
+    return len(_gauss_jordan(_integral(m)[0])[0])
 
 
 def hnf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -278,19 +283,43 @@ def solve_exact(a, b: Sequence) -> list[Fraction]:
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise ValueError("solve_exact needs a square system")
-    reduced, pivots = _gauss_jordan([list(row) + [b[i]] for i, row in enumerate(a)])
+    rows = _integral([list(row) + [b[i]] for i, row in enumerate(a)])[0]
+    _require_nonsingular(_gauss_jordan(rows)[0], n)
+    return [Fraction(row[n], row[i]) for i, row in enumerate(rows)]
+
+
+def adjugate(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(adj, det) of a square nonsingular integer matrix: m @ adj = det * I.
+
+    Fraction-free Gauss-Jordan on [m | I] leaves [p I | p inverse(m)], where p
+    is det(m) up to the sign of the row swaps.  Raises SingularMatrixError
+    when det(m) = 0.
+    """
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    pivots, sign = _gauss_jordan(a)
     _require_nonsingular(pivots, n)
-    return [row[n] for row in reduced]
+    p = a[n - 1][n - 1] if n else 1
+    return [[sign * x for x in row[n:]] for row in a], sign * p
+
+
+def scaled_inverse(a) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(K, q): integers with inverse(a) = K / q, q > 0 the least such.
+
+    With a = A / e for an integer matrix A, inverse(a) = e adj(A) / det(A).
+    """
+    a, e = _integral(a)
+    adj, d = adjugate(a)
+    g = math.gcd(d, *(e * x for row in adj for x in row))
+    if d < 0:
+        g = -g
+    return tuple(tuple(e * x // g for x in row) for row in adj), d // g
 
 
 def inverse(a) -> list[list[Fraction]]:
     """Exact inverse of a square nonsingular matrix."""
-    n = len(a)
-    reduced, pivots = _gauss_jordan(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    )
-    _require_nonsingular(pivots, n)
-    return [row[n:] for row in reduced]
+    k, q = scaled_inverse(a)
+    return [[Fraction(x, q) for x in row] for row in k]
 
 
 def integer_row_kernel(m: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -4,8 +4,11 @@ A :class:`Lattice` is a rank-d subgroup N of Q^d containing Z^d, stored in
 a canonical integer form so equal lattices compare equal: D, the lcm of the
 generators' denominators (the least D with D N inside Z^d), and the d x d
 upper-triangular Hermite rows of the integer lattice D N.  The rational basis
-is those rows divided by D, and coordinates of a vector are found by
-substitution on the triangular rows, so no inverse is ever formed.
+is those rows divided by D.  Coordinates come from one integer substitution
+on the triangular rows: for v = w / e they are C / e with C @ rows = D w, and
+each division is exact because N contains Z^d, so ``coords``, ``contains``
+and ``primitivize`` form no inverse and no Fraction per step.  The same
+substitution on each e_j is the constructor's check that N contains Z^d.
 
 Coset enumeration for a full-rank sublattice runs through the Smith normal
 form of the coordinate-change matrix; representatives are produced as a
@@ -66,11 +69,10 @@ class Lattice:
         self.dim = dim
         self.denominator, self.rows = _canonicalize(dim, gens)
         denom = self.denominator
+        for j in range(dim):  # Z^d is inside N iff every e_j is
+            self._solve([int(i == j) for i in range(dim)])
         self.basis = tuple(tuple(Fraction(x, denom) for x in row) for row in self.rows)
-        index = Fraction(denom**dim, math.prod(self.rows[i][i] for i in range(dim)))
-        if index.denominator != 1:
-            raise LatticeError("basis does not contain Z^d with finite index")
-        self._index = int(index)
+        self._index = denom**dim // math.prod(self.rows[i][i] for i in range(dim))
 
     @classmethod
     def standard(cls, dim: int) -> "Lattice":
@@ -85,21 +87,39 @@ class Lattice:
         rows = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
         return cls(dim, rows + gen_rows)
 
-    def coords(self, v: Sequence) -> Vector:
-        """Coordinates c of v in the basis (rational): c @ rows = D v, by substitution."""
-        vv = _as_vector(v, self.dim)
+    def _solve(self, v: Sequence) -> tuple[list[int], int]:
+        """(C, e): integers with coords(v) = C / e, e the lcm of v's denominators.
+
+        Substitution on the triangular rows, C @ rows = D e v.  Every division
+        is exact when N contains Z^d, since D rows^-1 is then an integer
+        matrix; an inexact one proves that it does not (LatticeError).
+        """
+        if len(v) != self.dim:
+            raise ValueError(f"expected a vector of dimension {self.dim}, got {len(v)}")
+        v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+        e = math.lcm(*(x.denominator for x in v))
         h = self.rows
-        c: list[Fraction] = []
-        for j, x in enumerate(vv):
-            c.append((self.denominator * x - sum(c[i] * h[i][j] for i in range(j))) / h[j][j])
-        return tuple(c)
+        c: list[int] = []
+        for j, x in enumerate(v):
+            t = x.numerator * (e // x.denominator) * self.denominator
+            cj, rest = divmod(t - sum(c[i] * h[i][j] for i in range(j)), h[j][j])
+            if rest:
+                raise LatticeError("basis does not contain Z^d with finite index")
+            c.append(cj)
+        return c, e
+
+    def coords(self, v: Sequence) -> Vector:
+        """Coordinates c of v in the basis (rational): c @ rows = D v."""
+        c, e = self._solve(v)
+        return tuple(Fraction(x, e) for x in c)
 
     def to_ambient(self, c: Sequence) -> Vector:
         """The point with coordinates c: (c @ rows) / D."""
-        return tuple(Fraction(x) / self.denominator for x in vec_mat(c, self.rows))
+        return tuple(Fraction(x, self.denominator) for x in vec_mat(c, self.rows))
 
     def contains(self, v: Sequence) -> bool:
-        return all(x.denominator == 1 for x in self.coords(v))
+        c, e = self._solve(v)
+        return all(x % e == 0 for x in c)
 
     @property
     def index_over_standard(self) -> int:
@@ -108,14 +128,13 @@ class Lattice:
 
     def primitivize(self, v: Sequence) -> Vector:
         """Shortest lattice point on the ray spanned by v (same direction)."""
-        vv = _as_vector(v, self.dim)
-        if all(x == 0 for x in vv):
+        c, e = self._solve(v)
+        if not any(c):
             raise ZeroVectorError("cannot primitivize the zero vector")
-        c = self.coords(vv)
-        if any(x.denominator != 1 for x in c):
+        if any(x % e for x in c):
             raise NotInLatticeError(f"{v!r} is not a lattice point")
-        g = math.gcd(*(x.numerator for x in c))
-        return self.to_ambient([x.numerator // g for x in c])
+        g = math.gcd(*c)
+        return self.to_ambient([x // g for x in c])
 
     def quotient_group(self, sub_basis: Sequence[Sequence]) -> "QuotientGroup":
         """Quotient N / <rows of sub_basis>, for a full-rank sublattice."""

@@ -252,11 +252,14 @@ def mld_bruteforce(
     """Independent oracle: scan all lattice points with barycentric coordinates
     in [0, cap] for every maximal cone.
 
-    Works straight off the triangular lattice basis: the ambient bounding box
-    of the scaled cone parallelepiped is swept coordinate by coordinate, and
-    each candidate is filtered through an exact barycentric test.  Intended
-    for small instances; raises TooLargeError once more than ``guard`` points
-    (default ``GUARD``) have been enumerated.
+    Sweeps the ambient bounding box of each scaled cone body level by level,
+    one triangular lattice row per level, carrying the barycentric numerators
+    (point @ K) down the levels by adding each row's numerators.  On the
+    innermost row they are linear in the row index c, so c is clipped to
+    0 <= numerator <= cap D q in closed form, and the row's minimum is at an
+    end of that range: the origin is skipped, and on ties the smallest c (the
+    lex-smallest point) wins.  Every box point counts against ``guard``
+    (default ``GUARD``), a row at a time; past it TooLargeError is raised.
     """
     if guard is None:
         guard = GUARD.get()
@@ -265,71 +268,71 @@ def mld_bruteforce(
         raise ValueError("cap must be positive")
     _check_cones(x_var)
     d = x_var.dim
+    last = d - 1
     # lattice points are (c @ h_rows) / denom for integer c
     denom, h_rows = x_var.lattice.denominator, x_var.lattice.rows
+    cap_num, cap_den = cap.numerator, cap.denominator
     best = _Best()
     visited = 0
 
     for ci, cone in enumerate(x_var.fan.max_cones):
-        g = cone.generator_matrix
         k, q = x_var._cone_inverse(ci)
         scale = denom * q  # barycentric numerators live over this
-        cap_num, cap_den = cap.numerator, cap.denominator
-        # integer bounds for the ambient bounding box of the scaled cone body
-        lo = [
-            math.ceil(cap * sum(min(g[i][j], 0) for i in range(d)) * denom)
-            for j in range(d)
-        ]
-        hi = [
-            math.floor(cap * sum(max(g[i][j], 0) for i in range(d)) * denom)
-            for j in range(d)
-        ]
+        top = cap_num * scale // cap_den  # and must lie in [0, top]
+        # the ambient box of the scaled cone body, and each row's numerators
+        g = [[x.numerator * (denom // x.denominator) for x in row] for row in cone.generator_matrix]
+        lo = [-(-cap_num * sum(min(row[j], 0) for row in g) // cap_den) for j in range(d)]
+        hi = [cap_num * sum(max(row[j], 0) for row in g) // cap_den for j in range(d)]
+        row_nums = [[sum(h[a] * k[a][b] for a in range(d)) for b in range(d)] for h in h_rows]
+        slope = sum(row_nums[last])
 
         cone_best: Optional[int] = None
         cone_witness: Optional[list[int]] = None
-        partial = [0] * d
 
-        def scan(i: int) -> None:
+        def scan(i: int, partial: list[int], nums: list[int]) -> None:
+            # partial: the point so far, scaled by denom; nums: partial @ k
             nonlocal visited, cone_best, cone_witness
-            if i == d:
-                visited += 1
-                if visited > guard:
-                    raise TooLargeError(f"enumeration exceeded guard of {guard} points")
-                total = 0
-                for b in range(d):
-                    num = sum(partial[a] * k[a][b] for a in range(d))
-                    if num < 0 or num * cap_den > cap_num * scale:
-                        return
-                    total += num
-                if total == 0:
-                    return  # the origin
-                if cone_best is None or total < cone_best or (
-                    total == cone_best and partial < cone_witness
-                ):
-                    cone_best = total
-                    cone_witness = list(partial)
-                return
-            step = h_rows[i]
-            c_lo = -((partial[i] - lo[i]) // step[i])
-            c_hi = (hi[i] - partial[i]) // step[i]
+            step = h_rows[i][i]
+            c_lo = -((partial[i] - lo[i]) // step)
+            c_hi = (hi[i] - partial[i]) // step
             if c_lo > c_hi:
                 return
-            for j in range(d):
-                partial[j] += c_lo * step[j]
-            scan(i + 1)
-            for _ in range(c_lo, c_hi):
-                for j in range(d):
-                    partial[j] += step[j]
-                scan(i + 1)
-            back = c_hi
-            for j in range(d):
-                partial[j] -= back * step[j]
+            if i < last:
+                h, n = h_rows[i], row_nums[i]
+                partial = [a + c_lo * x for a, x in zip(partial, h)]
+                nums = [a + c_lo * x for a, x in zip(nums, n)]
+                for _ in range(c_lo, c_hi + 1):
+                    scan(i + 1, partial, nums)
+                    partial = list(map(add, partial, h))
+                    nums = list(map(add, nums, n))
+                return
+            visited += c_hi - c_lo + 1
+            if visited > guard:
+                raise TooLargeError(f"enumeration exceeded guard of {guard} points")
+            for base, s in zip(nums, row_nums[last]):
+                if s > 0:  # 0 <= base + c s <= top
+                    c_lo = max(c_lo, -(base // s))
+                    c_hi = min(c_hi, (top - base) // s)
+                elif s < 0:
+                    c_lo = max(c_lo, -((top - base) // -s))
+                    c_hi = min(c_hi, base // -s)
+                elif not 0 <= base <= top:
+                    return
+            c = c_lo if slope >= 0 else c_hi
+            total = sum(nums) + c * slope
+            if total == 0:  # the origin; its neighbour inward is the next best
+                c += 1 if slope >= 0 else -1
+                total += abs(slope)
+            if not c_lo <= c <= c_hi or (cone_best is not None and total > cone_best):
+                return
+            point = partial[:last] + [partial[last] + c * step]
+            if cone_best is None or total < cone_best or point < cone_witness:
+                cone_best = total
+                cone_witness = point
 
-        scan(0)
+        scan(0, [0] * d, [0] * d)
         if cone_best is not None:
-            value = Fraction(cone_best, scale)
-            ambient = tuple(Fraction(x, denom) for x in cone_witness)
-            best.offer(value, ambient)
+            best.offer(Fraction(cone_best, scale), tuple(Fraction(x, denom) for x in cone_witness))
     return _finalize(x_var, best, "bruteforce", ray_cap=cap >= 1)
 
 

@@ -14,12 +14,12 @@ an error, because search code needs to probe and branch on that case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .exactmath import SingularMatrixError, det, inverse, rank, solve_exact
+from .exactmath import SingularMatrixError, rank, scaled_inverse, solve_exact
 from .lattice import Lattice, NotInLatticeError, Vector, ZeroVectorError
 
 
@@ -37,10 +37,15 @@ class WrongShapeError(ValueError):
 
 @dataclass(frozen=True)
 class SimplicialCone:
-    """A simplicial cone: indices into the fan's ray table plus the generator rows."""
+    """A simplicial cone: indices into the fan's ray table plus the generator rows.
+
+    ``inverse`` is (K, q), integers with inverse(generator matrix) = K / q and
+    q > 0 least, for a full-dimensional cone, and None otherwise.
+    """
 
     ray_indices: tuple[int, ...]
     generator_matrix: tuple[Vector, ...]
+    inverse: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -75,15 +80,18 @@ class Fan:
             if any(i < 0 or i >= len(ray_rows) for i in idx):
                 raise ValueError(f"ray index out of range in cone {idx}")
             gens = tuple(ray_rows[i] for i in idx)
+            inv = None
             if len(gens) == dim:
-                if det(gens) == 0:
-                    raise NonSimplicialError(f"cone {idx} generators are dependent")
+                try:
+                    inv = scaled_inverse(gens)
+                except SingularMatrixError:
+                    raise NonSimplicialError(f"cone {idx} generators are dependent") from None
             elif len(gens) > dim:
                 raise NonSimplicialError(f"cone {idx} has more generators than the dimension")
             elif rank(gens) != len(gens):
                 raise NonSimplicialError(f"cone {idx} generators are dependent")
             covered.update(idx)
-            cones.append(SimplicialCone(ray_indices=idx, generator_matrix=gens))
+            cones.append(SimplicialCone(ray_indices=idx, generator_matrix=gens, inverse=inv))
         if len({frozenset(c.ray_indices) for c in cones}) != len(cones):
             raise ValueError("duplicate maximal cones in fan")
         if covered != set(range(len(ray_rows))):
@@ -99,7 +107,7 @@ class ToricVariety:
     geometric meaning (the fibration validator reports violations).
     """
 
-    __slots__ = ("lattice", "fan", "_cone_inverses")
+    __slots__ = ("lattice", "fan")
 
     def __init__(self, lattice: Lattice, fan: Fan):
         if fan.rays and fan.dim != lattice.dim:
@@ -111,7 +119,6 @@ class ToricVariety:
                 raise NotInLatticeError(f"ray {r!r} is not a lattice point")
         self.lattice = lattice
         self.fan = fan
-        self._cone_inverses: dict[int, tuple] = {}
 
     @property
     def dim(self) -> int:
@@ -122,13 +129,7 @@ class ToricVariety:
 
     def _cone_inverse(self, cone_index: int) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(K, q): integers with inverse(generator matrix) = K / q, q > 0 least."""
-        hit = self._cone_inverses.get(cone_index)
-        if hit is None:
-            inv = inverse(self.fan.max_cones[cone_index].generator_matrix)
-            q = math.lcm(*(x.denominator for row in inv for x in row))
-            hit = (tuple(tuple(int(x * q) for x in row) for row in inv), q)
-            self._cone_inverses[cone_index] = hit
-        return hit
+        return self.fan.max_cones[cone_index].inverse
 
     def __repr__(self) -> str:
         return (
@@ -161,11 +162,11 @@ def _locate(x_var: ToricVariety, vv: Vector) -> Optional[tuple[int, Vector]]:
     if len(vv) != dim:
         raise DimensionMismatchError(f"vector has dimension {len(vv)}, expected {dim}")
     e = math.lcm(*(c.denominator for c in vv))
-    w = [int(c * e) for c in vv]
+    w = [c.numerator * (e // c.denominator) for c in vv]
     for ci, cone in enumerate(x_var.fan.max_cones):
-        if len(cone.generator_matrix) != dim:
-            continue
-        k, q = x_var._cone_inverse(ci)
+        if cone.inverse is None:
+            continue  # lower-dimensional
+        k, q = cone.inverse
         nums = [sum(w[i] * k[i][j] for i in range(dim)) for j in range(dim)]
         if all(c >= 0 for c in nums):
             return ci, tuple(Fraction(c, e * q) for c in nums)

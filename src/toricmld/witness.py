@@ -133,14 +133,6 @@ def lift_to_X(mfs: ToricMfs, a: Sequence) -> Vector:
     return lifted
 
 
-def _grid_cells(g: int, m: int, points: Sequence[Vector]) -> dict:
-    cells: dict[tuple[int, ...], list[int]] = {}
-    for idx, p in enumerate(points):
-        key = tuple(int(math.floor(c * g)) % g for c in p)
-        cells.setdefault(key, []).append(idx)
-    return cells
-
-
 def _pair_search(
     points: Sequence[Vector],
     qualifies: Callable[[int, int], bool],
@@ -160,8 +152,10 @@ def _pair_search(
     offsets = [()]
     for _ in range(m):
         offsets = [o + (s,) for o in offsets for s in (-2, -1, 0, 1, 2)]
-    cells = _grid_cells(g, m, points)
     keys = [tuple(int(math.floor(c * g)) % g for c in p) for p in points]
+    cells: dict[tuple[int, ...], list[int]] = {}
+    for idx, key in enumerate(keys):
+        cells.setdefault(key, []).append(idx)
     for j in range(1, len(points)):
         seen: set[int] = set()
         for off in offsets:
@@ -173,14 +167,6 @@ def _pair_search(
             if qualifies(i, j):
                 return (i, j)
     return None
-
-
-def _toroidal_gaps(p: Vector, q: Vector) -> list[Fraction]:
-    gaps = []
-    for a, b in zip(p, q):
-        f = _frac(a - b)
-        gaps.append(min(f, 1 - f))
-    return gaps
 
 
 def _min_grid(threshold_power: Fraction, exponent: int) -> int:
@@ -213,7 +199,8 @@ def dirichlet_pair(points: Sequence[Sequence], t: Fraction) -> tuple[int, int]:
         raise ValueError("points have mixed dimensions")
 
     def qualifies(i: int, j: int) -> bool:
-        worst = max(_toroidal_gaps(pts[i], pts[j]))
+        gaps = [_frac(a - b) for a, b in zip(pts[i], pts[j])]
+        worst = max(min(f, 1 - f) for f in gaps)
         return worst**m * t <= 1
 
     g = _min_grid(t, m)

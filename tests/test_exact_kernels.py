@@ -1,0 +1,146 @@
+"""Property tests for the exact kernels of ``exactmath``.
+
+The fraction-free Gauss-Jordan behind ``adjugate``, ``scaled_inverse``,
+``solve_exact`` and ``rank`` is checked against plain Bareiss determinants
+and a test-side rational elimination; ``hnf`` and ``snf`` against their
+defining identities and invariance under unimodular changes of basis.
+Integer matrices have at most 6 rows and columns, and a leading zero pivot
+is drawn often, so that row swaps happen.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from test_exactmath import assert_hnf_shape
+from toricmld.exactmath import (
+    SingularMatrixError,
+    adjugate,
+    det_bareiss,
+    hnf,
+    identity,
+    invariant_factors,
+    inverse,
+    mat_mul,
+    rank,
+    snf,
+    solve_exact,
+)
+
+F = Fraction
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def int_matrices(draw, square=False, max_dim=6, bound=6):
+    rows = draw(st.integers(1, max_dim))
+    cols = rows if square else draw(st.integers(1, max_dim))
+    entries = st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols)
+    m = draw(st.lists(entries, min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        m[0][0] = 0  # forces a row swap whenever column 0 has a nonzero entry
+    return m
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of random elementary integer row operations."""
+    u = identity(n)
+    for _ in range(draw(st.integers(0, 10))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        if i == j:
+            u[i] = [-a for a in u[i]]
+        elif draw(st.booleans()):
+            u[i], u[j] = u[j], u[i]
+        else:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def rref(m):
+    """Reduced row echelon form over Q and its pivot columns (test-side)."""
+    a = [[F(x) for x in row] for row in m]
+    pivots = []
+    for c in range(len(a[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        if len(pivots) == len(a):
+            break
+    return a, pivots
+
+
+@PROPERTY
+@given(int_matrices(square=True))
+def test_adjugate(m):
+    n = len(m)
+    d = det_bareiss(m)
+    if d == 0:
+        with pytest.raises(SingularMatrixError):
+            adjugate(m)
+        return
+    adj, got = adjugate(m)
+    assert got == d
+    assert mat_mul(m, adj) == [[d * (i == j) for j in range(n)] for i in range(n)]
+    want = [row[n:] for row in rref([list(row) + identity(n)[i] for i, row in enumerate(m)])[0]]
+    assert [[F(x, d) for x in row] for row in adj] == inverse(m) == want
+
+
+@PROPERTY
+@given(int_matrices(square=True), st.lists(st.integers(-9, 9), min_size=6, max_size=6))
+def test_solve_exact(m, b):
+    n = len(m)
+    b = b[:n]
+    assume(det_bareiss(m) != 0)
+    x = solve_exact(m, b)
+    assert [sum(m[i][j] * x[j] for j in range(n)) for i in range(n)] == b
+
+
+@PROPERTY
+@given(int_matrices())
+def test_rank(m):
+    assert rank(m) == len(rref(m)[1])
+
+
+@PROPERTY
+@given(int_matrices())
+def test_hnf(m):
+    h, u = hnf(m)
+    assert abs(det_bareiss(u)) == 1
+    assert mat_mul(u, m) == h
+    assert_hnf_shape(h)
+
+
+@PROPERTY
+@given(st.data())
+def test_snf(data):
+    m = data.draw(int_matrices())
+    rows, cols = len(m), len(m[0])
+    s, u, v = snf(m)
+    assert abs(det_bareiss(u)) == 1 and abs(det_bareiss(v)) == 1
+    assert mat_mul(mat_mul(u, m), v) == s
+    k = min(rows, cols)
+    assert all(s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    diag = [s[i][i] for i in range(k)]
+    assert all(x >= 0 for x in diag)
+    for x, y in zip(diag, diag[1:]):  # the divisibility chain, zeros last
+        assert y % x == 0 if x else y == 0
+    # unimodular row and column operations keep the invariant factors
+    a = data.draw(unimodular(rows))
+    b = [list(col) for col in zip(*data.draw(unimodular(cols)))]  # column operations
+    assert invariant_factors(mat_mul(mat_mul(a, m), b)) == diag
+    if rows == cols:
+        assert math.prod(diag) == abs(det_bareiss(m))

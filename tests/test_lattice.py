@@ -280,3 +280,11 @@ def test_unimodular_equivariance():
         q1 = lat.quotient_group(eye)
         q2 = lat2.quotient_group(eye)
         assert q1.invariant_factors == q2.invariant_factors
+
+
+def test_constructor_rejects_a_group_without_z_d():
+    # D^d / prod(diag rows) is 1 here, yet (0, 1) is not in the group
+    from toricmld.lattice import LatticeError
+
+    with pytest.raises(LatticeError, match="does not contain Z\\^d"):
+        Lattice(2, [(F(1, 2), 0), (0, 2)])

@@ -34,9 +34,13 @@ F = Fraction
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
-def scan_mld(x_var):
-    """(value, witness, cone) from every coset representative of every cone."""
-    candidates = [(F(1), ray) for ray in x_var.fan.rays]  # the rays cap at 1
+def scan_mld(x_var, cap=None):
+    """(value, witness, cone) from every coset representative of every cone.
+
+    With a cap below 1, only representatives whose barycentric coordinates
+    are all at most cap count, the rays do not, and None means there is none.
+    """
+    candidates = [(F(1), ray) for ray in x_var.fan.rays] if cap is None else []
     for cone in x_var.fan.max_cones:
         g = cone.generator_matrix
         qg = x_var.lattice.quotient_group(g)
@@ -46,6 +50,8 @@ def scan_mld(x_var):
             s = sum(num)
             if s == 0 or (low is not None and s > low):
                 continue
+            if cap is not None and max(num) > cap * denom:
+                continue
             amb = tuple(
                 sum(F(num[i], denom) * g[i][j] for i in range(x_var.dim))
                 for j in range(x_var.dim)
@@ -54,6 +60,8 @@ def scan_mld(x_var):
                 low, point = s, amb
         if low is not None and low <= denom:
             candidates.append((F(low, denom), point))
+    if not candidates:
+        return None
     value, witness = min(candidates)
     return value, witness, find_containing_cone(x_var, witness)
 
@@ -185,3 +193,38 @@ def test_guard_stops_a_sweep_of_ties():
     with pytest.raises(TooLargeError, match="guard of 1000 points"):
         mld(cyclic_quotient(r, (1, r - 1)), guard=1000)
     assert mld(cyclic_quotient(17, (1, 16)), guard=1000).value == 1
+
+
+def test_bruteforce_guard_counts_every_box_point():
+    # the oracle's guard counts each point of each cone's ambient box, so
+    # this instance succeeds at exactly its box size and fails one below it
+    lattice = Lattice.from_generators(3, [(F(1, 5), F(2, 5), F(3, 5)), (F(1, 3), F(0), F(2, 3))])
+    rays = [lattice.primitivize(r) for r in [(1, 0, 0), (1, 2, 0), (-1, 1, 3)]]
+    x_var = ToricVariety(lattice, Fan.build(rays, [[0, 1, 2]]))
+    res = mld_bruteforce(x_var, guard=460)
+    assert (res.value, res.witness) == (F(11, 45), (F(-1, 15), F(1, 5), F(7, 15)))
+    with pytest.raises(TooLargeError, match="guard of 459 points"):
+        mld_bruteforce(x_var, guard=459)
+
+
+@PROPERTY
+@given(st.data())
+def test_bruteforce_below_one_matches_the_scan(data):
+    # caps on the barycentric grid put points exactly on the cap, and the
+    # lowest values near the origin, where the oracle must skip it
+    x_var = data.draw(st.one_of(
+        affine_varieties(max_index=40),
+        affine_varieties(max_index=12, generators=2, dims=(2, 3)),
+        st.builds(cyclic_quotient, st.integers(2, 60), st.lists(st.integers(1, 59), min_size=1, max_size=3)),
+    ))
+    denom = x_var.lattice.quotient_group(x_var.fan.max_cones[0].generator_matrix).denominator
+    assume(denom > 1)
+    cap = F(data.draw(st.integers(1, denom - 1)), denom)
+    want = scan_mld(x_var, cap)
+    if want is None:
+        with pytest.raises(ValueError, match="no nonzero lattice points"):
+            mld_bruteforce(x_var, cap=cap)
+    else:
+        got = mld_bruteforce(x_var, cap=cap)
+        assert got.method == "bruteforce"
+        assert (got.value, got.witness, got.cone_index) == want
