@@ -339,6 +339,57 @@ def integer_row_kernel(m: Sequence[Sequence[int]]) -> list[list[int]]:
     return kernel
 
 
+def lll(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """LLL-reduced basis (delta = 3/4) of the lattice of independent integer
+    rows: Cohen's integral LLL (A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7), on the Gram determinants d[i] of the first i rows
+    and lam[k][j] = d[j + 1] mu_kj, all integers with exact divisions."""
+    b = [list(row) for row in rows]
+    n = len(b)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k: int, j: int) -> None:
+        if 2 * abs(lam[k][j]) > d[j + 1]:
+            q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])  # nearest integer
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            lam[k][j] -= q * d[j + 1]
+            for i in range(j):
+                lam[k][i] -= q * lam[j][i]
+
+    k, k_max = 0, -1
+    while k < n:
+        if k > k_max:  # incremental Gram-Schmidt of row k
+            k_max = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                lam[k][j] = u  # at j = k: d[k + 1]
+            d[k + 1] = lam[k][k]
+            if d[k + 1] == 0:
+                raise ValueError("lll needs linearly independent rows")
+        if k:
+            reduce(k, k - 1)
+        if k and 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:  # Lovasz fails: swap
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            lk = lam[k][k - 1]
+            new = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+            for i in range(k + 1, k_max + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (new * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = new
+            k = max(1, k - 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
+            k += 1
+    return b
+
+
 def iroot_floor(n: int, k: int) -> int:
     """Largest integer r with r**k <= n, for n >= 0, k >= 1."""
     if n < 0 or k < 1:

@@ -79,6 +79,23 @@ class ToricMfs:
         """``validate(self)``, computed on first use and kept."""
         return validate(self)
 
+    @cached_property
+    def fiber(self) -> FiberData:
+        """The fiber over the dense base point (kernel lattice, simplex fan,
+        the origin's barycentrics), computed on first use and kept."""
+        if not self.report.overall:
+            failed = [c.name for c in self.report.checks if not c.passed]
+            raise InvalidMfsError(f"normal-form validation failed: {failed}")
+        m = self.m
+        # kernel of the projection restricted to the lattice, as a sublattice of Q^m
+        kernel_rows = integer_row_kernel([row[m:] for row in self.x.lattice.rows])
+        ambient = [self.x.lattice.to_ambient(row) for row in kernel_rows]
+        z_lattice = Lattice.from_generators(m, [v[:m] for v in ambient])
+        verts = [tuple(self.x.fan.rays[i][:m]) for i in _kernel_ray_indices(self)]
+        fan = Fan.build(verts, [list(c) for c in combinations(range(m + 1), m)])
+        ys = origin_barycentrics(verts)
+        return FiberData(z=ToricVariety(z_lattice, fan), simplex_vertices=tuple(verts), origin_barycentrics=ys)
+
     def project(self, v: Sequence) -> Vector:
         """Apply F: drop the first m (fiber) coordinates."""
         return tuple(Fraction(c) for c in v[self.m:])
@@ -227,22 +244,8 @@ def validate(mfs: ToricMfs) -> ValidationReport:
 
 
 def generic_fiber(mfs: ToricMfs) -> FiberData:
-    """The fiber over the dense base point: kernel lattice, simplex fan, and
-    the barycentric coordinates of the origin in the fiber simplex."""
-    report = mfs.report
-    if not report.overall:
-        failed = [c.name for c in report.checks if not c.passed]
-        raise InvalidMfsError(f"normal-form validation failed: {failed}")
-    m = mfs.m
-    # kernel of the projection restricted to the lattice, as a sublattice of Q^m
-    kernel_rows = integer_row_kernel([row[m:] for row in mfs.x.lattice.rows])
-    ambient = [mfs.x.lattice.to_ambient(row) for row in kernel_rows]
-    z_lattice = Lattice.from_generators(m, [v[:m] for v in ambient])
-    verts = [tuple(mfs.x.fan.rays[i][:m]) for i in _kernel_ray_indices(mfs)]
-    fan = Fan.build(verts, [list(c) for c in combinations(range(m + 1), m)])
-    z_var = ToricVariety(z_lattice, fan)
-    ys = origin_barycentrics(verts)
-    return FiberData(z=z_var, simplex_vertices=tuple(verts), origin_barycentrics=ys)
+    """``mfs.fiber``: the fiber over the dense base point, built once."""
+    return mfs.fiber
 
 
 def generic_fiber_group(mfs: ToricMfs) -> tuple[int, ...]:

@@ -33,6 +33,26 @@ level visits at most the projection of the group onto the coordinates fixed
 so far, so the sweep is never asymptotically worse than the full scan; the
 innermost free level is streamed as arithmetic progressions mod D.
 
+A cone with D above ``_CROSSOVER`` goes to a width engine that branches on
+flat directions of the dual lattice (Lenstra 1983; Aardal, Hurkens and
+Lenstra 2000).  The points of value <= s are those of L in the simplex
+{x >= 0, sum(x) <= s} and the box x_i < D.  ``lll`` reduces D h^-T, an integral basis of D L*; the
+engine orders its rows u by their width on the simplex, max(0, max u) -
+min(0, min u), and fixes the integers <u_j, x> / D of the d - 1 flattest,
+each over its range on the whole simplex.  No level cuts another's range, so
+every value that occurs is covered; what is left is a line base + t w of L.
+On it every constraint is linear in t, so t is clipped in closed form and
+the least sum is at an end, one step inward when that end is the origin;
+when sum(w) = 0 all its points tie and the end with the lex-smaller ambient
+point wins.  The bound is inclusive and drops to each incumbent.  s starts
+at the volume estimate floor((d! det L)^(1/d)) (det L = D^(d-1) for a cyclic
+group), capped at the incumbent's numerator, and doubles after a round that
+finds nothing, up to that numerator.  A round with bound s sees every point
+of value <= s, so the first round that finds one finds the sweep's minimum
+and witness.  Each search-tree node (a round's root, a fixed coordinate, a
+line) costs one guard unit.  LLL set-up costs about as much as a small
+sweep, so cones with D <= 2^14 keep the sweep.
+
 ``mld_bruteforce`` re-derives the same minimum by walking an ambient integer
 box directly and exists purely to cross-check ``mld``.
 """
@@ -47,7 +67,7 @@ from itertools import compress, repeat
 from operator import add, eq, mod
 from typing import Optional, Sequence
 
-from .exactmath import hnf, mat_mul
+from .exactmath import hnf, iroot_floor, lll, mat_mul, scaled_inverse
 from .lattice import Lattice, Vector
 from .toric import (
     Fan,
@@ -60,6 +80,7 @@ DEFAULT_GUARD = 10**7
 # the point guard of ``mld`` and ``mld_bruteforce`` when they get no ``guard=``
 GUARD: ContextVar[int] = ContextVar("toricmld_guard", default=DEFAULT_GUARD)
 _CHUNK_MIN, _CHUNK_MAX = 64, 8192  # innermost stream chunk sizes, doubling
+_CROSSOVER = 2**14  # cones with a larger quotient denominator take the width engine
 
 
 class EmptyFanError(ValueError):
@@ -107,7 +128,7 @@ class _Best:
 
 
 class _Budget:
-    """Points the sweep may still visit before it gives up."""
+    """Units of work (points or tree nodes) the search may still spend."""
 
     __slots__ = ("guard", "left")
 
@@ -150,9 +171,10 @@ def _finalize(x_var: ToricVariety, best: _Best, method: str, ray_cap: bool = Tru
 def mld(x_var: ToricVariety, guard: Optional[int] = None) -> MldResult:
     """Minimal log discrepancy via a bounded sweep of each cone's coset lattice.
 
-    Raises TooLargeError once the sweep has visited more than ``guard``
-    points (default ``GUARD``), counting partial points at the outer levels
-    and streamed representatives at the innermost one.
+    Raises TooLargeError once the search has spent more than ``guard``
+    units (default ``GUARD``): the sweep counts partial points at the outer
+    levels and streamed representatives at the innermost one, the width
+    engine one unit per node of its enumeration tree.
     """
     _check_cones(x_var)
     budget = _Budget(GUARD.get() if guard is None else guard)
@@ -164,6 +186,21 @@ def mld(x_var: ToricVariety, guard: Optional[int] = None) -> MldResult:
 
 def _sweep_cone(x_var: ToricVariety, ci: int, best: _Best, budget: _Budget) -> None:
     """Offer cone ``ci``'s smallest representative of value <= the incumbent."""
+    cone = _coset_lattice(x_var, ci)
+    if cone is None:
+        return  # trivial quotient: only the origin
+    denom, h, gint = cone
+    # the incumbent's value numerator over denom, the search's inclusive bound
+    limit = denom if best.value is None else math.floor(best.value * denom)
+    found = (_width_cone if denom > _CROSSOVER else _hnf_sweep)(h, denom, gint, limit, budget)
+    if found is not None:
+        scale = denom * x_var.lattice.denominator
+        best.offer(Fraction(found[0], denom), tuple(Fraction(a, scale) for a in found[1]))
+
+
+def _coset_lattice(x_var: ToricVariety, ci: int) -> Optional[tuple[int, list[list[int]], list[list[int]]]]:
+    """(D, h, gint): the Hermite rows h of cone ``ci``'s coset lattice L, and
+    gint with x @ gint = D D_N times the ambient point of x; None when D = 1."""
     d = x_var.dim
     lat = x_var.lattice
     k, q = x_var._cone_inverse(ci)
@@ -171,15 +208,18 @@ def _sweep_cone(x_var: ToricVariety, ci: int, best: _Best, budget: _Budget) -> N
     common = math.gcd(lat.denominator * q, *(x for row in bary for x in row))
     denom = lat.denominator * q // common
     if denom == 1:
-        return  # trivial quotient: only the origin
+        return None
     scaled = [[x // common for x in row] for row in bary]
     scaled += [[denom * (i == j) for j in range(d)] for i in range(d)]
-    h = hnf(scaled)[0][:d]
-    last = max(i for i in range(d) if h[i][i] < denom)
     gens = x_var.fan.max_cones[ci].generator_matrix  # lattice points: D gens is integral
     gint = [[int(x * lat.denominator) for x in row] for row in gens]
-    # the incumbent's value numerator over denom, the sweep's inclusive bound
-    limit = denom if best.value is None else math.floor(best.value * denom)
+    return denom, hnf(scaled)[0][:d], gint
+
+
+def _hnf_sweep(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(sum, lex-least key x @ gint) of the least representative of sum <= limit."""
+    d = len(h)
+    last = max(i for i in range(d) if h[i][i] < denom)
     found: Optional[int] = None  # smallest numerator seen in this cone
     key: Optional[tuple[int, ...]] = None  # its lex-min ambient point, scaled
     x = [0] * d
@@ -240,8 +280,67 @@ def _sweep_cone(x_var: ToricVariety, ci: int, best: _Best, budget: _Budget) -> N
             xi += step
 
     sweep(0, [0] * d, 0)
-    if found is not None:
-        best.offer(Fraction(found, denom), tuple(Fraction(a, denom * lat.denominator) for a in key))
+    return None if found is None else (found, key)
+
+
+def _width_cone(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tuple[int, tuple[int, ...]]]:
+    """``_hnf_sweep``'s answer by the width engine of the module docstring."""
+    d = len(h)
+    k, q = scaled_inverse(h)
+    dual = lll([[denom * k[i][j] // q for i in range(d)] for j in range(d)])  # D h^-T, reduced
+    dual.sort(key=lambda u: max(0, *u) - min(0, *u))  # flattest on the simplex first
+    k, q = scaled_inverse([list(col) for col in zip(*dual)])
+    basis = [[denom * x // q for x in row] for row in k]  # <basis_i, dual_j> = D [i == j]
+    neg, pos = [min(0, *u) for u in dual], [max(0, *u) for u in dual]
+    w = basis[-1]  # the line direction, along the widest dual row
+    w_sum = sum(w)
+    w_key = tuple(sum(w[i] * gint[i][j] for i in range(d)) for j in range(d))
+    found = key = None
+
+    def line(base: list[int]) -> None:
+        # the points base + t w, clipped to 0 <= x_i <= D-1 and 0 <= sum(x) <= s
+        nonlocal found, key, s
+        used = sum(base)
+        lows, highs = [], []  # one entry per w_i != 0, so never empty
+        for a, c, top in [*zip(base, w, repeat(denom - 1)), (used, w_sum, s)]:
+            if c < 0:  # 0 <= a + t c <= top iff 0 <= (top - a) + t (-c) <= top
+                a, c = top - a, -c
+            if c:
+                lows.append(-(a // c))
+                highs.append((top - a) // c)
+            elif not 0 <= a <= top:
+                return
+        lo, hi = max(lows), min(highs)
+        if lo > hi:
+            return
+        t = lo if w_sum > 0 or (w_sum == 0 and w_key > (0,) * d) else hi
+        total = used + t * w_sum
+        if total == 0:  # the origin, alone on its line if w_sum = 0; step inward
+            t += (w_sum > 0) - (w_sum < 0)
+            total += abs(w_sum)
+            if w_sum == 0 or not lo <= t <= hi:
+                return
+        point = [a + t * c for a, c in zip(base, w)]
+        point_key = tuple(sum(point[i] * gint[i][j] for i in range(d)) for j in range(d))
+        if found is None or total < found or point_key < key:
+            found, key, s = total, point_key, total
+
+    def level(j: int, base: list[int]) -> None:
+        budget.spend(1)
+        if j == d - 1:
+            line(base)
+            return
+        y = -(-s * neg[j] // denom)
+        while y <= s * pos[j] // denom:
+            level(j + 1, [a + y * c for a, c in zip(base, basis[j])])
+            y += 1
+
+    s = min(limit, iroot_floor(math.factorial(d) * math.prod(h[i][i] for i in range(d)), d))
+    while True:
+        level(0, [0] * d)
+        if found is not None or s == limit:
+            return None if found is None else (found, key)
+        s = min(2 * s, limit)
 
 
 def mld_bruteforce(

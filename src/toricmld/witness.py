@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exactmath import hnf, iroot_floor, solve_exact
+from .exactmath import hnf, iroot_floor
 from .lattice import NotInLatticeError, Vector, ZeroVectorError, _frac
 from .mfs import FiberData, ToricMfs, generic_fiber
 from .mld import MldResult, mld
@@ -215,15 +215,12 @@ def dirichlet_pair(points: Sequence[Sequence], t: Fraction) -> tuple[int, int]:
 def effective_delta(fiber: FiberData) -> EffectiveDelta:
     """Largest coefficient 1-norm among the fiber's per-cone discrepancy
     functionals; drives the effective threshold map."""
-    m = fiber.z.dim
     c_z = Fraction(0)
     for cone in fiber.z.fan.max_cones:
-        # coefficients L_j of the functional with sum_j L_j * P_i[j] = 1 for
-        # every generator P_i: one linear equation per generator row
-        g = cone.generator_matrix
-        coeffs = solve_exact([list(row) for row in g], [Fraction(1)] * m)
-        c_z = max(c_z, sum(abs(c) for c in coeffs))
-    return EffectiveDelta(c_z=c_z, m=m)
+        # L with sum_j L_j P_i[j] = 1 for every generator P_i: K (1, ..., 1) / q
+        k, q = cone.inverse
+        c_z = max(c_z, Fraction(sum(abs(sum(row)) for row in k), q))
+    return EffectiveDelta(c_z=c_z, m=fiber.z.dim)
 
 
 def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessReport:

@@ -130,16 +130,24 @@ def test_mld_guard_env_bounds_the_bruteforce_oracle(tmp_path, capsys, monkeypatc
 
 
 def test_mld_guard_env_bounds_the_sweep(tmp_path, capsys, monkeypatch):
-    # every nonzero coset of 1/r(1, r-1) ties with the rays at value 1, so
-    # without a budget the sweep would stream all r - 1 of them
+    # every nonzero coset of 1/r(1, r-1) ties with the rays at value 1; the
+    # width engine settles the tie well within the guard
     r = 10**12
     doc = dict(quotient_17_doc(), lattice_generators=[[f"1/{r}", f"{r - 1}/{r}"]])
     path = write(tmp_path, "tie.json", doc)
     monkeypatch.setenv("TORICMLD_GUARD", "1000")
+    assert main(["mld", path]) == EXIT_OK
+    assert capsys.readouterr().out == "mld = 1\nwitness = (0, 1)\ncone = 0\n"
+    # the engine's work on the family at l = 20 is exactly 60 units
+    path = write(tmp_path, "fam20.json", family_doc(20))
+    monkeypatch.setenv("TORICMLD_GUARD", "60")
+    assert main(["mld", path]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("mld = 8022/160001\n")
+    monkeypatch.setenv("TORICMLD_GUARD", "59")
     assert main(["mld", path]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: mld sweep exceeded guard of 1000 points\n"
+    assert captured.err == "error: mld sweep exceeded guard of 59 points\n"
 
 
 def test_family_guard_env_bounds_the_sweep(capsys, monkeypatch):

@@ -189,10 +189,39 @@ def test_tie_on_the_bound_of_an_outer_level(gens, rows):
 
 
 def test_guard_stops_a_sweep_of_ties():
+    # every nonzero coset of 1/r(1, r-1) ties with the rays at value 1; the
+    # width engine settles the tie in a few dozen units, not r - 1 points
     r = 10**12
-    with pytest.raises(TooLargeError, match="guard of 1000 points"):
-        mld(cyclic_quotient(r, (1, r - 1)), guard=1000)
+    res = mld(cyclic_quotient(r, (1, r - 1)), guard=1000)
+    assert (res.value, res.witness, res.cone_index) == (1, (0, 1), 0)
     assert mld(cyclic_quotient(17, (1, 16)), guard=1000).value == 1
+
+
+def test_guard_counts_every_node_of_the_width_engine():
+    # the largest cones of the family take the engine; its tree has exactly
+    # 60 nodes at l = 20, each costing one unit of the guard
+    assert mld(example_family(20).x, guard=60).value == F(8022, 20**4 + 1)
+    with pytest.raises(TooLargeError, match="mld sweep exceeded guard of 59 points"):
+        mld(example_family(20).x, guard=59)
+
+
+def test_family_l48_at_the_default_guard():
+    # the sweep alone needs more than the default 10^7 points from l = 48 on
+    r = 48**4 + 1
+    res = mld(example_family(48).x)
+    assert res.value == F(48**3 + 48 + 2, r)
+    assert res.witness == (F(48, r), F(48**2, r), F(1, r), F(1, r))
+
+
+@pytest.mark.parametrize("l", [*range(2, 31), 100, 200])
+def test_family_total_space_closed_form(l):
+    # observed, not proved: mld(X_l) = (l^3 + l + 2) / (l^4 + 1)
+    assert mld(example_family(l).x).value == F(l**3 + l + 2, l**4 + 1)
+
+
+def test_family_l200_work_bound():
+    # the sweep would visit about 3 * 10^9 points here
+    assert mld(example_family(200).x, guard=2000).value == F(200**3 + 202, 200**4 + 1)
 
 
 def test_bruteforce_guard_counts_every_box_point():
