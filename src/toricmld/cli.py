@@ -20,8 +20,9 @@ columns.  stdout carries data, stderr carries diagnostics.
 Exit codes: 0 success, 1 parse/validation/runtime error, 2 oracle mismatch
 (mld --brute-force), 3 witness precondition violated, 4 threshold inequality
 violated (check).  The environment variable TORICMLD_GUARD, a positive
-integer, overrides the point guard of every mld computation a subcommand
-runs (``mld.GUARD``, default 10^7 points per computation); a run past it
+integer, overrides the work guard of every mld computation a subcommand
+runs (``mld.GUARD``, default 10^7 units per computation: the sweep and the
+box scan count points, the width engine search-tree nodes); a run past it
 exits 1.
 """
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -360,7 +362,10 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and each subcommand looks its library calls up when it runs."""
     parser = argparse.ArgumentParser(
         prog="toricmld",
         description="Exact minimal log discrepancies of simplicial toric varieties",

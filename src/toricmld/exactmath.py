@@ -35,6 +35,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
+def as_fractions(v: Sequence) -> tuple[Fraction, ...]:
+    """v as a tuple of Fractions, keeping the entries that already are."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in v)
+
+
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -186,6 +191,40 @@ def hnf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
         if r == rows:
             break
     return h, u
+
+
+def hnf_mod(rows: Sequence[Sequence[int]], modulus: int) -> list[list[int]]:
+    """The d x d Hermite rows, in ``hnf``'s convention, of span(rows) + modulus Z^d.
+
+    The Hermite form modulo D (Domich, Kannan and Trotter, Math. Oper. Res.
+    12, 1987; Cohen, Alg. 2.4.8): no transform, and every entry is reduced
+    mod D, since D e_j lies in the lattice.  Column c's pivot row starts as
+    D e_c and folds in each row with a nonzero entry c by one unimodular
+    step; the step's other row, zero at c, stays in the working set.
+    """
+    d = len(rows[0])
+    work = [[x % modulus for x in row] for row in rows]
+    h = []
+    for c in range(d):
+        p, rest = [modulus * (j == c) for j in range(d)], []
+        for row in work:
+            if row[c]:  # p_c becomes gcd(p_c, row_c) < D and row_c becomes 0
+                g, x, y = xgcd(p[c], row[c])
+                s, t = p[c] // g, row[c] // g
+                p, row = (
+                    [(x * a + y * b) % modulus for a, b in zip(p, row)],
+                    [(s * b - t * a) % modulus for a, b in zip(p, row)],
+                )
+            if any(row):
+                rest.append(row)
+        h.append(p)
+        work = rest
+    for c in range(d):  # reduce the entries above each pivot into [0, pivot)
+        for i in range(c):
+            q = h[i][c] // h[c][c]
+            if q:
+                h[i] = [a - q * b for a, b in zip(h[i], h[c])]
+    return h
 
 
 def snf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:

@@ -3,12 +3,17 @@
 A :class:`Lattice` is a rank-d subgroup N of Q^d containing Z^d, stored in
 a canonical integer form so equal lattices compare equal: D, the lcm of the
 generators' denominators (the least D with D N inside Z^d), and the d x d
-upper-triangular Hermite rows of the integer lattice D N.  The rational basis
-is those rows divided by D.  Coordinates come from one integer substitution
-on the triangular rows: for v = w / e they are C / e with C @ rows = D w, and
-each division is exact because N contains Z^d, so ``coords``, ``contains``
-and ``primitivize`` form no inverse and no Fraction per step.  The same
-substitution on each e_j is the constructor's check that N contains Z^d.
+upper-triangular Hermite rows of the integer lattice D N.  Equality and
+hashing use (d, D, rows); the rational basis, those rows divided by D, is
+built on first use.  ``from_generators`` writes D N as span(D gens) + D Z^d
+and takes its rows from ``hnf_mod``, the Hermite form modulo D, with no
+transform and no Fraction; such an N contains Z^d by construction.
+Coordinates come from one integer substitution on the triangular rows: for
+v = w / e they are C / e with C @ rows = D w, and each division is exact
+because N contains Z^d, so ``coords``, ``contains`` and ``primitivize`` form
+no inverse and no Fraction per step.  The public constructor takes any
+generating rows, runs ``hnf`` on them, and checks with the same substitution
+on each e_j that N contains Z^d.
 
 Coset enumeration for a full-rank sublattice runs through the Smith normal
 form of the coordinate-change matrix; representatives are produced as a
@@ -25,7 +30,7 @@ from fractions import Fraction
 from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .exactmath import det, hnf, snf, vec_mat
+from .exactmath import as_fractions, det, hnf, hnf_mod, snf, vec_mat
 
 Vector = tuple[Fraction, ...]
 
@@ -53,7 +58,14 @@ class ZeroVectorError(LatticeError):
 def _as_vector(v: Sequence, dim: int) -> Vector:
     if len(v) != dim:
         raise ValueError(f"expected a vector of dimension {dim}, got {len(v)}")
-    return tuple(Fraction(x) for x in v)
+    return as_fractions(v)
+
+
+def _scaled(dim: int, gens: Iterable[Sequence]) -> tuple[int, list[list[int]]]:
+    """(D, D gens): D the lcm of the generators' denominators."""
+    gens = [_as_vector(g, dim) for g in gens]
+    denom = math.lcm(*(x.denominator for row in gens for x in row))
+    return denom, [[x.numerator * (denom // x.denominator) for x in row] for row in gens]
 
 
 def _frac(x: Fraction) -> Fraction:
@@ -63,16 +75,24 @@ def _frac(x: Fraction) -> Fraction:
 class Lattice:
     """A finite-index overlattice N of Z^d, N subset of Q^d; basis = rows / denominator."""
 
-    __slots__ = ("dim", "denominator", "rows", "basis", "_index")
+    __slots__ = ("dim", "denominator", "rows", "_basis")
 
     def __init__(self, dim: int, gens: Sequence[Sequence[Fraction]]):
-        self.dim = dim
-        self.denominator, self.rows = _canonicalize(dim, gens)
-        denom = self.denominator
+        denom, scaled = _scaled(dim, gens)
+        if len(scaled) < dim:
+            raise DegenerateBasisError("need at least d generating rows")
+        top = hnf(scaled)[0][:dim]
+        if any(top[i][i] == 0 for i in range(dim)):
+            raise DegenerateBasisError("generators do not span Q^d")
+        self._set(dim, denom, top)
         for j in range(dim):  # Z^d is inside N iff every e_j is
             self._solve([int(i == j) for i in range(dim)])
-        self.basis = tuple(tuple(Fraction(x, denom) for x in row) for row in self.rows)
-        self._index = denom**dim // math.prod(self.rows[i][i] for i in range(dim))
+
+    def _set(self, dim: int, denominator: int, rows: Sequence[Sequence[int]]) -> None:
+        self.dim = dim
+        self.denominator = denominator
+        self.rows = tuple(tuple(row) for row in rows)
+        self._basis = None
 
     @classmethod
     def standard(cls, dim: int) -> "Lattice":
@@ -83,9 +103,18 @@ class Lattice:
         """Smallest lattice containing Z^d and all of gens, in canonical form."""
         if dim < 1:
             raise ValueError("dimension must be positive")
-        gen_rows = [_as_vector(g, dim) for g in gens]
-        rows = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
-        return cls(dim, rows + gen_rows)
+        denom, scaled = _scaled(dim, gens)
+        lat = cls.__new__(cls)
+        lat._set(dim, denom, hnf_mod(scaled or [[0] * dim], denom))
+        return lat
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The rational basis rows / D, built on first use."""
+        if self._basis is None:
+            denom = self.denominator
+            self._basis = tuple(tuple(Fraction(x, denom) for x in row) for row in self.rows)
+        return self._basis
 
     def _solve(self, v: Sequence) -> tuple[list[int], int]:
         """(C, e): integers with coords(v) = C / e, e the lcm of v's denominators.
@@ -124,7 +153,7 @@ class Lattice:
     @property
     def index_over_standard(self) -> int:
         """The group order [N : Z^d]."""
-        return self._index
+        return self.denominator**self.dim // math.prod(self.rows[i][i] for i in range(self.dim))
 
     def primitivize(self, v: Sequence) -> Vector:
         """Shortest lattice point on the ray spanned by v (same direction)."""
@@ -176,27 +205,15 @@ class Lattice:
         return self.quotient_group(sub_basis).reps()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Lattice) and self.dim == other.dim and self.basis == other.basis
+        key = (self.dim, self.denominator, self.rows)
+        return isinstance(other, Lattice) and key == (other.dim, other.denominator, other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.basis))
+        return hash((self.dim, self.denominator, self.rows))
 
     def __repr__(self) -> str:
         rows = ", ".join("(" + ", ".join(str(x) for x in row) + ")" for row in self.basis)
         return f"Lattice(dim={self.dim}, basis=[{rows}])"
-
-
-def _canonicalize(dim: int, gens: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(D, H): D the lcm of the generators' denominators, H the Hermite rows of D N."""
-    gens = [_as_vector(r, dim) for r in gens]
-    if len(gens) < dim:
-        raise DegenerateBasisError("need at least d generating rows")
-    d = math.lcm(*(x.denominator for row in gens for x in row))
-    h, _ = hnf([[int(x * d) for x in row] for row in gens])
-    top = h[:dim]
-    if any(top[i][i] == 0 for i in range(dim)):
-        raise DegenerateBasisError("generators do not span Q^d")
-    return d, tuple(tuple(row) for row in top)
 
 
 @dataclass(frozen=True)

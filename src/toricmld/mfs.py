@@ -25,10 +25,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from operator import add
+from typing import Iterable, Optional, Sequence
 
 from .exactmath import integer_row_kernel, invariant_factors
 from .lattice import Lattice, Vector
@@ -447,8 +448,13 @@ def loglog_slope(points: Sequence[tuple[Fraction, Fraction]]) -> Optional[float]
     xs = [math.log(x) for x, _ in points]
     ys = [math.log(y) for _, y in points]
     k = len(points)
-    mean_x = sum(xs) / k
-    mean_y = sum(ys) / k
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    mean_x = _add_up(xs) / k
+    mean_y = _add_up(ys) / k
+    sxx = _add_up((x - mean_x) ** 2 for x in xs)
+    sxy = _add_up((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     return sxy / sxx
+
+
+def _add_up(values: Iterable[float]) -> float:
+    # left to right: the built-in sum compensates from Python 3.12 on
+    return reduce(add, values, 0.0)

@@ -18,7 +18,8 @@ In barycentric coordinates the lattice is an overlattice of Z^d, spanned by
 (H K) / (D_N q) for the lattice's Hermite rows H over its denominator D_N
 and the cone's integer inverse K over q.  Scaled by D, the denominator of
 that matrix in lowest terms, it becomes an integer lattice L containing
-D Z^d.  The nonzero representatives are the points x of L with
+D Z^d, whose Hermite rows come from ``hnf_mod`` with no D I block and no
+transform.  The nonzero representatives are the points x of L with
 0 <= x_i < D, of value sum(x) / D.  The Hermite form of L is upper
 triangular with diagonal h_i dividing D, so once x_0 .. x_{i-1} are fixed,
 x_i runs over one residue class mod h_i; a row with h_i = D is D e_i and
@@ -67,7 +68,7 @@ from itertools import compress, repeat
 from operator import add, eq, mod
 from typing import Optional, Sequence
 
-from .exactmath import hnf, iroot_floor, lll, mat_mul, scaled_inverse
+from .exactmath import hnf_mod, iroot_floor, lll, mat_mul, scaled_inverse
 from .lattice import Lattice, Vector
 from .toric import (
     Fan,
@@ -77,7 +78,8 @@ from .toric import (
 )
 
 DEFAULT_GUARD = 10**7
-# the point guard of ``mld`` and ``mld_bruteforce`` when they get no ``guard=``
+# the work guard of ``mld`` and ``mld_bruteforce`` when they get no ``guard=``:
+# the sweep and the box scan count points, the width engine search-tree nodes
 GUARD: ContextVar[int] = ContextVar("toricmld_guard", default=DEFAULT_GUARD)
 _CHUNK_MIN, _CHUNK_MAX = 64, 8192  # innermost stream chunk sizes, doubling
 _CROSSOVER = 2**14  # cones with a larger quotient denominator take the width engine
@@ -88,7 +90,7 @@ class EmptyFanError(ValueError):
 
 
 class TooLargeError(RuntimeError):
-    """The sweep or the brute-force enumeration would exceed its point guard."""
+    """The sweep or the brute-force enumeration would exceed its work guard."""
 
 
 class InvalidWeightsError(ValueError):
@@ -138,7 +140,7 @@ class _Budget:
 
     def spend(self, n: int) -> None:
         self.left -= n
-        if self.left < 0:
+        if self.left < 0:  # "points" for tree nodes too: scripts match this text
             raise TooLargeError(f"mld sweep exceeded guard of {self.guard} points")
 
 
@@ -201,7 +203,6 @@ def _sweep_cone(x_var: ToricVariety, ci: int, best: _Best, budget: _Budget) -> N
 def _coset_lattice(x_var: ToricVariety, ci: int) -> Optional[tuple[int, list[list[int]], list[list[int]]]]:
     """(D, h, gint): the Hermite rows h of cone ``ci``'s coset lattice L, and
     gint with x @ gint = D D_N times the ambient point of x; None when D = 1."""
-    d = x_var.dim
     lat = x_var.lattice
     k, q = x_var._cone_inverse(ci)
     bary = mat_mul(lat.rows, k)  # over D q; reduced to lowest terms below
@@ -210,10 +211,16 @@ def _coset_lattice(x_var: ToricVariety, ci: int) -> Optional[tuple[int, list[lis
     if denom == 1:
         return None
     scaled = [[x // common for x in row] for row in bary]
-    scaled += [[denom * (i == j) for j in range(d)] for i in range(d)]
-    gens = x_var.fan.max_cones[ci].generator_matrix  # lattice points: D gens is integral
-    gint = [[int(x * lat.denominator) for x in row] for row in gens]
-    return denom, hnf(scaled)[0][:d], gint
+    return denom, hnf_mod(scaled, denom), _scaled_generators(x_var, ci)
+
+
+def _scaled_generators(x_var: ToricVariety, ci: int) -> list[list[int]]:
+    """Cone ``ci``'s generator rows times D_N, integral since they are lattice points."""
+    denom = x_var.lattice.denominator
+    return [
+        [x.numerator * (denom // x.denominator) for x in row]
+        for row in x_var.fan.max_cones[ci].generator_matrix
+    ]
 
 
 def _hnf_sweep(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tuple[int, tuple[int, ...]]]:
@@ -374,12 +381,12 @@ def mld_bruteforce(
     best = _Best()
     visited = 0
 
-    for ci, cone in enumerate(x_var.fan.max_cones):
+    for ci in range(len(x_var.fan.max_cones)):
         k, q = x_var._cone_inverse(ci)
         scale = denom * q  # barycentric numerators live over this
         top = cap_num * scale // cap_den  # and must lie in [0, top]
         # the ambient box of the scaled cone body, and each row's numerators
-        g = [[x.numerator * (denom // x.denominator) for x in row] for row in cone.generator_matrix]
+        g = _scaled_generators(x_var, ci)
         lo = [-(-cap_num * sum(min(row[j], 0) for row in g) // cap_den) for j in range(d)]
         hi = [cap_num * sum(max(row[j], 0) for row in g) // cap_den for j in range(d)]
         row_nums = [[sum(h[a] * k[a][b] for a in range(d)) for b in range(d)] for h in h_rows]
@@ -447,10 +454,7 @@ def cyclic_quotient(r: int, weights: Sequence[int]) -> ToricVariety:
     if n < 1:
         raise InvalidWeightsError("need at least one weight")
     lat = Lattice.from_generators(n, [tuple(Fraction(a, r) for a in weights)])
-    rays = []
-    for i in range(n):
-        e = tuple(Fraction(int(i == j)) for j in range(n))
-        rays.append(lat.primitivize(e))
+    rays = [lat.primitivize([int(i == j) for j in range(n)]) for i in range(n)]
     fan = Fan.build(rays, [list(range(n))])
     return ToricVariety(lat, fan)
 

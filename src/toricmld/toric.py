@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .exactmath import SingularMatrixError, rank, scaled_inverse, solve_exact
+from .exactmath import SingularMatrixError, as_fractions, rank, scaled_inverse, solve_exact
 from .lattice import Lattice, NotInLatticeError, Vector, ZeroVectorError
 
 
@@ -63,7 +63,7 @@ class Fan:
     @classmethod
     def build(cls, rays: Sequence[Sequence], cone_indices: Sequence[Sequence[int]]) -> "Fan":
         """Validate and assemble a fan from ray vectors and cone index lists."""
-        ray_rows = tuple(tuple(Fraction(x) for x in r) for r in rays)
+        ray_rows = tuple(as_fractions(r) for r in rays)
         if not ray_rows:
             return cls(rays=(), max_cones=(), dim=0)
         dim = len(ray_rows[0])
@@ -156,8 +156,9 @@ def barycentric(cone: SimplicialCone, v: Sequence) -> Vector:
     return tuple(solve_exact([[g[i][j] for i in range(dim)] for j in range(dim)], vv))
 
 
-def _locate(x_var: ToricVariety, vv: Vector) -> Optional[tuple[int, Vector]]:
-    """Lowest-index maximal cone containing vv, with vv's barycentrics there."""
+def _locate(x_var: ToricVariety, vv: Vector) -> Optional[tuple[int, list[int], int]]:
+    """(ci, nums, s): the lowest-index maximal cone ci containing vv, and vv's
+    barycentrics there, nums / s."""
     dim = x_var.dim
     if len(vv) != dim:
         raise DimensionMismatchError(f"vector has dimension {len(vv)}, expected {dim}")
@@ -169,7 +170,7 @@ def _locate(x_var: ToricVariety, vv: Vector) -> Optional[tuple[int, Vector]]:
         k, q = cone.inverse
         nums = [sum(w[i] * k[i][j] for i in range(dim)) for j in range(dim)]
         if all(c >= 0 for c in nums):
-            return ci, tuple(Fraction(c, e * q) for c in nums)
+            return ci, nums, e * q
     return None
 
 
@@ -180,18 +181,18 @@ def log_discrepancy(x_var: ToricVariety, v: Sequence) -> Optional[Fraction]:
     v (the value does not depend on the choice), or None when v is outside
     the fan support.
     """
-    vv = tuple(Fraction(c) for c in v)
+    vv = as_fractions(v)
     if all(c == 0 for c in vv):
         raise ZeroVectorError("log discrepancy is undefined at the origin")
     if not x_var.lattice.contains(vv):
         raise NotInLatticeError(f"{v!r} is not a lattice point")
     hit = _locate(x_var, vv)
-    return None if hit is None else sum(hit[1])
+    return None if hit is None else Fraction(sum(hit[1]), hit[2])
 
 
 def find_containing_cone(x_var: ToricVariety, v: Sequence) -> Optional[int]:
     """Lowest index of a maximal cone containing v, or None."""
-    hit = _locate(x_var, tuple(Fraction(c) for c in v))
+    hit = _locate(x_var, as_fractions(v))
     return None if hit is None else hit[0]
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from toricmld.cli import (
     EXIT_OK,
     EXIT_ORACLE_MISMATCH,
     EXIT_PRECONDITION,
+    build_parser,
     load_instance,
     main,
     serialize_toric,
@@ -181,6 +183,21 @@ def test_guard_env_is_reset_after_each_command(tmp_path, capsys, monkeypatch):
     assert mld(example_family(3).x).value == F(16, 41)
 
 
+def test_parser_is_built_once_and_each_command_keeps_its_own_arguments(tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    path = write(tmp_path, "q17.json", quotient_17_doc())
+    assert main(["mld", path, "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["mld"] == "2/17"
+    assert main(["mld", path]) == EXIT_OK  # --json does not stick
+    assert capsys.readouterr().out == "mld = 2/17\nwitness = (1/17, 1/17)\ncone = 0\n"
+    monkeypatch.setenv("TORICMLD_GUARD", "3")
+    assert main(["sweep", "--l-min", "3", "--l-max", "3"]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: mld sweep exceeded guard of 3 points\n"
+    monkeypatch.delenv("TORICMLD_GUARD")
+    assert main(["family", "--l", "3", "--emit", "summary"]) == EXIT_OK
+    assert "mld_X = 16/41" in capsys.readouterr().out
+
+
 def test_validate_family(tmp_path, capsys):
     path = write(tmp_path, "fam3.json", family_doc(3))
     assert main(["validate", path]) == EXIT_OK
@@ -259,6 +276,14 @@ def test_toric_serialization_roundtrip(tmp_path):
     assert parsed.lattice == fam.x.lattice
     assert parsed.fan.rays == fam.x.fan.rays
     assert serialize_toric(parsed) == doc
+
+
+def test_sweep_stdout_is_the_same_on_every_python(capsys):
+    # recorded on Python 3.11.7; the slope column adds its floats left to
+    # right, so Python 3.12's compensated built-in sum cannot change a digit
+    golden = Path(__file__).parent / "golden" / "sweep_l2_30.csv"
+    assert main(["sweep", "--l-min", "2", "--l-max", "30"]) == EXIT_OK
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_sweep_csv(tmp_path):

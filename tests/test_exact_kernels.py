@@ -3,7 +3,8 @@
 The fraction-free Gauss-Jordan behind ``adjugate``, ``scaled_inverse``,
 ``solve_exact`` and ``rank`` is checked against plain Bareiss determinants
 and a test-side rational elimination; ``hnf`` and ``snf`` against their
-defining identities and invariance under unimodular changes of basis.
+defining identities and invariance under unimodular changes of basis;
+``hnf_mod`` against ``hnf`` of the rows stacked on D I.
 Integer matrices have at most 6 rows and columns, and a leading zero pivot
 is drawn often, so that row swaps happen.
 """
@@ -23,6 +24,7 @@ from toricmld.exactmath import (
     adjugate,
     det_bareiss,
     hnf,
+    hnf_mod,
     identity,
     invariant_factors,
     inverse,
@@ -144,3 +146,41 @@ def test_snf(data):
     assert invariant_factors(mat_mul(mat_mul(a, m), b)) == diag
     if rows == cols:
         assert math.prod(diag) == abs(det_bareiss(m))
+
+
+@st.composite
+def modular_systems(draw, max_dim=6):
+    """Integer rows and a modulus D up to 10^6.  Entries are often multiples
+    of a divisor of D, so that non-cyclic quotients occur, and a column or
+    the first pivot is often zero."""
+    d = draw(st.integers(1, max_dim))
+    modulus = draw(st.one_of(st.integers(1, 72), st.integers(1, 10**6)))
+    divisors = [k for k in range(1, min(modulus, 1000) + 1) if modulus % k == 0]
+    entry = st.one_of(
+        st.integers(-2 * modulus, 2 * modulus),
+        st.builds(lambda k, c: k * c, st.sampled_from(divisors), st.integers(-3, 3)),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=4))
+    zero = draw(st.sampled_from([None, "pivot", *range(d)]))
+    if zero == "pivot":
+        rows[0][0] = 0
+    elif zero is not None:
+        for row in rows:
+            row[zero] = 0
+    return rows, modulus
+
+
+@PROPERTY
+@given(modular_systems())
+def test_hnf_mod_is_the_hermite_form_of_the_rows_plus_d_z_d(system):
+    rows, modulus = system
+    d = len(rows[0])
+    stacked = rows + [[modulus * (i == j) for j in range(d)] for i in range(d)]
+    assert hnf_mod(rows, modulus) == hnf(stacked)[0][:d]
+
+
+def test_hnf_mod_keeps_the_row_that_folding_d_e_c_leaves_over():
+    # column 0 folds 6 with 10 into 2 by 2 * 6 - 10 = 2; the leftover row
+    # 5 * (6, 1) = (30, 5) gives column 1 its pivot 5, not 10
+    assert hnf_mod([[6, 1]], 10) == [[2, 2], [0, 5]]
+    assert hnf_mod([[0, 0, 0]], 1) == identity(3)

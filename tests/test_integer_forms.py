@@ -4,7 +4,9 @@ A ``Lattice`` stores its denominator D and the integer Hermite rows of D N;
 ``ToricVariety._cone_inverse`` stores each cone's inverse as integers K over
 q.  Every reader of those forms relies on the invariants checked here, on
 random lattices and cones of dimension at most 4, against the rational
-Gauss-Jordan inverse of ``exactmath``.
+Gauss-Jordan inverse of ``exactmath``, and ``Lattice.from_generators``
+(Hermite form modulo D) against the public constructor (``hnf`` of Z^d and
+the generators).
 """
 
 from __future__ import annotations
@@ -66,6 +68,27 @@ def test_basis_is_rows_over_the_denominator(lat):
     assert lat.basis == tuple(tuple(F(x, d) for x in row) for row in lat.rows)
     assert d == math.lcm(*(x.denominator for row in lat.basis for x in row))
     assert F(lat.index_over_standard) == 1 / abs(det(lat.basis))
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(
+            st.lists(st.one_of(rationals(), rationals(max_den=10**6, bound=1)), min_size=d, max_size=d),
+            max_size=3,
+        ),
+    )
+))
+def test_from_generators_matches_the_direct_constructor(case):
+    d, gens = case
+    lat = Lattice.from_generators(d, gens)
+    direct = Lattice(d, [[F(int(i == j)) for j in range(d)] for i in range(d)] + gens)
+    assert lat.denominator == direct.denominator
+    assert lat.rows == direct.rows
+    assert lat.basis == direct.basis
+    assert lat.index_over_standard == direct.index_over_standard
+    assert lat == direct and hash(lat) == hash(direct)
 
 
 @PROPERTY
