@@ -21,9 +21,9 @@ Exit codes: 0 success, 1 parse/validation/runtime error, 2 oracle mismatch
 (mld --brute-force), 3 witness precondition violated, 4 threshold inequality
 violated (check).  The environment variable TORICMLD_GUARD, a positive
 integer, overrides the work guard of every mld computation a subcommand
-runs (``mld.GUARD``, default 10^7 units per computation: the sweep and the
-box scan count points, the width engine search-tree nodes); a run past it
-exits 1.
+runs and of the witness scan (``mld.GUARD``, default 10^7 units per
+computation: the sweep and the box scan count points, the width engine
+search-tree nodes, the witness scan multiples); a run past it exits 1.
 """
 
 from __future__ import annotations

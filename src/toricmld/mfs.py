@@ -10,12 +10,12 @@ omitting one fiber ray.
 
 ``validate`` re-checks every piece of that structure independently and
 reports per-check results instead of raising, so deliberately broken inputs
-can be diagnosed.  ``ToricMfs.report`` runs it once per fibration and keeps
-the result, so every gate reads the same report.  ``assemble_mfs`` is the
-one place that builds a fibration from its normal-form parameters; it checks
-their shapes but not the geometry, so ``validate`` can report every failed
-check.  ``make_mfs`` is the safe constructor that gates the assembly.
-``example_family`` builds the weighted-quotient family (parameters in
+can be diagnosed.  ``ToricMfs.report`` runs the checks once per fibration and
+keeps the result, and ``validate`` returns it, so every gate and caller reads
+the same report.  ``assemble_mfs`` is the one place that builds a fibration
+from its normal-form parameters; it checks their shapes but not the geometry,
+so ``validate`` can report every failed check.  ``make_mfs`` is the safe
+constructor that gates the assembly.  ``example_family`` builds the weighted-quotient family (parameters in
 ``family_spec``) whose base discrepancy shrinks like the fourth power of the
 total-space discrepancy.
 """
@@ -77,8 +77,8 @@ class ToricMfs:
 
     @cached_property
     def report(self) -> ValidationReport:
-        """``validate(self)``, computed on first use and kept."""
-        return validate(self)
+        """The normal-form checks of ``validate``, run on first use and kept."""
+        return _run_checks(self)
 
     @cached_property
     def fiber(self) -> FiberData:
@@ -137,7 +137,13 @@ def _kernel_ray_indices(mfs: ToricMfs) -> list[int]:
 
 
 def validate(mfs: ToricMfs) -> ValidationReport:
-    """Run every normal-form check independently; failures become report rows."""
+    """Every normal-form check, each run independently, failures as report
+    rows: ``mfs.report``, so the checks run once per fibration."""
+    return mfs.report
+
+
+def _run_checks(mfs: ToricMfs) -> ValidationReport:
+    """The checks behind ``ToricMfs.report``."""
     checks: list[CheckResult] = []
     m, n = mfs.m, mfs.n
     x_rays = mfs.x.fan.rays
@@ -313,11 +319,14 @@ def assemble_mfs(
     )
     if rays is None:
         rays = [x_lattice.primitivize(v) for v in _normal_form_rays(m, n, fiber_rays)]
+        make_x = ToricVariety._on_lattice_points
+    else:
+        make_x = ToricVariety  # given rays must be checked to be lattice points
     if max_cones is None:
         max_cones = [[i for i in range(len(rays)) if i != j] for j in range(m + 1)]
-    x_var = ToricVariety(x_lattice, Fan.build(rays, max_cones))
+    x_var = make_x(x_lattice, Fan.build(rays, max_cones))
     y_rays = [y_lattice.primitivize(u) for u in units]
-    y_var = ToricVariety(y_lattice, Fan.build(y_rays, [list(range(n))]))
+    y_var = ToricVariety._on_lattice_points(y_lattice, Fan.build(y_rays, [list(range(n))]))
     return ToricMfs(x=x_var, y=y_var)
 
 

@@ -78,8 +78,9 @@ from .toric import (
 )
 
 DEFAULT_GUARD = 10**7
-# the work guard of ``mld`` and ``mld_bruteforce`` when they get no ``guard=``:
-# the sweep and the box scan count points, the width engine search-tree nodes
+# the work guard of ``mld`` and ``mld_bruteforce`` when they get no ``guard=``,
+# and of ``witness.find_witness``: the sweep and the box scan count points, the
+# width engine search-tree nodes, the witness scan multiples
 GUARD: ContextVar[int] = ContextVar("toricmld_guard", default=DEFAULT_GUARD)
 _CHUNK_MIN, _CHUNK_MAX = 64, 8192  # innermost stream chunk sizes, doubling
 _CROSSOVER = 2**14  # cones with a larger quotient denominator take the width engine
@@ -456,7 +457,7 @@ def cyclic_quotient(r: int, weights: Sequence[int]) -> ToricVariety:
     lat = Lattice.from_generators(n, [tuple(Fraction(a, r) for a in weights)])
     rays = [lat.primitivize([int(i == j) for j in range(n)]) for i in range(n)]
     fan = Fan.build(rays, [list(range(n))])
-    return ToricVariety(lat, fan)
+    return ToricVariety._on_lattice_points(lat, fan)
 
 
 def mld_cyclic(r: int, weights: Sequence[int]) -> Fraction:

@@ -120,6 +120,15 @@ class ToricVariety:
         self.lattice = lattice
         self.fan = fan
 
+    @classmethod
+    def _on_lattice_points(cls, lattice: Lattice, fan: Fan) -> "ToricVariety":
+        """The variety on rays the caller has just made lattice points of
+        ``lattice`` (``Lattice.primitivize``), so nothing is re-checked."""
+        var = cls.__new__(cls)
+        var.lattice = lattice
+        var.fan = fan
+        return var
+
     @property
     def dim(self) -> int:
         return self.lattice.dim

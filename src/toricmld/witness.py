@@ -9,7 +9,14 @@ of them within delta^(1/(m+1)) of each other in every coordinate on the
 torus, because (T+1) * delta^(m/(m+1)) >= 1.  Since k -> k*b mod Z^m is
 additive, the first such pair is always (0, k*) with k* the smallest k >= 1
 whose multiple k*b is that close to the origin, so the search is a scan over
-k.  The multiple k*P, with the fiber part re-centered to the nearest-integer
+k.  Over a common denominator d of b, k qualifies iff every residue
+x = k*b_l*d mod d has min(x, d - x) <= g for one integer root g of the
+threshold, that is (x + g) mod d <= 2g.  The scan streams one coordinate's
+residues as an arithmetic progression mod d, lazily and at C level, and tests
+the other coordinates only at its survivors.  It examines at most
+``mld.GUARD`` multiples and raises TooLargeError past that.
+
+The multiple k*P, with the fiber part re-centered to the nearest-integer
 representative, is a nonzero lattice point Q with nonnegative base part; its
 log discrepancy is at most (C+1) * delta^(1/(m+1)) where C is the largest
 coefficient 1-norm among the linear pieces of the fiber's discrepancy
@@ -25,12 +32,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from itertools import compress, repeat
+from operator import le, mod
+from typing import Optional, Sequence
 
 from .exactmath import hnf, iroot_floor
 from .lattice import NotInLatticeError, Vector, ZeroVectorError, _frac
 from .mfs import FiberData, ToricMfs, generic_fiber
-from .mld import MldResult, mld
+from .mld import GUARD, MldResult, TooLargeError, mld
 from .toric import find_containing_cone, log_discrepancy
 
 
@@ -133,83 +142,24 @@ def lift_to_X(mfs: ToricMfs, a: Sequence) -> Vector:
     return lifted
 
 
-def _pair_search(
-    points: Sequence[Vector],
-    qualifies: Callable[[int, int], bool],
-    g: int,
-) -> Optional[tuple[int, int]]:
-    """First pair (smallest j, then smallest i < j) satisfying ``qualifies``.
+def _first_multiple(step: Sequence[int], d: int, g: int, last: int) -> Optional[int]:
+    """Smallest k in 1..last with min(x, d - x) <= g for every x = k * s mod d,
+    s in ``step``, or None.
 
-    Serves ``dirichlet_pair``, whose points are arbitrary and carry no group
-    structure (``find_witness`` scans multiples directly instead).  Buckets
-    the torus into g cells per axis; any pair within the threshold 1/(g-1)
-    differs by at most 2 cells per axis, so scanning the 5^m neighborhood of
-    each point sees every qualifying pair.
+    For 0 <= x < d that test is (x + g) mod d <= 2g, also when 2g + 1 >= d,
+    where it always holds.  A zero step always passes.  The first nonzero
+    step's residues are streamed lazily, so the scan stops at k*; only its
+    survivors (about a 2g/d share) test the other steps.
     """
-    if not points:
-        return None
-    m = len(points[0])
-    offsets = [()]
-    for _ in range(m):
-        offsets = [o + (s,) for o in offsets for s in (-2, -1, 0, 1, 2)]
-    keys = [tuple(int(math.floor(c * g)) % g for c in p) for p in points]
-    cells: dict[tuple[int, ...], list[int]] = {}
-    for idx, key in enumerate(keys):
-        cells.setdefault(key, []).append(idx)
-    for j in range(1, len(points)):
-        seen: set[int] = set()
-        for off in offsets:
-            cell = tuple((keys[j][l] + off[l]) % g for l in range(m))
-            for i in cells.get(cell, ()):
-                if i < j:
-                    seen.add(i)
-        for i in sorted(seen):
-            if qualifies(i, j):
-                return (i, j)
+    step = [s for s in step if s]
+    if not step:
+        return 1 if last >= 1 else None
+    s0, rest, band = step[0], step[1:], 2 * g
+    first = map(mod, range(s0 + g, s0 * (last + 1) + g, s0), repeat(d))
+    for k in compress(range(1, last + 1), map(le, first, repeat(band))):
+        if all((k * s + g) % d <= band for s in rest):
+            return k
     return None
-
-
-def _min_grid(threshold_power: Fraction, exponent: int) -> int:
-    """Smallest g >= 1 with g**exponent >= threshold_power."""
-    seed = iroot_floor(
-        threshold_power.numerator // threshold_power.denominator, exponent
-    )
-    g = max(seed, 1)
-    while g**exponent < threshold_power:
-        g += 1
-    return g
-
-
-def dirichlet_pair(points: Sequence[Sequence], t: Fraction) -> tuple[int, int]:
-    """Indices i < j with every coordinate of points[i] - points[j] within
-    t^(-1/m) on the torus R^m / Z^m.
-
-    Comparisons stay exact: gap <= t^(-1/m) iff gap^m * t <= 1.  A pair is
-    guaranteed whenever len(points) > t.  Deterministic result: smallest j,
-    then smallest i.
-    """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("pigeonhole parameter must be positive")
-    if not points:
-        raise NoPairFoundError("no points supplied")
-    pts = [tuple(_frac(Fraction(c)) for c in p) for p in points]
-    m = len(pts[0])
-    if any(len(p) != m for p in pts):
-        raise ValueError("points have mixed dimensions")
-
-    def qualifies(i: int, j: int) -> bool:
-        gaps = [_frac(a - b) for a, b in zip(pts[i], pts[j])]
-        worst = max(min(f, 1 - f) for f in gaps)
-        return worst**m * t <= 1
-
-    g = _min_grid(t, m)
-    found = _pair_search(pts, qualifies, g)
-    if found is None:
-        raise NoPairFoundError(
-            f"no pair within t^(-1/m) among {len(pts)} points (need more than t={t})"
-        )
-    return found
 
 
 def effective_delta(fiber: FiberData) -> EffectiveDelta:
@@ -230,10 +180,12 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
     raises PreconditionFailedError.  The pair is (0, k*) for the smallest
     k* <= T whose multiple of the lifted fiber part lies within
     delta^(1/(m+1)) of the origin on the torus, found by an exact integer
-    scan over k; NoPairFoundError is raised if no k <= T qualifies.  The
-    report is self-verifying: Q is a nonzero lattice point of the total
-    space, its base image is componentwise nonnegative, and ld_q is
-    recomputed from scratch.
+    scan over k; NoPairFoundError is raised if no k <= T qualifies.  The scan
+    examines at most ``GUARD`` multiples: when T exceeds the guard and no k
+    up to it qualifies, TooLargeError is raised instead.  The report is
+    self-verifying: Q is a nonzero lattice point of the total space, its
+    base image is componentwise nonnegative, and ld_q is recomputed from
+    scratch.
     """
     base = mld(mfs.y)
     if delta is None:
@@ -258,18 +210,16 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
     # The gap between multiples i < j is the distance of (j-i)*b from the
     # origin on the torus, so a pair (i, j) qualifies iff (0, j-i) does, and
     # the first qualifying pair (smallest j, then smallest i) is (0, k*) for
-    # the first qualifying k*.  Scan k exactly over a common denominator D:
-    # with cur = k*B mod D, k qualifies iff every min(x, D-x)/D is at most
-    # delta^(1/(m+1)), i.e. min(x, D-x)^(m+1) * den <= num * D^(m+1).
+    # the first qualifying k*.  Over a common denominator d, with x = k*b_l*d
+    # mod d, k qualifies iff every min(x, d-x)^(m+1) * den <= num * d^(m+1),
+    # that is min(x, d-x) <= g for the integer root g below.
     d = math.lcm(*(c.denominator for c in b))
-    step = [int(c * d) for c in b]
-    limit = num * d ** (m + 1)
-    cur = [0] * m
-    for k in range(1, t_count + 1):
-        cur = [(x + s) % d for x, s in zip(cur, step)]
-        if max(min(x, d - x) for x in cur) ** (m + 1) * den <= limit:
-            break
-    else:
+    g = iroot_floor(num * d ** (m + 1) // den, m + 1)
+    guard = GUARD.get()
+    k = _first_multiple([int(c * d) for c in b], d, g, min(t_count, guard))
+    if k is None:
+        if t_count > guard:
+            raise TooLargeError(f"witness scan exceeded guard of {guard} multiples")
         raise NoPairFoundError("box principle failed; threshold inconsistent")
     pair = (0, k)
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -20,6 +21,10 @@ from toricmld.cli import (
 )
 
 F = Fraction
+# 1/r(w, 1, 1) with m = 3 and r = 100,519,501, drawn as the benchmark's
+# witness_deep cases are: T = 596,918 and k* = 51,719
+DEEP = str(Path(__file__).parent / "golden" / "witness_deep_m3.json")
+DEEP_STDOUT_SHA256 = "0476336768538909001b7c94bf5f0f3f161671cb9092c5071e29bd110cd2f80c"
 
 
 def write(tmp_path, name, doc):
@@ -173,6 +178,20 @@ def test_guard_env_reaches_every_mld_computation(tmp_path, capsys, monkeypatch, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: mld sweep exceeded guard of 3 points\n"
+
+
+def test_witness_guard_env_bounds_the_scan(capsys, monkeypatch):
+    # mld(Y) takes far fewer units than k*, so only the scan can exceed these
+    monkeypatch.setenv("TORICMLD_GUARD", "51718")
+    assert main(["witness", DEEP]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: witness scan exceeded guard of 51718 multiples\n"
+    monkeypatch.setenv("TORICMLD_GUARD", "51719")
+    assert main(["witness", DEEP]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "pair = (i=0, j=51719)\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_STDOUT_SHA256
 
 
 def test_guard_env_is_reset_after_each_command(tmp_path, capsys, monkeypatch):

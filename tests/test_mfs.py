@@ -116,16 +116,18 @@ def test_generic_fiber_of_invalid_mfs():
 
 def test_fibration_is_validated_once(monkeypatch):
     calls = []
+    run_checks = mfs_module._run_checks
 
-    def counting_validate(mfs):
+    def counting_checks(mfs):
         calls.append(mfs)
-        return validate(mfs)
+        return run_checks(mfs)
 
-    monkeypatch.setattr(mfs_module, "validate", counting_validate)
+    monkeypatch.setattr(mfs_module, "_run_checks", counting_checks)
     fam = make_mfs(**mfs_module.family_spec(3))
     check_eps_delta(fam)
     find_witness(fam)
     generic_fiber(fam)
+    assert validate(fam) is validate(fam) is fam.report
     assert len(calls) == 1
 
 

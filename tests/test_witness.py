@@ -2,15 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_standard_simplex_mfs, standard_fiber_rays
+from oracles import dirichlet_pair, first_multiple_loop, scan_oracle_pair
 from toricmld import (
+    GUARD,
     NoPairFoundError,
     NotInBaseLatticeError,
     PreconditionFailedError,
+    TooLargeError,
     ZeroVectorError,
     check_eps_delta,
-    dirichlet_pair,
     effective_delta,
     example_family,
     find_witness,
@@ -20,8 +24,11 @@ from toricmld import (
     make_mfs,
     mld,
 )
+from toricmld.exactmath import iroot_floor
+from toricmld.witness import _first_multiple
 
 F = Fraction
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def all_pairs_oracle(points, t):
@@ -210,18 +217,6 @@ def test_find_witness_precondition():
         find_witness(mfs, F(1, 1000000))
 
 
-def scan_oracle_pair(mfs, delta):
-    """The pair that the grid search of ``dirichlet_pair`` picks among the
-    explicit multiples k*b mod Z^m, k = 0..T.  A zero coordinate pads the
-    points to dimension m+1 so its test gap^(m+1) * (1/delta) <= 1 is the
-    witness threshold."""
-    m = mfs.m
-    b = lift_to_X(mfs, mld(mfs.y).witness)[:m]
-    t = int(find_witness(mfs, delta).t)
-    points = [tuple((k * c) % 1 for c in b) + (F(0),) for k in range(t + 1)]
-    return dirichlet_pair(points, 1 / F(delta))
-
-
 def test_find_witness_pair_matches_grid_search_oracle():
     rng = random.Random(76)
     instances = [example_family(l) for l in range(2, 9)]
@@ -275,3 +270,82 @@ def test_check_eps_delta_trivial_product():
     assert cert.holds
     assert cert.mld_x.value == 1
     assert cert.mld_y.value == 1
+
+
+def streamed(step, d, num, den, last):
+    m = len(step)
+    return _first_multiple(step, d, iroot_floor(num * d ** (m + 1) // den, m + 1), last)
+
+
+@st.composite
+def scans(draw):
+    """(step, d, num, den, last): m steps mod d, a threshold num/den <= 1 of
+    any of several scales and a scan length, with zero steps, d = 1 and
+    thresholds that every multiple meets all likely."""
+    d = draw(st.one_of(st.just(1), st.integers(2, 50), st.integers(51, 10**6), st.integers(10**4, 10**6)))
+    m = draw(st.integers(1, 4))
+    step = draw(st.lists(st.integers(0, d - 1), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        step[draw(st.integers(0, m - 1))] = 0
+    num = draw(st.integers(1, 20))
+    scale = draw(st.sampled_from([1, 10**2, 10**4, 10**6, 10**9]))
+    den = num * scale + draw(st.integers(0, scale))
+    return step, d, num, den, draw(st.integers(0, 3000))
+
+
+@PROPERTY
+@given(scans())
+def test_streamed_scan_matches_the_per_multiple_loop(case):
+    assert streamed(*case) == first_multiple_loop(*case)
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        (((0, 0), 7, 1, 10**6, 5), 1),  # zero steps always pass
+        (((0, 3), 7, 1, 10**6, 20), 7),  # only the nonzero step decides
+        (((0,), 1, 1, 10**6, 3), 1),  # d = 1
+        (((3, 5), 8, 1, 2, 9), 1),  # 2g + 1 >= d: every multiple passes
+        (((3, 5), 8, 1, 10**6, 0), None),  # nothing scanned
+        (((1, 3), 1000, 1, 1000, 5), 1),  # hit at k = 1: g = 100
+        (((1, 3), 10, 1, 10**6, 10), 10),  # g = 0, first hit at k = T
+        (((1, 3), 10, 1, 10**6, 9), None),  # no hit within T
+        (((2, 3), 7, 1, 7**3, 6), None),  # g = 0: only k = 0 mod 7
+    ],
+)
+def test_streamed_scan_edges(case, expected):
+    assert streamed(*case) == first_multiple_loop(*case) == expected
+
+
+def deep_m3():
+    """1/r(w, 1, 1) with m = 3 and r near 10^8, drawn as the benchmark's
+    witness_deep cases are, at the median of k*/T."""
+    r = 100519501
+    gen = (F(70155119, r), F(5665522, r), F(95147481, r), F(1, r), F(1, r))
+    return r, make_mfs(3, 2, standard_fiber_rays(3), (1, 1), [gen])
+
+
+def test_find_witness_deep_instance_is_pinned():
+    r, mfs = deep_m3()
+    report = find_witness(mfs)
+    assert report.delta == F(2, r)
+    assert report.t == 596918
+    assert report.pair == (0, 51719)
+    assert report.q == (F(691465, r), F(786903, r), F(398384, r), F(51719, r), F(51719, r))
+    assert report.ld_q == F(1980190, r)
+    check_witness_report(mfs, report)
+
+
+def test_find_witness_scan_is_guarded():
+    _, mfs = deep_m3()
+    token = GUARD.set(51718)
+    try:
+        with pytest.raises(TooLargeError, match="^witness scan exceeded guard of 51718 multiples$"):
+            find_witness(mfs)
+    finally:
+        GUARD.reset(token)
+    token = GUARD.set(51719)
+    try:
+        assert find_witness(mfs).pair == (0, 51719)
+    finally:
+        GUARD.reset(token)
