@@ -361,23 +361,6 @@ def inverse(a) -> list[list[Fraction]]:
     return [[Fraction(x, q) for x in row] for row in k]
 
 
-def integer_row_kernel(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of the left integer kernel {x in Z^rows : x @ m = 0}.
-
-    The returned rows extend to a basis of Z^rows (they come from a
-    unimodular transform), so the kernel is returned saturated.
-    """
-    s, u, _ = snf(m)
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    kernel = []
-    for i in range(rows):
-        diag = s[i][i] if i < min(rows, cols) else 0
-        if diag == 0:
-            kernel.append(list(u[i]))
-    return kernel
-
-
 def lll(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """LLL-reduced basis (delta = 3/4) of the lattice of independent integer
     rows: Cohen's integral LLL (A Course in Computational Algebraic Number

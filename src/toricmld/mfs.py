@@ -11,13 +11,15 @@ omitting one fiber ray.
 ``validate`` re-checks every piece of that structure independently and
 reports per-check results instead of raising, so deliberately broken inputs
 can be diagnosed.  ``ToricMfs.report`` runs the checks once per fibration and
-keeps the result, and ``validate`` returns it, so every gate and caller reads
-the same report.  ``assemble_mfs`` is the one place that builds a fibration
-from its normal-form parameters; it checks their shapes but not the geometry,
-so ``validate`` can report every failed check.  ``make_mfs`` is the safe
-constructor that gates the assembly.  ``example_family`` builds the weighted-quotient family (parameters in
-``family_spec``) whose base discrepancy shrinks like the fourth power of the
-total-space discrepancy.
+keeps the result; ``validate`` returns it.  One Hermite form of X's lattice,
+base coordinates first, serves the surjectivity check and the kernel lattice
+of ``ToricMfs.fiber``, whose simplex fan reuses the cone inverses of X.
+``assemble_mfs`` is the one place that builds a fibration from its
+normal-form parameters; it checks their shapes but not the geometry, so
+``validate`` can report every failed check.  ``make_mfs`` is the safe
+constructor that gates the assembly.  ``example_family`` builds the
+weighted-quotient family (parameters in ``family_spec``) whose base
+discrepancy shrinks like the fourth power of the total-space discrepancy.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from itertools import combinations
 from operator import add
 from typing import Iterable, Optional, Sequence
 
-from .exactmath import integer_row_kernel, invariant_factors
+from .exactmath import hnf_mod, invariant_factors
 from .lattice import Lattice, Vector
 from .mld import mld
-from .toric import Fan, ToricVariety, origin_barycentrics
+from .toric import Fan, SimplicialCone, ToricVariety, origin_barycentrics
 
 
 class InvalidMfsError(ValueError):
@@ -81,21 +83,50 @@ class ToricMfs:
         return _run_checks(self)
 
     @cached_property
+    def _base_first_rows(self) -> list[list[int]]:
+        """Hermite rows, modulo D, of D N with the base coordinates first: the
+        base blocks of the top n rows span D F(N), and the last m rows, zero
+        on the base by triangularity, span D (N cap ker F) by their fiber blocks."""
+        m, lat = self.m, self.x.lattice
+        return hnf_mod([row[m:] + row[:m] for row in lat.rows], lat.denominator)
+
+    @cached_property
     def fiber(self) -> FiberData:
         """The fiber over the dense base point (kernel lattice, simplex fan,
-        the origin's barycentrics), computed on first use and kept."""
+        the origin's barycentrics), read off X on first use and kept: the
+        lattice from ``_base_first_rows``, and each fiber cone's inverse from
+        the (K, q) of X's cone omitting the same fiber ray, whose generator
+        matrix is block triangular, so its fiber block is that inverse."""
         if not self.report.overall:
             failed = [c.name for c in self.report.checks if not c.passed]
             raise InvalidMfsError(f"normal-form validation failed: {failed}")
-        m = self.m
-        # kernel of the projection restricted to the lattice, as a sublattice of Q^m
-        kernel_rows = integer_row_kernel([row[m:] for row in self.x.lattice.rows])
-        ambient = [self.x.lattice.to_ambient(row) for row in kernel_rows]
-        z_lattice = Lattice.from_generators(m, [v[:m] for v in ambient])
-        verts = [tuple(self.x.fan.rays[i][:m]) for i in _kernel_ray_indices(self)]
-        fan = Fan.build(verts, [list(c) for c in combinations(range(m + 1), m)])
-        ys = origin_barycentrics(verts)
-        return FiberData(z=ToricVariety(z_lattice, fan), simplex_vertices=tuple(verts), origin_barycentrics=ys)
+        m, n, denom = self.m, self.n, self.x.lattice.denominator
+        z_lattice = Lattice.from_generators(
+            m, [[Fraction(x, denom) for x in row[n:]] for row in self._base_first_rows[n:]]
+        )
+        kernel = _kernel_ray_indices(self)
+        verts = tuple(self.x.fan.rays[i][:m] for i in kernel)
+        # Fan.build's checks hold already: the kernel rays are distinct rays of
+        # X, fiber_simplex makes every m of them independent, and cone_shape
+        # makes each cone of X the full set omitting one fiber ray.
+        cones = []
+        for j, idx in zip(range(m, -1, -1), combinations(range(m + 1), m)):
+            cone = next(c for c in self.x.fan.max_cones if kernel[j] not in c.ray_indices)
+            k, q = cone.inverse
+            cols = [cone.ray_indices.index(kernel[t]) for t in idx]  # any ray order
+            block = [[k[i][s] for s in cols] for i in range(m)]
+            g = math.gcd(q, *(x for row in block for x in row))
+            inv = (tuple(tuple(x // g for x in row) for row in block), q // g)
+            cones.append(SimplicialCone(idx, tuple(verts[t] for t in idx), inv))
+        # the first cone omits vertex m = w / e, whose coordinates there are
+        # w K / (e q), and 0 = V_m - sum_t x_t V_t gives the barycentrics
+        (k, q), e = cones[0].inverse, math.lcm(*(c.denominator for c in verts[m]))
+        w = [c.numerator * (e // c.denominator) for c in verts[m]]
+        nums = [sum(w[i] * k[i][t] for i in range(m)) for t in range(m)]
+        total = e * q - sum(nums)
+        ys = tuple(Fraction(-x, total) for x in nums) + (Fraction(e * q, total),)
+        z = ToricVariety._on_lattice_points(z_lattice, Fan(verts, tuple(cones), m))
+        return FiberData(z=z, simplex_vertices=verts, origin_barycentrics=ys)
 
     def project(self, v: Sequence) -> Vector:
         """Apply F: drop the first m (fiber) coordinates."""
@@ -216,16 +247,17 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
         return True, f"{len(actual)} maximal cones of the product shape"
 
     def lattice_surjectivity():
-        rows = []
+        denom = mfs.x.lattice.denominator  # F(N): the top n rows' base blocks / D
+        image = [[Fraction(x, denom) for x in row[:n]] for row in mfs._base_first_rows[:n]]
+        if m >= 0 and Lattice.from_generators(n, image) == mfs.y.lattice:
+            return True, "projection maps the total lattice onto the base lattice"
+        rows = []  # the failure's detail: where the image leaves, or its cokernel
         for b in mfs.x.lattice.basis:
             c = mfs.y.lattice.coords(mfs.project(b))
             if any(x.denominator != 1 for x in c):
                 return False, "image of the total lattice is not inside the base lattice"
             rows.append([int(x) for x in c])
-        factors = invariant_factors(rows)
-        if len(factors) != n or any(f != 1 for f in factors):
-            return False, f"cokernel invariant factors {factors}"
-        return True, "projection maps the total lattice onto the base lattice"
+        return False, f"cokernel invariant factors {invariant_factors(rows)}"
 
     def picard_rank():
         rank = len(x_rays) - len(mfs.y.fan.rays) - m
@@ -253,19 +285,6 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
 def generic_fiber(mfs: ToricMfs) -> FiberData:
     """``mfs.fiber``: the fiber over the dense base point, built once."""
     return mfs.fiber
-
-
-def generic_fiber_group(mfs: ToricMfs) -> tuple[int, ...]:
-    """Invariant factors of the fiber lattice modulo the standard fiber
-    lattice Z^m (the finite group acting on the fixed model fiber)."""
-    fiber = generic_fiber(mfs)
-    m = mfs.m
-    rows = []
-    for i in range(m):
-        e = tuple(Fraction(int(i == j)) for j in range(m))
-        c = fiber.z.lattice.coords(e)
-        rows.append([int(x) for x in c])
-    return tuple(invariant_factors(rows))
 
 
 def _check_parameters(m, n, fiber_rays, base_multiples, extra_generators) -> list[Vector]:

@@ -5,6 +5,13 @@ that ``find_witness`` used before it scanned multiples directly;
 ``scan_oracle_pair`` runs it on the explicit multiples k*b mod Z^m.
 ``first_multiple_loop`` is the per-k integer loop that ``find_witness`` ran
 before its scan was streamed.
+
+``fiber_oracle`` builds the generic fiber the way ``ToricMfs.fiber`` did
+before it read the fiber off the total space's Hermite form and cone
+inverses: the kernel lattice from a Smith-form kernel (``integer_row_kernel``),
+the simplex fan from ``Fan.build``, and the origin's barycentrics from an
+exact solve.  ``generic_fiber_group`` is the invariant-factor group of the
+kernel lattice over Z^m, which the library never needed.
 """
 
 from __future__ import annotations
@@ -13,9 +20,13 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from toricmld import NoPairFoundError, find_witness, lift_to_X, mld
-from toricmld.exactmath import iroot_floor
+from itertools import combinations
+
+from toricmld import Fan, Lattice, NoPairFoundError, ToricVariety, find_witness, lift_to_X, mld
+from toricmld.exactmath import invariant_factors, iroot_floor, snf
 from toricmld.lattice import Vector, _frac
+from toricmld.mfs import FiberData, InvalidMfsError, ToricMfs, _kernel_ray_indices
+from toricmld.toric import origin_barycentrics
 
 
 def _pair_search(
@@ -119,3 +130,48 @@ def first_multiple_loop(step: Sequence[int], d: int, num: int, den: int, last: i
         if max(min(x, d - x) for x in cur) ** (m + 1) * den <= limit:
             return k
     return None
+
+
+def integer_row_kernel(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Basis of the left integer kernel {x in Z^rows : x @ m = 0}.
+
+    The returned rows extend to a basis of Z^rows (they come from a
+    unimodular transform), so the kernel is returned saturated.
+    """
+    s, u, _ = snf(m)
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    kernel = []
+    for i in range(rows):
+        diag = s[i][i] if i < min(rows, cols) else 0
+        if diag == 0:
+            kernel.append(list(u[i]))
+    return kernel
+
+
+def fiber_oracle(mfs: ToricMfs) -> FiberData:
+    """The generic fiber built from scratch: Smith-form kernel, ``Fan.build``
+    and an exact solve for the barycentrics."""
+    if not mfs.report.overall:
+        failed = [c.name for c in mfs.report.checks if not c.passed]
+        raise InvalidMfsError(f"normal-form validation failed: {failed}")
+    m = mfs.m
+    # kernel of the projection restricted to the lattice, as a sublattice of Q^m
+    kernel_rows = integer_row_kernel([row[m:] for row in mfs.x.lattice.rows])
+    ambient = [mfs.x.lattice.to_ambient(row) for row in kernel_rows]
+    z_lattice = Lattice.from_generators(m, [v[:m] for v in ambient])
+    verts = [tuple(mfs.x.fan.rays[i][:m]) for i in _kernel_ray_indices(mfs)]
+    fan = Fan.build(verts, [list(c) for c in combinations(range(m + 1), m)])
+    ys = origin_barycentrics(verts)
+    return FiberData(z=ToricVariety(z_lattice, fan), simplex_vertices=tuple(verts), origin_barycentrics=ys)
+
+
+def generic_fiber_group(mfs: ToricMfs) -> tuple[int, ...]:
+    """Invariant factors of the fiber lattice modulo the standard fiber
+    lattice Z^m (the finite group acting on the fixed model fiber)."""
+    z = mfs.fiber.z.lattice
+    rows = []
+    for i in range(mfs.m):
+        e = tuple(Fraction(int(i == j)) for j in range(mfs.m))
+        rows.append([int(x) for x in z.coords(e)])
+    return tuple(invariant_factors(rows))

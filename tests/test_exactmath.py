@@ -9,7 +9,6 @@ from toricmld.exactmath import (
     det_bareiss,
     hnf,
     identity,
-    integer_row_kernel,
     invariant_factors,
     inverse,
     iroot_floor,
@@ -233,18 +232,6 @@ def test_rank():
     assert rank([[1, 0], [0, 1]]) == 2
     assert rank([[0, 0], [0, 0]]) == 0
     assert rank([[1, 2, 3], [4, 5, 6]]) == 2
-
-
-def test_integer_row_kernel():
-    rng = random.Random(19)
-    for _ in range(60):
-        r = rng.randint(1, 4)
-        c = rng.randint(1, 4)
-        m = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
-        ker = integer_row_kernel(m)
-        for row in ker:
-            assert all(sum(row[i] * m[i][j] for i in range(r)) == 0 for j in range(c))
-        assert len(ker) == r - rank(m)
 
 
 def test_fraction_field_identities():

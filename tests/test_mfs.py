@@ -1,5 +1,4 @@
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,6 @@ from toricmld import (
     example_family,
     find_witness,
     generic_fiber,
-    generic_fiber_group,
     loglog_slope,
     make_mfs,
     mld,
@@ -129,15 +127,6 @@ def test_fibration_is_validated_once(monkeypatch):
     generic_fiber(fam)
     assert validate(fam) is validate(fam) is fam.report
     assert len(calls) == 1
-
-
-def test_generic_fiber_group():
-    assert generic_fiber_group(trivial_product(m=2, n=2)) == (1, 1)
-    assert generic_fiber_group(example_family(2)) == (1, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        third = make_mfs(1, 1, [(1,), (-1,)], (1,), [(F(1, 3), 0)])
-    assert generic_fiber_group(third) == (3,)
 
 
 def test_make_mfs_matches_family():
