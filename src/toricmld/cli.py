@@ -22,8 +22,9 @@ Exit codes: 0 success, 1 parse/validation/runtime error, 2 oracle mismatch
 violated (check).  The environment variable TORICMLD_GUARD, a positive
 integer, overrides the work guard of every mld computation a subcommand
 runs and of the witness scan (``mld.GUARD``, default 10^7 units per
-computation: the sweep and the box scan count points, the width engine
-search-tree nodes, the witness scan multiples); a run past it exits 1.
+computation: the sweep counts points, the box scan nodes and box points
+over its rounds, the width engine search-tree nodes, the witness scan
+multiples); a run past it exits 1.
 """
 
 from __future__ import annotations

@@ -54,8 +54,16 @@ and witness.  Each search-tree node (a round's root, a fixed coordinate, a
 line) costs one guard unit.  LLL set-up costs about as much as a small
 sweep, so cones with D <= 2^14 keep the sweep.
 
-``mld_bruteforce`` re-derives the same minimum by walking an ambient integer
-box directly and exists purely to cross-check ``mld``.
+``mld_bruteforce`` re-derives the same minimum in ambient coordinates and
+exists purely to cross-check ``mld``.  It walks, per cone, the integer box of
+the scaled cone body {sum l_i g_i : 0 <= l <= cap} in rounds with a value
+bound s: a round walks only that box cut down to the box of the simplex
+s conv(0, g_1 .. g_d) and accepts only points of value <= s.  Every point of
+value <= s lies in that simplex, so the first round that finds a point holds
+the cone's minimum and its lex-least witness, exactly as one walk of the
+whole box would.  s starts at 2^-floor(bitlen(D q) / d) from the cone's
+data and doubles up to 1 (every generator has value 1, so the minimum is at
+most 1) or, below cap 1, up to d cap, the largest value in the box.
 """
 
 from __future__ import annotations
@@ -79,8 +87,9 @@ from .toric import (
 
 DEFAULT_GUARD = 10**7
 # the work guard of ``mld`` and ``mld_bruteforce`` when they get no ``guard=``,
-# and of ``witness.find_witness``: the sweep and the box scan count points, the
-# width engine search-tree nodes, the witness scan multiples
+# and of ``witness.find_witness``: the sweep counts points, the box scan nodes
+# and box points over all its rounds, the width engine search-tree nodes, the
+# witness scan multiples
 GUARD: ContextVar[int] = ContextVar("toricmld_guard", default=DEFAULT_GUARD)
 _CHUNK_MIN, _CHUNK_MAX = 64, 8192  # innermost stream chunk sizes, doubling
 _CROSSOVER = 2**14  # cones with a larger quotient denominator take the width engine
@@ -133,16 +142,17 @@ class _Best:
 class _Budget:
     """Units of work (points or tree nodes) the search may still spend."""
 
-    __slots__ = ("guard", "left")
+    __slots__ = ("guard", "left", "what")
 
-    def __init__(self, guard: int):
+    def __init__(self, guard: int, what: str = "mld sweep"):
         self.guard = guard
         self.left = guard
+        self.what = what
 
     def spend(self, n: int) -> None:
         self.left -= n
         if self.left < 0:  # "points" for tree nodes too: scripts match this text
-            raise TooLargeError(f"mld sweep exceeded guard of {self.guard} points")
+            raise TooLargeError(f"{self.what} exceeded guard of {self.guard} points")
 
 
 def _check_cones(x_var: ToricVariety) -> None:
@@ -356,40 +366,50 @@ def mld_bruteforce(
     cap: Fraction = Fraction(1),
     guard: Optional[int] = None,
 ) -> MldResult:
-    """Independent oracle: scan all lattice points with barycentric coordinates
-    in [0, cap] for every maximal cone.
+    """Independent oracle: scan the lattice points with barycentric coordinates
+    in [0, cap] for every maximal cone, in rounds of growing value.
 
-    Sweeps the ambient bounding box of each scaled cone body level by level,
-    one triangular lattice row per level, carrying the barycentric numerators
-    (point @ K) down the levels by adding each row's numerators.  On the
-    innermost row they are linear in the row index c, so c is clipped to
-    0 <= numerator <= cap D q in closed form, and the row's minimum is at an
-    end of that range: the origin is skipped, and on ties the smallest c (the
-    lex-smallest point) wins.  Every box point counts against ``guard``
-    (default ``GUARD``), a row at a time; past it TooLargeError is raised.
+    A round with value bound s walks the ambient box of the scaled cone body
+    {sum l_i g_i : 0 <= l <= cap} cut down to the box of the simplex
+    s conv(0, g_1 .. g_d), which holds every point of value <= s, level by
+    level, one triangular lattice row per level, carrying the barycentric
+    numerators (point @ K) down the levels by adding each row's numerators.
+    On the innermost row they are linear in the row index c, so c is clipped
+    in closed form to 0 <= numerator <= cap D q and to a value of at most s
+    (then at most the round's best so far), and the row's minimum is at an
+    end of that range: the origin is skipped, and on ties the smallest c
+    (the lex-smallest point) wins.  A round sees every point of value <= s,
+    so the first round that finds one holds the cone's minimum and its
+    lex-least witness.  s starts at 2^-floor(bitlen(D q) / d) and doubles
+    after each round that finds nothing, up to 1 (each generator has value
+    1) or, when cap < 1, up to d cap, the largest value in the cube.  Every
+    outer-level node and every box point counts against ``guard`` (default
+    ``GUARD``), summed over rounds; past it TooLargeError is raised.
     """
-    if guard is None:
-        guard = GUARD.get()
     cap = Fraction(cap)
     if cap <= 0:
         raise ValueError("cap must be positive")
     _check_cones(x_var)
+    budget = _Budget(GUARD.get() if guard is None else guard, "enumeration")
     d = x_var.dim
     last = d - 1
     # lattice points are (c @ h_rows) / denom for integer c
     denom, h_rows = x_var.lattice.denominator, x_var.lattice.rows
     cap_num, cap_den = cap.numerator, cap.denominator
+    s_max = Fraction(1) if cap >= 1 else d * cap
     best = _Best()
-    visited = 0
 
     for ci in range(len(x_var.fan.max_cones)):
         k, q = x_var._cone_inverse(ci)
         scale = denom * q  # barycentric numerators live over this
         top = cap_num * scale // cap_den  # and must lie in [0, top]
-        # the ambient box of the scaled cone body, and each row's numerators
+        # the ambient box of the scaled cone body, the simplex's extreme
+        # coordinates, and each row's numerators
         g = _scaled_generators(x_var, ci)
-        lo = [-(-cap_num * sum(min(row[j], 0) for row in g) // cap_den) for j in range(d)]
-        hi = [cap_num * sum(max(row[j], 0) for row in g) // cap_den for j in range(d)]
+        cube_lo = [-(-cap_num * sum(min(row[j], 0) for row in g) // cap_den) for j in range(d)]
+        cube_hi = [cap_num * sum(max(row[j], 0) for row in g) // cap_den for j in range(d)]
+        g_lo = [min(0, *col) for col in zip(*g)]
+        g_hi = [max(0, *col) for col in zip(*g)]
         row_nums = [[sum(h[a] * k[a][b] for a in range(d)) for b in range(d)] for h in h_rows]
         slope = sum(row_nums[last])
 
@@ -398,12 +418,13 @@ def mld_bruteforce(
 
         def scan(i: int, partial: list[int], nums: list[int]) -> None:
             # partial: the point so far, scaled by denom; nums: partial @ k
-            nonlocal visited, cone_best, cone_witness
+            nonlocal cone_best, cone_witness, limit
             step = h_rows[i][i]
             c_lo = -((partial[i] - lo[i]) // step)
             c_hi = (hi[i] - partial[i]) // step
             if c_lo > c_hi:
                 return
+            budget.spend(c_hi - c_lo + 1)
             if i < last:
                 h, n = h_rows[i], row_nums[i]
                 partial = [a + c_lo * x for a, x in zip(partial, h)]
@@ -413,31 +434,37 @@ def mld_bruteforce(
                     partial = list(map(add, partial, h))
                     nums = list(map(add, nums, n))
                 return
-            visited += c_hi - c_lo + 1
-            if visited > guard:
-                raise TooLargeError(f"enumeration exceeded guard of {guard} points")
-            for base, s in zip(nums, row_nums[last]):
-                if s > 0:  # 0 <= base + c s <= top
-                    c_lo = max(c_lo, -(base // s))
-                    c_hi = min(c_hi, (top - base) // s)
-                elif s < 0:
-                    c_lo = max(c_lo, -((top - base) // -s))
-                    c_hi = min(c_hi, base // -s)
-                elif not 0 <= base <= top:
+            # 0 <= base + c rise <= bound for each numerator and for their sum
+            for base, rise, bound in [*zip(nums, row_nums[last], repeat(top)), (sum(nums), slope, limit)]:
+                if rise > 0:
+                    c_lo = max(c_lo, -(base // rise))
+                    c_hi = min(c_hi, (bound - base) // rise)
+                elif rise < 0:
+                    c_lo = max(c_lo, -((bound - base) // -rise))
+                    c_hi = min(c_hi, base // -rise)
+                elif not 0 <= base <= bound:
                     return
             c = c_lo if slope >= 0 else c_hi
             total = sum(nums) + c * slope
             if total == 0:  # the origin; its neighbour inward is the next best
                 c += 1 if slope >= 0 else -1
                 total += abs(slope)
-            if not c_lo <= c <= c_hi or (cone_best is not None and total > cone_best):
+            if not c_lo <= c <= c_hi:
                 return
             point = partial[:last] + [partial[last] + c * step]
             if cone_best is None or total < cone_best or point < cone_witness:
-                cone_best = total
-                cone_witness = point
+                cone_best, cone_witness, limit = total, point, total
 
-        scan(0, [0] * d, [0] * d)
+        s = min(Fraction(1, 2 ** (scale.bit_length() // d)), s_max)
+        while True:
+            s_num, s_den = s.numerator, s.denominator
+            lo = [max(a, -(-s_num * b // s_den)) for a, b in zip(cube_lo, g_lo)]
+            hi = [min(a, s_num * b // s_den) for a, b in zip(cube_hi, g_hi)]
+            limit = s_num * scale // s_den  # the round's bound on the value numerator
+            scan(0, [0] * d, [0] * d)
+            if cone_best is not None or s == s_max:
+                break
+            s = min(2 * s, s_max)
         if cone_best is not None:
             best.offer(Fraction(cone_best, scale), tuple(Fraction(x, denom) for x in cone_witness))
     return _finalize(x_var, best, "bruteforce", ray_cap=cap >= 1)

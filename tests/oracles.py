@@ -12,12 +12,17 @@ inverses: the kernel lattice from a Smith-form kernel (``integer_row_kernel``),
 the simplex fan from ``Fan.build``, and the origin's barycentrics from an
 exact solve.  ``generic_fiber_group`` is the invariant-factor group of the
 kernel lattice over Z^m, which the library never needed.
+
+``box_scan_oracle`` is ``mld_bruteforce`` before it searched in rounds of
+growing value: one walk of each cone's whole ambient box, which is the
+oracle of the oracle.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Callable, Optional, Sequence
 
 from itertools import combinations
@@ -26,6 +31,7 @@ from toricmld import Fan, Lattice, NoPairFoundError, ToricVariety, find_witness,
 from toricmld.exactmath import invariant_factors, iroot_floor, snf
 from toricmld.lattice import Vector, _frac
 from toricmld.mfs import FiberData, InvalidMfsError, ToricMfs, _kernel_ray_indices
+from toricmld.mld import GUARD, MldResult, TooLargeError, _Best, _check_cones, _finalize, _scaled_generators
 from toricmld.toric import origin_barycentrics
 
 
@@ -175,3 +181,95 @@ def generic_fiber_group(mfs: ToricMfs) -> tuple[int, ...]:
         e = tuple(Fraction(int(i == j)) for j in range(mfs.m))
         rows.append([int(x) for x in z.coords(e)])
     return tuple(invariant_factors(rows))
+
+
+def box_scan_oracle(
+    x_var: ToricVariety,
+    cap: Fraction = Fraction(1),
+    guard: Optional[int] = None,
+) -> MldResult:
+    """``mld_bruteforce`` as it was before its rounds: scan all lattice points
+    with barycentric coordinates in [0, cap] for every maximal cone.
+
+    Sweeps the ambient bounding box of each scaled cone body level by level,
+    one triangular lattice row per level, carrying the barycentric numerators
+    (point @ K) down the levels by adding each row's numerators.  On the
+    innermost row they are linear in the row index c, so c is clipped to
+    0 <= numerator <= cap D q in closed form, and the row's minimum is at an
+    end of that range: the origin is skipped, and on ties the smallest c (the
+    lex-smallest point) wins.  Every box point counts against ``guard``
+    (default ``GUARD``), a row at a time; past it TooLargeError is raised.
+    """
+    if guard is None:
+        guard = GUARD.get()
+    cap = Fraction(cap)
+    if cap <= 0:
+        raise ValueError("cap must be positive")
+    _check_cones(x_var)
+    d = x_var.dim
+    last = d - 1
+    # lattice points are (c @ h_rows) / denom for integer c
+    denom, h_rows = x_var.lattice.denominator, x_var.lattice.rows
+    cap_num, cap_den = cap.numerator, cap.denominator
+    best = _Best()
+    visited = 0
+
+    for ci in range(len(x_var.fan.max_cones)):
+        k, q = x_var._cone_inverse(ci)
+        scale = denom * q  # barycentric numerators live over this
+        top = cap_num * scale // cap_den  # and must lie in [0, top]
+        # the ambient box of the scaled cone body, and each row's numerators
+        g = _scaled_generators(x_var, ci)
+        lo = [-(-cap_num * sum(min(row[j], 0) for row in g) // cap_den) for j in range(d)]
+        hi = [cap_num * sum(max(row[j], 0) for row in g) // cap_den for j in range(d)]
+        row_nums = [[sum(h[a] * k[a][b] for a in range(d)) for b in range(d)] for h in h_rows]
+        slope = sum(row_nums[last])
+
+        cone_best: Optional[int] = None
+        cone_witness: Optional[list[int]] = None
+
+        def scan(i: int, partial: list[int], nums: list[int]) -> None:
+            # partial: the point so far, scaled by denom; nums: partial @ k
+            nonlocal visited, cone_best, cone_witness
+            step = h_rows[i][i]
+            c_lo = -((partial[i] - lo[i]) // step)
+            c_hi = (hi[i] - partial[i]) // step
+            if c_lo > c_hi:
+                return
+            if i < last:
+                h, n = h_rows[i], row_nums[i]
+                partial = [a + c_lo * x for a, x in zip(partial, h)]
+                nums = [a + c_lo * x for a, x in zip(nums, n)]
+                for _ in range(c_lo, c_hi + 1):
+                    scan(i + 1, partial, nums)
+                    partial = list(map(add, partial, h))
+                    nums = list(map(add, nums, n))
+                return
+            visited += c_hi - c_lo + 1
+            if visited > guard:
+                raise TooLargeError(f"enumeration exceeded guard of {guard} points")
+            for base, s in zip(nums, row_nums[last]):
+                if s > 0:  # 0 <= base + c s <= top
+                    c_lo = max(c_lo, -(base // s))
+                    c_hi = min(c_hi, (top - base) // s)
+                elif s < 0:
+                    c_lo = max(c_lo, -((top - base) // -s))
+                    c_hi = min(c_hi, base // -s)
+                elif not 0 <= base <= top:
+                    return
+            c = c_lo if slope >= 0 else c_hi
+            total = sum(nums) + c * slope
+            if total == 0:  # the origin; its neighbour inward is the next best
+                c += 1 if slope >= 0 else -1
+                total += abs(slope)
+            if not c_lo <= c <= c_hi or (cone_best is not None and total > cone_best):
+                return
+            point = partial[:last] + [partial[last] + c * step]
+            if cone_best is None or total < cone_best or point < cone_witness:
+                cone_best = total
+                cone_witness = point
+
+        scan(0, [0] * d, [0] * d)
+        if cone_best is not None:
+            best.offer(Fraction(cone_best, scale), tuple(Fraction(x, denom) for x in cone_witness))
+    return _finalize(x_var, best, "bruteforce", ray_cap=cap >= 1)

@@ -25,6 +25,9 @@ F = Fraction
 # witness_deep cases are: T = 596,918 and k* = 51,719
 DEEP = str(Path(__file__).parent / "golden" / "witness_deep_m3.json")
 DEEP_STDOUT_SHA256 = "0476336768538909001b7c94bf5f0f3f161671cb9092c5071e29bd110cd2f80c"
+# 1/1000003(1, 2, 3): mld takes the width engine, the oracle one round
+ORACLE_LARGE = str(Path(__file__).parent / "golden" / "oracle_large.json")
+ORACLE_LARGE_STDOUT_SHA256 = "51a34c74fb28d35295542506f8fdb827041d6b8421a5b23073a2d1d19f0c13e4"
 
 
 def write(tmp_path, name, doc):
@@ -83,6 +86,13 @@ def test_mld_json_and_bruteforce(tmp_path, capsys):
     assert doc["mld"] == "2/17"
     assert doc["witness"] == ["1/17", "1/17"]
     assert doc["method"] == "parallelepiped"
+
+
+def test_bruteforce_agrees_at_a_large_denominator(capsys):
+    assert main(["mld", ORACLE_LARGE, "--brute-force", "--json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out)["mld"] == "6/1000003"
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_LARGE_STDOUT_SHA256
 
 
 def test_mld_malformed_json(tmp_path, capsys):

@@ -175,9 +175,11 @@ def test_lower_dimensional_cone_rejected():
 
 
 def test_bruteforce_guard():
-    v = cyclic_quotient(50, (1, 7))
-    with pytest.raises(TooLargeError):
-        mld_bruteforce(v, guard=10)
+    # mld 13/25 takes four rounds (s = 1/8 .. 1) and 87 units in all
+    v = cyclic_quotient(50, (1, 24))
+    assert mld_bruteforce(v, guard=87).value == F(13, 25)
+    with pytest.raises(TooLargeError, match="enumeration exceeded guard of 86 points"):
+        mld_bruteforce(v, guard=86)
 
 
 def test_family_total_space_golden():

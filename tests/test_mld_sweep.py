@@ -5,6 +5,8 @@ coset of every maximal cone through ``Lattice.quotient_group(...)
 .reps_scaled()``.  ``mld_bruteforce`` walks an ambient box.  The sweep must
 return the same value, the same tie-broken witness and the same cone as
 both, on generated inputs chosen to stress its bound and its tie-break.
+``mld_bruteforce`` searches in rounds of growing value; ``box_scan_oracle``,
+its earlier single walk of the whole box, must agree with it at every cap.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_unimodular
+from oracles import box_scan_oracle
 from toricmld import (
     Fan,
     Lattice,
@@ -225,15 +228,16 @@ def test_family_l200_work_bound():
 
 
 def test_bruteforce_guard_counts_every_box_point():
-    # the oracle's guard counts each point of each cone's ambient box, so
-    # this instance succeeds at exactly its box size and fails one below it
+    # the oracle's guard counts each outer-level node and each box point of
+    # every round; this cone's minimum 23/45 takes rounds 1/4, 1/2 and 1,
+    # and the instance succeeds at exactly their 1,344 units, fails one below
     lattice = Lattice.from_generators(3, [(F(1, 5), F(2, 5), F(3, 5)), (F(1, 3), F(0), F(2, 3))])
-    rays = [lattice.primitivize(r) for r in [(1, 0, 0), (1, 2, 0), (-1, 1, 3)]]
+    rays = [lattice.primitivize(r) for r in [(2, 3, -1), (-2, -1, -2), (2, 0, 2)]]
     x_var = ToricVariety(lattice, Fan.build(rays, [[0, 1, 2]]))
-    res = mld_bruteforce(x_var, guard=460)
-    assert (res.value, res.witness) == (F(11, 45), (F(-1, 15), F(1, 5), F(7, 15)))
-    with pytest.raises(TooLargeError, match="guard of 459 points"):
-        mld_bruteforce(x_var, guard=459)
+    res = mld_bruteforce(x_var, guard=1344)
+    assert (res.value, res.witness) == (F(23, 45), (F(-13, 15), F(-2, 5), F(-14, 15)))
+    with pytest.raises(TooLargeError, match="enumeration exceeded guard of 1343 points"):
+        mld_bruteforce(x_var, guard=1343)
 
 
 @PROPERTY
@@ -257,3 +261,35 @@ def test_bruteforce_below_one_matches_the_scan(data):
         got = mld_bruteforce(x_var, cap=cap)
         assert got.method == "bruteforce"
         assert (got.value, got.witness, got.cone_index) == want
+
+
+@st.composite
+def sheared_quotients(draw):
+    """A cyclic quotient in ambient coordinates sheared by a unimodular map,
+    so that its generators' coordinates may all share one sign."""
+    weights = st.lists(st.integers(1, 199), min_size=2, max_size=3)
+    x_var = draw(st.builds(cyclic_quotient, st.integers(2, 200), weights))
+    return apply_unimodular(x_var, draw(unimodular_matrices(x_var.dim)))
+
+
+def bruteforce_outcome(search, x_var, cap):
+    try:
+        res = search(x_var, cap=cap)
+    except ValueError as exc:  # no point of the cube but the origin
+        return str(exc)
+    return res.value, res.witness, res.cone_index, res.method
+
+
+@settings(PROPERTY, max_examples=120)
+@given(
+    st.one_of(
+        affine_varieties(max_index=100, max_dim=3),
+        affine_varieties(max_index=30, generators=2, dims=(2, 3, 4)),
+        st.builds(cyclic_quotient, st.integers(2, 200), st.lists(st.integers(1, 199), min_size=1, max_size=3)),
+        sheared_quotients(),
+    ),
+    st.sampled_from([F(1, 5), F(1, 2), F(5, 7), F(1), F(3, 2), F(2)]),
+)
+def test_bruteforce_rounds_match_the_whole_box_scan(x_var, cap):
+    want = bruteforce_outcome(box_scan_oracle, x_var, cap)
+    assert bruteforce_outcome(mld_bruteforce, x_var, cap) == want

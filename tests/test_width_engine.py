@@ -5,7 +5,9 @@ quotient denominator D, and must return exactly what the Hermite-order sweep
 ``_hnf_sweep`` returns for the same bound: the least value numerator and the
 lex-least ambient key among the points that reach it.  Through ``mld`` with
 every cone sent to the engine, value, witness and cone must match the coset
-scan and ``mld_bruteforce``.  ``lll`` is checked against a test-side
+scan and ``mld_bruteforce``.  On large cones ``mld`` must also match
+``mld_bruteforce`` alone, whose rounds of growing value keep it fast at any
+D whose minimum lies low in the cone.  ``lll`` is checked against a test-side
 rational Gram-Schmidt.
 """
 
@@ -16,11 +18,11 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, event, given, reject, settings
 from hypothesis import strategies as st
 
 from test_mld_sweep import affine_varieties, assert_agrees
-from toricmld import Fan, Lattice, TooLargeError, ToricVariety, cyclic_quotient, example_family, mld
+from toricmld import Fan, Lattice, TooLargeError, ToricVariety, cyclic_quotient, example_family, mld, mld_bruteforce
 from toricmld.exactmath import det_bareiss, hnf, lll, rank
 
 mld_module = importlib.import_module("toricmld.mld")
@@ -86,6 +88,18 @@ def test_engine_matches_the_sweep_on_small_cones(x_var, limit_frac):
 def test_engine_matches_the_sweep_on_large_cones(x_var, limit_frac):
     # the sweep visits about value * D points, up to D on cones of ties
     compare_on_cone(x_var, limit_frac, sweep_guard=2 * 10**5)
+
+
+@PROPERTY
+@given(st.one_of(large_cones(), large_cones(generators=2)))
+def test_engine_matches_the_box_scan_on_large_cones(x_var):
+    got = mld(x_var)
+    try:
+        want = mld_bruteforce(x_var, guard=2 * 10**5)
+    except TooLargeError:
+        event("box scan over its guard")  # counted in --hypothesis-show-statistics
+        reject()
+    assert (got.value, got.witness, got.cone_index) == (want.value, want.witness, want.cone_index)
 
 
 @PROPERTY
