@@ -107,6 +107,9 @@ def _gauss_jordan(a: list[list[int]]) -> tuple[list[int], int]:
     division is exact, so entries stay integers the size of minors of the
     input.  At the end each pivot row has the last pivot p in its own pivot
     column and 0 in the others, so its reduced row echelon row is row / p.
+    A row that is already 0 in the pivot column is only rescaled by p / prev,
+    and left alone when p = prev, which gives the same integers as the full
+    step: block-diagonal and identity-augmented inputs skip most products.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -124,9 +127,11 @@ def _gauss_jordan(a: list[list[int]]) -> tuple[list[int], int]:
             sign = -sign
         p, row_r = a[r][c], a[r]
         for i in range(rows):
-            if i != r:
-                f = a[i][c]
+            f = a[i][c]
+            if f and i != r:
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_r)]
+            elif not f and p != prev:
+                a[i] = [p * x // prev for x in a[i]]
         prev = p
         pivots.append(c)
     return pivots, sign

@@ -11,9 +11,10 @@ transform and no Fraction; such an N contains Z^d by construction.
 Coordinates come from one integer substitution on the triangular rows: for
 v = w / e they are C / e with C @ rows = D w, and each division is exact
 because N contains Z^d, so ``coords``, ``contains`` and ``primitivize`` form
-no inverse and no Fraction per step.  The public constructor takes any
-generating rows, runs ``hnf`` on them, and checks with the same substitution
-on each e_j that N contains Z^d.
+no inverse and no Fraction per step, and the gcd g of C tells whether v is
+a lattice point (e divides g) and primitive (g = e).  The public constructor
+takes any generating rows, runs ``hnf`` on them, and checks with the same
+substitution on each e_j that N contains Z^d.
 
 Coset enumeration for a full-rank sublattice runs through the Smith normal
 form of the coordinate-change matrix; representatives are produced as a
@@ -125,13 +126,20 @@ class Lattice:
         """
         if len(v) != self.dim:
             raise ValueError(f"expected a vector of dimension {self.dim}, got {len(v)}")
-        v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-        e = math.lcm(*(x.denominator for x in v))
-        h = self.rows
+        nums, dens = [], []
+        for x in v:
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
+            nums.append(x.numerator)
+            dens.append(x.denominator)
+        e = math.lcm(*dens)
+        denom, h = self.denominator, self.rows
         c: list[int] = []
-        for j, x in enumerate(v):
-            t = x.numerator * (e // x.denominator) * self.denominator
-            cj, rest = divmod(t - sum(c[i] * h[i][j] for i in range(j)), h[j][j])
+        for j in range(self.dim):
+            t = nums[j] * (e // dens[j]) * denom
+            for i in range(j):
+                t -= c[i] * h[i][j]
+            cj, rest = divmod(t, h[j][j])
             if rest:
                 raise LatticeError("basis does not contain Z^d with finite index")
             c.append(cj)
@@ -143,8 +151,12 @@ class Lattice:
         return tuple(Fraction(x, e) for x in c)
 
     def to_ambient(self, c: Sequence) -> Vector:
-        """The point with coordinates c: (c @ rows) / D."""
-        return tuple(Fraction(x, self.denominator) for x in vec_mat(c, self.rows))
+        """The point with coordinates c: (c @ rows) / D, summed over i <= j
+        since the rows are upper triangular."""
+        h, denom = self.rows, self.denominator
+        return tuple(
+            Fraction(sum(c[i] * h[i][j] for i in range(j + 1)), denom) for j in range(self.dim)
+        )
 
     def contains(self, v: Sequence) -> bool:
         c, e = self._solve(v)
@@ -155,14 +167,21 @@ class Lattice:
         """The group order [N : Z^d]."""
         return self.denominator**self.dim // math.prod(self.rows[i][i] for i in range(self.dim))
 
+    def _content(self, v: Sequence) -> tuple[list[int], int, int]:
+        """(C, e, g) for a nonzero lattice point v with coordinates C / e: g is
+        the gcd of C, so v is g / e times the primitive point C / g, and v is
+        primitive iff g = e.  A lattice point iff e divides g."""
+        c, e = self._solve(v)
+        g = math.gcd(*c)
+        if not g:
+            raise ZeroVectorError("cannot primitivize the zero vector")
+        if g % e:
+            raise NotInLatticeError(f"{v!r} is not a lattice point")
+        return c, e, g
+
     def primitivize(self, v: Sequence) -> Vector:
         """Shortest lattice point on the ray spanned by v (same direction)."""
-        c, e = self._solve(v)
-        if not any(c):
-            raise ZeroVectorError("cannot primitivize the zero vector")
-        if any(x % e for x in c):
-            raise NotInLatticeError(f"{v!r} is not a lattice point")
-        g = math.gcd(*c)
+        c, _, g = self._content(v)
         return self.to_ambient([x // g for x in c])
 
     def quotient_group(self, sub_basis: Sequence[Sequence]) -> "QuotientGroup":

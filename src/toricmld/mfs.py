@@ -215,11 +215,10 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
             axis_of[l] = i
         if sorted(axis_of) != list(range(n)):
             return False, f"base axes covered: {sorted(axis_of)}"
-        multiples = []
+        multiples = []  # image = (g / e) primitive, for its coordinates C / e and g = gcd(C)
         for l in range(n):
-            image = x_rays[axis_of[l]][m:]
-            prim = mfs.y.lattice.primitivize(image)
-            multiples.append(image[l] / prim[l])
+            _, e, g = mfs.y.lattice._content(x_rays[axis_of[l]][m:])
+            multiples.append(Fraction(g, e))
         return True, "base-ray multiples " + ", ".join(str(c) for c in multiples)
 
     def rays_primitive():
@@ -295,7 +294,9 @@ def _check_parameters(m, n, fiber_rays, base_multiples, extra_generators) -> lis
         raise BadParameterError(f"need {m + 1} fiber rays, got {len(fiber_rays)}")
     if any(len(v) != m for v in fiber_rays):
         raise BadParameterError("fiber rays must have the fiber dimension")
-    if len(base_multiples) != n or any(int(c) < 1 for c in base_multiples):
+    if any(int(c) != c for v in fiber_rays for c in v):
+        raise BadParameterError("fiber rays must be integer vectors")
+    if len(base_multiples) != n or any(int(c) != c or c < 1 for c in base_multiples):
         raise BadParameterError("base multiples must be n positive integers")
     extras = [tuple(Fraction(x) for x in g) for g in extra_generators]
     if any(len(g) != m + n for g in extras):
@@ -303,10 +304,10 @@ def _check_parameters(m, n, fiber_rays, base_multiples, extra_generators) -> lis
     return extras
 
 
-def _normal_form_rays(m: int, n: int, fiber_rays: Sequence[Sequence[int]]) -> list[Vector]:
+def _normal_form_rays(m: int, n: int, fiber_rays: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """The fiber rays in the first m coordinates, then the n base axes."""
-    return [tuple(Fraction(c) for c in v) + (Fraction(0),) * n for v in fiber_rays] + [
-        tuple(Fraction(int(j == m + l)) for j in range(m + n)) for l in range(n)
+    return [tuple(int(c) for c in v) + (0,) * n for v in fiber_rays] + [
+        tuple(int(j == m + l) for j in range(m + n)) for l in range(n)
     ]
 
 
@@ -330,10 +331,9 @@ def assemble_mfs(
     """
     extras = _check_parameters(m, n, fiber_rays, base_multiples, extra_generators)
     x_lattice = Lattice.from_generators(m + n, extras)
-    units = [tuple(Fraction(int(j == l)) for j in range(n)) for l in range(n)]
     y_lattice = Lattice.from_generators(
         n,
-        [tuple(c / int(base_multiples[l]) for c in units[l]) for l in range(n)]
+        [tuple(Fraction(int(j == l), int(base_multiples[l])) for j in range(n)) for l in range(n)]
         + [g[m:] for g in extras],
     )
     if rays is None:
@@ -344,18 +344,22 @@ def assemble_mfs(
     if max_cones is None:
         max_cones = [[i for i in range(len(rays)) if i != j] for j in range(m + 1)]
     x_var = make_x(x_lattice, Fan.build(rays, max_cones))
-    y_rays = [y_lattice.primitivize(u) for u in units]
+    y_rays = [y_lattice.primitivize([int(j == l) for j in range(n)]) for l in range(n)]
     y_var = ToricVariety._on_lattice_points(y_lattice, Fan.build(y_rays, [list(range(n))]))
     return ToricMfs(x=x_var, y=y_var)
 
 
 def warn_replaced_rays(mfs: ToricMfs, fiber_rays: Sequence[Sequence[int]]) -> None:
-    """Warn for each normal-form ray that assembly replaced by its primitive generator."""
-    rays = mfs.x.fan.rays
-    for i, emb in enumerate(_normal_form_rays(mfs.m, mfs.n, fiber_rays)):
-        if rays[i] != emb:
-            what = f"fiber ray {tuple(fiber_rays[i])}" if i <= mfs.m else f"base ray {i - mfs.m}"
-            warnings.warn(f"{what} replaced by primitive generator {rays[i]}")
+    """Warn for each normal-form ray that assembly replaced by its primitive
+    generator, a positive multiple of it: a fiber ray whose fiber block
+    changed, or a base axis whose coordinate is no longer 1."""
+    m, rays = mfs.m, mfs.x.fan.rays
+    for i, v in enumerate(fiber_rays):
+        if rays[i][:m] != tuple(v):
+            warnings.warn(f"fiber ray {tuple(v)} replaced by primitive generator {rays[i]}")
+    for l in range(mfs.n):
+        if rays[m + 1 + l][m + l] != 1:
+            warnings.warn(f"base ray {l + 1} replaced by primitive generator {rays[m + 1 + l]}")
 
 
 def make_mfs(
@@ -376,16 +380,27 @@ def make_mfs(
 
     Rays that fail to be primitive in the extended lattice are replaced by
     their primitive generators (with a warning).
+
+    The gates run in the order simplex, surjectivity, base multiples, and
+    then the whole report.  The simplex gate is validation's ``fiber_simplex``
+    check: the primitive generators are positive multiples of the fiber rays,
+    so the origin is strictly inside the one simplex iff inside the other.
+    Only when no fan can be built over the fiber rays does the gate solve on
+    the rays themselves, so that a degenerate simplex still explains it.
     """
-    # shapes first: the simplex gate needs them, and it must precede the
-    # assembly, whose fan cannot be built over a degenerate simplex
-    _check_parameters(m, n, fiber_rays, base_multiples, extra_generators)
-    ys = origin_barycentrics([tuple(Fraction(c) for c in v) for v in fiber_rays])
-    if ys is None or any(y <= 0 for y in ys):
+    try:
+        mfs = assemble_mfs(m, n, fiber_rays, base_multiples, extra_generators)
+    except BadParameterError:
+        raise
+    except ValueError:
+        ys = origin_barycentrics([tuple(Fraction(c) for c in v) for v in fiber_rays])
+        if ys is not None and all(y > 0 for y in ys):
+            raise
+        mfs = None
+    if mfs is None or not mfs.report["fiber_simplex"].passed:
         raise DegenerateSimplexError(
             "fiber rays must form a simplex with the origin strictly inside"
         )
-    mfs = assemble_mfs(m, n, fiber_rays, base_multiples, extra_generators)
 
     report = mfs.report
     if not report["lattice_surjectivity"].passed:

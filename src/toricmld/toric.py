@@ -134,7 +134,8 @@ class ToricVariety:
         return self.lattice.dim
 
     def rays_primitive(self) -> list[bool]:
-        return [self.lattice.primitivize(r) == r for r in self.fan.rays]
+        """Whether each ray generator is primitive: its coordinates C / e have gcd(C) = e."""
+        return [g == e for _, e, g in map(self.lattice._content, self.fan.rays)]
 
     def _cone_inverse(self, cone_index: int) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(K, q): integers with inverse(generator matrix) = K / q, q > 0 least."""

@@ -16,6 +16,15 @@ kernel lattice over Z^m, which the library never needed.
 ``box_scan_oracle`` is ``mld_bruteforce`` before it searched in rounds of
 growing value: one walk of each cone's whole ambient box, which is the
 oracle of the oracle.
+
+``dense_gauss_jordan`` is the fraction-free Gauss-Jordan step that updates
+every row at every pivot, before rows already zero in the pivot column were
+only rescaled.  ``solve_oracle``, ``to_ambient_oracle`` and
+``primitivize_oracle`` are ``Lattice._solve``, ``Lattice.to_ambient`` and
+``Lattice.primitivize`` before the substitution read each entry once and the
+product skipped the zeros below the triangular rows; ``rays_primitive_oracle``
+is ``ToricVariety.rays_primitive`` when it primitivized every ray and compared
+the Fraction tuples.
 """
 
 from __future__ import annotations
@@ -28,8 +37,8 @@ from typing import Callable, Optional, Sequence
 from itertools import combinations
 
 from toricmld import Fan, Lattice, NoPairFoundError, ToricVariety, find_witness, lift_to_X, mld
-from toricmld.exactmath import invariant_factors, iroot_floor, snf
-from toricmld.lattice import Vector, _frac
+from toricmld.exactmath import invariant_factors, iroot_floor, snf, vec_mat
+from toricmld.lattice import LatticeError, NotInLatticeError, Vector, ZeroVectorError, _frac
 from toricmld.mfs import FiberData, InvalidMfsError, ToricMfs, _kernel_ray_indices
 from toricmld.mld import GUARD, MldResult, TooLargeError, _Best, _check_cones, _finalize, _scaled_generators
 from toricmld.toric import origin_barycentrics
@@ -273,3 +282,68 @@ def box_scan_oracle(
         if cone_best is not None:
             best.offer(Fraction(cone_best, scale), tuple(Fraction(x, denom) for x in cone_witness))
     return _finalize(x_var, best, "bruteforce", ray_cap=cap >= 1)
+
+
+def dense_gauss_jordan(a: list[list[int]]) -> tuple[list[int], int]:
+    """``exactmath._gauss_jordan`` with the full Bareiss update of every row
+    at every pivot, in place: (pivot columns, sign of the row permutation)."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        p, row_r = a[r][c], a[r]
+        for i in range(rows):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_r)]
+        prev = p
+        pivots.append(c)
+    return pivots, sign
+
+
+def solve_oracle(lat: Lattice, v: Sequence) -> tuple[list[int], int]:
+    """(C, e) with coords(v) = C / e, by substitution on the triangular rows."""
+    if len(v) != lat.dim:
+        raise ValueError(f"expected a vector of dimension {lat.dim}, got {len(v)}")
+    v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    e = math.lcm(*(x.denominator for x in v))
+    h = lat.rows
+    c: list[int] = []
+    for j, x in enumerate(v):
+        t = x.numerator * (e // x.denominator) * lat.denominator
+        cj, rest = divmod(t - sum(c[i] * h[i][j] for i in range(j)), h[j][j])
+        if rest:
+            raise LatticeError("basis does not contain Z^d with finite index")
+        c.append(cj)
+    return c, e
+
+
+def to_ambient_oracle(lat: Lattice, c: Sequence) -> Vector:
+    """The point with coordinates c: (c @ rows) / D, over the full product."""
+    return tuple(Fraction(x, lat.denominator) for x in vec_mat(c, lat.rows))
+
+
+def primitivize_oracle(lat: Lattice, v: Sequence) -> Vector:
+    """Shortest lattice point on the ray spanned by v."""
+    c, e = solve_oracle(lat, v)
+    if not any(c):
+        raise ZeroVectorError("cannot primitivize the zero vector")
+    if any(x % e for x in c):
+        raise NotInLatticeError(f"{v!r} is not a lattice point")
+    g = math.gcd(*c)
+    return to_ambient_oracle(lat, [x // g for x in c])
+
+
+def rays_primitive_oracle(x_var: ToricVariety) -> list[bool]:
+    """Each ray generator compared with its primitivization."""
+    return [primitivize_oracle(x_var.lattice, r) == r for r in x_var.fan.rays]

@@ -396,6 +396,19 @@ def test_validate_warns_on_non_primitive_fiber_ray(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_validate_reports_non_primitive_rays(tmp_path, capsys):
+    # a hand-built fan is taken as given, so rays_primitive must name the ray
+    doc = dict(line_doc(), rays=[["2", "0"], ["-1", "0"], ["0", "1"]], max_cones=[[1, 2], [0, 2]])
+    path = write(tmp_path, "nonprim_given.json", doc)
+    assert main(["validate", path]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert "FAIL  rays_primitive        non-primitive rays: X [0], Y []" in lines
+    assert lines[-1] == "overall: FAIL"
+    assert sum(line.startswith("FAIL") for line in lines) == 1
+    assert captured.err == ""
+
+
 def test_validate_rejects_zero_fiber_dimension(tmp_path, capsys):
     path = write(tmp_path, "m0.json", line_doc(m=0))
     assert main(["validate", path]) == EXIT_ERROR

@@ -6,7 +6,11 @@ and a test-side rational elimination; ``hnf`` and ``snf`` against their
 defining identities and invariance under unimodular changes of basis;
 ``hnf_mod`` against ``hnf`` of the rows stacked on D I.
 Integer matrices have at most 6 rows and columns, and a leading zero pivot
-is drawn often, so that row swaps happen.
+is drawn often, so that row swaps happen.  The Gauss-Jordan step that only
+rescales rows already zero in the pivot column is checked against the dense
+step of ``oracles.dense_gauss_jordan``, integer for integer, on
+block-diagonal, sparse, unimodular (equal consecutive pivots) and singular
+matrices, directly and through every public kernel built on it.
 """
 
 from __future__ import annotations
@@ -18,9 +22,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_gauss_jordan
 from test_exactmath import assert_hnf_shape
+from toricmld import exactmath
 from toricmld.exactmath import (
     SingularMatrixError,
+    _gauss_jordan,
     adjugate,
     det_bareiss,
     hnf,
@@ -30,6 +37,7 @@ from toricmld.exactmath import (
     inverse,
     mat_mul,
     rank,
+    scaled_inverse,
     snf,
     solve_exact,
 )
@@ -115,6 +123,73 @@ def test_solve_exact(m, b):
 @given(int_matrices())
 def test_rank(m):
     assert rank(m) == len(rref(m)[1])
+
+
+@st.composite
+def structured_matrices(draw, max_dim=6):
+    """Square integer matrices of the shapes the sparse step cares about."""
+    n = draw(st.integers(1, max_dim))
+    kind = draw(st.sampled_from(["block", "sparse", "unimodular", "singular"]))
+    entry = st.integers(-5, 5)
+    if kind == "block":  # like the cones of a fibration, fiber and base blocks
+        m = [[0] * n for _ in range(n)]
+        start = 0
+        while start < n:
+            end = start + draw(st.integers(1, n - start))
+            for i in range(start, end):
+                m[i][start:end] = draw(st.lists(entry, min_size=end - start, max_size=end - start))
+            start = end
+        return m
+    if kind == "sparse":
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), entry)
+    if kind == "unimodular":  # pivots +-1, so that p = prev often
+        return draw(unimodular(n))
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "singular":  # the last row a combination of the others
+        a, b = draw(entry), draw(entry)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1 % n])] if n > 1 else [0]
+    return m
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularMatrixError as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(structured_matrices(), st.lists(st.integers(-9, 9), min_size=6, max_size=6))
+def test_gauss_jordan_matches_the_dense_step(m, b):
+    n = len(m)
+    for a in (
+        m,
+        [row + identity(n)[i] for i, row in enumerate(m)],  # as adjugate runs it
+        [row + [b[i]] for i, row in enumerate(m)],  # as solve_exact runs it
+        [list(col) for col in zip(*m)][: max(n - 1, 1)],  # rectangular, as rank may
+    ):
+        got, want = [list(row) for row in a], [list(row) for row in a]
+        assert _gauss_jordan(got) == dense_gauss_jordan(want)
+        assert got == want
+
+
+@PROPERTY
+@given(structured_matrices(), st.lists(st.integers(-9, 9), min_size=6, max_size=6), st.integers(1, 6))
+def test_kernels_match_the_dense_step(m, b, e):
+    n = len(m)
+    scaled = [[F(x, e) for x in row] for row in m]
+    cases = [
+        (adjugate, (m,)),
+        (scaled_inverse, (scaled,)),
+        (solve_exact, (scaled, b[:n])),
+        (rank, (m,)),
+        (rank, (scaled[: max(n - 1, 1)],)),
+    ]
+    for fn, args in cases:
+        got = _outcome(fn, *args)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exactmath, "_gauss_jordan", dense_gauss_jordan)
+            assert got == _outcome(fn, *args), fn.__name__
 
 
 @PROPERTY

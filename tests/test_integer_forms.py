@@ -6,7 +6,9 @@ q.  Every reader of those forms relies on the invariants checked here, on
 random lattices and cones of dimension at most 4, against the rational
 Gauss-Jordan inverse of ``exactmath``, and ``Lattice.from_generators``
 (Hermite form modulo D) against the public constructor (``hnf`` of Z^d and
-the generators).
+the generators).  The substitution behind coordinates, ``to_ambient``,
+primitivization and ``ToricVariety.rays_primitive`` is checked against the
+kernels it replaced (``oracles``), results and errors alike.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import primitivize_oracle, rays_primitive_oracle, solve_oracle, to_ambient_oracle
 from toricmld import Fan, Lattice, ToricVariety
 from toricmld.exactmath import det, det_bareiss, inverse, mat_mul, vec_mat
 
@@ -113,3 +116,49 @@ def test_cone_inverse_is_integral_and_reduced(x_var):
     assert mat_mul(g, k) == [[q * (i == j) for j in range(d)] for i in range(d)]
     assert math.gcd(q, *(x for row in k for x in row)) == 1
     assert [[F(x, q) for x in row] for row in k] == inverse(g)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def ray_candidates(draw, lat):
+    """Lattice points, often non-primitive multiples, the zero vector, and
+    rational vectors that may lie outside the lattice."""
+    d = lat.dim
+    kind = draw(st.sampled_from(["point", "multiple", "zero", "rational"]))
+    if kind == "zero":
+        return tuple(F(0) for _ in range(d))
+    if kind == "rational":
+        return tuple(draw(st.lists(rationals(), min_size=d, max_size=d)))
+    c = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+    k = draw(st.integers(2, 4)) if kind == "multiple" else 1
+    return lat.to_ambient([k * x for x in c])
+
+
+@PROPERTY
+@given(lattices(), st.data())
+def test_solve_and_to_ambient_match_the_old_kernels(lat, data):
+    d = lat.dim
+    for _ in range(4):
+        v = data.draw(st.lists(st.one_of(rationals(), st.integers(-9, 9)), min_size=d, max_size=d))
+        assert _outcome(lat._solve, v) == _outcome(solve_oracle, lat, v)
+        c = data.draw(st.lists(st.one_of(st.integers(-9, 9), rationals()), min_size=d, max_size=d))
+        assert lat.to_ambient(c) == to_ambient_oracle(lat, c)
+
+
+@PROPERTY
+@given(lattices(), st.data())
+def test_primitivity_matches_primitivize_and_compare(lat, data):
+    rays = [data.draw(ray_candidates(lat)) for _ in range(3)]
+    for v in rays:
+        assert _outcome(lat.primitivize, v) == _outcome(primitivize_oracle, lat, v)
+        if lat.contains(v) and any(v):  # the ray_roles multiple: v = (g / e) primitive
+            _, e, g = lat._content(v)
+            assert tuple(F(g, e) * x for x in primitivize_oracle(lat, v)) == v
+    x_var = ToricVariety._on_lattice_points(lat, Fan(tuple(rays), (), lat.dim))
+    assert _outcome(x_var.rays_primitive) == _outcome(rays_primitive_oracle, x_var)

@@ -188,6 +188,39 @@ def test_make_mfs_bad_parameters():
         make_mfs(1, 1, [(1,), (-1,)], (0,), [])
 
 
+def test_make_mfs_rejects_fractional_parameters():
+    # a fractional base multiple used to be truncated to an integer, and a
+    # fractional fiber ray used to fail in assembly as a NotInLatticeError
+    with pytest.raises(BadParameterError, match="base multiples must be n positive integers"):
+        make_mfs(1, 1, [(1,), (-1,)], (1.5,))
+    with pytest.raises(BadParameterError, match="base multiples must be n positive integers"):
+        make_mfs(1, 1, [(1,), (-1,)], (F(3, 2),))
+    with pytest.raises(BadParameterError, match="fiber rays must be integer vectors"):
+        make_mfs(1, 1, [(F(1, 2),), (-1,)], (1,))
+    with pytest.raises(BadParameterError, match="fiber rays must be integer vectors"):
+        make_mfs(2, 1, [(1, 0), (-1, 0.5), (-1, -1)], (1,))
+    # integral values of other numeric types are still integers
+    assert make_mfs(1, 1, [(F(1),), (-1.0,)], (F(2),), [(F(1, 2), F(1, 2))]).report.overall
+
+
+def test_validate_reports_rays_outside_the_lattice():
+    # a library-built ToricMfs whose rays skip the lattice-point check: the
+    # checks that meet such a ray report it as crashed, the others still run
+    x = ToricVariety._on_lattice_points(
+        Lattice.standard(2), Fan.build([(F(1, 2), 0), (-1, 0), (0, F(1, 2))], [[1, 2], [0, 2]])
+    )
+    y = ToricVariety(Lattice.standard(1), Fan.build([(1,)], [[0]]))
+    report = validate(ToricMfs(x=x, y=y))
+    assert not report.overall
+    assert report["ray_roles"].detail == "check crashed: (Fraction(1, 2),) is not a lattice point"
+    assert report["rays_primitive"].detail == (
+        "check crashed: (Fraction(1, 2), Fraction(0, 1)) is not a lattice point"
+    )
+    assert not report["ray_roles"].passed and not report["rays_primitive"].passed
+    assert report["fiber_simplex"].detail == "origin barycentrics ('2/3', '1/3')"
+    assert report["cone_shape"].passed
+
+
 def test_mutation_drop_ray():
     fam = example_family(2)
     rays = list(fam.x.fan.rays)[:4]  # drop the last base ray
