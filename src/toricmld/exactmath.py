@@ -59,39 +59,22 @@ def vec_mat(v: Sequence, m) -> list:
     return [sum(v[i] * m[i][j] for i in range(len(m))) for j in range(cols)]
 
 
-def det_bareiss(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix.
-
-    Bareiss fraction-free elimination: every intermediate value is an exact
-    minor, so entry growth stays polynomial instead of exponential.
-    """
+def _require_square(m, what: str) -> int:
     n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    if any(len(row) != n for row in m):
+        raise ValueError(f"{what} needs a square matrix")
+    return n
 
 
 def det(m) -> Fraction:
-    """Determinant of a square matrix with Fraction (or int) entries."""
+    """Determinant of a square matrix with Fraction (or int) entries: the
+    signed last pivot of the fraction-free Gauss-Jordan, over e^n."""
+    n = _require_square(m, "det")
     a, e = _integral(m)
-    return Fraction(det_bareiss(a), e ** len(m))
+    pivots, sign = _gauss_jordan(a)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * a[n - 1][n - 1], e**n) if n else Fraction(1)
 
 
 def _integral(m) -> tuple[list[list[int]], int]:
@@ -149,6 +132,12 @@ def rank(m) -> int:
     return len(_gauss_jordan(_integral(m)[0])[0])
 
 
+def _gcd_step(r, s, x, y, p, q) -> tuple[list[int], list[int]]:
+    """Rows (x r + y s, p s - q r): unimodular when x p + y q = 1, as for
+    g = xgcd(a, b) = x a + y b, p = a / g and q = b / g."""
+    return [x * a + y * b for a, b in zip(r, s)], [p * b - q * a for a, b in zip(r, s)]
+
+
 def hnf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Row-style Hermite normal form.
 
@@ -174,14 +163,8 @@ def hnf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
                 continue
             g, x, y = xgcd(h[r][c], h[i][c])
             p, q = h[r][c] // g, h[i][c] // g
-            h[r], h[i] = (
-                [x * a + y * b for a, b in zip(h[r], h[i])],
-                [-q * a + p * b for a, b in zip(h[r], h[i])],
-            )
-            u[r], u[i] = (
-                [x * a + y * b for a, b in zip(u[r], u[i])],
-                [-q * a + p * b for a, b in zip(u[r], u[i])],
-            )
+            h[r], h[i] = _gcd_step(h[r], h[i], x, y, p, q)
+            u[r], u[i] = _gcd_step(u[r], u[i], x, y, p, q)
         if h[r][c] == 0:
             continue
         if h[r][c] < 0:
@@ -233,83 +216,37 @@ def hnf_mod(rows: Sequence[Sequence[int]], modulus: int) -> list[list[int]]:
 
 
 def snf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form of an integer matrix.
+    """Smith normal form of an integer matrix, built on ``hnf``.
 
     Returns (S, U, V) with S = U @ m @ V, U and V unimodular, S diagonal
-    with nonnegative entries s_1 | s_2 | ... .
+    with nonnegative entries s_1 | s_2 | ..., zeros last.  S is canonical;
+    U and V are valid transforms but not canonical.  Row and column Hermite
+    forms alternate until S is diagonal (Kannan and Bachem, SIAM J. Comput.
+    8, 1979), then one unimodular gcd step per pair of diagonal entries
+    makes the diagonal a divisibility chain.
     """
-    s = [list(row) for row in m]
-    rows = len(s)
-    cols = len(s[0]) if rows else 0
-    u = identity(rows)
-    v = identity(cols)
-
-    def clear_position(k: int) -> None:
-        # Bring gcd of the trailing block to (k, k), zero its row and column.
-        while True:
-            # pick a nonzero entry with minimal absolute value as pivot
-            pivot = None
-            for i in range(k, rows):
-                for j in range(k, cols):
-                    if s[i][j] != 0 and (pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                return
-            pi, pj = pivot
-            if pi != k:
-                s[k], s[pi] = s[pi], s[k]
-                u[k], u[pi] = u[pi], u[k]
-            if pj != k:
-                for row in s:
-                    row[k], row[pj] = row[pj], row[k]
-                for row in v:
-                    row[k], row[pj] = row[pj], row[k]
-            done = True
-            for i in range(k + 1, rows):
-                q = s[i][k] // s[k][k]
-                if q:
-                    s[i] = [a - q * b for a, b in zip(s[i], s[k])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[k])]
-                if s[i][k] != 0:
-                    done = False
-            for j in range(k + 1, cols):
-                q = s[k][j] // s[k][k]
-                if q:
-                    for row in s:
-                        row[j] -= q * row[k]
-                    for row in v:
-                        row[j] -= q * row[k]
-                if s[k][j] != 0:
-                    done = False
-            if done:
-                return
-
-    for k in range(min(rows, cols)):
-        clear_position(k)
-        if s[k][k] == 0:
+    rows, cols = len(m), len(m[0]) if m else 0
+    s, u, v = [list(row) for row in m], identity(rows), identity(cols)
+    while rows and cols:  # the transposes below need both
+        s, t = hnf(s)
+        u = mat_mul(t, u)
+        s, t = hnf([list(col) for col in zip(*s)])
+        v = mat_mul(v, [list(col) for col in zip(*t)])
+        s = [list(col) for col in zip(*s)]
+        if all(s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j):
             break
-        # enforce the divisibility chain: fold an offending column into
-        # column k, then re-clear; the pivot drops to a gcd each round
-        while True:
-            bad_col = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if s[i][j] % s[k][k] != 0:
-                        bad_col = j
-                        break
-                if bad_col is not None:
-                    break
-            if bad_col is None:
-                break
-            for row in s:
-                row[k] += row[bad_col]
+    k = min(rows, cols)
+    for i in range(k):
+        for j in range(i + 1, k):
+            a, b = s[i][i], s[j][j]
+            if a == 0 or b % a == 0:
+                continue
+            g, x, y = xgcd(a, b)
+            p, q = a // g, b // g
+            u[i], u[j] = _gcd_step(u[i], u[j], x, y, p, q)
             for row in v:
-                row[k] += row[bad_col]
-            clear_position(k)
-    for k in range(min(rows, cols)):
-        if s[k][k] < 0:
-            s[k] = [-a for a in s[k]]
-            u[k] = [-a for a in u[k]]
+                row[i], row[j] = row[i] + row[j], x * p * row[j] - y * q * row[i]
+            s[i][i], s[j][j] = g, a * q
     return s, u, v
 
 
@@ -339,7 +276,7 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     is det(m) up to the sign of the row swaps.  Raises SingularMatrixError
     when det(m) = 0.
     """
-    n = len(m)
+    n = _require_square(m, "adjugate")
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     pivots, sign = _gauss_jordan(a)
     _require_nonsingular(pivots, n)

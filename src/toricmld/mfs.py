@@ -91,12 +91,20 @@ class ToricMfs:
         return hnf_mod([row[m:] + row[:m] for row in lat.rows], lat.denominator)
 
     @cached_property
+    def _origin_barycentrics(self) -> Optional[tuple[Fraction, ...]]:
+        """The origin's barycentrics in the fiber simplex, None when it is
+        degenerate: solved once, for the ``fiber_simplex`` check and ``fiber``."""
+        m, rays = self.m, self.x.fan.rays
+        return origin_barycentrics([rays[i][:m] for i in _kernel_ray_indices(self)])
+
+    @cached_property
     def fiber(self) -> FiberData:
         """The fiber over the dense base point (kernel lattice, simplex fan,
         the origin's barycentrics), read off X on first use and kept: the
         lattice from ``_base_first_rows``, and each fiber cone's inverse from
         the (K, q) of X's cone omitting the same fiber ray, whose generator
-        matrix is block triangular, so its fiber block is that inverse."""
+        matrix is block triangular, so its fiber block is that inverse, and
+        the barycentrics from the report's ``fiber_simplex`` solve."""
         if not self.report.overall:
             failed = [c.name for c in self.report.checks if not c.passed]
             raise InvalidMfsError(f"normal-form validation failed: {failed}")
@@ -118,15 +126,8 @@ class ToricMfs:
             g = math.gcd(q, *(x for row in block for x in row))
             inv = (tuple(tuple(x // g for x in row) for row in block), q // g)
             cones.append(SimplicialCone(idx, tuple(verts[t] for t in idx), inv))
-        # the first cone omits vertex m = w / e, whose coordinates there are
-        # w K / (e q), and 0 = V_m - sum_t x_t V_t gives the barycentrics
-        (k, q), e = cones[0].inverse, math.lcm(*(c.denominator for c in verts[m]))
-        w = [c.numerator * (e // c.denominator) for c in verts[m]]
-        nums = [sum(w[i] * k[i][t] for i in range(m)) for t in range(m)]
-        total = e * q - sum(nums)
-        ys = tuple(Fraction(-x, total) for x in nums) + (Fraction(e * q, total),)
         z = ToricVariety._on_lattice_points(z_lattice, Fan(verts, tuple(cones), m))
-        return FiberData(z=z, simplex_vertices=verts, origin_barycentrics=ys)
+        return FiberData(z=z, simplex_vertices=verts, origin_barycentrics=self._origin_barycentrics)
 
     def project(self, v: Sequence) -> Vector:
         """Apply F: drop the first m (fiber) coordinates."""
@@ -229,8 +230,7 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
         return True, "all ray generators primitive"
 
     def fiber_simplex():
-        verts = [tuple(x_rays[i][:m]) for i in kernel]
-        ys = origin_barycentrics(verts)
+        ys = mfs._origin_barycentrics
         if ys is None:
             return False, "fiber vertices are affinely degenerate"
         if any(y <= 0 for y in ys):

@@ -11,8 +11,8 @@ import random
 import warnings
 from fractions import Fraction
 
+from oracles import det_bareiss
 from toricmld import Fan, Lattice, ToricVariety, make_mfs
-from toricmld.exactmath import det_bareiss
 
 
 def rand_unimodular(rng: random.Random, d: int, steps: int = 8) -> list[list[int]]:

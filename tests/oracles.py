@@ -17,6 +17,10 @@ kernel lattice over Z^m, which the library never needed.
 growing value: one walk of each cone's whole ambient box, which is the
 oracle of the oracle.
 
+``det_bareiss`` is the triangular Bareiss determinant that ``exactmath.det``
+used before it read the determinant off the Gauss-Jordan's last pivot; the
+tests keep it as the reference determinant of integer matrices.
+
 ``dense_gauss_jordan`` is the fraction-free Gauss-Jordan step that updates
 every row at every pivot, before rows already zero in the pivot column were
 only rescaled.  ``solve_oracle``, ``to_ambient_oracle`` and
@@ -282,6 +286,32 @@ def box_scan_oracle(
         if cone_best is not None:
             best.offer(Fraction(cone_best, scale), tuple(Fraction(x, denom) for x in cone_witness))
     return _finalize(x_var, best, "bruteforce", ray_cap=cap >= 1)
+
+
+def det_bareiss(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination: every intermediate value is an exact minor."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def dense_gauss_jordan(a: list[list[int]]) -> tuple[list[int], int]:

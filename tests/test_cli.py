@@ -28,6 +28,8 @@ DEEP_STDOUT_SHA256 = "0476336768538909001b7c94bf5f0f3f161671cb9092c5071e29bd110c
 # 1/1000003(1, 2, 3): mld takes the width engine, the oracle one round
 ORACLE_LARGE = str(Path(__file__).parent / "golden" / "oracle_large.json")
 ORACLE_LARGE_STDOUT_SHA256 = "51a34c74fb28d35295542506f8fdb827041d6b8421a5b23073a2d1d19f0c13e4"
+# Z^3 onto Z^2 + (1/2, 0) + (0, 1/3): the one CLI output that goes through snf
+COKERNEL = str(Path(__file__).parent / "golden" / "mfs_cokernel.json")
 
 
 def write(tmp_path, name, doc):
@@ -443,6 +445,18 @@ def test_check_nonsurjective(tmp_path, capsys):
     path = write(tmp_path, "broken.json", doc)
     assert main(["check", path]) == EXIT_ERROR
     assert "error" in capsys.readouterr().err
+
+
+def test_validate_reports_the_cokernel_in_smith_form(capsys):
+    # the cokernel Z/2 x Z/3 only reads [1, 6] once the Smith diagonal is a
+    # divisibility chain; stdout is pinned by its sha256 in CI as well
+    assert main(["validate", COKERNEL]) == EXIT_ERROR
+    out = capsys.readouterr().out
+    assert "FAIL  lattice_surjectivity  cokernel invariant factors [1, 6]\n" in out
+    assert out.endswith("overall: FAIL\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "87d1890a8c0ce971628b8c131798de6bcaacb7d829f1c21112f4c712caae39fa"
+    )
 
 
 def test_unknown_kind(tmp_path):

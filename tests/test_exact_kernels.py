@@ -1,7 +1,8 @@
 """Property tests for the exact kernels of ``exactmath``.
 
-The fraction-free Gauss-Jordan behind ``adjugate``, ``scaled_inverse``,
-``solve_exact`` and ``rank`` is checked against plain Bareiss determinants
+The fraction-free Gauss-Jordan behind ``det``, ``adjugate``,
+``scaled_inverse``, ``solve_exact`` and ``rank`` is checked against the
+triangular Bareiss determinant of ``oracles.det_bareiss``
 and a test-side rational elimination; ``hnf`` and ``snf`` against their
 defining identities and invariance under unimodular changes of basis;
 ``hnf_mod`` against ``hnf`` of the rows stacked on D I.
@@ -22,14 +23,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_gauss_jordan
+from oracles import dense_gauss_jordan, det_bareiss
 from test_exactmath import assert_hnf_shape
 from toricmld import exactmath
 from toricmld.exactmath import (
     SingularMatrixError,
     _gauss_jordan,
     adjugate,
-    det_bareiss,
+    det,
     hnf,
     hnf_mod,
     identity,
@@ -107,6 +108,27 @@ def test_adjugate(m):
     assert mat_mul(m, adj) == [[d * (i == j) for j in range(n)] for i in range(n)]
     want = [row[n:] for row in rref([list(row) + identity(n)[i] for i, row in enumerate(m)])[0]]
     assert [[F(x, d) for x in row] for row in adj] == inverse(m) == want
+
+
+@PROPERTY
+@given(st.data())
+def test_det(data):
+    """``det`` against the Bareiss determinant, on integer and Fraction
+    matrices, 0 x 0 included; a dependent last row makes it singular."""
+    n = data.draw(st.integers(0, 6))
+    entries = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    m = [[F(x) for x in row] for row in data.draw(st.lists(entries, min_size=n, max_size=n))]
+    if data.draw(st.booleans()):
+        dens = st.lists(st.integers(1, 7), min_size=n, max_size=n)
+        m = [[x / d for x, d in zip(row, ds)] for row, ds in zip(m, data.draw(st.lists(dens, min_size=n, max_size=n)))]
+    if n >= 2 and data.draw(st.booleans()):
+        a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    scales = [math.lcm(*(x.denominator for x in row)) for row in m]  # row i times scales[i] is integral
+    want = F(det_bareiss([[int(x * e) for x in row] for row, e in zip(m, scales)]), math.prod(scales))
+    assert det(m) == want
+    if all(e == 1 for e in scales):
+        assert det([[int(x) for x in row] for row in m]) == want
 
 
 @PROPERTY

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import det_bareiss
 from toricmld.exactmath import (
     SingularMatrixError,
+    adjugate,
     det,
-    det_bareiss,
     hnf,
     identity,
     invariant_factors,
@@ -177,6 +178,28 @@ def test_snf_product_equals_det():
         assert math.prod(diag) == abs(det_bareiss(m))
 
 
+@pytest.mark.parametrize(
+    "m, diag",
+    [
+        # zeros move last, then 2 and 3 fold to 1 | 6, and 4 and 6 to 2 | 12
+        ([[2, 0, 0], [0, 0, 0], [0, 0, 3]], [1, 6, 0]),
+        ([[0, 0, 0], [0, 4, 0], [0, 0, 6]], [2, 12, 0]),
+        ([[0, 0, 0], [0, 0, 0]], [0, 0]),
+        ([[0], [0], [0]], [0]),
+        ([[4, -6, 10]], [2]),
+        ([[0, 0, -5]], [5]),
+        ([[4], [-6], [10]], [2]),
+        ([[0], [-5]], [5]),
+        ([[7]], [7]),
+        ([[-7]], [7]),
+        ([[]], []),
+        ([], []),
+    ],
+)
+def test_snf_edge_shapes(m, diag):
+    assert check_snf(m) == diag
+
+
 def test_invariant_factors():
     assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
     assert invariant_factors([[1, 0], [0, 1]]) == [1, 1]
@@ -217,6 +240,19 @@ def test_inverse_roundtrip():
                 break
         ainv = inverse(a)
         assert mat_mul(a, ainv) == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize("m", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1], [2]], [[1, 2]]])
+def test_det_and_adjugate_reject_non_square_matrices(m):
+    with pytest.raises(ValueError, match="square"):
+        det(m)
+    with pytest.raises(ValueError, match="square"):
+        adjugate(m)
+
+
+def test_det_of_the_empty_matrix_is_one():
+    assert det([]) == 1
+    assert adjugate([]) == ([], 1)
 
 
 def test_det_bareiss_against_fraction_elimination():

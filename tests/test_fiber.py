@@ -18,10 +18,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import standard_fiber_rays
-from oracles import fiber_oracle, generic_fiber_group, integer_row_kernel
+from oracles import det_bareiss, fiber_oracle, generic_fiber_group, integer_row_kernel
 from toricmld import Fan, InvalidMfsError, ToricMfs, ToricVariety, example_family, make_mfs
 from toricmld.cli import load_instance, main
-from toricmld.exactmath import det_bareiss, rank
+from toricmld.exactmath import rank
 
 F = Fraction
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -19,9 +19,9 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import primitivize_oracle, rays_primitive_oracle, solve_oracle, to_ambient_oracle
+from oracles import det_bareiss, primitivize_oracle, rays_primitive_oracle, solve_oracle, to_ambient_oracle
 from toricmld import Fan, Lattice, ToricVariety
-from toricmld.exactmath import det, det_bareiss, inverse, mat_mul, vec_mat
+from toricmld.exactmath import det, inverse, mat_mul, vec_mat
 
 F = Fraction
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_overlattice, rand_unimodular
+from oracles import det_bareiss
 from toricmld import (
     DegenerateBasisError,
     Lattice,
@@ -12,7 +13,6 @@ from toricmld import (
     QuotientGroup,
     ZeroVectorError,
 )
-from toricmld.exactmath import det_bareiss
 
 F = Fraction
 
@@ -95,8 +95,6 @@ def test_quotient_reps_differences_not_in_sublattice():
     for _ in range(20):
         d = rng.randint(1, 3)
         lat = rand_overlattice(rng, d, 8)
-        from toricmld.exactmath import det_bareiss
-
         while True:
             b = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
             if det_bareiss(b) != 0:
@@ -116,7 +114,7 @@ def test_quotient_reps_differences_not_in_sublattice():
 
 def test_quotient_reps_cube_normalization():
     rng = random.Random(34)
-    from toricmld.exactmath import det_bareiss, inverse, vec_mat
+    from toricmld.exactmath import inverse, vec_mat
 
     for _ in range(20):
         d = rng.randint(1, 3)
@@ -135,8 +133,6 @@ def test_quotient_reps_cube_normalization():
 def test_quotient_order_formula():
     # order = |det B| * [N : Z^d] for an integer sublattice basis B
     rng = random.Random(35)
-    from toricmld.exactmath import det_bareiss
-
     for _ in range(25):
         d = rng.randint(1, 3)
         lat = rand_overlattice(rng, d, 30)

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_unimodular
-from oracles import box_scan_oracle
+from oracles import box_scan_oracle, det_bareiss
 from toricmld import (
     Fan,
     Lattice,
@@ -31,7 +31,6 @@ from toricmld import (
     mld,
     mld_bruteforce,
 )
-from toricmld.exactmath import det_bareiss
 
 F = Fraction
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)

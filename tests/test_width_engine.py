@@ -21,9 +21,10 @@ import pytest
 from hypothesis import assume, event, given, reject, settings
 from hypothesis import strategies as st
 
+from oracles import det_bareiss
 from test_mld_sweep import affine_varieties, assert_agrees
 from toricmld import Fan, Lattice, TooLargeError, ToricVariety, cyclic_quotient, example_family, mld, mld_bruteforce
-from toricmld.exactmath import det_bareiss, hnf, lll, rank
+from toricmld.exactmath import hnf, lll, rank
 
 mld_module = importlib.import_module("toricmld.mld")
 F = Fraction
