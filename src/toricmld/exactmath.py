@@ -285,11 +285,13 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
 
 
 def scaled_inverse(a) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(K, q): integers with inverse(a) = K / q, q > 0 the least such.
+    """(K, q): integers with inverse(a) = K / q, q > 0 the least such."""
+    return _scaled_inverse(*_integral(a))
 
-    With a = A / e for an integer matrix A, inverse(a) = e adj(A) / det(A).
-    """
-    a, e = _integral(a)
+
+def _scaled_inverse(a: Sequence[Sequence[int]], e: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``scaled_inverse`` of A / e for an integer matrix A and any e > 0:
+    inverse(A / e) = e adj(A) / det(A), reduced to lowest terms."""
     adj, d = adjugate(a)
     g = math.gcd(d, *(e * x for row in adj for x in row))
     if d < 0:
@@ -303,12 +305,20 @@ def inverse(a) -> list[list[Fraction]]:
     return [[Fraction(x, q) for x in row] for row in k]
 
 
-def lll(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+def lll(rows: Sequence[Sequence[int]], carry: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """LLL-reduced basis (delta = 3/4) of the lattice of independent integer
     rows: Cohen's integral LLL (A Course in Computational Algebraic Number
     Theory, Alg. 2.6.7), on the Gram determinants d[i] of the first i rows
-    and lam[k][j] = d[j + 1] mu_kj, all integers with exact divisions."""
+    and lam[k][j] = d[j + 1] mu_kj, all integers with exact divisions.
+
+    Returns (B, P): the reduced rows B = U rows, and the rows of ``carry``
+    (one per row) taken through the contragredient steps, P = U^-T carry:
+    b_k -= q b_j comes with p_j += q p_k, and a swap of b_k and b_(k-1) with
+    the same swap of p.  So P^T B = carry^T rows, and rows dual to ``rows``
+    (<p_i, b_j> = D [i == j]) stay dual to the reduced ones.
+    """
     b = [list(row) for row in rows]
+    p = [list(row) for row in carry]
     n = len(b)
     d = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]
@@ -317,6 +327,7 @@ def lll(rows: Sequence[Sequence[int]]) -> list[list[int]]:
         if 2 * abs(lam[k][j]) > d[j + 1]:
             q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])  # nearest integer
             b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            p[j] = [x + q * y for x, y in zip(p[j], p[k])]
             lam[k][j] -= q * d[j + 1]
             for i in range(j):
                 lam[k][i] -= q * lam[j][i]
@@ -337,6 +348,7 @@ def lll(rows: Sequence[Sequence[int]]) -> list[list[int]]:
             reduce(k, k - 1)
         if k and 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:  # Lovasz fails: swap
             b[k], b[k - 1] = b[k - 1], b[k]
+            p[k], p[k - 1] = p[k - 1], p[k]
             for j in range(k - 1):
                 lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
             lk = lam[k][k - 1]
@@ -351,7 +363,7 @@ def lll(rows: Sequence[Sequence[int]]) -> list[list[int]]:
             for j in range(k - 2, -1, -1):
                 reduce(k, j)
             k += 1
-    return b
+    return b, p
 
 
 def iroot_floor(n: int, k: int) -> int:

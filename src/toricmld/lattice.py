@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .exactmath import as_fractions, det, hnf, hnf_mod, snf, vec_mat
+from .exactmath import as_fractions, hnf, hnf_mod, snf, vec_mat
 
 Vector = tuple[Fraction, ...]
 
@@ -69,10 +69,6 @@ def _scaled(dim: int, gens: Iterable[Sequence]) -> tuple[int, list[list[int]]]:
     return denom, [[x.numerator * (denom // x.denominator) for x in row] for row in gens]
 
 
-def _frac(x: Fraction) -> Fraction:
-    return x - math.floor(x)
-
-
 class Lattice:
     """A finite-index overlattice N of Z^d, N subset of Q^d; basis = rows / denominator."""
 
@@ -104,9 +100,16 @@ class Lattice:
         """Smallest lattice containing Z^d and all of gens, in canonical form."""
         if dim < 1:
             raise ValueError("dimension must be positive")
-        denom, scaled = _scaled(dim, gens)
+        return cls._from_scaled(dim, *_scaled(dim, gens))
+
+    @classmethod
+    def _from_scaled(cls, dim: int, denom: int, rows: Sequence[Sequence[int]]) -> "Lattice":
+        """``from_generators`` of the rows / denom, for integer rows: with g the
+        gcd of denom and every entry, D = denom / g and D N = span(rows / g) + D Z^d."""
+        g = math.gcd(denom, *(x for row in rows for x in row))
         lat = cls.__new__(cls)
-        lat._set(dim, denom, hnf_mod(scaled or [[0] * dim], denom))
+        denom //= g
+        lat._set(dim, denom, hnf_mod([[x // g for x in row] for row in rows] or [[0] * dim], denom))
         return lat
 
     @property
@@ -195,10 +198,10 @@ class Lattice:
             if any(x.denominator != 1 for x in c):
                 raise NotSublatticeError(f"{r!r} is not a lattice point")
             coord_rows.append([int(x) for x in c])
-        if det(coord_rows) == 0:
-            raise DegenerateBasisError("sublattice basis rows are linearly dependent")
         s, u, _ = snf(coord_rows)
         factors = tuple(s[i][i] for i in range(self.dim))
+        if 0 in factors:  # the Smith diagonal holds a 0 iff det = 0
+            raise DegenerateBasisError("sublattice basis rows are linearly dependent")
         order = math.prod(factors)
         denom = math.lcm(*factors)
         # Coset reps in sub-basis coordinates are frac(sum_i t_i * u[i] / s_i),

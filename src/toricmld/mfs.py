@@ -109,9 +109,7 @@ class ToricMfs:
             failed = [c.name for c in self.report.checks if not c.passed]
             raise InvalidMfsError(f"normal-form validation failed: {failed}")
         m, n, denom = self.m, self.n, self.x.lattice.denominator
-        z_lattice = Lattice.from_generators(
-            m, [[Fraction(x, denom) for x in row[n:]] for row in self._base_first_rows[n:]]
-        )
+        z_lattice = Lattice._from_scaled(m, denom, [row[n:] for row in self._base_first_rows[n:]])
         kernel = _kernel_ray_indices(self)
         verts = tuple(self.x.fan.rays[i][:m] for i in kernel)
         # Fan.build's checks hold already: the kernel rays are distinct rays of
@@ -247,8 +245,8 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
 
     def lattice_surjectivity():
         denom = mfs.x.lattice.denominator  # F(N): the top n rows' base blocks / D
-        image = [[Fraction(x, denom) for x in row[:n]] for row in mfs._base_first_rows[:n]]
-        if m >= 0 and Lattice.from_generators(n, image) == mfs.y.lattice:
+        image = [row[:n] for row in mfs._base_first_rows[:n]]
+        if m >= 0 and Lattice._from_scaled(n, denom, image) == mfs.y.lattice:
             return True, "projection maps the total lattice onto the base lattice"
         rows = []  # the failure's detail: where the image leaves, or its cokernel
         for b in mfs.x.lattice.basis:

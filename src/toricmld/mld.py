@@ -37,11 +37,15 @@ innermost free level is streamed as arithmetic progressions mod D.
 A cone with D above ``_CROSSOVER`` goes to a width engine that branches on
 flat directions of the dual lattice (Lenstra 1983; Aardal, Hurkens and
 Lenstra 2000).  The points of value <= s are those of L in the simplex
-{x >= 0, sum(x) <= s} and the box x_i < D.  ``lll`` reduces D h^-T, an integral basis of D L*; the
-engine orders its rows u by their width on the simplex, max(0, max u) -
-min(0, min u), and fixes the integers <u_j, x> / D of the d - 1 flattest,
-each over its range on the whole simplex.  No level cuts another's range, so
-every value that occurs is covered; what is left is a line base + t w of L.
+{x >= 0, sum(x) <= s} and the box x_i < D.  ``lll`` reduces D h^-T, an
+integral basis of D L*, and carries h through the contragredient of its
+steps, so the basis of L dual to the reduced rows comes out with them and
+no second inverse is needed.  The engine orders the rows u by their width on
+the simplex, max(0, max u) - min(0, min u), and fixes the integers
+<u_j, x> / D of the d - 1 flattest, each over its range on the whole
+simplex.  No level cuts another's range, so every value that occurs is
+covered; what is left is a line base + t w of L, w the dual basis row of the
+widest u.
 On it every constraint is linear in t, so t is clipped in closed form and
 the least sum is at an end, one step inward when that end is the origin;
 when sum(w) = 0 all its points tie and the end with the lex-smaller ambient
@@ -301,14 +305,21 @@ def _hnf_sweep(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tup
     return None if found is None else (found, key)
 
 
+def _flat_directions(h, denom: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(dual, basis): the rows of ``lll``-reduced D h^-T, flattest on the
+    simplex first, and the lattice basis dual to them, <basis_i, dual_j> =
+    D [i == j], which is h carried through LLL's steps and the same sort."""
+    d = len(h)
+    k, q = scaled_inverse(h)
+    dual, basis = lll([[denom * k[i][j] // q for i in range(d)] for j in range(d)], h)
+    pairs = sorted(zip(dual, basis), key=lambda pair: max(0, *pair[0]) - min(0, *pair[0]))
+    return [u for u, _ in pairs], [v for _, v in pairs]
+
+
 def _width_cone(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tuple[int, tuple[int, ...]]]:
     """``_hnf_sweep``'s answer by the width engine of the module docstring."""
     d = len(h)
-    k, q = scaled_inverse(h)
-    dual = lll([[denom * k[i][j] // q for i in range(d)] for j in range(d)])  # D h^-T, reduced
-    dual.sort(key=lambda u: max(0, *u) - min(0, *u))  # flattest on the simplex first
-    k, q = scaled_inverse([list(col) for col in zip(*dual)])
-    basis = [[denom * x // q for x in row] for row in k]  # <basis_i, dual_j> = D [i == j]
+    dual, basis = _flat_directions(h, denom)
     neg, pos = [min(0, *u) for u in dual], [max(0, *u) for u in dual]
     w = basis[-1]  # the line direction, along the widest dual row
     w_sum = sum(w)

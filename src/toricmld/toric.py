@@ -19,7 +19,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .exactmath import SingularMatrixError, as_fractions, rank, scaled_inverse, solve_exact
+from .exactmath import (
+    SingularMatrixError,
+    _integral,
+    _scaled_inverse,
+    as_fractions,
+    rank,
+    solve_exact,
+)
 from .lattice import Lattice, NotInLatticeError, Vector, ZeroVectorError
 
 
@@ -69,7 +76,8 @@ class Fan:
         dim = len(ray_rows[0])
         if any(len(r) != dim for r in ray_rows):
             raise DimensionMismatchError("rays have mixed dimensions")
-        if len(set(ray_rows)) != len(ray_rows):
+        ints, e = _integral(ray_rows)  # every ray read once: rays = ints / e
+        if len(set(map(tuple, ints))) != len(ints):
             raise ValueError("duplicate rays in fan")
         cones = []
         covered: set[int] = set()
@@ -82,13 +90,13 @@ class Fan:
             gens = tuple(ray_rows[i] for i in idx)
             inv = None
             if len(gens) == dim:
-                try:
-                    inv = scaled_inverse(gens)
+                try:  # (K, q) is canonical, so the shared e gives the cone's own
+                    inv = _scaled_inverse([ints[i] for i in idx], e)
                 except SingularMatrixError:
                     raise NonSimplicialError(f"cone {idx} generators are dependent") from None
             elif len(gens) > dim:
                 raise NonSimplicialError(f"cone {idx} has more generators than the dimension")
-            elif rank(gens) != len(gens):
+            elif rank([ints[i] for i in idx]) != len(gens):
                 raise NonSimplicialError(f"cone {idx} generators are dependent")
             covered.update(idx)
             cones.append(SimplicialCone(ray_indices=idx, generator_matrix=gens, inverse=inv))

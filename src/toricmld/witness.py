@@ -20,7 +20,9 @@ The multiple k*P, with the fiber part re-centered to the nearest-integer
 representative, is a nonzero lattice point Q with nonnegative base part; its
 log discrepancy is at most (C+1) * delta^(1/(m+1)) where C is the largest
 coefficient 1-norm among the linear pieces of the fiber's discrepancy
-function.
+function.  Q's fiber part comes from the integer residues x = k*b_l*d mod d
+of the scan, and Q is located in the fan of X once: that one cone-location
+pass gives both its cone and ld(Q), the sum of its barycentrics there.
 
 Every threshold comparison against the irrational delta^(1/(m+1)) is done as
 an exact integer-power comparison of rationals: x <= delta^(1/(m+1)) iff
@@ -37,10 +39,10 @@ from operator import le, mod
 from typing import Optional, Sequence
 
 from .exactmath import hnf, iroot_floor
-from .lattice import NotInLatticeError, Vector, ZeroVectorError, _frac
+from .lattice import NotInLatticeError, Vector, ZeroVectorError
 from .mfs import FiberData, ToricMfs, generic_fiber
 from .mld import GUARD, MldResult, TooLargeError, mld
-from .toric import find_containing_cone, log_discrepancy
+from .toric import _locate
 
 
 class NotInBaseLatticeError(ValueError):
@@ -105,8 +107,9 @@ def lift_to_X(mfs: ToricMfs, a: Sequence) -> Vector:
     """Preimage of base lattice point A with fiber coordinates in [0,1).
 
     Solves for an integer coordinate vector against the Hermite form of the
-    projected lattice basis, then reduces the fiber part modulo the standard
-    fiber lattice Z^m (always inside the kernel lattice).
+    projected lattice basis, then reads the fiber part off the integer rows
+    of D N and reduces it modulo the standard fiber lattice Z^m (always
+    inside the kernel lattice): (coeffs @ rows mod D) / D.
     """
     m, n = mfs.m, mfs.n
     av = tuple(Fraction(c) for c in a)
@@ -137,9 +140,10 @@ def lift_to_X(mfs: ToricMfs, a: Sequence) -> Vector:
     if any(residual):
         raise NotInBaseLatticeError(f"{a!r} is not in the base lattice")
     coeffs = [sum(y[i] * u[i][j] for i in range(d)) for j in range(d)]
-    point = lat.to_ambient(coeffs)
-    lifted = tuple(_frac(point[j]) for j in range(m)) + av
-    return lifted
+    # the fiber part of (coeffs @ rows) / D, reduced mod Z^m
+    denom = lat.denominator
+    fiber = (sum(c * row[j] for c, row in zip(coeffs, lat.rows)) % denom for j in range(m))
+    return tuple(Fraction(x, denom) for x in fiber) + av
 
 
 def _first_multiple(step: Sequence[int], d: int, g: int, last: int) -> Optional[int]:
@@ -165,12 +169,14 @@ def _first_multiple(step: Sequence[int], d: int, g: int, last: int) -> Optional[
 def effective_delta(fiber: FiberData) -> EffectiveDelta:
     """Largest coefficient 1-norm among the fiber's per-cone discrepancy
     functionals; drives the effective threshold map."""
-    c_z = Fraction(0)
+    top, top_q = 0, 1  # the largest norm / q so far, compared by cross-multiplying
     for cone in fiber.z.fan.max_cones:
         # L with sum_j L_j P_i[j] = 1 for every generator P_i: K (1, ..., 1) / q
         k, q = cone.inverse
-        c_z = max(c_z, Fraction(sum(abs(sum(row)) for row in k), q))
-    return EffectiveDelta(c_z=c_z, m=fiber.z.dim)
+        norm = sum(abs(sum(row)) for row in k)
+        if norm * top_q > top * q:
+            top, top_q = norm, q
+    return EffectiveDelta(c_z=Fraction(top, top_q), m=fiber.z.dim)
 
 
 def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessReport:
@@ -184,8 +190,8 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
     examines at most ``GUARD`` multiples: when T exceeds the guard and no k
     up to it qualifies, TooLargeError is raised instead.  The report is
     self-verifying: Q is a nonzero lattice point of the total space, its
-    base image is componentwise nonnegative, and ld_q is recomputed from
-    scratch.
+    base image is componentwise nonnegative, and Q is located once in the
+    fan of X, which gives its cone and ld_q from scratch.
     """
     base = mld(mfs.y)
     if delta is None:
@@ -215,24 +221,27 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
     # that is min(x, d-x) <= g for the integer root g below.
     d = math.lcm(*(c.denominator for c in b))
     g = iroot_floor(num * d ** (m + 1) // den, m + 1)
+    steps = [c.numerator * (d // c.denominator) for c in b]
     guard = GUARD.get()
-    k = _first_multiple([int(c * d) for c in b], d, g, min(t_count, guard))
+    k = _first_multiple(steps, d, g, min(t_count, guard))
     if k is None:
         if t_count > guard:
             raise TooLargeError(f"witness scan exceeded guard of {guard} multiples")
         raise NoPairFoundError("box principle failed; threshold inconsistent")
     pair = (0, k)
 
-    q_fiber = []
-    for l in range(m):
-        f = _frac(k * b[l])
-        q_fiber.append(f if f <= Fraction(1, 2) else f - 1)
-    q = tuple(q_fiber) + tuple(k * c for c in a)
+    # the nearest-integer representative of k b: x / d or x / d - 1, x = k s mod d
+    residues = [k * s % d for s in steps]
+    q_fiber = tuple(Fraction(x, d) if 2 * x <= d else Fraction(x - d, d) for x in residues)
+    q = q_fiber + tuple(k * c for c in a)
     if not mfs.x.lattice.contains(q):
         raise NotInLatticeError("constructed witness left the lattice")  # unreachable
 
-    cone_index = find_containing_cone(mfs.x, q)
-    ld_q = log_discrepancy(mfs.x, q)
+    # located once: the containing cone and ld(Q), the sum of Q's barycentrics
+    # there; outside the fan (only on a fibration that fails validation, which
+    # generic_fiber then reports) both are None
+    hit = _locate(mfs.x, q)
+    cone_index, ld_q = (None, None) if hit is None else (hit[0], Fraction(sum(hit[1]), hit[2]))
     fiber = generic_fiber(mfs)
     coeff = effective_delta(fiber).c_z + 1
     satisfied = ld_q ** (m + 1) <= coeff ** (m + 1) * delta
@@ -242,7 +251,7 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
         t=Fraction(t_count),
         pair=pair,
         q=q,
-        q_fiber=tuple(q_fiber),
+        q_fiber=q_fiber,
         cone_index=cone_index,
         ld_q=ld_q,
         delta=delta,

@@ -21,6 +21,10 @@ oracle of the oracle.
 used before it read the determinant off the Gauss-Jordan's last pivot; the
 tests keep it as the reference determinant of integer matrices.
 
+``effective_delta_oracle`` is ``witness.effective_delta`` before it kept the
+running maximum as an integer pair: the Fraction maximum of each fiber
+cone's coefficient 1-norm.
+
 ``dense_gauss_jordan`` is the fraction-free Gauss-Jordan step that updates
 every row at every pivot, before rows already zero in the pivot column were
 only rescaled.  ``solve_oracle``, ``to_ambient_oracle`` and
@@ -42,10 +46,15 @@ from itertools import combinations
 
 from toricmld import Fan, Lattice, NoPairFoundError, ToricVariety, find_witness, lift_to_X, mld
 from toricmld.exactmath import invariant_factors, iroot_floor, snf, vec_mat
-from toricmld.lattice import LatticeError, NotInLatticeError, Vector, ZeroVectorError, _frac
+from toricmld.lattice import LatticeError, NotInLatticeError, Vector, ZeroVectorError
 from toricmld.mfs import FiberData, InvalidMfsError, ToricMfs, _kernel_ray_indices
 from toricmld.mld import GUARD, MldResult, TooLargeError, _Best, _check_cones, _finalize, _scaled_generators
 from toricmld.toric import origin_barycentrics
+from toricmld.witness import EffectiveDelta
+
+
+def _frac(x: Fraction) -> Fraction:
+    return x - math.floor(x)
 
 
 def _pair_search(
@@ -194,6 +203,14 @@ def generic_fiber_group(mfs: ToricMfs) -> tuple[int, ...]:
         e = tuple(Fraction(int(i == j)) for j in range(mfs.m))
         rows.append([int(x) for x in z.coords(e)])
     return tuple(invariant_factors(rows))
+
+
+def effective_delta_oracle(fiber: FiberData) -> EffectiveDelta:
+    c_z = Fraction(0)
+    for cone in fiber.z.fan.max_cones:
+        k, q = cone.inverse
+        c_z = max(c_z, Fraction(sum(abs(sum(row)) for row in k), q))
+    return EffectiveDelta(c_z=c_z, m=fiber.z.dim)
 
 
 def box_scan_oracle(

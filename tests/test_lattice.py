@@ -19,6 +19,17 @@ F = Fraction
 L2_GEN = (F(2, 17), F(4, 17), F(1, 17), F(1, 17))
 
 
+def test_integer_constructor_matches_from_generators():
+    rng = random.Random(78)
+    for _ in range(300):
+        d, k = rng.randint(1, 4), rng.randint(0, 3)
+        denom = rng.choice([1, 2, 6, 12, 30, 97, 360])
+        rows = [[rng.randint(-2 * denom, 2 * denom) for _ in range(d)] for _ in range(k)]
+        want = Lattice.from_generators(d, [[F(x, denom) for x in row] for row in rows])
+        got = Lattice._from_scaled(d, denom, rows)
+        assert (got.dim, got.denominator, got.rows) == (want.dim, want.denominator, want.rows)
+
+
 def test_standard_lattice():
     lat = Lattice.from_generators(2, [])
     assert lat == Lattice.standard(2)

@@ -11,6 +11,7 @@ its earlier single walk of the whole box, must agree with it at every cap.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -43,25 +44,28 @@ def scan_mld(x_var, cap=None):
     are all at most cap count, the rays do not, and None means there is none.
     """
     candidates = [(F(1), ray) for ray in x_var.fan.rays] if cap is None else []
+    d = x_var.dim
     for cone in x_var.fan.max_cones:
         g = cone.generator_matrix
         qg = x_var.lattice.quotient_group(g)
         denom = qg.denominator
-        low, point = None, None
+        # the generators over their common denominator e: a coset's ambient
+        # point is key / (denom e) with key = sum_i num_i G_i, so keys order
+        # the ties as their points do
+        e = math.lcm(*(x.denominator for row in g for x in row))
+        gint = [[x.numerator * (e // x.denominator) for x in row] for row in g]
+        low, key = None, None
         for num in qg.reps_scaled():
             s = sum(num)
             if s == 0 or (low is not None and s > low):
                 continue
             if cap is not None and max(num) > cap * denom:
                 continue
-            amb = tuple(
-                sum(F(num[i], denom) * g[i][j] for i in range(x_var.dim))
-                for j in range(x_var.dim)
-            )
-            if low is None or s < low or amb < point:
-                low, point = s, amb
+            k = tuple(sum(num[i] * gint[i][j] for i in range(d)) for j in range(d))
+            if low is None or s < low or k < key:
+                low, key = s, k
         if low is not None and low <= denom:
-            candidates.append((F(low, denom), point))
+            candidates.append((F(low, denom), tuple(F(x, denom * e) for x in key)))
     if not candidates:
         return None
     value, witness = min(candidates)

@@ -8,7 +8,8 @@ every cone sent to the engine, value, witness and cone must match the coset
 scan and ``mld_bruteforce``.  On large cones ``mld`` must also match
 ``mld_bruteforce`` alone, whose rounds of growing value keep it fast at any
 D whose minimum lies low in the cone.  ``lll`` is checked against a test-side
-rational Gram-Schmidt.
+rational Gram-Schmidt, and the rows it carries must transform
+contragrediently, so the engine's basis is the one a second inverse gave.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from oracles import det_bareiss
 from test_mld_sweep import affine_varieties, assert_agrees
 from toricmld import Fan, Lattice, TooLargeError, ToricVariety, cyclic_quotient, example_family, mld, mld_bruteforce
-from toricmld.exactmath import hnf, lll, rank
+from toricmld.exactmath import hnf, identity, lll, mat_mul, rank, scaled_inverse
 
 mld_module = importlib.import_module("toricmld.mld")
 F = Fraction
@@ -163,9 +164,9 @@ def gram_schmidt(rows):
 
 
 @st.composite
-def independent_rows(draw):
+def independent_rows(draw, square=False):
     n = draw(st.integers(1, 6))
-    k = draw(st.integers(1, n))
+    k = n if square else draw(st.integers(1, n))
     size = draw(st.sampled_from([3, 100, 10**6, 10**12]))
     entry = st.integers(-size, size)
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
@@ -176,8 +177,10 @@ def independent_rows(draw):
 @PROPERTY
 @given(independent_rows())
 def test_lll_is_a_reduced_basis_of_the_same_lattice(rows):
-    red = lll(rows)
+    red, carried = lll(rows, identity(len(rows)))
     assert hnf(red)[0] == hnf(rows)[0]
+    # red = U rows and carried = U^-T, so carried^T red = rows
+    assert mat_mul([list(col) for col in zip(*carried)], red) == rows
     norms, mu = gram_schmidt(red)
     for i in range(len(red)):
         assert all(abs(mu[i][j]) <= F(1, 2) for j in range(i))
@@ -187,4 +190,30 @@ def test_lll_is_a_reduced_basis_of_the_same_lattice(rows):
 
 def test_lll_rejects_dependent_rows():
     with pytest.raises(ValueError, match="independent"):
-        lll([[1, 2, 3], [2, 4, 6]])
+        lll([[1, 2, 3], [2, 4, 6]], identity(2))
+
+
+@PROPERTY
+@given(independent_rows(square=True))
+def test_lll_keeps_carried_dual_rows_dual(rows):
+    # carry D rows^-T, D = |det|: <p_i, b_j> = D [i == j] before and after
+    n, denom = len(rows), abs(det_bareiss(rows))
+    k, q = scaled_inverse(rows)
+    dual = [[denom * k[i][j] // q for i in range(n)] for j in range(n)]
+    red, carried = lll(rows, dual)
+    assert mat_mul(carried, [list(col) for col in zip(*red)]) == [[denom * (i == j) for j in range(n)] for i in range(n)]
+
+
+@PROPERTY
+@given(st.one_of(cones(3000), large_cones(), large_cones(generators=2)))
+def test_width_engine_basis_is_dual_to_the_sorted_rows(x_var):
+    cone = mld_module._coset_lattice(x_var, 0)
+    assume(cone is not None)
+    denom, h, _ = cone
+    dual, basis = mld_module._flat_directions(h, denom)
+    widths = [max(0, *u) - min(0, *u) for u in dual]
+    assert widths == sorted(widths)
+    # the basis the engine used to get from a second inverse: D (dual^T)^-1
+    k, q = scaled_inverse([list(col) for col in zip(*dual)])
+    assert basis == [[denom * x // q for x in row] for row in k]
+    assert hnf(basis)[0] == h

@@ -1,12 +1,14 @@
 import random
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_standard_simplex_mfs, standard_fiber_rays
-from oracles import dirichlet_pair, first_multiple_loop, scan_oracle_pair
+from oracles import dirichlet_pair, effective_delta_oracle, first_multiple_loop, scan_oracle_pair
 from toricmld import (
     GUARD,
     NoPairFoundError,
@@ -17,6 +19,7 @@ from toricmld import (
     check_eps_delta,
     effective_delta,
     example_family,
+    find_containing_cone,
     find_witness,
     generic_fiber,
     lift_to_X,
@@ -24,6 +27,7 @@ from toricmld import (
     make_mfs,
     mld,
 )
+from toricmld.cli import load_instance
 from toricmld.exactmath import iroot_floor
 from toricmld.witness import _first_multiple
 
@@ -183,6 +187,34 @@ def check_witness_report(mfs, report):
     m = mfs.m
     assert report.ld_q ** (m + 1) <= report.bound_power
     assert report.bound_satisfied
+
+
+def located_instances():
+    """Random standard-simplex fibrations, the family, and the hand-built
+    instance whose kernel lattice is larger than Z^m."""
+    rng = random.Random(77)
+    instances = [example_family(l) for l in (2, 5)]
+    for _ in range(25):
+        instances.append(rand_standard_simplex_mfs(rng, rng.choice([1, 2, 3]), rng.choice([1, 2]), 300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        instances.append(load_instance(str(Path(__file__).parent / "golden" / "mfs_shuffled_fiber.json")))
+    return instances
+
+
+def test_find_witness_locates_q_as_the_toric_queries_do():
+    # find_witness locates Q once; its cone and ld(Q) are what the public
+    # queries return for the same point
+    for mfs in located_instances():
+        report = find_witness(mfs)
+        assert report.cone_index == find_containing_cone(mfs.x, report.q)
+        assert report.ld_q == log_discrepancy(mfs.x, report.q)
+
+
+def test_effective_delta_matches_the_fraction_maximum():
+    for mfs in located_instances():
+        fiber = generic_fiber(mfs)
+        assert effective_delta(fiber) == effective_delta_oracle(fiber)
 
 
 def test_find_witness_family():
