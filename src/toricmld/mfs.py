@@ -91,11 +91,17 @@ class ToricMfs:
         return hnf_mod([row[m:] + row[:m] for row in lat.rows], lat.denominator)
 
     @cached_property
+    def _kernel_ray_indices(self) -> list[int]:
+        """Indices of the rays of X in ker F, the fiber rays: found once for
+        the report's checks, ``_origin_barycentrics`` and ``fiber``."""
+        return [i for i, r in enumerate(self.x.fan.rays) if all(c == 0 for c in r[self.m:])]
+
+    @cached_property
     def _origin_barycentrics(self) -> Optional[tuple[Fraction, ...]]:
         """The origin's barycentrics in the fiber simplex, None when it is
         degenerate: solved once, for the ``fiber_simplex`` check and ``fiber``."""
         m, rays = self.m, self.x.fan.rays
-        return origin_barycentrics([rays[i][:m] for i in _kernel_ray_indices(self)])
+        return origin_barycentrics([rays[i][:m] for i in self._kernel_ray_indices])
 
     @cached_property
     def fiber(self) -> FiberData:
@@ -110,7 +116,7 @@ class ToricMfs:
             raise InvalidMfsError(f"normal-form validation failed: {failed}")
         m, n, denom = self.m, self.n, self.x.lattice.denominator
         z_lattice = Lattice._from_scaled(m, denom, [row[n:] for row in self._base_first_rows[n:]])
-        kernel = _kernel_ray_indices(self)
+        kernel = self._kernel_ray_indices
         verts = tuple(self.x.fan.rays[i][:m] for i in kernel)
         # Fan.build's checks hold already: the kernel rays are distinct rays of
         # X, fiber_simplex makes every m of them independent, and cone_shape
@@ -160,12 +166,6 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def _kernel_ray_indices(mfs: ToricMfs) -> list[int]:
-    return [
-        i for i, r in enumerate(mfs.x.fan.rays) if all(c == 0 for c in r[mfs.m:])
-    ]
-
-
 def validate(mfs: ToricMfs) -> ValidationReport:
     """Every normal-form check, each run independently, failures as report
     rows: ``mfs.report``, so the checks run once per fibration."""
@@ -180,7 +180,7 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
 
     # the fiber/base split of the rays, shared by the checks that need it
     try:
-        kernel = _kernel_ray_indices(mfs)
+        kernel = mfs._kernel_ray_indices
         bad_kernel = None
         if len(kernel) != m + 1:
             bad_kernel = f"{len(kernel)} rays in ker F, expected {m + 1}"

@@ -67,7 +67,14 @@ value <= s lies in that simplex, so the first round that finds a point holds
 the cone's minimum and its lex-least witness, exactly as one walk of the
 whole box would.  s starts at 2^-floor(bitlen(D q) / d) from the cone's
 data and doubles up to 1 (every generator has value 1, so the minimum is at
-most 1) or, below cap 1, up to d cap, the largest value in the box.
+most 1) or, below cap 1, up to d cap, the largest value in the box.  The
+walk is a branch and bound: once a round has a point of value t, the box
+shrinks to that of t conv(0, g_1 .. g_d), which still holds every point of
+value <= t, ties included, and each level stops as soon as its coordinate
+leaves the box.  A node's row on the next level is tested against the box
+before it is built, and the innermost row is clipped in closed form by the
+loop of the level above it.  The guard counts the nodes visited and the box
+points of the innermost rows.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ from itertools import compress, repeat
 from operator import add, eq, mod
 from typing import Optional, Sequence
 
-from .exactmath import hnf_mod, iroot_floor, lll, mat_mul, scaled_inverse
+from .exactmath import hnf_mod, iroot_floor, lll, mat_mul
 from .lattice import Lattice, Vector
 from .toric import (
     Fan,
@@ -91,9 +98,9 @@ from .toric import (
 
 DEFAULT_GUARD = 10**7
 # the work guard of ``mld`` and ``mld_bruteforce`` when they get no ``guard=``,
-# and of ``witness.find_witness``: the sweep counts points, the box scan nodes
-# and box points over all its rounds, the width engine search-tree nodes, the
-# witness scan multiples
+# and of ``witness.find_witness``: the sweep counts points, the box scan the
+# nodes it visits and its innermost box points over all its rounds, the width
+# engine search-tree nodes, the witness scan multiples
 GUARD: ContextVar[int] = ContextVar("toricmld_guard", default=DEFAULT_GUARD)
 _CHUNK_MIN, _CHUNK_MAX = 64, 8192  # innermost stream chunk sizes, doubling
 _CROSSOVER = 2**14  # cones with a larger quotient denominator take the width engine
@@ -127,20 +134,21 @@ class MldResult:
 
 
 class _Best:
-    """Running (value, witness) minimum under the fixed tie-break order."""
+    """Running (value, witness) minimum under the fixed tie-break order, with
+    the index of the cone that first offered it (None when not given)."""
 
-    __slots__ = ("value", "witness")
+    __slots__ = ("value", "witness", "cone")
 
     def __init__(self):
         self.value: Optional[Fraction] = None
         self.witness: Optional[Vector] = None
+        self.cone: Optional[int] = None
 
-    def offer(self, value: Fraction, witness: Vector) -> None:
+    def offer(self, value: Fraction, witness: Vector, cone: Optional[int] = None) -> None:
         if self.value is None or value < self.value or (
             value == self.value and witness < self.witness
         ):
-            self.value = value
-            self.witness = witness
+            self.value, self.witness, self.cone = value, witness, cone
 
 
 class _Budget:
@@ -181,7 +189,12 @@ def _finalize(x_var: ToricVariety, best: _Best, method: str, ray_cap: bool = Tru
         best = capped
     if best.value is None:
         raise ValueError("no nonzero lattice points in the scanned range")
-    cone_index = find_containing_cone(x_var, best.witness)
+    # below 1 the witness is a representative of every cone holding it, and
+    # each cone's search reaches it, so the lowest-index one offered it
+    # first; a capped witness (value 1) is located afresh
+    cone_index = best.cone
+    if cone_index is None or best.value >= one:
+        cone_index = find_containing_cone(x_var, best.witness)
     return MldResult(value=best.value, witness=best.witness, cone_index=cone_index, method=method)
 
 
@@ -212,7 +225,7 @@ def _sweep_cone(x_var: ToricVariety, ci: int, best: _Best, budget: _Budget) -> N
     found = (_width_cone if denom > _CROSSOVER else _hnf_sweep)(h, denom, gint, limit, budget)
     if found is not None:
         scale = denom * x_var.lattice.denominator
-        best.offer(Fraction(found[0], denom), tuple(Fraction(a, scale) for a in found[1]))
+        best.offer(Fraction(found[0], denom), tuple(Fraction(a, scale) for a in found[1]), ci)
 
 
 def _coset_lattice(x_var: ToricVariety, ci: int) -> Optional[tuple[int, list[list[int]], list[list[int]]]]:
@@ -309,11 +322,20 @@ def _flat_directions(h, denom: int) -> tuple[list[list[int]], list[list[int]]]:
     """(dual, basis): the rows of ``lll``-reduced D h^-T, flattest on the
     simplex first, and the lattice basis dual to them, <basis_i, dual_j> =
     D [i == j], which is h carried through LLL's steps and the same sort."""
-    d = len(h)
-    k, q = scaled_inverse(h)
-    dual, basis = lll([[denom * k[i][j] // q for i in range(d)] for j in range(d)], h)
+    dual, basis = lll(_scaled_dual(h, denom), h)
     pairs = sorted(zip(dual, basis), key=lambda pair: max(0, *pair[0]) - min(0, *pair[0]))
     return [u for u, _ in pairs], [v for _, v in pairs]
+
+
+def _scaled_dual(h, denom: int) -> list[list[int]]:
+    """D h^-T for upper triangular Hermite rows h of a lattice containing
+    D Z^d, by back substitution: D h^-1 is integral, so every division is exact."""
+    d = len(h)
+    dual = [[0] * d for _ in range(d)]  # row j: column j of D h^-1
+    for j, col in enumerate(dual):
+        for i in range(j, -1, -1):
+            col[i] = (denom * (i == j) - sum(h[i][k] * col[k] for k in range(i + 1, j + 1))) // h[i][i]
+    return dual
 
 
 def _width_cone(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tuple[int, tuple[int, ...]]]:
@@ -385,17 +407,23 @@ def mld_bruteforce(
     s conv(0, g_1 .. g_d), which holds every point of value <= s, level by
     level, one triangular lattice row per level, carrying the barycentric
     numerators (point @ K) down the levels by adding each row's numerators.
-    On the innermost row they are linear in the row index c, so c is clipped
-    in closed form to 0 <= numerator <= cap D q and to a value of at most s
-    (then at most the round's best so far), and the row's minimum is at an
-    end of that range: the origin is skipped, and on ties the smallest c
-    (the lex-smallest point) wins.  A round sees every point of value <= s,
-    so the first round that finds one holds the cone's minimum and its
-    lex-least witness.  s starts at 2^-floor(bitlen(D q) / d) and doubles
-    after each round that finds nothing, up to 1 (each generator has value
-    1) or, when cap < 1, up to d cap, the largest value in the cube.  Every
-    outer-level node and every box point counts against ``guard`` (default
-    ``GUARD``), summed over rounds; past it TooLargeError is raised.
+    Each level steps upward and stops once its coordinate passes the box; a
+    node's row on the next level is built only when it meets the box.  On
+    the innermost row the numerators are linear in the row index c, so the
+    loop of the level above clips c in closed form to 0 <= numerator <=
+    cap D q and to a value of at most s (then at most the cone's best so
+    far), and the row's minimum is at an end of that range: the origin is
+    skipped, and on ties the smallest c (the lex-smallest point) wins.  Each
+    new best value t cuts the box to that of t conv(0, g_1 .. g_d), which
+    still holds every point of value <= t.  A round sees every point of
+    value <= s, so the first round that finds one holds the cone's minimum
+    and its lex-least witness.  s starts at 2^-floor(bitlen(D q) / d) and
+    doubles after each round that finds nothing, up to 1 (each generator has
+    value 1) or, when cap < 1, up to d cap, the largest value in the cube.
+    Every node visited (a round's root included) and every box point of an
+    innermost row counts against ``guard`` (default ``GUARD``), summed over
+    rounds; past it TooLargeError is raised.  The witness's cone is located
+    afresh, apart from the search.
     """
     cap = Fraction(cap)
     if cap <= 0:
@@ -408,6 +436,7 @@ def mld_bruteforce(
     denom, h_rows = x_var.lattice.denominator, x_var.lattice.rows
     cap_num, cap_den = cap.numerator, cap.denominator
     s_max = Fraction(1) if cap >= 1 else d * cap
+    zero = [0] * d
     best = _Best()
 
     for ci in range(len(x_var.fan.max_cones)):
@@ -423,56 +452,84 @@ def mld_bruteforce(
         g_hi = [max(0, *col) for col in zip(*g)]
         row_nums = [[sum(h[a] * k[a][b] for a in range(d)) for b in range(d)] for h in h_rows]
         slope = sum(row_nums[last])
+        lo, hi = [0] * d, [0] * d
 
         cone_best: Optional[int] = None
         cone_witness: Optional[list[int]] = None
 
-        def scan(i: int, partial: list[int], nums: list[int]) -> None:
-            # partial: the point so far, scaled by denom; nums: partial @ k
+        def cut(num: int, den: int) -> None:
+            # the box of the scaled cone body cut to that of (num/den) conv(0, g_1 .. g_d)
+            lo[:] = [max(a, -(-num * b // den)) for a, b in zip(cube_lo, g_lo)]
+            hi[:] = [min(a, num * b // den) for a, b in zip(cube_hi, g_hi)]
+
+        def walk(i: int, partial: list[int], nums: list[int], c: int) -> None:
+            # Step level i (-1: the root, the origin alone) from node c until its
+            # coordinate passes hi[i].  partial: the point so far, scaled by
+            # denom; nums: partial @ k.  Each node's row on level j is tested
+            # against the box before it is built; the innermost one is clipped
+            # here, in closed form.
             nonlocal cone_best, cone_witness, limit
-            step = h_rows[i][i]
-            c_lo = -((partial[i] - lo[i]) // step)
-            c_hi = (hi[i] - partial[i]) // step
-            if c_lo > c_hi:
-                return
-            budget.spend(c_hi - c_lo + 1)
-            if i < last:
-                h, n = h_rows[i], row_nums[i]
-                partial = [a + c_lo * x for a, x in zip(partial, h)]
-                nums = [a + c_lo * x for a, x in zip(nums, n)]
-                for _ in range(c_lo, c_hi + 1):
-                    scan(i + 1, partial, nums)
-                    partial = list(map(add, partial, h))
-                    nums = list(map(add, nums, n))
-                return
-            # 0 <= base + c rise <= bound for each numerator and for their sum
-            for base, rise, bound in [*zip(nums, row_nums[last], repeat(top)), (sum(nums), slope, limit)]:
-                if rise > 0:
-                    c_lo = max(c_lo, -(base // rise))
-                    c_hi = min(c_hi, (bound - base) // rise)
-                elif rise < 0:
-                    c_lo = max(c_lo, -((bound - base) // -rise))
-                    c_hi = min(c_hi, base // -rise)
-                elif not 0 <= base <= bound:
-                    return
-            c = c_lo if slope >= 0 else c_hi
-            total = sum(nums) + c * slope
-            if total == 0:  # the origin; its neighbour inward is the next best
-                c += 1 if slope >= 0 else -1
-                total += abs(slope)
-            if not c_lo <= c <= c_hi:
-                return
-            point = partial[:last] + [partial[last] + c * step]
-            if cone_best is None or total < cone_best or point < cone_witness:
-                cone_best, cone_witness, limit = total, point, total
+            j = i + 1
+            step_j = h_rows[j][j]
+            if i < 0:
+                x, step, bound, h, n = 0, 1, [0], zero, zero
+            else:
+                step, bound, h, n = h_rows[i][i], hi, h_rows[i], row_nums[i]
+                x = partial[i] + c * step
+            y = partial[j] + c * h[j]  # the coordinate on level j of its row's node 0
+            spent, left = 0, budget.left
+            while x <= bound[i]:
+                spent += 1
+                c_lo, c_hi = -((y - lo[j]) // step_j), (hi[j] - y) // step_j
+                if c_lo <= c_hi:
+                    nums_c = [a + c * b for a, b in zip(nums, n)]
+                    if j < last:
+                        budget.spend(spent)
+                        walk(j, [a + c * b for a, b in zip(partial, h)], nums_c, c_lo)
+                        spent, left = 0, budget.left
+                    else:
+                        spent += c_hi - c_lo + 1
+                        # 0 <= base + c rise <= top for each numerator, and <= limit for their sum
+                        total = sum(nums_c)
+                        for base, rise, top_b in [(total, slope, limit), *zip(nums_c, row_nums[last], repeat(top))]:
+                            if rise > 0:
+                                lo_b, hi_b = -(base // rise), (top_b - base) // rise
+                            elif rise < 0:
+                                lo_b, hi_b = -((top_b - base) // -rise), base // -rise
+                            elif 0 <= base <= top_b:
+                                continue
+                            else:
+                                break
+                            if lo_b > c_lo:
+                                c_lo = lo_b
+                            if hi_b < c_hi:
+                                c_hi = hi_b
+                            if c_lo > c_hi:
+                                break
+                        else:
+                            # the row's least value is at an end; ties go to the lex-least point
+                            c_pt = c_lo if slope >= 0 else c_hi
+                            total += c_pt * slope
+                            if total == 0:  # the origin; its neighbour inward is the next best
+                                c_pt += 1 if slope >= 0 else -1
+                                total += abs(slope)
+                            if c_lo <= c_pt <= c_hi:
+                                point = [a + c * b for a, b in zip(partial[:last], h)] + [y + c_pt * step_j]
+                                if cone_best is None or total < cone_best or point < cone_witness:
+                                    cone_best, cone_witness, limit = total, point, total
+                                    cut(total, scale)  # every point of value <= total stays in the box
+                if spent > left:
+                    budget.spend(spent)  # raises
+                x += step
+                y += h[j]
+                c += 1
+            budget.spend(spent)
 
         s = min(Fraction(1, 2 ** (scale.bit_length() // d)), s_max)
         while True:
-            s_num, s_den = s.numerator, s.denominator
-            lo = [max(a, -(-s_num * b // s_den)) for a, b in zip(cube_lo, g_lo)]
-            hi = [min(a, s_num * b // s_den) for a, b in zip(cube_hi, g_hi)]
-            limit = s_num * scale // s_den  # the round's bound on the value numerator
-            scan(0, [0] * d, [0] * d)
+            cut(s.numerator, s.denominator)
+            limit = s.numerator * scale // s.denominator  # the round's bound on the value numerator
+            walk(-1, zero, zero, 0)
             if cone_best is not None or s == s_max:
                 break
             s = min(2 * s, s_max)

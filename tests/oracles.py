@@ -47,7 +47,7 @@ from itertools import combinations
 from toricmld import Fan, Lattice, NoPairFoundError, ToricVariety, find_witness, lift_to_X, mld
 from toricmld.exactmath import invariant_factors, iroot_floor, snf, vec_mat
 from toricmld.lattice import LatticeError, NotInLatticeError, Vector, ZeroVectorError
-from toricmld.mfs import FiberData, InvalidMfsError, ToricMfs, _kernel_ray_indices
+from toricmld.mfs import FiberData, InvalidMfsError, ToricMfs
 from toricmld.mld import GUARD, MldResult, TooLargeError, _Best, _check_cones, _finalize, _scaled_generators
 from toricmld.toric import origin_barycentrics
 from toricmld.witness import EffectiveDelta
@@ -188,7 +188,7 @@ def fiber_oracle(mfs: ToricMfs) -> FiberData:
     kernel_rows = integer_row_kernel([row[m:] for row in mfs.x.lattice.rows])
     ambient = [mfs.x.lattice.to_ambient(row) for row in kernel_rows]
     z_lattice = Lattice.from_generators(m, [v[:m] for v in ambient])
-    verts = [tuple(mfs.x.fan.rays[i][:m]) for i in _kernel_ray_indices(mfs)]
+    verts = [tuple(r[:m]) for r in mfs.x.fan.rays if not any(r[m:])]
     fan = Fan.build(verts, [list(c) for c in combinations(range(m + 1), m)])
     ys = origin_barycentrics(verts)
     return FiberData(z=ToricVariety(z_lattice, fan), simplex_vertices=tuple(verts), origin_barycentrics=ys)

@@ -28,6 +28,9 @@ DEEP_STDOUT_SHA256 = "0476336768538909001b7c94bf5f0f3f161671cb9092c5071e29bd110c
 # 1/1000003(1, 2, 3): mld takes the width engine, the oracle one round
 ORACLE_LARGE = str(Path(__file__).parent / "golden" / "oracle_large.json")
 ORACLE_LARGE_STDOUT_SHA256 = "51a34c74fb28d35295542506f8fdb827041d6b8421a5b23073a2d1d19f0c13e4"
+# 1/1000003(1, 1, 1, 1): a thin simplex whose witness the oracle meets early
+ORACLE_THIN = str(Path(__file__).parent / "golden" / "oracle_thin.json")
+ORACLE_THIN_STDOUT_SHA256 = "93ff42c836e45cc439fa45ed23d0962a39c416244939df9aa0a0bdbeea6f4f7a"
 # Z^3 onto Z^2 + (1/2, 0) + (0, 1/3): the one CLI output that goes through snf
 COKERNEL = str(Path(__file__).parent / "golden" / "mfs_cokernel.json")
 
@@ -95,6 +98,14 @@ def test_bruteforce_agrees_at_a_large_denominator(capsys):
     out = capsys.readouterr().out
     assert json.loads(out)["mld"] == "6/1000003"
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_LARGE_STDOUT_SHA256
+
+
+def test_bruteforce_agrees_on_a_thin_simplex_under_a_small_guard(capsys, monkeypatch):
+    monkeypatch.setenv("TORICMLD_GUARD", "1000")
+    assert main(["mld", ORACLE_THIN, "--brute-force", "--json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out)["mld"] == "4/1000003"
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_THIN_STDOUT_SHA256
 
 
 def test_mld_malformed_json(tmp_path, capsys):

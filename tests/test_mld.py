@@ -175,11 +175,21 @@ def test_lower_dimensional_cone_rejected():
 
 
 def test_bruteforce_guard():
-    # mld 13/25 takes four rounds (s = 1/8 .. 1) and 87 units in all
+    # mld 13/25 takes four rounds (s = 1/8 .. 1) and 60 units in all
     v = cyclic_quotient(50, (1, 24))
-    assert mld_bruteforce(v, guard=87).value == F(13, 25)
-    with pytest.raises(TooLargeError, match="enumeration exceeded guard of 86 points"):
-        mld_bruteforce(v, guard=86)
+    assert mld_bruteforce(v, guard=60).value == F(13, 25)
+    with pytest.raises(TooLargeError, match="enumeration exceeded guard of 59 points"):
+        mld_bruteforce(v, guard=59)
+
+
+def test_bruteforce_box_follows_the_incumbent_on_a_thin_simplex():
+    # the first round's box has about 31,250 columns on level 0; the
+    # witness (1, 1, 1, 1)/r is the second of them, and its value cuts the
+    # box to coordinates <= 4
+    v = cyclic_quotient(10**6 + 3, (1, 1, 1, 1))
+    got, want = mld_bruteforce(v, guard=10**5), mld(v)
+    assert got.value == F(4, 10**6 + 3)
+    assert (got.value, got.witness, got.cone_index) == (want.value, want.witness, want.cone_index)
 
 
 def test_family_total_space_golden():

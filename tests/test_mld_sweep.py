@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import apply_unimodular
 from oracles import box_scan_oracle, det_bareiss
+from test_fiber import fibrations, relisted
 from toricmld import (
     Fan,
     Lattice,
@@ -231,16 +232,26 @@ def test_family_l200_work_bound():
 
 
 def test_bruteforce_guard_counts_every_box_point():
-    # the oracle's guard counts each outer-level node and each box point of
-    # every round; this cone's minimum 23/45 takes rounds 1/4, 1/2 and 1,
-    # and the instance succeeds at exactly their 1,344 units, fails one below
+    # the oracle's guard counts each outer-level node it visits and each box
+    # point of an innermost row, over every round; this cone's minimum 23/45 takes rounds 1/4, 1/2 and 1,
+    # and the instance succeeds at exactly their 726 units, fails one below
     lattice = Lattice.from_generators(3, [(F(1, 5), F(2, 5), F(3, 5)), (F(1, 3), F(0), F(2, 3))])
     rays = [lattice.primitivize(r) for r in [(2, 3, -1), (-2, -1, -2), (2, 0, 2)]]
     x_var = ToricVariety(lattice, Fan.build(rays, [[0, 1, 2]]))
-    res = mld_bruteforce(x_var, guard=1344)
+    res = mld_bruteforce(x_var, guard=726)
     assert (res.value, res.witness) == (F(23, 45), (F(-13, 15), F(-2, 5), F(-14, 15)))
-    with pytest.raises(TooLargeError, match="enumeration exceeded guard of 1343 points"):
-        mld_bruteforce(x_var, guard=1343)
+    with pytest.raises(TooLargeError, match="enumeration exceeded guard of 725 points"):
+        mld_bruteforce(x_var, guard=725)
+
+
+@PROPERTY
+@given(st.one_of(st.integers(2, 12).map(example_family), fibrations()), st.data())
+def test_mld_keeps_the_cone_its_minimum_came_from(mfs, data):
+    # below 1, mld reports the cone whose search first offered the witness;
+    # that must be the lowest-index cone holding it, in any cone order
+    for x_var in (mfs.x, mfs.y, relisted(mfs, data).x):
+        got = mld(x_var)
+        assert got.cone_index == find_containing_cone(x_var, got.witness)
 
 
 @PROPERTY

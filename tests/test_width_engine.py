@@ -23,9 +23,10 @@ from hypothesis import assume, event, given, reject, settings
 from hypothesis import strategies as st
 
 from oracles import det_bareiss
+from test_exact_kernels import modular_systems
 from test_mld_sweep import affine_varieties, assert_agrees
 from toricmld import Fan, Lattice, TooLargeError, ToricVariety, cyclic_quotient, example_family, mld, mld_bruteforce
-from toricmld.exactmath import hnf, identity, lll, mat_mul, rank, scaled_inverse
+from toricmld.exactmath import hnf, hnf_mod, identity, lll, mat_mul, rank, scaled_inverse
 
 mld_module = importlib.import_module("toricmld.mld")
 F = Fraction
@@ -202,6 +203,16 @@ def test_lll_keeps_carried_dual_rows_dual(rows):
     dual = [[denom * k[i][j] // q for i in range(n)] for j in range(n)]
     red, carried = lll(rows, dual)
     assert mat_mul(carried, [list(col) for col in zip(*red)]) == [[denom * (i == j) for j in range(n)] for i in range(n)]
+
+
+@PROPERTY
+@given(modular_systems())
+def test_scaled_dual_of_a_hermite_form_matches_the_inverse(system):
+    rows, modulus = system
+    h = hnf_mod(rows, modulus)
+    k, q = scaled_inverse(h)
+    d = len(h)
+    assert mld_module._scaled_dual(h, modulus) == [[modulus * k[i][j] // q for i in range(d)] for j in range(d)]
 
 
 @PROPERTY
