@@ -476,7 +476,7 @@ def mld_bruteforce(
             else:
                 step, bound, h, n = h_rows[i][i], hi, h_rows[i], row_nums[i]
                 x = partial[i] + c * step
-            y = partial[j] + c * h[j]  # the coordinate on level j of its row's node 0
+            y = partial[j] + c * h[j]  # level j's coordinate where the node's row starts, at index 0
             spent, left = 0, budget.left
             while x <= bound[i]:
                 spent += 1
