@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 class SingularMatrixError(ValueError):
@@ -138,19 +138,23 @@ def _gcd_step(r, s, x, y, p, q) -> tuple[list[int], list[int]]:
     return [x * a + y * b for a, b in zip(r, s)], [p * b - q * a for a, b in zip(r, s)]
 
 
-def hnf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+def hnf(
+    m: Sequence[Sequence[int]], carry: Optional[Sequence[Sequence[int]]] = None
+) -> tuple[list[list[int]], list[list[int]]]:
     """Row-style Hermite normal form.
 
-    Returns (H, U) with H = U @ m, U unimodular.  Convention: pivots are
-    positive and strictly to the right of the pivot in the row above,
-    entries above each pivot are reduced into [0, pivot), zero rows sink to
-    the bottom.  With this convention H is the unique canonical form of the
-    row lattice of m.
+    Returns (H, P) with H = U @ m, U unimodular, and P = U @ carry: the rows
+    of ``carry`` (one per row of m) taken through the same row operations.
+    With no ``carry`` they are the identity's, so P is U itself.  Convention:
+    pivots are positive and strictly to the right of the pivot in the row
+    above, entries above each pivot are reduced into [0, pivot), zero rows
+    sink to the bottom.  With this convention H is the unique canonical form
+    of the row lattice of m.
     """
     h = [list(row) for row in m]
     rows = len(h)
     cols = len(h[0]) if rows else 0
-    u = identity(rows)
+    u = identity(rows) if carry is None else [list(row) for row in carry]
     r = 0
     for c in range(cols):
         # gcd out column c below row r using unimodular row ops

@@ -14,10 +14,12 @@ can be diagnosed.  ``ToricMfs.report`` runs the checks once per fibration and
 keeps the result; ``validate`` returns it.  One Hermite form of X's lattice,
 base coordinates first, serves the surjectivity check and the kernel lattice
 of ``ToricMfs.fiber``, whose simplex fan reuses the cone inverses of X.
-``assemble_mfs`` is the one place that builds a fibration from its
-normal-form parameters; it checks their shapes but not the geometry, so
-``validate`` can report every failed check.  ``make_mfs`` is the safe
-constructor that gates the assembly.  ``example_family`` builds the
+Those fiber-cone inverses are derived once, in ``ToricMfs._fiber_inverses``,
+which is all the witness layer reads of the fiber, so only callers of
+``generic_fiber`` build it.  ``assemble_mfs`` is the one place that builds
+a fibration from its normal-form parameters; it checks their shapes but not
+the geometry, so ``validate`` can report every failed check.  ``make_mfs``
+is the safe constructor that gates the assembly.  ``example_family`` builds the
 weighted-quotient family (parameters in ``family_spec``) whose base
 discrepancy shrinks like the fourth power of the total-space discrepancy.
 """
@@ -29,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from operator import add
 from typing import Iterable, Optional, Sequence
 
@@ -104,33 +106,45 @@ class ToricMfs:
         return origin_barycentrics([rays[i][:m] for i in self._kernel_ray_indices])
 
     @cached_property
-    def fiber(self) -> FiberData:
-        """The fiber over the dense base point (kernel lattice, simplex fan,
-        the origin's barycentrics), read off X on first use and kept: the
-        lattice from ``_base_first_rows``, and each fiber cone's inverse from
-        the (K, q) of X's cone omitting the same fiber ray, whose generator
-        matrix is block triangular, so its fiber block is that inverse, and
-        the barycentrics from the report's ``fiber_simplex`` solve."""
+    def _fiber_inverses(self) -> tuple[tuple[tuple[int, ...], tuple], ...]:
+        """The m+1 cones of the fiber fan, each as its vertex indices and its
+        inverse (K, q), read off X on first use and kept, on a fibration
+        that passes validation: the fiber block of the stored (K, q) of the
+        cone of X omitting the same fiber ray, whose generator matrix is
+        block triangular, so its fiber block is that inverse."""
         if not self.report.overall:
             failed = [c.name for c in self.report.checks if not c.passed]
             raise InvalidMfsError(f"normal-form validation failed: {failed}")
-        m, n, denom = self.m, self.n, self.x.lattice.denominator
-        z_lattice = Lattice._from_scaled(m, denom, [row[n:] for row in self._base_first_rows[n:]])
-        kernel = self._kernel_ray_indices
-        verts = tuple(self.x.fan.rays[i][:m] for i in kernel)
-        # Fan.build's checks hold already: the kernel rays are distinct rays of
-        # X, fiber_simplex makes every m of them independent, and cone_shape
-        # makes each cone of X the full set omitting one fiber ray.
-        cones = []
+        m, kernel, x_cones = self.m, self._kernel_ray_indices, self.x.fan.max_cones
+        # cone_shape makes each cone of X the full set omitting one fiber ray
+        inverses = []
         for j, idx in zip(range(m, -1, -1), combinations(range(m + 1), m)):
-            cone = next(c for c in self.x.fan.max_cones if kernel[j] not in c.ray_indices)
+            cone = next(c for c in x_cones if kernel[j] not in c.ray_indices)
             k, q = cone.inverse
             cols = [cone.ray_indices.index(kernel[t]) for t in idx]  # any ray order
-            block = [[k[i][s] for s in cols] for i in range(m)]
-            g = math.gcd(q, *(x for row in block for x in row))
-            inv = (tuple(tuple(x // g for x in row) for row in block), q // g)
-            cones.append(SimplicialCone(idx, tuple(verts[t] for t in idx), inv))
-        z = ToricVariety._on_lattice_points(z_lattice, Fan(verts, tuple(cones), m))
+            block = [tuple(row[s] for s in cols) for row in k[:m]]
+            g = math.gcd(q, *chain.from_iterable(block))
+            if g > 1:
+                block = [tuple(x // g for x in row) for row in block]
+            inverses.append((idx, (tuple(block), q // g)))
+        return tuple(inverses)
+
+    @cached_property
+    def fiber(self) -> FiberData:
+        """The fiber over the dense base point (kernel lattice, simplex fan,
+        the origin's barycentrics), read off X on first use and kept: the
+        lattice from ``_base_first_rows``, the cones from ``_fiber_inverses``,
+        and the barycentrics from the report's ``fiber_simplex`` solve."""
+        inverses = self._fiber_inverses  # raises on a fibration that fails validation
+        m, n, denom = self.m, self.n, self.x.lattice.denominator
+        z_lattice = Lattice._from_scaled(m, denom, [row[n:] for row in self._base_first_rows[n:]])
+        verts = tuple(self.x.fan.rays[i][:m] for i in self._kernel_ray_indices)
+        # Fan.build's checks hold already: the kernel rays are distinct rays of
+        # X and fiber_simplex makes every m of them independent
+        cones = tuple(
+            SimplicialCone(idx, tuple(verts[t] for t in idx), inv) for idx, inv in inverses
+        )
+        z = ToricVariety._on_lattice_points(z_lattice, Fan(verts, cones, m))
         return FiberData(z=z, simplex_vertices=verts, origin_barycentrics=self._origin_barycentrics)
 
     def project(self, v: Sequence) -> Vector:

@@ -20,9 +20,12 @@ The multiple k*P, with the fiber part re-centered to the nearest-integer
 representative, is a nonzero lattice point Q with nonnegative base part; its
 log discrepancy is at most (C+1) * delta^(1/(m+1)) where C is the largest
 coefficient 1-norm among the linear pieces of the fiber's discrepancy
-function.  Q's fiber part comes from the integer residues x = k*b_l*d mod d
-of the scan, and Q is located in the fan of X once: that one cone-location
-pass gives both its cone and ld(Q), the sum of its barycentrics there.
+function.  C is read from the fiber cones' inverses, which X's cones already
+hold, and depends on the basis the fiber is given in: for family l = 5 it is
+6 in the family's own basis and 7 to 44 in five transformed bases.  Q's
+fiber part comes from the integer residues x = k*b_l*d mod d of the scan,
+and Q is located in the fan of X once: that one cone-location pass gives
+both its cone and ld(Q), the sum of its barycentrics there.
 
 Every threshold comparison against the irrational delta^(1/(m+1)) is done as
 an exact integer-power comparison of rationals: x <= delta^(1/(m+1)) iff
@@ -36,11 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import le, mod
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .exactmath import hnf, iroot_floor
+from .exactmath import as_fractions, hnf, iroot_floor
 from .lattice import NotInLatticeError, Vector, ZeroVectorError
-from .mfs import FiberData, ToricMfs, generic_fiber
+from .mfs import FiberData, ToricMfs
 from .mld import GUARD, MldResult, TooLargeError, mld
 from .toric import _locate
 
@@ -106,24 +109,25 @@ class WitnessReport:
 def lift_to_X(mfs: ToricMfs, a: Sequence) -> Vector:
     """Preimage of base lattice point A with fiber coordinates in [0,1).
 
-    Solves for an integer coordinate vector against the Hermite form of the
-    projected lattice basis, then reads the fiber part off the integer rows
-    of D N and reduces it modulo the standard fiber lattice Z^m (always
-    inside the kernel lattice): (coeffs @ rows mod D) / D.
+    Solves y @ H = D A against the Hermite form H = U B of the base blocks B
+    of the integer rows of D N, whose fiber blocks F the same row operations
+    carry to U F, so the preimage's fiber part is y @ U F with no U built.
+    That part is reduced modulo the standard fiber lattice Z^m (always
+    inside the kernel lattice): (y @ U F mod D) / D.
     """
     m, n = mfs.m, mfs.n
-    av = tuple(Fraction(c) for c in a)
+    av = as_fractions(a)
     if len(av) != n:
         raise ValueError(f"base point has dimension {len(av)}, expected {n}")
     if all(c == 0 for c in av):
         raise ZeroVectorError("cannot lift the zero point: witnesses must be nonzero")
     lat = mfs.x.lattice
-    d = m + n
+    denom, d = lat.denominator, m + n
     # the image of D N is D times the base lattice, so D A must be integral
-    if any(lat.denominator % c.denominator for c in av):
+    if any(denom % c.denominator for c in av):
         raise NotInBaseLatticeError(f"{a!r} is not in the base lattice")
-    target = [int(c * lat.denominator) for c in av]
-    h, u = hnf([row[m:] for row in lat.rows])
+    target = [c.numerator * (denom // c.denominator) for c in av]
+    h, carried = hnf([row[m:] for row in lat.rows], [row[:m] for row in lat.rows])
     # back-substitute y @ H = target over the pivot rows of H
     y = [0] * d
     residual = list(target)
@@ -139,10 +143,8 @@ def lift_to_X(mfs: ToricMfs, a: Sequence) -> Vector:
             residual = [residual[j] - q * h[i][j] for j in range(n)]
     if any(residual):
         raise NotInBaseLatticeError(f"{a!r} is not in the base lattice")
-    coeffs = [sum(y[i] * u[i][j] for i in range(d)) for j in range(d)]
-    # the fiber part of (coeffs @ rows) / D, reduced mod Z^m
-    denom = lat.denominator
-    fiber = (sum(c * row[j] for c, row in zip(coeffs, lat.rows)) % denom for j in range(m))
+    # the fiber part of (y @ U F) / D, reduced mod Z^m
+    fiber = (sum(c * row[j] for c, row in zip(y, carried)) % denom for j in range(m))
     return tuple(Fraction(x, denom) for x in fiber) + av
 
 
@@ -166,17 +168,34 @@ def _first_multiple(step: Sequence[int], d: int, g: int, last: int) -> Optional[
     return None
 
 
-def effective_delta(fiber: FiberData) -> EffectiveDelta:
-    """Largest coefficient 1-norm among the fiber's per-cone discrepancy
-    functionals; drives the effective threshold map."""
+def _largest_norm(inverses: Iterable[tuple]) -> Fraction:
+    """Largest coefficient 1-norm among the discrepancy functionals of the
+    cones whose inverses (K, q) are given."""
     top, top_q = 0, 1  # the largest norm / q so far, compared by cross-multiplying
-    for cone in fiber.z.fan.max_cones:
+    for k, q in inverses:
         # L with sum_j L_j P_i[j] = 1 for every generator P_i: K (1, ..., 1) / q
-        k, q = cone.inverse
         norm = sum(abs(sum(row)) for row in k)
         if norm * top_q > top * q:
             top, top_q = norm, q
-    return EffectiveDelta(c_z=Fraction(top, top_q), m=fiber.z.dim)
+    return Fraction(top, top_q)
+
+
+def effective_delta(fiber: FiberData) -> EffectiveDelta:
+    """Largest coefficient 1-norm C among the fiber's per-cone discrepancy
+    functionals; drives the effective threshold map.
+
+    C depends on the basis the fiber is given in: for family l = 5 it is 6
+    in the family's own basis and 7 to 44 in five transformed bases.
+    """
+    c_z = _largest_norm(cone.inverse for cone in fiber.z.fan.max_cones)
+    return EffectiveDelta(c_z=c_z, m=fiber.z.dim)
+
+
+def _fiber_c(mfs: ToricMfs) -> Fraction:
+    """``effective_delta(generic_fiber(mfs)).c_z`` from the fiber cones'
+    inverses alone, with no fiber built; raises InvalidMfsError as
+    ``generic_fiber`` does on a fibration that fails validation."""
+    return _largest_norm(inverse for _, inverse in mfs._fiber_inverses)
 
 
 def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessReport:
@@ -191,7 +210,9 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
     up to it qualifies, TooLargeError is raised instead.  The report is
     self-verifying: Q is a nonzero lattice point of the total space, its
     base image is componentwise nonnegative, and Q is located once in the
-    fan of X, which gives its cone and ld_q from scratch.
+    fan of X, which gives its cone and ld_q from scratch.  The bound's C is
+    ``effective_delta``'s, read from the fiber cones' inverses with no
+    fiber built, so it depends on the fiber basis as that C does.
     """
     base = mld(mfs.y)
     if delta is None:
@@ -239,11 +260,10 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
 
     # located once: the containing cone and ld(Q), the sum of Q's barycentrics
     # there; outside the fan (only on a fibration that fails validation, which
-    # generic_fiber then reports) both are None
+    # _fiber_c then reports) both are None
     hit = _locate(mfs.x, q)
     cone_index, ld_q = (None, None) if hit is None else (hit[0], Fraction(sum(hit[1]), hit[2]))
-    fiber = generic_fiber(mfs)
-    coeff = effective_delta(fiber).c_z + 1
+    coeff = _fiber_c(mfs) + 1
     satisfied = ld_q ** (m + 1) <= coeff ** (m + 1) * delta
     return WitnessReport(
         base_point=a,
@@ -277,9 +297,10 @@ def check_eps_delta(mfs: ToricMfs) -> EpsDeltaCertificate:
 
     For a standard-simplex fiber C+1 equals twice the fiber dimension, so
     this is the power form of the threshold inequality at its sharp constant.
+    C is ``effective_delta``'s, read from the fiber cones' inverses with no
+    fiber built, so it depends on the fiber basis as that C does.
     """
-    fiber = generic_fiber(mfs)
-    c_z = effective_delta(fiber).c_z
+    c_z = _fiber_c(mfs)
     rx = mld(mfs.x)
     ry = mld(mfs.y)
     m = mfs.m

@@ -25,6 +25,11 @@ tests keep it as the reference determinant of integer matrices.
 running maximum as an integer pair: the Fraction maximum of each fiber
 cone's coefficient 1-norm.
 
+``lift_oracle`` is ``witness.lift_to_X`` before ``hnf`` carried the fiber
+blocks through its row operations: it builds the whole unimodular transform
+U, solves for the coordinates y U of the preimage in the rows of D N, and
+reads the fiber part off their product with those rows.
+
 ``dense_gauss_jordan`` is the fraction-free Gauss-Jordan step that updates
 every row at every pivot, before rows already zero in the pivot column were
 only rescaled.  ``solve_oracle``, ``to_ambient_oracle`` and
@@ -45,12 +50,12 @@ from typing import Callable, Optional, Sequence
 from itertools import combinations
 
 from toricmld import Fan, Lattice, NoPairFoundError, ToricVariety, find_witness, lift_to_X, mld
-from toricmld.exactmath import invariant_factors, iroot_floor, snf, vec_mat
+from toricmld.exactmath import hnf, invariant_factors, iroot_floor, snf, vec_mat
 from toricmld.lattice import LatticeError, NotInLatticeError, Vector, ZeroVectorError
 from toricmld.mfs import FiberData, InvalidMfsError, ToricMfs
 from toricmld.mld import GUARD, MldResult, TooLargeError, _Best, _check_cones, _finalize, _scaled_generators
 from toricmld.toric import origin_barycentrics
-from toricmld.witness import EffectiveDelta
+from toricmld.witness import EffectiveDelta, NotInBaseLatticeError
 
 
 def _frac(x: Fraction) -> Fraction:
@@ -203,6 +208,42 @@ def generic_fiber_group(mfs: ToricMfs) -> tuple[int, ...]:
         e = tuple(Fraction(int(i == j)) for j in range(mfs.m))
         rows.append([int(x) for x in z.coords(e)])
     return tuple(invariant_factors(rows))
+
+
+def lift_oracle(mfs: ToricMfs, a: Sequence) -> Vector:
+    """Preimage of base lattice point A with fiber coordinates in [0,1), by
+    the full transform: y @ H = D A against H = U B for the base blocks B of
+    the rows of D N, then the fiber part of ((y U) @ rows mod D) / D."""
+    m, n = mfs.m, mfs.n
+    av = tuple(Fraction(c) for c in a)
+    if len(av) != n:
+        raise ValueError(f"base point has dimension {len(av)}, expected {n}")
+    if all(c == 0 for c in av):
+        raise ZeroVectorError("cannot lift the zero point: witnesses must be nonzero")
+    lat = mfs.x.lattice
+    d = m + n
+    if any(lat.denominator % c.denominator for c in av):
+        raise NotInBaseLatticeError(f"{a!r} is not in the base lattice")
+    target = [int(c * lat.denominator) for c in av]
+    h, u = hnf([row[m:] for row in lat.rows])
+    y = [0] * d
+    residual = list(target)
+    for i in range(d):
+        pivot_col = next((j for j in range(n) if h[i][j] != 0), None)
+        if pivot_col is None:
+            break
+        if residual[pivot_col] % h[i][pivot_col] != 0:
+            raise NotInBaseLatticeError(f"{a!r} is not in the base lattice")
+        q = residual[pivot_col] // h[i][pivot_col]
+        y[i] = q
+        if q:
+            residual = [residual[j] - q * h[i][j] for j in range(n)]
+    if any(residual):
+        raise NotInBaseLatticeError(f"{a!r} is not in the base lattice")
+    coeffs = [sum(y[i] * u[i][j] for i in range(d)) for j in range(d)]
+    denom = lat.denominator
+    fiber = (sum(c * row[j] for c, row in zip(coeffs, lat.rows)) % denom for j in range(m))
+    return tuple(Fraction(x, denom) for x in fiber) + av
 
 
 def effective_delta_oracle(fiber: FiberData) -> EffectiveDelta:

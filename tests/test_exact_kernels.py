@@ -4,7 +4,8 @@ The fraction-free Gauss-Jordan behind ``det``, ``adjugate``,
 ``scaled_inverse``, ``solve_exact`` and ``rank`` is checked against the
 triangular Bareiss determinant of ``oracles.det_bareiss``
 and a test-side rational elimination; ``hnf`` and ``snf`` against their
-defining identities and invariance under unimodular changes of basis;
+defining identities and invariance under unimodular changes of basis, and
+the rows ``hnf`` carries against U times them (carrying m itself gives H);
 ``hnf_mod`` against ``hnf`` of the rows stacked on D I.
 Integer matrices have at most 6 rows and columns, and a leading zero pivot
 is drawn often, so that row swaps happen.  The Gauss-Jordan step that only
@@ -221,6 +222,20 @@ def test_hnf(m):
     assert abs(det_bareiss(u)) == 1
     assert mat_mul(u, m) == h
     assert_hnf_shape(h)
+
+
+@PROPERTY
+@given(st.data())
+def test_hnf_carries_rows_through_its_row_operations(data):
+    m = data.draw(int_matrices())
+    cols = data.draw(st.integers(1, 4))
+    entries = st.lists(st.integers(-6, 6), min_size=cols, max_size=cols)
+    extra = data.draw(st.lists(entries, min_size=len(m), max_size=len(m)))
+    h, u = hnf(m)
+    carried_h, p = hnf(m, [row + x for row, x in zip(m, extra)])
+    assert carried_h == h
+    # m itself carried gives U m = H, whatever transform U the steps make
+    assert p == [a + b for a, b in zip(h, mat_mul(u, extra))]
 
 
 @PROPERTY

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import standard_fiber_rays
 from oracles import det_bareiss, fiber_oracle, generic_fiber_group, integer_row_kernel
-from toricmld import Fan, InvalidMfsError, ToricMfs, ToricVariety, example_family, make_mfs
+from toricmld import Fan, InvalidMfsError, Lattice, ToricMfs, ToricVariety, example_family, make_mfs
 from toricmld.cli import load_instance, main
 from toricmld.exactmath import rank
 
@@ -30,10 +30,13 @@ SHUFFLED = GOLDEN / "mfs_shuffled_fiber.json"
 
 
 @st.composite
-def fibrations(draw):
+def fibrations(draw, base_multiples=False):
     """``make_mfs`` on a random fiber simplex (m, n <= 3) over a cyclic
     quotient, sometimes with a fiber-only generator that makes the kernel
-    lattice larger than Z^m."""
+    lattice larger than Z^m.  With ``base_multiples`` the cyclic generator
+    is 1/r on one base axis with a nonzero fiber part, so that axis's base
+    ray is mostly a multiple > 1 of the base lattice's generator; the
+    multiples are read off the lattices and at least one exceeds 1."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     entries = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
     basis = draw(st.lists(entries, min_size=m, max_size=m))
@@ -42,16 +45,35 @@ def fibrations(draw):
     weights = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
     last = [-sum(c * v[j] for c, v in zip(weights, basis)) for j in range(m)]
     r = draw(st.integers(2, 30))
-    extras = [[F(draw(st.integers(0, r - 1)), r) for _ in range(m + n)]]
+    if base_multiples:
+        axis = draw(st.integers(0, n - 1))
+        fiber_part = [F(draw(st.integers(0, r - 1)), r) for _ in range(m)]
+        assume(any(fiber_part))
+        extras = [fiber_part + [F(int(j == axis), r) for j in range(n)]]
+    else:
+        extras = [[F(draw(st.integers(0, r - 1)), r) for _ in range(m + n)]]
     s = draw(st.integers(1, 4))
     if s > 1:
         extras.append([F(draw(st.integers(0, s - 1)), s) for _ in range(m)] + [0] * n)
+    multiples = [1] * n
+    if base_multiples:
+        x_lat = Lattice.from_generators(m + n, extras)
+        y_lat = Lattice.from_generators(n, [g[m:] for g in extras])
+        multiples = [
+            int(x_lat.primitivize(unit(m + l, m + n))[m + l] / y_lat.primitivize(unit(l, n))[l])
+            for l in range(n)
+        ]
+        assume(max(multiples) > 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # rays may be replaced by primitive ones
         try:
-            return make_mfs(m, n, basis + [last], [1] * n, extras)
+            return make_mfs(m, n, basis + [last], multiples, extras)
         except InvalidMfsError:
             assume(False)
+
+
+def unit(i: int, d: int) -> tuple[Fraction, ...]:
+    return tuple(F(int(j == i)) for j in range(d))
 
 
 def relisted(mfs: ToricMfs, data) -> ToricMfs:

@@ -8,13 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_standard_simplex_mfs, standard_fiber_rays
-from oracles import dirichlet_pair, effective_delta_oracle, first_multiple_loop, scan_oracle_pair
+from oracles import (
+    dirichlet_pair,
+    effective_delta_oracle,
+    fiber_oracle,
+    first_multiple_loop,
+    lift_oracle,
+    scan_oracle_pair,
+)
+from test_fiber import SHUFFLED, fibrations, relisted
 from toricmld import (
     GUARD,
+    Fan,
+    InvalidMfsError,
+    Lattice,
     NoPairFoundError,
     NotInBaseLatticeError,
     PreconditionFailedError,
     TooLargeError,
+    ToricMfs,
+    ToricVariety,
     ZeroVectorError,
     check_eps_delta,
     effective_delta,
@@ -28,11 +41,12 @@ from toricmld import (
     mld,
 )
 from toricmld.cli import load_instance
-from toricmld.exactmath import iroot_floor
+from toricmld.exactmath import iroot_floor, vec_mat
 from toricmld.witness import _first_multiple
 
 F = Fraction
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+FIBRATIONS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def all_pairs_oracle(points, t):
@@ -71,6 +85,67 @@ def test_lift_fiber_coordinates_reduced():
         assert all(0 <= c < 1 for c in p[: mfs.m])
         assert mfs.project(p) == base
         assert mfs.x.lattice.contains(p)
+
+
+def index_three_line():
+    """m = 1 over a smooth base, kernel lattice Z + 1/3 Z."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return make_mfs(1, 1, [(1,), (-1,)], (1,), [(F(1, 3), 0)])
+
+
+def base_points(mfs, coeffs):
+    """Base lattice points: the base witness, the basis and one combination."""
+    basis = mfs.y.lattice.basis
+    return [mld(mfs.y).witness, *basis, tuple(vec_mat(coeffs, basis))]
+
+
+def coefficients(n):
+    return st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+
+
+def assert_lift_matches_the_oracle(mfs, coeffs):
+    for a in base_points(mfs, coeffs):
+        if any(a):
+            assert lift_to_X(mfs, a) == lift_oracle(mfs, a)
+    halved = tuple(c / 2 for c in mfs.y.lattice.basis[0])  # off the base lattice
+    with pytest.raises(NotInBaseLatticeError):
+        lift_to_X(mfs, halved)
+
+
+@FIBRATIONS
+@given(fibrations(), st.data())
+def test_lift_matches_the_transform_oracle(mfs, data):
+    assert_lift_matches_the_oracle(mfs, data.draw(coefficients(mfs.n)))
+
+
+@FIBRATIONS
+@given(fibrations(base_multiples=True), st.data())
+def test_lift_matches_the_transform_oracle_over_base_multiples(mfs, data):
+    n = mfs.n
+    assert any(mfs.x.fan.rays[mfs.m + 1 + l][mfs.m + l] != mfs.y.fan.rays[l][l] for l in range(n))
+    assert_lift_matches_the_oracle(mfs, data.draw(coefficients(n)))
+
+
+def test_lift_matches_the_transform_oracle_after_a_reduction_above_a_pivot():
+    # the Hermite form of the base blocks reduces an entry above its second
+    # pivot, and a lift whose fiber rows skipped that step would differ here
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        gen = (F(9, 26), F(10, 13), F(12, 13), F(15, 26))
+        mfs = make_mfs(2, 2, [(3, 3), (-3, -1), (6, 0)], (1, 2), [gen])
+    a = (F(1, 13), F(11, 26))
+    assert lift_to_X(mfs, a) == lift_oracle(mfs, a) == (F(17, 26), F(3, 13), F(1, 13), F(11, 26))
+
+
+def test_lift_matches_the_transform_oracle_where_the_kernel_lattice_is_larger():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        shuffled = load_instance(str(SHUFFLED))
+    for mfs in (shuffled, index_three_line()):
+        assert mfs.fiber.z.lattice.index_over_standard == 3
+        for c in range(-3, 4):
+            assert_lift_matches_the_oracle(mfs, [c] + [1 - c] * (mfs.n - 1))
 
 
 def test_lift_rejects_zero_and_foreign_points():
@@ -167,6 +242,47 @@ def test_effective_delta_at_least_fiber_dimension():
     for mfs in instances:
         ed = effective_delta(generic_fiber(mfs))
         assert ed.c_z >= mfs.m
+
+
+def assert_c_read_from_the_fiber_cones(mfs):
+    """find_witness and check_eps_delta build no fiber, and their C is
+    effective_delta's on the fiber that generic_fiber builds, and on the
+    fiber that the oracle builds from scratch."""
+    cert = check_eps_delta(mfs)
+    report = find_witness(mfs)
+    assert "fiber" not in vars(mfs)
+    assert cert.c_z == report.bound_coefficient - 1 == effective_delta(generic_fiber(mfs)).c_z
+    assert cert.c_z == effective_delta_oracle(fiber_oracle(mfs)).c_z
+
+
+@FIBRATIONS
+@given(fibrations())
+def test_witness_c_is_the_fibers(mfs):
+    assert_c_read_from_the_fiber_cones(mfs)
+
+
+@FIBRATIONS
+@given(fibrations(), st.data())
+def test_witness_c_is_the_fibers_in_any_ray_and_cone_order(mfs, data):
+    assert_c_read_from_the_fiber_cones(relisted(mfs, data))
+
+
+def test_witness_c_is_the_fibers_on_the_family_and_hand_built_instances():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        shuffled = load_instance(str(SHUFFLED))
+    for mfs in [example_family(l) for l in range(2, 13)] + [shuffled, index_three_line()]:
+        assert_c_read_from_the_fiber_cones(mfs)
+
+
+def test_witness_and_certificate_reject_an_invalid_fibration():
+    fam = example_family(2)
+    y = ToricVariety(Lattice.standard(2), Fan.build([(1, 0), (0, 1)], [[0, 1]]))
+    broken = ToricMfs(x=fam.x, y=y)  # the fibration of test_generic_fiber_of_invalid_mfs
+    message = r"^normal-form validation failed: \['lattice_surjectivity'\]$"
+    for call in (find_witness, check_eps_delta):
+        with pytest.raises(InvalidMfsError, match=message):
+            call(broken)
 
 
 def test_effective_delta_monotone_in_eps():
