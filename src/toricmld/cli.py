@@ -52,7 +52,7 @@ from .mfs import (
     warn_replaced_rays,
 )
 from .mld import DEFAULT_GUARD, GUARD, mld, mld_bruteforce
-from .toric import Fan, ToricVariety
+from .toric import DimensionMismatchError, Fan, NonSimplicialError, ToricVariety
 from .witness import PreconditionFailedError, check_eps_delta, find_witness
 
 EXIT_OK = 0
@@ -136,9 +136,18 @@ def parse_toric(doc: dict) -> ToricVariety:
     rays = _parse_matrix(_get(doc, "rays"), "$.rays")
     cones = _parse_matrix(_get(doc, "max_cones"), "$.max_cones", parse=_parse_int)
     try:
-        lattice = Lattice.from_generators(dim, gens)
+        # the fan first: the lattice costs O(dim^2), so it is built only once
+        # the file holds at least dim rays of dimension dim
         fan = Fan.build(rays, [list(c) for c in cones])
-        return ToricVariety(lattice, fan)
+        if fan.rays and fan.dim != dim:
+            raise DimensionMismatchError(
+                f"fan dimension {fan.dim} does not match lattice dimension {dim}"
+            )
+        if len(fan.rays) < dim:
+            raise NonSimplicialError(
+                f"{len(fan.rays)} rays span no full-dimensional cone in dimension {dim}"
+            )
+        return ToricVariety(Lattice.from_generators(dim, gens), fan)
     except ValueError as exc:
         raise InstanceParseError("$", str(exc))
 
@@ -210,6 +219,13 @@ def _guard() -> int:
     return DEFAULT_GUARD
 
 
+def _load_mfs(args, strict: bool = True) -> ToricMfs:
+    instance = load_instance(args.path, strict=strict)
+    if not isinstance(instance, ToricMfs):
+        raise InstanceParseError("$.kind", f"{args.command} needs an mfs instance")
+    return instance
+
+
 def cmd_mld(args) -> int:
     instance = load_instance(args.path)
     variety = instance.x if isinstance(instance, ToricMfs) else instance
@@ -243,9 +259,7 @@ def cmd_mld(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    instance = load_instance(args.path, strict=False)
-    if not isinstance(instance, ToricMfs):
-        raise InstanceParseError("$.kind", "validate needs an mfs instance")
+    instance = _load_mfs(args, strict=False)
     report = instance.report
     width = max(len(c.name) for c in report.checks)
     for c in report.checks:
@@ -309,9 +323,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    instance = load_instance(args.path)
-    if not isinstance(instance, ToricMfs):
-        raise InstanceParseError("$.kind", "witness needs an mfs instance")
+    instance = _load_mfs(args)
     delta = None if args.delta == "auto" else _parse_rational(args.delta, "--delta")
     try:
         report = find_witness(instance, delta)
@@ -341,9 +353,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_check(args) -> int:
-    instance = load_instance(args.path)
-    if not isinstance(instance, ToricMfs):
-        raise InstanceParseError("$.kind", "check needs an mfs instance")
+    instance = _load_mfs(args)
     cert = check_eps_delta(instance)
     m = instance.m
     print(f"mld_X = {cert.mld_x.value}")
@@ -411,10 +421,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     token = GUARD.set(_guard())
     try:
         return args.func(args)
-    except InstanceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (BadParameterError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:

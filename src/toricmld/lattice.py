@@ -16,10 +16,11 @@ a lattice point (e divides g) and primitive (g = e).  The public constructor
 takes any generating rows, runs ``hnf`` on them, and checks with the same
 substitution on each e_j that N contains Z^d.
 
-Coset enumeration for a full-rank sublattice runs through the Smith normal
-form of the coordinate-change matrix; representatives are produced as a
-stream, normalized to the half-open cube [0,1)^d in sublattice coordinates,
-so groups of order ~10^6 never get materialized.
+``quotient_group`` reads N / B, for a full-rank sublattice B, off the Smith
+normal form of B's coordinate matrix; ``reps_scaled`` streams one
+representative per coset, as integer sublattice coordinates over a common
+denominator, in the half-open cube [0,1)^d, so groups of order ~10^6 never
+get materialized.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .exactmath import as_fractions, hnf, hnf_mod, snf, vec_mat
+from .exactmath import as_fractions, hnf, hnf_mod, snf
 
 Vector = tuple[Fraction, ...]
 
@@ -215,16 +216,7 @@ class Lattice:
             invariant_factors=factors,
             denominator=denom,
             generator_rows=gen_rows,
-            sub_basis=tuple(rows),
         )
-
-    def quotient_reps(self, sub_basis: Sequence[Sequence]) -> Iterator[Vector]:
-        """Stream one representative per coset of <sub_basis> in N.
-
-        Representatives have sub-basis coordinates in [0,1)^d; the zero coset
-        is included (as the origin).
-        """
-        return self.quotient_group(sub_basis).reps()
 
     def __eq__(self, other) -> bool:
         key = (self.dim, self.denominator, self.rows)
@@ -251,13 +243,13 @@ class QuotientGroup:
     invariant_factors: tuple[int, ...]
     denominator: int
     generator_rows: tuple[tuple[int, ...], ...] = field(repr=False)
-    sub_basis: tuple[Vector, ...] = field(repr=False)
 
     def reps_scaled(self) -> Iterator[tuple[int, ...]]:
         """Representatives in sublattice coordinates, scaled by denominator.
 
-        Yields integer tuples num with rep = (num / denominator) @ sub_basis,
-        each entry in [0, denominator).  First yield is the zero tuple.
+        Yields integer tuples num with rep = (num / denominator) @ B for the
+        sublattice basis B given to ``quotient_group``, each entry in
+        [0, denominator).  First yield is the zero tuple.
         Enumeration order is a fixed mixed-radix count over the invariant
         factors, so repeated runs agree.
         """
@@ -289,10 +281,3 @@ class QuotientGroup:
                     for b, c in zip(base, step)
                 )
             )
-
-    def reps(self) -> Iterator[Vector]:
-        """Ambient coset representatives, sub-basis coordinates in [0,1)^d."""
-        denom = self.denominator
-        for num in self.reps_scaled():
-            coords = [Fraction(x, denom) for x in num]
-            yield tuple(vec_mat(coords, self.sub_basis))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .exactmath import (
@@ -156,24 +155,6 @@ class ToricVariety:
         )
 
 
-def barycentric(cone: SimplicialCone, v: Sequence) -> Vector:
-    """Coefficients x with sum_i x_i * P_i = v, for the cone's generators P_i.
-
-    v lies in the cone iff all coefficients are >= 0.  The cone must be
-    full-dimensional (NonSimplicialError otherwise).
-    """
-    g = cone.generator_matrix
-    if not g:
-        raise WrongShapeError("cone has no generators")
-    dim = len(g[0])
-    vv = [Fraction(x) for x in v]
-    if len(vv) != dim:
-        raise DimensionMismatchError(f"vector has dimension {len(vv)}, expected {dim}")
-    if len(g) != dim:
-        raise NonSimplicialError(f"cone {cone.ray_indices} is not full-dimensional")
-    return tuple(solve_exact([[g[i][j] for i in range(dim)] for j in range(dim)], vv))
-
-
 def _locate(x_var: ToricVariety, vv: Vector) -> Optional[tuple[int, list[int], int]]:
     """(ci, nums, s): the lowest-index maximal cone ci containing vv, and vv's
     barycentrics there, nums / s."""
@@ -212,25 +193,6 @@ def find_containing_cone(x_var: ToricVariety, v: Sequence) -> Optional[int]:
     """Lowest index of a maximal cone containing v, or None."""
     hit = _locate(x_var, as_fractions(v))
     return None if hit is None else hit[0]
-
-
-def is_complete(fan: Fan) -> bool:
-    """Whether a simplex-shaped fan covers the whole space.
-
-    Expects the boundary fan of a vertex set: d+1 rays with every d-subset a
-    maximal cone (raises WrongShapeError otherwise).  Completeness is then
-    equivalent to the origin lying strictly inside the convex hull of the
-    rays, i.e. all barycentric coordinates of 0 are positive.
-    """
-    d = fan.dim
-    if len(fan.rays) != d + 1:
-        raise WrongShapeError(f"expected {d + 1} rays, got {len(fan.rays)}")
-    expected = {frozenset(c) for c in combinations(range(d + 1), d)}
-    actual = {frozenset(c.ray_indices) for c in fan.max_cones}
-    if actual != expected:
-        raise WrongShapeError("maximal cones are not exactly the d-subsets of the rays")
-    coords = origin_barycentrics(fan.rays)
-    return coords is not None and all(y > 0 for y in coords)
 
 
 def origin_barycentrics(vertices: Sequence[Vector]) -> Optional[tuple[Fraction, ...]]:

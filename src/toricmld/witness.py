@@ -122,27 +122,20 @@ def lift_to_X(mfs: ToricMfs, a: Sequence) -> Vector:
     if all(c == 0 for c in av):
         raise ZeroVectorError("cannot lift the zero point: witnesses must be nonzero")
     lat = mfs.x.lattice
-    denom, d = lat.denominator, m + n
+    denom = lat.denominator
     # the image of D N is D times the base lattice, so D A must be integral
     if any(denom % c.denominator for c in av):
         raise NotInBaseLatticeError(f"{a!r} is not in the base lattice")
     target = [c.numerator * (denom // c.denominator) for c in av]
     h, carried = hnf([row[m:] for row in lat.rows], [row[:m] for row in lat.rows])
-    # back-substitute y @ H = target over the pivot rows of H
-    y = [0] * d
-    residual = list(target)
-    for i in range(d):
-        pivot_col = next((j for j in range(n) if h[i][j] != 0), None)
-        if pivot_col is None:
-            break
-        if residual[pivot_col] % h[i][pivot_col] != 0:
+    # D N contains D Z^d, so H's top n rows are upper triangular with their
+    # pivots on the diagonal: forward-substitute y @ H = target over them
+    y: list[int] = []
+    for j in range(n):
+        q, rest = divmod(target[j] - sum(y[i] * h[i][j] for i in range(j)), h[j][j])
+        if rest:
             raise NotInBaseLatticeError(f"{a!r} is not in the base lattice")
-        q = residual[pivot_col] // h[i][pivot_col]
-        y[i] = q
-        if q:
-            residual = [residual[j] - q * h[i][j] for j in range(n)]
-    if any(residual):
-        raise NotInBaseLatticeError(f"{a!r} is not in the base lattice")
+        y.append(q)
     # the fiber part of (y @ U F) / D, reduced mod Z^m
     fiber = (sum(c * row[j] for c, row in zip(y, carried)) % denom for j in range(m))
     return tuple(Fraction(x, denom) for x in fiber) + av

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from toricmld import DEFAULT_GUARD, GUARD, example_family, mld
+from toricmld import DEFAULT_GUARD, GUARD, Lattice, example_family, mld
 from toricmld.cli import (
     EXIT_ERROR,
     EXIT_INEQUALITY,
@@ -106,6 +106,32 @@ def test_bruteforce_agrees_on_a_thin_simplex_under_a_small_guard(capsys, monkeyp
     out = capsys.readouterr().out
     assert json.loads(out)["mld"] == "4/1000003"
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_THIN_STDOUT_SHA256
+
+
+def test_toric_dim_builds_no_lattice_before_the_rays_are_checked(tmp_path, capsys, monkeypatch):
+    # a lattice of dimension d costs O(d^2) time and memory, so a file's
+    # "dim" alone, with too few rays or rays of another dimension, builds none
+    def spy(*args):
+        raise AssertionError("Lattice.from_generators was called")
+
+    monkeypatch.setattr(Lattice, "from_generators", spy)
+    big = 10**6
+    cases = [
+        (
+            {"rays": [], "max_cones": []},
+            f"error: $: 0 rays span no full-dimensional cone in dimension {big}",
+        ),
+        (
+            {"rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]},
+            f"error: $: fan dimension 2 does not match lattice dimension {big}",
+        ),
+    ]
+    for fields, message in cases:
+        path = write(tmp_path, "huge.json", {"kind": "toric", "dim": big, **fields})
+        assert main(["mld", path]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
 
 
 def test_mld_malformed_json(tmp_path, capsys):

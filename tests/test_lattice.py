@@ -13,6 +13,7 @@ from toricmld import (
     QuotientGroup,
     ZeroVectorError,
 )
+from toricmld.exactmath import vec_mat
 
 F = Fraction
 
@@ -78,15 +79,21 @@ def test_contains_every_generator():
             assert lat.contains(g)
 
 
+def ambient(qg, b, num):
+    """The coset representative (num / denominator) @ b, for num from
+    ``qg.reps_scaled()`` and b the sublattice basis of ``qg``."""
+    return tuple(vec_mat([F(x, qg.denominator) for x in num], b))
+
+
 def test_quotient_reps_trivial():
-    z2 = Lattice.standard(2)
-    reps = list(z2.quotient_reps([(1, 0), (0, 1)]))
-    assert reps == [(F(0), F(0))]
+    qg = Lattice.standard(2).quotient_group([(1, 0), (0, 1)])
+    assert list(qg.reps_scaled()) == [(0, 0)]
 
 
 def test_quotient_reps_index_two():
-    lat = Lattice.from_generators(2, [(F(1, 2), F(1, 2))])
-    reps = set(lat.quotient_reps([(1, 0), (0, 1)]))
+    eye = [(1, 0), (0, 1)]
+    qg = Lattice.from_generators(2, [(F(1, 2), F(1, 2))]).quotient_group(eye)
+    reps = {ambient(qg, eye, num) for num in qg.reps_scaled()}
     assert reps == {(F(0), F(0)), (F(1, 2), F(1, 2))}
 
 
@@ -94,7 +101,8 @@ def test_quotient_reps_family_17():
     # oracle: generate the 17 multiples of the adjoined point mod Z^4 directly
     lat = Lattice.from_generators(4, [L2_GEN])
     eye = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    reps = list(lat.quotient_reps(eye))
+    qg = lat.quotient_group(eye)
+    reps = [ambient(qg, eye, num) for num in qg.reps_scaled()]
     assert len(reps) == 17
     expected = {tuple((k * c) % 1 for c in L2_GEN) for k in range(17)}
     assert set(reps) == expected
@@ -102,6 +110,8 @@ def test_quotient_reps_family_17():
 
 
 def test_quotient_reps_differences_not_in_sublattice():
+    # two reps with sublattice coordinates num / denominator differ by a
+    # sublattice point iff their nums agree mod denominator
     rng = random.Random(33)
     for _ in range(20):
         d = rng.randint(1, 3)
@@ -111,22 +121,14 @@ def test_quotient_reps_differences_not_in_sublattice():
             if det_bareiss(b) != 0:
                 break
         qg = lat.quotient_group(b)
-        reps = list(qg.reps())
+        reps = list(qg.reps_scaled())
         assert len(reps) == qg.order
-        from toricmld.exactmath import inverse, vec_mat
-
-        binv = inverse(b)
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                diff = [a - c for a, c in zip(reps[i], reps[j])]
-                coords = vec_mat(diff, binv)
-                assert any(x.denominator != 1 for x in coords), "reps collide mod the sublattice"
+        classes = {tuple(x % qg.denominator for x in num) for num in reps}
+        assert len(classes) == qg.order, "reps collide mod the sublattice"
 
 
 def test_quotient_reps_cube_normalization():
     rng = random.Random(34)
-    from toricmld.exactmath import inverse, vec_mat
-
     for _ in range(20):
         d = rng.randint(1, 3)
         lat = rand_overlattice(rng, d, 25)
@@ -134,11 +136,10 @@ def test_quotient_reps_cube_normalization():
             b = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
             if det_bareiss(b) != 0:
                 break
-        binv = inverse(b)
-        for rep in lat.quotient_reps(b):
-            coords = vec_mat(rep, binv)
-            assert all(0 <= c < 1 for c in coords)
-            assert lat.contains(rep)
+        qg = lat.quotient_group(b)
+        for num in qg.reps_scaled():
+            assert all(0 <= x < qg.denominator for x in num)
+            assert lat.contains(ambient(qg, b, num))
 
 
 def test_quotient_order_formula():
@@ -161,11 +162,9 @@ def test_quotient_order_formula():
 def test_quotient_reps_is_a_stream():
     # representatives arrive lazily; large groups never materialize
     lat = Lattice.from_generators(2, [(F(1, 1000), F(7, 1000))])
-    eye = [(1, 0), (0, 1)]
-    stream = lat.quotient_reps(eye)
+    stream = lat.quotient_group([(1, 0), (0, 1)]).reps_scaled()
     assert iter(stream) is stream
-    first = next(stream)
-    assert first == (F(0), F(0))
+    assert next(stream) == (0, 0)
 
 
 def reference_reps_scaled(qg):
@@ -216,7 +215,6 @@ def test_reps_scaled_zero_columns_and_trivial_group():
         invariant_factors=(1, 1, 1),
         denominator=1,
         generator_rows=((0, 0, 0),) * 3,
-        sub_basis=(),
     )
     assert list(trivial.reps_scaled()) == [(0, 0, 0)]
     qg = QuotientGroup(
@@ -224,7 +222,6 @@ def test_reps_scaled_zero_columns_and_trivial_group():
         invariant_factors=(1, 2, 6),
         denominator=6,
         generator_rows=((0, 0, 0), (3, 0, 0), (1, 0, 5)),
-        sub_basis=(),
     )
     reps = list(qg.reps_scaled())
     assert reps == reference_reps_scaled(qg)

@@ -10,11 +10,8 @@ from toricmld import (
     NonSimplicialError,
     NotInLatticeError,
     ToricVariety,
-    WrongShapeError,
     ZeroVectorError,
-    barycentric,
     find_containing_cone,
-    is_complete,
     log_discrepancy,
 )
 
@@ -36,35 +33,6 @@ def fiber_triangle(l=2):
     return ToricVariety(
         Lattice.standard(2), Fan.build(rays, [[0, 1], [0, 2], [1, 2]])
     )
-
-
-def test_barycentric_orthant():
-    cone = smooth_plane().fan.max_cones[0]
-    assert barycentric(cone, (3, 5)) == (F(3), F(5))
-    assert barycentric(cone, (-1, 0)) == (F(-1), F(0))
-
-
-def test_barycentric_skew_cone():
-    fan = Fan.build([(1, 0), (-1, 1)], [[0, 1]])
-    x = barycentric(fan.max_cones[0], (0, 1))
-    assert x == (F(1), F(1))
-    # round-trip: coefficients reproduce the input exactly
-    g = fan.max_cones[0].generator_matrix
-    assert tuple(x[0] * g[0][j] + x[1] * g[1][j] for j in range(2)) == (F(0), F(1))
-
-
-def test_barycentric_roundtrip_random():
-    rng = random.Random(41)
-    for _ in range(40):
-        v = rand_affine_variety(rng, rng.randint(1, 3), 30)
-        cone = v.fan.max_cones[0]
-        point = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(v.dim))
-        x = barycentric(cone, point)
-        g = cone.generator_matrix
-        recon = tuple(
-            sum(x[i] * g[i][j] for i in range(len(g))) for j in range(v.dim)
-        )
-        assert recon == point
 
 
 def test_log_discrepancy_smooth():
@@ -118,7 +86,8 @@ def test_value_agrees_across_shared_cones():
     values = []
     for cone in v.fan.max_cones:
         if 0 in cone.ray_indices:
-            x = barycentric(cone, shared)
+            k, q = cone.inverse  # barycentrics of v in the cone: v @ K / q
+            x = [sum(shared[i] * k[i][j] for i in range(v.dim)) / q for j in range(v.dim)]
             if all(c >= 0 for c in x):
                 values.append(sum(x))
     assert len(values) >= 2
@@ -167,20 +136,6 @@ def test_find_containing_cone_triangle():
     assert find_containing_cone(v, (5, 1)) == 0
 
 
-def test_is_complete():
-    line = Fan.build([(1,), (-1,)], [[0], [1]])
-    assert is_complete(line)
-    plane = Fan.build([(1, 0), (0, 1), (-1, -1)], [[0, 1], [0, 2], [1, 2]])
-    assert is_complete(plane)
-    lopsided = Fan.build([(1, 0), (0, 1), (1, 1)], [[0, 1], [0, 2], [1, 2]])
-    assert not is_complete(lopsided)
-
-
-def test_is_complete_wrong_shape():
-    with pytest.raises(WrongShapeError):
-        is_complete(Fan.build([(1, 0), (0, 1)], [[0, 1]]))
-
-
 def test_fan_rejects_bad_input():
     with pytest.raises(NonSimplicialError):
         Fan.build([(1, 0), (2, 0)], [[0, 1]])
@@ -198,18 +153,3 @@ def test_variety_rejects_nonlattice_ray():
     lat = Lattice.standard(2)
     with pytest.raises(NotInLatticeError):
         ToricVariety(lat, Fan.build([(F(1, 2), F(0)), (0, 1)], [[0, 1]]))
-
-
-def test_barycentric_lower_dimensional_cone_rejected():
-    fan = Fan.build([(1, 0, 0), (1, 1, 0), (0, 0, 1)], [[0, 1, 2], [0, 1]])
-    face = fan.max_cones[1]
-    with pytest.raises(NonSimplicialError):
-        barycentric(face, (2, 1, 0))
-
-
-def test_barycentric_dimension_mismatch():
-    from toricmld import DimensionMismatchError
-
-    cone = smooth_plane().fan.max_cones[0]
-    with pytest.raises(DimensionMismatchError):
-        barycentric(cone, (1, 2, 3))

@@ -156,6 +156,13 @@ def test_lift_rejects_zero_and_foreign_points():
         lift_to_X(mfs, (F(1, 5), F(1, 5)))
 
 
+def test_lift_rejects_a_point_that_fails_only_the_triangular_solve():
+    # 17 (1/17, 0) is integral, so the denominator check passes, but the
+    # base lattice of family l = 2 is Z^2 + Z (1, 1) / 17
+    with pytest.raises(NotInBaseLatticeError):
+        lift_to_X(example_family(2), (F(1, 17), 0))
+
+
 def test_dirichlet_pair_two_points():
     assert dirichlet_pair([(F(0),), (F(1, 2),)], F(2)) == (0, 1)
 
