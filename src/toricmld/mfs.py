@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 from .exactmath import hnf_mod, invariant_factors
 from .lattice import Lattice, Vector
-from .mld import mld
+from .mld import GUARD, TooLargeError, mld
 from .toric import Fan, SimplicialCone, ToricVariety, origin_barycentrics
 
 
@@ -340,8 +340,17 @@ def assemble_mfs(
     and each maximal cone omits one fiber ray, unless ``rays`` and
     ``max_cones`` override them.  Y is the orthant over its primitive axis
     rays in Z^n + (1/c_l) e_l + the base parts of the extra generators.
+
+    The Hermite forms and cone inverses of the set-up cost about (m+n)^3
+    steps.  Before any lattice is built, (m+n)^3 - 4^3 of them are charged
+    against ``GUARD`` (TooLargeError past it), so a set-up of dimension at
+    most 4 runs under any guard and a small guard still reaches the mld
+    searches that follow it.
     """
     extras = _check_parameters(m, n, fiber_rays, base_multiples, extra_generators)
+    guard = GUARD.get()
+    if (m + n) ** 3 - 4**3 > guard:
+        raise TooLargeError(f"fibration set-up exceeded guard of {guard} points")
     x_lattice = Lattice.from_generators(m + n, extras)
     y_lattice = Lattice.from_generators(
         n,

@@ -34,13 +34,12 @@ level visits at most the projection of the group onto the coordinates fixed
 so far, so the sweep is never asymptotically worse than the full scan; the
 innermost free level is streamed as arithmetic progressions mod D.
 
-A cone with D above ``_CROSSOVER`` goes to a width engine that branches on
-flat directions of the dual lattice (Lenstra 1983; Aardal, Hurkens and
-Lenstra 2000).  The points of value <= s are those of L in the simplex
-{x >= 0, sum(x) <= s} and the box x_i < D.  ``lll`` reduces D h^-T, an
-integral basis of D L*, and carries h through the contragredient of its
-steps, so the basis of L dual to the reduced rows comes out with them and
-no second inverse is needed.  The engine orders the rows u by their width on
+The other search is a width engine that branches on flat directions of the
+dual lattice (Lenstra 1983; Aardal, Hurkens and Lenstra 2000).  The points
+of value <= s are those of L in the simplex {x >= 0, sum(x) <= s} and the
+box x_i < D.  ``lll`` reduces D h^-T, an integral basis of D L*, and carries
+h through the contragredient of its steps, so the basis of L dual to the
+reduced rows comes out with them and no second inverse is needed.  The engine orders the rows u by their width on
 the simplex, max(0, max u) - min(0, min u), and fixes the integers
 <u_j, x> / D of the d - 1 flattest, each over its range on the whole
 simplex.  No level cuts another's range, so every value that occurs is
@@ -55,8 +54,40 @@ group), capped at the incumbent's numerator, and doubles after a round that
 finds nothing, up to that numerator.  A round with bound s sees every point
 of value <= s, so the first round that finds one finds the sweep's minimum
 and witness.  Each search-tree node (a round's root, a fixed coordinate, a
-line) costs one guard unit.  LLL set-up costs about as much as a small
-sweep, so cones with D <= 2^14 keep the sweep.
+line) costs one guard unit.
+
+Both searches return the same least sum and lex-least key for the same
+bound, so the choice between them moves only time and guard trip points,
+never an output.  Each cone takes the one expected to cost less.  With
+k = last + 1 walked levels, level j of the sweep holds about
+s^j / (j! h_00 .. h_(j-1)(j-1)) points, the lattice points of the first j
+coordinates in the simplex of size s, where s = min(limit, s0) and s0 =
+(d! det L)^(1/d) is the engine's start; levels below k cost a node each,
+level k a streamed point.  A cone goes to the engine when some level alone
+is expected to cost more than the whole engine, which ``_pick_search``
+decides in integer powers.  A sweep that only s0 kept from the engine, one
+whose bound alone would not, hands the cone over once it has spent twice
+the engine's cost in streamed points, so a minimum far above s0 costs at
+most that much more.  The engine's cost in each unit is the median
+over random cones: 600 per d, each one generator of order r, log-uniform
+in r, over random rays with entries in [-1, 1] or [-2, 2], with a one-level
+estimate between 4 and 2^14 points (Python 3.11.7, 2-vCPU Xeon).  It is the
+median engine time over the sweep's median time per streamed point (k = 1
+cones) and per outer node (cones with more nodes than streamed points, their
+streamed points' time subtracted):
+
+                                                      engine cost in
+    d   stream us/pt  node us  engine us  engine nodes  points  nodes
+    2      0.244        -         75           3          307     19
+    3      0.331       4.00      145           7          439     36
+    4      0.429       4.46      282          22          657     63
+    5      0.475       3.51      578          98         1217    165
+    6      0.559       3.30     2301         513         4115    697
+
+d = 2 drew no cone with outer nodes and takes d = 3's node time; d >= 7
+take d = 6's row.  The last level alone, the estimate of a one-level sweep,
+misses the outer nodes: on a cone whose Hermite diagonal is (2, D/2, D)
+each of about s/2 nodes finds at most one point below it.
 
 ``mld_bruteforce`` re-derives the same minimum in ambient coordinates and
 exists purely to cross-check ``mld``.  It walks, per cone, the integer box of
@@ -103,7 +134,10 @@ DEFAULT_GUARD = 10**7
 # engine search-tree nodes, the witness scan multiples
 GUARD: ContextVar[int] = ContextVar("toricmld_guard", default=DEFAULT_GUARD)
 _CHUNK_MIN, _CHUNK_MAX = 64, 8192  # innermost stream chunk sizes, doubling
-_CROSSOVER = 2**14  # cones with a larger quotient denominator take the width engine
+# the width engine's median cost on random cones of dimension d (d >= 7 take
+# d = 6's), in units of the sweep's work: (outer-level nodes, streamed points);
+# measured in the table of the module docstring
+_ENGINE_COST = {2: (19, 307), 3: (36, 439), 4: (63, 657), 5: (165, 1217), 6: (697, 4115)}
 
 
 class EmptyFanError(ValueError):
@@ -199,12 +233,14 @@ def _finalize(x_var: ToricVariety, best: _Best, method: str, ray_cap: bool = Tru
 
 
 def mld(x_var: ToricVariety, guard: Optional[int] = None) -> MldResult:
-    """Minimal log discrepancy via a bounded sweep of each cone's coset lattice.
+    """Minimal log discrepancy via a bounded search of each cone's coset lattice.
 
-    Raises TooLargeError once the search has spent more than ``guard``
-    units (default ``GUARD``): the sweep counts partial points at the outer
-    levels and streamed representatives at the innermost one, the width
-    engine one unit per node of its enumeration tree.
+    Each cone takes the Hermite-order sweep or the width engine, whichever
+    its expected work says is cheaper (module docstring); both give the same
+    answer.  Raises TooLargeError once the search has spent more than
+    ``guard`` units (default ``GUARD``): the sweep counts partial points at
+    the outer levels and streamed representatives at the innermost one, the
+    width engine one unit per node of its enumeration tree.
     """
     _check_cones(x_var)
     budget = _Budget(GUARD.get() if guard is None else guard)
@@ -222,10 +258,59 @@ def _sweep_cone(x_var: ToricVariety, ci: int, best: _Best, budget: _Budget) -> N
     denom, h, gint = cone
     # the incumbent's value numerator over denom, the search's inclusive bound
     limit = denom if best.value is None else math.floor(best.value * denom)
-    found = (_width_cone if denom > _CROSSOVER else _hnf_sweep)(h, denom, gint, limit, budget)
+    found = _pick_search(h, denom, limit)(h, denom, gint, limit, budget)
     if found is not None:
         scale = denom * x_var.lattice.denominator
         best.offer(Fraction(found[0], denom), tuple(Fraction(a, scale) for a in found[1]), ci)
+
+
+def _pick_search(h, denom: int, limit: int):
+    """``_width_cone`` when some level of the sweep is expected to cost more
+    than the whole width engine (module docstring); ``_hnf_sweep`` when no
+    level could, even at s = limit; else ``_sweep_first``.
+
+    Level j holds more than the engine's cost of points iff s^j > cap, cap =
+    that cost times j! h_00 .. h_(j-1)(j-1), and s = min(limit, s0) exceeds
+    it iff limit^j > cap and (d! det L)^j > cap^d, so no root is taken.
+    """
+    d = len(h)
+    nodes, points = _ENGINE_COST[min(d, 6)]
+    k = det = 1
+    for i, row in enumerate(h):
+        det *= row[i]
+        if row[i] < denom:
+            k = i + 1
+    s0_d = math.factorial(d) * det
+    covol = fact = 1  # of L's projection on the first j coordinates, and j!
+    search = _hnf_sweep
+    for j in range(1, k + 1):
+        covol *= h[j - 1][j - 1]
+        fact *= j
+        cap = (points if j == k else nodes) * fact * covol
+        if limit**j > cap:
+            if s0_d**j > cap**d:
+                return _width_cone
+            search = _sweep_first
+    return search
+
+
+def _sweep_first(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tuple[int, tuple[int, ...]]]:
+    """``_hnf_sweep``, handing the cone to ``_width_cone`` once it has spent
+    twice the engine's cost in streamed points.  The estimate takes the
+    minimum to lie near s0; where it lies far above (1/r(1, r-1), whose
+    points all tie at value 1), the sweep alone would stream r - 1 points."""
+    rest = budget.left - 2 * _ENGINE_COST[min(len(h), 6)][1]
+    if rest <= 0:
+        return _hnf_sweep(h, denom, gint, limit, budget)  # the guard stops it first
+    budget.left -= rest
+    try:
+        return _hnf_sweep(h, denom, gint, limit, budget)
+    except TooLargeError:
+        pass
+    finally:
+        budget.left += rest
+    budget.spend(0)  # the sweep's last chunk may have passed the guard too
+    return _width_cone(h, denom, gint, limit, budget)
 
 
 def _coset_lattice(x_var: ToricVariety, ci: int) -> Optional[tuple[int, list[list[int]], list[list[int]]]]:

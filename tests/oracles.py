@@ -38,6 +38,10 @@ only rescaled.  ``solve_oracle``, ``to_ambient_oracle`` and
 product skipped the zeros below the triangular rows; ``rays_primitive_oracle``
 is ``ToricVariety.rays_primitive`` when it primitivized every ray and compared
 the Fraction tuples.
+
+``klein_mld_2d`` is no former library code: it reads the mld of a 2-d cone
+off the Hirzebruch-Jung continued fraction of its quotient, in O(log r)
+steps, so it checks ``mld`` at orders far past the brute force's reach.
 """
 
 from __future__ import annotations
@@ -435,3 +439,56 @@ def primitivize_oracle(lat: Lattice, v: Sequence) -> Vector:
 def rays_primitive_oracle(x_var: ToricVariety) -> list[bool]:
     """Each ray generator compared with its primitivization."""
     return [primitivize_oracle(x_var.lattice, r) == r for r in x_var.fan.rays]
+
+
+def klein_mld_2d(x_var: ToricVariety) -> tuple[Fraction, Vector]:
+    """(value, witness) of ``mld`` on a 2-d variety of one cone, at any order r
+    of its quotient, from the boundary of the Klein polygon conv(cone ∩ N \\ 0).
+
+    Scaled by r, the barycentric coordinates of N are the lattice
+    {(X, Y) : Y = a X mod r} of 1/r(1, a): the Hermite form of N's
+    barycentric rows over r Z^2 is (1, a), (0, r), since the rays are
+    primitive.  The value (X + Y) / r is linear and positive on the cone, so
+    its minimum over the nonzero lattice points, and every point that ties
+    with it, lie on the polygon's compact boundary (Oda, Convex Bodies and
+    Algebraic Geometry, 1.6).  That boundary runs from (0, r) through (1, a)
+    to (r, 0) by u_(i+1) = b_i u_i - u_(i-1), with b the Hirzebruch-Jung
+    continued fraction of r/a.  From x = P/Q with Q < P <= 2Q the next
+    floor(Q / (P - Q)) entries are 2 and P - Q stays fixed, so such a run
+    is one arithmetic progression, on which the value and the lex order are
+    both monotone: only its two ends are offered.  So the walk takes O(log r)
+    steps.  Ties go to the lex-least ambient point, as in ``mld``.
+    """
+    g1, g2 = x_var.fan.max_cones[0].generator_matrix
+    det = g1[0] * g2[1] - g1[1] * g2[0]
+    bary = [((b[0] * g2[1] - b[1] * g2[0]) / det, (b[1] * g1[0] - b[0] * g1[1]) / det) for b in x_var.lattice.basis]
+    r = math.lcm(*(x.denominator for row in bary for x in row))
+    (one, a), (_, order) = hnf([[int(x * r) for x in row] for row in bary] + [[r, 0], [0, r]])[0][:2]
+    assert (one, order) == (1, r), "a ray is not primitive"
+    best: Optional[tuple[Fraction, Vector]] = None
+
+    def offer(point: tuple[int, int]) -> None:
+        nonlocal best
+        x, y = point
+        cand = (Fraction(x + y, r), tuple((x * c1 + y * c2) / r for c1, c2 in zip(g1, g2)))
+        if best is None or cand < best:
+            best = cand
+
+    prev, cur = (0, r), (1, a)
+    offer(prev)
+    offer(cur)
+    p, q = r, a
+    while q:
+        b = -(-p // q)
+        if b == 2:
+            t = q // (p - q)
+            w = (cur[0] - prev[0], cur[1] - prev[1])
+            offer((cur[0] + w[0], cur[1] + w[1]))
+            prev, cur = (cur[0] + (t - 1) * w[0], cur[1] + (t - 1) * w[1]), (cur[0] + t * w[0], cur[1] + t * w[1])
+            p, q = q - (t - 1) * (p - q), q - t * (p - q)
+        else:
+            prev, cur = cur, (b * cur[0] - prev[0], b * cur[1] - prev[1])
+            p, q = q, b * q - p
+        offer(cur)
+    assert cur == (r, 0)
+    return best

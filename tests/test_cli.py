@@ -206,6 +206,35 @@ def test_mld_guard_env_bounds_the_sweep(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: mld sweep exceeded guard of 59 points\n"
 
 
+def test_family_guard_env_admits_the_cheaper_engine(capsys, monkeypatch):
+    # at l = 11 the sweep would visit 2,962 points of X's largest cone, so
+    # that cone takes the width engine (44 units for X); the 64 units are
+    # the first streamed chunk of mld(Y), which stays on the sweep
+    monkeypatch.setenv("TORICMLD_GUARD", "64")
+    assert main(["family", "--l", "11"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("mld_X = 672/7321\nmld_Y = 1/7321\n")
+    monkeypatch.setenv("TORICMLD_GUARD", "63")
+    assert main(["family", "--l", "11"]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: mld sweep exceeded guard of 63 points\n"
+
+
+def test_validate_guard_env_bounds_the_set_up_of_a_wide_fibration(tmp_path, capsys, monkeypatch):
+    # the set-up of a fibration is cubic in m + n; it is charged against the
+    # guard before any lattice is built
+    def spy(*args):
+        raise AssertionError("Lattice.from_generators was called")
+
+    n = 200
+    doc = {"kind": "mfs", "m": 1, "n": n, "fiber_rays": [[1], [-1]], "base_multiples": [1] * n, "extra_generators": []}
+    path = write(tmp_path, "wide.json", doc)
+    monkeypatch.setattr(Lattice, "from_generators", spy)
+    monkeypatch.setenv("TORICMLD_GUARD", "1000")
+    assert main(["validate", path]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fibration set-up exceeded guard of 1000 points\n"
+
+
 def test_family_guard_env_bounds_the_sweep(capsys, monkeypatch):
     monkeypatch.setenv("TORICMLD_GUARD", "3")
     assert main(["family", "--l", "3"]) == EXIT_ERROR

@@ -197,10 +197,12 @@ def test_tie_on_the_bound_of_an_outer_level(gens, rows):
 
 def test_guard_stops_a_sweep_of_ties():
     # every nonzero coset of 1/r(1, r-1) ties with the rays at value 1; the
-    # width engine settles the tie in a few dozen units, not r - 1 points
-    r = 10**12
-    res = mld(cyclic_quotient(r, (1, r - 1)), guard=1000)
-    assert (res.value, res.witness, res.cone_index) == (1, (0, 1), 0)
+    # width engine settles the tie in a few dozen units, not r - 1 points.
+    # At r = 30001 s0 = 244 keeps the cone on the sweep, which hands it to
+    # the engine after 614 units
+    for r in (10**12, 30001):
+        res = mld(cyclic_quotient(r, (1, r - 1)), guard=1000)
+        assert (res.value, res.witness, res.cone_index) == (1, (0, 1), 0)
     assert mld(cyclic_quotient(17, (1, 16)), guard=1000).value == 1
 
 
@@ -229,6 +231,21 @@ def test_family_total_space_closed_form(l):
 def test_family_l200_work_bound():
     # the sweep would visit about 3 * 10^9 points here
     assert mld(example_family(200).x, guard=2000).value == F(200**3 + 202, 200**4 + 1)
+
+
+@pytest.mark.parametrize(
+    "l, units",
+    [(5, 324), (6, 497), (9, 44), (10, 46), (11, 44), (12, 49), (13, 50), (14, 48)],
+)
+def test_family_total_space_least_guard(l, units):
+    # each cone takes the search expected to cost less: from l = 9 on, the
+    # sweep would visit thousands of points of the largest cone (2,962 at
+    # l = 11) where the width engine needs a few dozen nodes; at l = 5 and 6
+    # only some of the three cones take it
+    x_var = example_family(l).x
+    assert mld(x_var, guard=units).value == F(l**3 + l + 2, l**4 + 1)
+    with pytest.raises(TooLargeError, match=f"mld sweep exceeded guard of {units - 1} points"):
+        mld(x_var, guard=units - 1)
 
 
 def test_bruteforce_guard_counts_every_box_point():

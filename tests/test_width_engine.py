@@ -3,11 +3,15 @@
 ``_width_cone`` is called directly on generated cones, whatever their
 quotient denominator D, and must return exactly what the Hermite-order sweep
 ``_hnf_sweep`` returns for the same bound: the least value numerator and the
-lex-least ambient key among the points that reach it.  Through ``mld`` with
-every cone sent to the engine, value, witness and cone must match the coset
-scan and ``mld_bruteforce``.  On large cones ``mld`` must also match
+lex-least ambient key among the points that reach it.  ``mld`` picks one of
+the two per cone through ``_pick_search``; patched to always pick the engine,
+value, witness and cone must match the coset scan and ``mld_bruteforce``,
+and on cones drawn on both sides of each dimension's threshold ``mld`` must
+match both forced searches.  On large cones ``mld`` must also match
 ``mld_bruteforce`` alone, whose rounds of growing value keep it fast at any
-D whose minimum lies low in the cone.  ``lll`` is checked against a test-side
+D whose minimum lies low in the cone.  In the plane ``klein_mld_2d`` checks
+``mld`` at any D, and past 10^6 bounds the engine's cost by a few units per
+bit of D.  ``lll`` is checked against a test-side
 rational Gram-Schmidt, and the rows it carries must transform
 contragrediently, so the engine's basis is the one a second inverse gave.
 """
@@ -15,6 +19,7 @@ contragrediently, so the engine's basis is the one a second inverse gave.
 from __future__ import annotations
 
 import importlib
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -22,7 +27,7 @@ import pytest
 from hypothesis import assume, event, given, reject, settings
 from hypothesis import strategies as st
 
-from oracles import det_bareiss
+from oracles import det_bareiss, klein_mld_2d
 from test_exact_kernels import modular_systems
 from test_mld_sweep import affine_varieties, assert_agrees
 from toricmld import Fan, Lattice, TooLargeError, ToricVariety, cyclic_quotient, example_family, mld, mld_bruteforce
@@ -34,7 +39,11 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 
 
 def engine_everywhere():
-    return mock.patch.object(mld_module, "_CROSSOVER", 0)
+    return mock.patch.object(mld_module, "_pick_search", lambda h, denom, limit: mld_module._width_cone)
+
+
+def sweep_everywhere():
+    return mock.patch.object(mld_module, "_pick_search", lambda h, denom, limit: mld_module._hnf_sweep)
 
 
 @st.composite
@@ -143,13 +152,93 @@ def test_engine_everywhere_matches_both_oracles(x_var):
         assert_agrees(x_var)
 
 
+@st.composite
+def threshold_cones(draw):
+    """A cone of dimension 2..5 whose quotient puts the sweep's expected work
+    within a factor of 8 of that dimension's threshold, on either side:
+    1/r(1, a_2 .. a_d), where the sweep walks one Hermite level of about
+    s0 = (d! r^(d-1))^(1/d) points, over the orthant or over random rays,
+    where it may walk more levels."""
+    d = draw(st.integers(2, 5))
+    points = mld_module._ENGINE_COST[d][1]
+    r_star = (points**d / math.factorial(d)) ** (1 / (d - 1))  # s0 = points here
+    r = max(2, round(r_star * 2 ** (draw(st.integers(-24, 24)) / 8)))
+    weights = [1] + draw(st.lists(st.integers(0, r - 1), min_size=d - 1, max_size=d - 1))
+    if draw(st.booleans()):
+        return cyclic_quotient(r, weights)
+    lattice = Lattice.from_generators(d, [tuple(F(a, r) for a in weights)])
+    entries = st.lists(st.integers(-1, 1), min_size=d, max_size=d)
+    rows = draw(st.lists(entries, min_size=d, max_size=d))
+    assume(det_bareiss(rows) != 0)
+    rays = [lattice.primitivize(tuple(F(c) for c in row)) for row in rows]
+    return ToricVariety(lattice, Fan.build(rays, [list(range(d))]))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(threshold_cones())
+def test_mld_matches_both_engines_across_the_threshold(x_var):
+    cone = mld_module._coset_lattice(x_var, 0)
+    assume(cone is not None)
+    denom, h, _ = cone
+    picked = mld_module._pick_search(h, denom, denom)
+    event(f"d = {x_var.dim}: {picked.__name__}")  # counted in --hypothesis-show-statistics
+    got = mld(x_var)
+    with engine_everywhere():
+        engine = mld(x_var)
+    try:
+        with sweep_everywhere():
+            sweep = mld(x_var, guard=2 * 10**5)
+    except TooLargeError:
+        reject()  # the forced sweep alone is too slow here
+    key = (got.value, got.witness, got.cone_index)
+    assert (engine.value, engine.witness, engine.cone_index) == key
+    assert (sweep.value, sweep.witness, sweep.cone_index) == key
+
+
 @pytest.mark.parametrize("l", range(2, 15))
 def test_engine_everywhere_matches_the_sweep_on_the_family(l):
     fam = example_family(l)
-    with mock.patch.object(mld_module, "_CROSSOVER", float("inf")):
+    with sweep_everywhere():
         want = mld(fam.x)
     with engine_everywhere():
         assert mld(fam.x) == want
+
+
+@st.composite
+def plane_cones(draw, r_min, r_max):
+    """1/r(1, a) over its orthant or over random rays, a drawn at random or
+    next to 1 or r, where every point ties with the rays or nearly so."""
+    bits = draw(st.integers(r_min.bit_length(), r_max.bit_length()))  # every magnitude alike
+    r = draw(st.integers(max(r_min, 2 ** (bits - 1)), min(r_max, 2**bits)))
+    a = draw(st.one_of(st.integers(1, r - 1), st.sampled_from([1, 2, r - 2, r - 1])))
+    assume(0 < a < r)
+    if draw(st.booleans()):
+        return cyclic_quotient(r, (1, a))
+    lattice = Lattice.from_generators(2, [(F(1, r), F(a, r))])
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), min_size=2, max_size=2))
+    assume(det_bareiss(rows) != 0)
+    rays = [lattice.primitivize(tuple(F(c) for c in row)) for row in rows]
+    return ToricVariety(lattice, Fan.build(rays, [[0, 1]]))
+
+
+@PROPERTY
+@given(plane_cones(2, 10**6))
+def test_mld_matches_the_klein_polygon_in_the_plane(x_var):
+    # D crosses the plane's threshold, about 5 * 10^4 for 1/r(1, a)
+    got = mld(x_var)
+    assert (got.value, got.witness) == klein_mld_2d(x_var)
+    assert got.cone_index == 0
+
+
+@PROPERTY
+@given(plane_cones(10**6, 10**400))
+def test_width_engine_cost_is_logarithmic_in_the_plane(x_var):
+    # past the brute force's reach the width engine answers in a handful of
+    # nodes, or about one per bit of D when the minimum lies near value 1
+    cone = mld_module._coset_lattice(x_var, 0)
+    assume(cone is not None and cone[0] > 10**6)
+    got = mld(x_var, guard=100 + cone[0].bit_length())
+    assert (got.value, got.witness) == klein_mld_2d(x_var)
 
 
 def gram_schmidt(rows):
