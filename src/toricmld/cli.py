@@ -21,11 +21,11 @@ Exit codes: 0 success, 1 parse/validation/runtime error, 2 oracle mismatch
 (mld --brute-force), 3 witness precondition violated, 4 threshold inequality
 violated (check).  The environment variable TORICMLD_GUARD, a positive
 integer, overrides the work guard of every mld computation a subcommand
-runs, of the witness scan and of each fibration's set-up (``mld.GUARD``,
-default 10^7 units per computation: the sweep counts points, the box scan
-nodes and box points over its rounds, the width engine search-tree nodes,
-the witness scan multiples, the set-up (m+n)^3 - 4^3 steps); a run past
-it exits 1.
+runs and of the witness scan (``mld.GUARD``, default 10^7 units per
+computation: the sweep counts points, the box scan nodes and box points
+over its rounds, the width engine search-tree nodes, the witness scan
+multiples); a run past it exits 1.  It also caps each fibration's set-up
+by size: a dimension m + n above 4 whose cube exceeds it exits 1.
 """
 
 from __future__ import annotations

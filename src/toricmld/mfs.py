@@ -41,6 +41,11 @@ from .mld import GUARD, TooLargeError, mld
 from .toric import Fan, SimplicialCone, ToricVariety, origin_barycentrics
 
 
+# fibrations up to this dimension m + n set up under any work guard; the
+# family's (m = n = 2) is one of them
+_SETUP_FREE_DIM = 4
+
+
 class InvalidMfsError(ValueError):
     pass
 
@@ -341,16 +346,17 @@ def assemble_mfs(
     ``max_cones`` override them.  Y is the orthant over its primitive axis
     rays in Z^n + (1/c_l) e_l + the base parts of the extra generators.
 
-    The Hermite forms and cone inverses of the set-up cost about (m+n)^3
-    steps.  Before any lattice is built, (m+n)^3 - 4^3 of them are charged
-    against ``GUARD`` (TooLargeError past it), so a set-up of dimension at
-    most 4 runs under any guard and a small guard still reaches the mld
-    searches that follow it.
+    The Hermite forms and cone inverses of the set-up take time cubic in
+    m + n, and nothing of it is counted as it runs.  So the set-up is capped
+    by size instead: before any lattice is built, a dimension m + n above
+    ``_SETUP_FREE_DIM`` whose cube exceeds ``GUARD`` raises TooLargeError.
+    Set-ups up to that dimension pass any guard, so a small guard still
+    reaches the mld searches that follow them.
     """
     extras = _check_parameters(m, n, fiber_rays, base_multiples, extra_generators)
     guard = GUARD.get()
-    if (m + n) ** 3 - 4**3 > guard:
-        raise TooLargeError(f"fibration set-up exceeded guard of {guard} points")
+    if m + n > _SETUP_FREE_DIM and (m + n) ** 3 > guard:
+        raise TooLargeError(f"fibration set-up of dimension {m + n} exceeded guard of {guard} points")
     x_lattice = Lattice.from_generators(m + n, extras)
     y_lattice = Lattice.from_generators(
         n,

@@ -65,29 +65,39 @@ coordinates in the simplex of size s, where s = min(limit, s0) and s0 =
 (d! det L)^(1/d) is the engine's start; levels below k cost a node each,
 level k a streamed point.  A cone goes to the engine when some level alone
 is expected to cost more than the whole engine, which ``_pick_search``
-decides in integer powers.  A sweep that only s0 kept from the engine, one
-whose bound alone would not, hands the cone over once it has spent twice
-the engine's cost in streamed points, so a minimum far above s0 costs at
-most that much more.  The engine's cost in each unit is the median
-over random cones: 600 per d, each one generator of order r, log-uniform
-in r, over random rays with entries in [-1, 1] or [-2, 2], with a one-level
-estimate between 4 and 2^14 points (Python 3.11.7, 2-vCPU Xeon).  It is the
-median engine time over the sweep's median time per streamed point (k = 1
-cones) and per outer node (cones with more nodes than streamed points, their
-streamed points' time subtracted):
+decides in integer powers.  The last level alone, the estimate of a
+one-level sweep, would miss the outer nodes: on a cone whose Hermite
+diagonal is (2, D/2, D) each of about s/2 nodes finds at most one point.
 
-                                                      engine cost in
-    d   stream us/pt  node us  engine us  engine nodes  points  nodes
-    2      0.244        -         75           3          307     19
-    3      0.331       4.00      145           7          439     36
-    4      0.429       4.46      282          22          657     63
-    5      0.475       3.51      578          98         1217    165
-    6      0.559       3.30     2301         513         4115    697
+The estimate takes the minimum to lie near s0.  Where it lies far above
+(1/r(1, r-1), whose points all tie at value 1) the sweep would stream
+r - 1 points, so every sweep hands its cone to the engine once it has spent
+the engine's cost in units.  The engine then searches the cone afresh with
+the same bound, and the cone costs about twice the cheaper search at most
+(rent or buy).  The engine's cost in each unit comes from random cones,
+each one generator of order r, log-uniform in r up to 10^6, over random
+rays with entries in [-1, 1] or [-2, 2], with a one-level estimate between
+4 and 2^14 points; both searches timed on each at limit D, min of 3
+(Python 3.11.7, 2-vCPU Xeon).  The sweep's time is fitted as a + b P over
+the cones with no outer node (P streamed points), its node time is the
+median of (time - a - b P) / nodes over the cones with more nodes than
+points, and the engine's cost is its median time E as (E - a) / b points
+and (E - a) / node time nodes:
 
-d = 2 drew no cone with outer nodes and takes d = 3's node time; d >= 7
-take d = 6's row.  The last level alone, the estimate of a one-level sweep,
-misses the outer nodes: on a cone whose Hermite diagonal is (2, D/2, D)
-each of about s/2 nodes finds at most one point below it.
+                                                               engine cost
+    d  cones  sweep us         node us  engine us  engine nodes  points nodes
+    2   600   16.0 + 0.138 P      -          43          3          195     9
+    3   600    8.8 + 0.228 P    2.96        102          7          407    31
+    4   600   17.8 + 0.291 P    2.47        195         22          610    72
+    5   300   69.6 + 0.372 P    2.64        526         81         1227   173
+    6   200   -6.9 + 0.528 P    2.92       2122        520         4029   729
+    7   100   65.3 + 0.482 P    2.41      12212       3102        25224  5034
+
+A 2-d cone over primitive rays is a cyclic quotient with h_00 = 1 and no
+outer level, so d = 2 drew no node; its node cost takes d = 3's node time.
+d = 7's point cost lies past the band's 2^14 points, on the fitted line.
+A dimension outside the table, d = 1 (whose first point, of value 1/D, is
+its minimum) or d >= 8, takes the sweep, handed over at d = 7's cost.
 
 ``mld_bruteforce`` re-derives the same minimum in ambient coordinates and
 exists purely to cross-check ``mld``.  It walks, per cone, the integer box of
@@ -134,10 +144,19 @@ DEFAULT_GUARD = 10**7
 # engine search-tree nodes, the witness scan multiples
 GUARD: ContextVar[int] = ContextVar("toricmld_guard", default=DEFAULT_GUARD)
 _CHUNK_MIN, _CHUNK_MAX = 64, 8192  # innermost stream chunk sizes, doubling
-# the width engine's median cost on random cones of dimension d (d >= 7 take
-# d = 6's), in units of the sweep's work: (outer-level nodes, streamed points);
-# measured in the table of the module docstring
-_ENGINE_COST = {2: (19, 307), 3: (36, 439), 4: (63, 657), 5: (165, 1217), 6: (697, 4115)}
+# per dimension d: (d!, the width engine's median time on random cones in
+# outer-level nodes of the sweep, and in its streamed points), from the band
+# table of the module docstring; a dimension outside it takes the sweep,
+# handed over at the last row's cost
+_ENGINE_COST = {
+    2: (2, 9, 195),
+    3: (6, 31, 407),
+    4: (24, 72, 610),
+    5: (120, 173, 1227),
+    6: (720, 729, 4029),
+    7: (5040, 5034, 25224),
+}
+_TABLE_TOP = max(_ENGINE_COST)
 
 
 class EmptyFanError(ValueError):
@@ -266,40 +285,42 @@ def _sweep_cone(x_var: ToricVariety, ci: int, best: _Best, budget: _Budget) -> N
 
 def _pick_search(h, denom: int, limit: int):
     """``_width_cone`` when some level of the sweep is expected to cost more
-    than the whole width engine (module docstring); ``_hnf_sweep`` when no
-    level could, even at s = limit; else ``_sweep_first``.
+    than the whole width engine (module docstring), else ``_sweep_first``.
 
-    Level j holds more than the engine's cost of points iff s^j > cap, cap =
-    that cost times j! h_00 .. h_(j-1)(j-1), and s = min(limit, s0) exceeds
-    it iff limit^j > cap and (d! det L)^j > cap^d, so no root is taken.
+    With s = min(limit, s0), level j holds more than the engine's cost of
+    points iff s^j > cap, cap = that cost times j! h_00 .. h_(j-1)(j-1);
+    that is limit^j > cap and (d! det L)^j > cap^d, so no root is taken.
     """
     d = len(h)
-    nodes, points = _ENGINE_COST[min(d, 6)]
-    k = det = 1
-    for i, row in enumerate(h):
-        det *= row[i]
-        if row[i] < denom:
-            k = i + 1
-    s0_d = math.factorial(d) * det
+    row = _ENGINE_COST.get(d)
+    if row is None:  # d = 1, whose first point is the least, or past the table
+        return _sweep_first
+    fact_d, nodes, points = row
+    k = d  # the levels the sweep walks: those with h_ii < D
+    while h[k - 1][k - 1] == denom:
+        k -= 1
+    if k == 1:  # one streamed level, as in every 2-d cone over primitive rays
+        cap = points * h[0][0]
+        return _width_cone if limit > cap and fact_d * h[0][0] * denom ** (d - 1) > cap**d else _sweep_first
+    s0_d = fact_d * denom ** (d - k)
+    for i in range(k):
+        s0_d *= h[i][i]
     covol = fact = 1  # of L's projection on the first j coordinates, and j!
-    search = _hnf_sweep
     for j in range(1, k + 1):
         covol *= h[j - 1][j - 1]
         fact *= j
         cap = (points if j == k else nodes) * fact * covol
-        if limit**j > cap:
-            if s0_d**j > cap**d:
-                return _width_cone
-            search = _sweep_first
-    return search
+        if limit**j > cap and s0_d**j > cap**d:
+            return _width_cone
+    return _sweep_first
 
 
 def _sweep_first(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tuple[int, tuple[int, ...]]]:
     """``_hnf_sweep``, handing the cone to ``_width_cone`` once it has spent
-    twice the engine's cost in streamed points.  The estimate takes the
-    minimum to lie near s0; where it lies far above (1/r(1, r-1), whose
-    points all tie at value 1), the sweep alone would stream r - 1 points."""
-    rest = budget.left - 2 * _ENGINE_COST[min(len(h), 6)][1]
+    the engine's cost in units.  Where the estimate is wrong, as on
+    1/r(1, r-1), whose points all tie at value 1 far above s0, the cone then
+    costs about twice the cheaper search, not r - 1 streamed points."""
+    rest = budget.left - _ENGINE_COST.get(len(h), _ENGINE_COST[_TABLE_TOP])[2]
     if rest <= 0:
         return _hnf_sweep(h, denom, gint, limit, budget)  # the guard stops it first
     budget.left -= rest

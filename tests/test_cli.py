@@ -71,6 +71,14 @@ def test_mld_quotient(tmp_path, capsys):
     assert "witness = (1/17, 1/17)" in out
 
 
+def test_mld_line_over_a_non_primitive_ray(tmp_path, capsys):
+    path = write(tmp_path, "line.json", {"kind": "toric", "dim": 1, "rays": [[2]], "max_cones": [[0]]})
+    assert main(["mld", path]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == "mld = 1/2\nwitness = (1)\ncone = 0\n"
+    assert captured.err == ""
+
+
 def test_mld_smooth(tmp_path, capsys):
     doc = {
         "kind": "toric",
@@ -219,8 +227,8 @@ def test_family_guard_env_admits_the_cheaper_engine(capsys, monkeypatch):
 
 
 def test_validate_guard_env_bounds_the_set_up_of_a_wide_fibration(tmp_path, capsys, monkeypatch):
-    # the set-up of a fibration is cubic in m + n; it is charged against the
-    # guard before any lattice is built
+    # the set-up of a fibration is cubic in m + n; past dimension 4 its cube
+    # is held against the guard before any lattice is built
     def spy(*args):
         raise AssertionError("Lattice.from_generators was called")
 
@@ -232,7 +240,7 @@ def test_validate_guard_env_bounds_the_set_up_of_a_wide_fibration(tmp_path, caps
     assert main(["validate", path]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: fibration set-up exceeded guard of 1000 points\n"
+    assert captured.err == "error: fibration set-up of dimension 201 exceeded guard of 1000 points\n"
 
 
 def test_family_guard_env_bounds_the_sweep(capsys, monkeypatch):

@@ -198,12 +198,30 @@ def test_tie_on_the_bound_of_an_outer_level(gens, rows):
 def test_guard_stops_a_sweep_of_ties():
     # every nonzero coset of 1/r(1, r-1) ties with the rays at value 1; the
     # width engine settles the tie in a few dozen units, not r - 1 points.
-    # At r = 30001 s0 = 244 keeps the cone on the sweep, which hands it to
-    # the engine after 614 units
-    for r in (10**12, 30001):
+    # At r = 5001 and 18001 s0 = 100 and 189 keep the cone on the sweep,
+    # which hands it to the engine after 448 units
+    for r in (10**12, 5001, 18001):
         res = mld(cyclic_quotient(r, (1, r - 1)), guard=1000)
         assert (res.value, res.witness, res.cone_index) == (1, (0, 1), 0)
     assert mld(cyclic_quotient(17, (1, 16)), guard=1000).value == 1
+
+
+@pytest.mark.parametrize(
+    "rays, max_cones, expected",
+    [
+        ([(2,)], [[0]], (F(1, 2), (1,), 0)),
+        ([(10**5,)], [[0]], (F(1, 10**5), (1,), 0)),
+        ([(3,), (-5,)], [[0], [1]], (F(1, 5), (-1,), 1)),
+    ],
+)
+def test_line_with_non_primitive_rays(rays, max_cones, expected):
+    # a 1-d cone over a non-primitive ray has a nontrivial quotient; its
+    # first lattice point, of value 1/D, is the minimum
+    x_var = ToricVariety(Lattice.from_generators(1, []), Fan.build([tuple(map(F, r)) for r in rays], max_cones))
+    res = mld(x_var, guard=64)
+    assert (res.value, res.witness, res.cone_index) == expected
+    oracle = mld_bruteforce(x_var)
+    assert (oracle.value, oracle.witness, oracle.cone_index) == expected
 
 
 def test_guard_counts_every_node_of_the_width_engine():

@@ -160,7 +160,7 @@ def threshold_cones(draw):
     s0 = (d! r^(d-1))^(1/d) points, over the orthant or over random rays,
     where it may walk more levels."""
     d = draw(st.integers(2, 5))
-    points = mld_module._ENGINE_COST[d][1]
+    points = mld_module._ENGINE_COST[d][2]
     r_star = (points**d / math.factorial(d)) ** (1 / (d - 1))  # s0 = points here
     r = max(2, round(r_star * 2 ** (draw(st.integers(-24, 24)) / 8)))
     weights = [1] + draw(st.lists(st.integers(0, r - 1), min_size=d - 1, max_size=d - 1))
@@ -190,6 +190,29 @@ def test_mld_matches_both_engines_across_the_threshold(x_var):
             sweep = mld(x_var, guard=2 * 10**5)
     except TooLargeError:
         reject()  # the forced sweep alone is too slow here
+    key = (got.value, got.witness, got.cone_index)
+    assert (engine.value, engine.witness, engine.cone_index) == key
+    assert (sweep.value, sweep.witness, sweep.cone_index) == key
+
+
+@pytest.mark.parametrize(
+    "r, weights",
+    [
+        (997, (1, 2, 3, 5, 8, 13, 21)),
+        (4099, (1, 4098, 2, 4097, 3, 4096, 5)),
+        (211, (1, 1, 1, 1, 1, 1, 1, 1)),
+        (1009, (1, 3, 9, 27, 81, 243, 729, 1008)),
+    ],
+)
+def test_mld_matches_both_engines_past_six_dimensions(r, weights):
+    # d = 7 is the table's last row; d = 8 is past it and sweeps with the
+    # handover at d = 7's cost
+    x_var = cyclic_quotient(r, weights)
+    got = mld(x_var)
+    with engine_everywhere():
+        engine = mld(x_var)
+    with sweep_everywhere():
+        sweep = mld(x_var)
     key = (got.value, got.witness, got.cone_index)
     assert (engine.value, engine.witness, engine.cone_index) == key
     assert (sweep.value, sweep.witness, sweep.cone_index) == key
