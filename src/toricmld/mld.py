@@ -39,8 +39,9 @@ dual lattice (Lenstra 1983; Aardal, Hurkens and Lenstra 2000).  The points
 of value <= s are those of L in the simplex {x >= 0, sum(x) <= s} and the
 box x_i < D.  ``lll`` reduces D h^-T, an integral basis of D L*, and carries
 h through the contragredient of its steps, so the basis of L dual to the
-reduced rows comes out with them and no second inverse is needed.  The engine orders the rows u by their width on
-the simplex, max(0, max u) - min(0, min u), and fixes the integers
+reduced rows comes out with them and no second inverse is needed.  The
+engine orders the rows u by their width on the simplex,
+max(0, max u) - min(0, min u), and fixes the integers
 <u_j, x> / D of the d - 1 flattest, each over its range on the whole
 simplex.  No level cuts another's range, so every value that occurs is
 covered; what is left is a line base + t w of L, w the dual basis row of the
