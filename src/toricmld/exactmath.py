@@ -83,6 +83,13 @@ def _integral(m) -> tuple[list[list[int]], int]:
     return [[x.numerator * (e // x.denominator) for x in row] for row in m], e
 
 
+def _least_terms(rows: Sequence[Sequence[int]], denom: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(A, e) with rows / denom = A / e and e > 0 least, for integer rows:
+    both divided by the gcd of denom and every entry."""
+    g = math.gcd(denom, *(x for row in rows for x in row))
+    return tuple(tuple(x // g for x in row) for row in rows), denom // g
+
+
 def _gauss_jordan(a: list[list[int]]) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) Gauss-Jordan of an integer matrix, in place.
 

@@ -12,8 +12,12 @@ Coordinates come from one integer substitution on the triangular rows: for
 v = w / e they are C / e with C @ rows = D w, and each division is exact
 because N contains Z^d, so ``coords``, ``contains`` and ``primitivize`` form
 no inverse and no Fraction per step, and the gcd g of C tells whether v is
-a lattice point (e divides g) and primitive (g = e).  The public constructor
-takes any generating rows, runs ``hnf`` on them, and checks with the same
+a lattice point (e divides g) and primitive (g = e).  The substitution
+itself, ``_substitute``, takes the integer vector w = e v, so a caller that
+holds integer rows (a fan's ray table) reads no Fraction; the one integer
+primitivization, ``_primitive_scaled``, returns D times the primitive point,
+and ``primitivize`` divides it by D.  The public constructor takes any
+generating rows, runs ``hnf`` on them, and checks with the same
 substitution on each e_j that N contains Z^d.
 
 ``quotient_group`` reads N / B, for a full-rank sublattice B, off the Smith
@@ -32,7 +36,7 @@ from fractions import Fraction
 from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .exactmath import as_fractions, hnf, hnf_mod, snf
+from .exactmath import _least_terms, as_fractions, hnf, hnf_mod, snf
 
 Vector = tuple[Fraction, ...]
 
@@ -84,7 +88,7 @@ class Lattice:
             raise DegenerateBasisError("generators do not span Q^d")
         self._set(dim, denom, top)
         for j in range(dim):  # Z^d is inside N iff every e_j is
-            self._solve([int(i == j) for i in range(dim)])
+            self._substitute([int(i == j) for i in range(dim)])
 
     def _set(self, dim: int, denominator: int, rows: Sequence[Sequence[int]]) -> None:
         self.dim = dim
@@ -105,12 +109,11 @@ class Lattice:
 
     @classmethod
     def _from_scaled(cls, dim: int, denom: int, rows: Sequence[Sequence[int]]) -> "Lattice":
-        """``from_generators`` of the rows / denom, for integer rows: with g the
-        gcd of denom and every entry, D = denom / g and D N = span(rows / g) + D Z^d."""
-        g = math.gcd(denom, *(x for row in rows for x in row))
+        """``from_generators`` of the rows / denom, for integer rows: in lowest
+        terms rows / denom = A / D, and D N = span(A) + D Z^d."""
+        rows, denom = _least_terms(rows, denom)
         lat = cls.__new__(cls)
-        denom //= g
-        lat._set(dim, denom, hnf_mod([[x // g for x in row] for row in rows] or [[0] * dim], denom))
+        lat._set(dim, denom, hnf_mod(rows or [[0] * dim], denom))
         return lat
 
     @property
@@ -121,13 +124,9 @@ class Lattice:
             self._basis = tuple(tuple(Fraction(x, denom) for x in row) for row in self.rows)
         return self._basis
 
-    def _solve(self, v: Sequence) -> tuple[list[int], int]:
-        """(C, e): integers with coords(v) = C / e, e the lcm of v's denominators.
-
-        Substitution on the triangular rows, C @ rows = D e v.  Every division
-        is exact when N contains Z^d, since D rows^-1 is then an integer
-        matrix; an inexact one proves that it does not (LatticeError).
-        """
+    def _read(self, v: Sequence) -> tuple[list[int], int]:
+        """(w, e): integers with v = w / e, e the lcm of v's denominators,
+        each entry's numerator and denominator read once."""
         if len(v) != self.dim:
             raise ValueError(f"expected a vector of dimension {self.dim}, got {len(v)}")
         nums, dens = [], []
@@ -137,17 +136,29 @@ class Lattice:
             nums.append(x.numerator)
             dens.append(x.denominator)
         e = math.lcm(*dens)
+        return [a * (e // b) for a, b in zip(nums, dens)], e
+
+    def _solve(self, v: Sequence) -> tuple[list[int], int]:
+        """(C, e): integers with coords(v) = C / e, e the lcm of v's denominators."""
+        w, e = self._read(v)
+        return self._substitute(w), e
+
+    def _substitute(self, w: Sequence[int]) -> list[int]:
+        """C with C @ rows = D w, for an integer vector w, by substitution on
+        the triangular rows.  Every division is exact when N contains Z^d,
+        since D rows^-1 is then an integer matrix; an inexact one proves that
+        it does not (LatticeError)."""
         denom, h = self.denominator, self.rows
         c: list[int] = []
-        for j in range(self.dim):
-            t = nums[j] * (e // dens[j]) * denom
+        for j, x in enumerate(w):
+            t = x * denom
             for i in range(j):
                 t -= c[i] * h[i][j]
             cj, rest = divmod(t, h[j][j])
             if rest:
                 raise LatticeError("basis does not contain Z^d with finite index")
             c.append(cj)
-        return c, e
+        return c
 
     def coords(self, v: Sequence) -> Vector:
         """Coordinates c of v in the basis (rational): c @ rows = D v."""
@@ -175,18 +186,35 @@ class Lattice:
         """(C, e, g) for a nonzero lattice point v with coordinates C / e: g is
         the gcd of C, so v is g / e times the primitive point C / g, and v is
         primitive iff g = e.  A lattice point iff e divides g."""
-        c, e = self._solve(v)
+        w, e = self._read(v)
+        c, g = self._scaled_content(w, e, v)
+        return c, e, g
+
+    def _scaled_content(self, w: Sequence[int], e: int, v: Sequence) -> tuple[list[int], int]:
+        """``_content``'s (C, g) for v = w / e, from integers w and e > 0;
+        v only names the point in errors."""
+        c = self._substitute(w)
         g = math.gcd(*c)
         if not g:
             raise ZeroVectorError("cannot primitivize the zero vector")
         if g % e:
             raise NotInLatticeError(f"{v!r} is not a lattice point")
-        return c, e, g
+        return c, g
+
+    def _primitive_scaled(self, w: Sequence[int], e: int, v: Sequence) -> tuple[int, ...]:
+        """D times the shortest lattice point on the ray of v = w / e, for
+        integers w and e > 0: (C / g) @ rows, summed over i <= j as the rows
+        are upper triangular.  v only names the point in errors."""
+        c, g = self._scaled_content(w, e, v)
+        h = self.rows
+        c = [x // g for x in c]
+        return tuple(sum(c[i] * h[i][j] for i in range(j + 1)) for j in range(self.dim))
 
     def primitivize(self, v: Sequence) -> Vector:
-        """Shortest lattice point on the ray spanned by v (same direction)."""
-        c, _, g = self._content(v)
-        return self.to_ambient([x // g for x in c])
+        """Shortest lattice point on the ray spanned by v (same direction):
+        ``_primitive_scaled`` over D."""
+        denom = self.denominator
+        return tuple(Fraction(x, denom) for x in self._primitive_scaled(*self._read(v), v))
 
     def quotient_group(self, sub_basis: Sequence[Sequence]) -> "QuotientGroup":
         """Quotient N / <rows of sub_basis>, for a full-rank sublattice."""

@@ -35,7 +35,7 @@ from itertools import chain, combinations
 from operator import add
 from typing import Iterable, Optional, Sequence
 
-from .exactmath import hnf_mod, invariant_factors
+from .exactmath import _least_terms, hnf_mod, invariant_factors
 from .lattice import Lattice, Vector
 from .mld import GUARD, TooLargeError, mld
 from .toric import Fan, SimplicialCone, ToricVariety, origin_barycentrics
@@ -101,14 +101,15 @@ class ToricMfs:
     def _kernel_ray_indices(self) -> list[int]:
         """Indices of the rays of X in ker F, the fiber rays: found once for
         the report's checks, ``_origin_barycentrics`` and ``fiber``."""
-        return [i for i, r in enumerate(self.x.fan.rays) if all(c == 0 for c in r[self.m:])]
+        return [i for i, w in enumerate(self.x.fan.integral[0]) if not any(w[self.m:])]
 
     @cached_property
     def _origin_barycentrics(self) -> Optional[tuple[Fraction, ...]]:
         """The origin's barycentrics in the fiber simplex, None when it is
-        degenerate: solved once, for the ``fiber_simplex`` check and ``fiber``."""
-        m, rays = self.m, self.x.fan.rays
-        return origin_barycentrics([rays[i][:m] for i in self._kernel_ray_indices])
+        degenerate: solved once, for the ``fiber_simplex`` check and ``fiber``,
+        on the integer table, since scaling the vertices keeps the solution."""
+        m, ints = self.m, self.x.fan.integral[0]
+        return origin_barycentrics([ints[i][:m] for i in self._kernel_ray_indices])
 
     @cached_property
     def _fiber_inverses(self) -> tuple[tuple[tuple[int, ...], tuple], ...]:
@@ -143,13 +144,15 @@ class ToricMfs:
         inverses = self._fiber_inverses  # raises on a fibration that fails validation
         m, n, denom = self.m, self.n, self.x.lattice.denominator
         z_lattice = Lattice._from_scaled(m, denom, [row[n:] for row in self._base_first_rows[n:]])
-        verts = tuple(self.x.fan.rays[i][:m] for i in self._kernel_ray_indices)
+        kernel, (ints, e) = self._kernel_ray_indices, self.x.fan.integral
+        verts = tuple(self.x.fan.rays[i][:m] for i in kernel)
         # Fan.build's checks hold already: the kernel rays are distinct rays of
         # X and fiber_simplex makes every m of them independent
         cones = tuple(
             SimplicialCone(idx, tuple(verts[t] for t in idx), inv) for idx, inv in inverses
         )
-        z = ToricVariety._on_lattice_points(z_lattice, Fan(verts, cones, m))
+        table = _least_terms([ints[i][:m] for i in kernel], e)
+        z = ToricVariety._on_lattice_points(z_lattice, Fan(verts, cones, m, table))
         return FiberData(z=z, simplex_vertices=verts, origin_barycentrics=self._origin_barycentrics)
 
     def project(self, v: Sequence) -> Vector:
@@ -196,6 +199,7 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
     checks: list[CheckResult] = []
     m, n = mfs.m, mfs.n
     x_rays = mfs.x.fan.rays
+    x_ints, x_e = mfs.x.fan.integral
 
     # the fiber/base split of the rays, shared by the checks that need it
     try:
@@ -220,10 +224,10 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
 
     def ray_roles():
         axis_of: dict[int, int] = {}
-        for i, r in enumerate(x_rays):
+        for i, w in enumerate(x_ints):
             if i in kernel:
                 continue
-            image = r[m:]
+            image = w[m:]
             support = [l for l in range(n) if image[l] != 0]
             if len(support) != 1 or image[support[0]] <= 0:
                 return False, f"ray {i} does not map onto a base axis ray"
@@ -235,8 +239,9 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
             return False, f"base axes covered: {sorted(axis_of)}"
         multiples = []  # image = (g / e) primitive, for its coordinates C / e and g = gcd(C)
         for l in range(n):
-            _, e, g = mfs.y.lattice._content(x_rays[axis_of[l]][m:])
-            multiples.append(Fraction(g, e))
+            i = axis_of[l]
+            _, g = mfs.y.lattice._scaled_content(x_ints[i][m:], x_e, x_rays[i][m:])
+            multiples.append(Fraction(g, x_e))
         return True, "base-ray multiples " + ", ".join(str(c) for c in multiples)
 
     def rays_primitive():
@@ -363,16 +368,19 @@ def assemble_mfs(
         [tuple(Fraction(int(j == l), int(base_multiples[l])) for j in range(n)) for l in range(n)]
         + [g[m:] for g in extras],
     )
-    if rays is None:
-        rays = [x_lattice.primitivize(v) for v in _normal_form_rays(m, n, fiber_rays)]
-        make_x = ToricVariety._on_lattice_points
-    else:
-        make_x = ToricVariety  # given rays must be checked to be lattice points
     if max_cones is None:
-        max_cones = [[i for i in range(len(rays)) if i != j] for j in range(m + 1)]
-    x_var = make_x(x_lattice, Fan.build(rays, max_cones))
-    y_rays = [y_lattice.primitivize([int(j == l) for j in range(n)]) for l in range(n)]
-    y_var = ToricVariety._on_lattice_points(y_lattice, Fan.build(y_rays, [list(range(n))]))
+        count = m + n + 1 if rays is None else len(rays)
+        max_cones = [[i for i in range(count) if i != j] for j in range(m + 1)]
+    if rays is None:
+        rows = [x_lattice._primitive_scaled(v, 1, v) for v in _normal_form_rays(m, n, fiber_rays)]
+        x_fan = Fan._from_scaled(rows, x_lattice.denominator, max_cones)
+        x_var = ToricVariety._on_lattice_points(x_lattice, x_fan)
+    else:  # given rays must be checked to be lattice points
+        x_var = ToricVariety(x_lattice, Fan.build(rays, max_cones))
+    axes = [[int(j == l) for j in range(n)] for l in range(n)]
+    y_rows = [y_lattice._primitive_scaled(u, 1, u) for u in axes]
+    y_fan = Fan._from_scaled(y_rows, y_lattice.denominator, [list(range(n))])
+    y_var = ToricVariety._on_lattice_points(y_lattice, y_fan)
     return ToricMfs(x=x_var, y=y_var)
 
 

@@ -57,29 +57,39 @@ of value <= s, so the first round that finds one finds the sweep's minimum
 and witness.  Each search-tree node (a round's root, a fixed coordinate, a
 line) costs one guard unit.
 
-Both searches return the same least sum and lex-least key for the same
-bound, so the choice between them moves only time and guard trip points,
-never an output.  Each cone takes the one expected to cost less.  With
-k = last + 1 walked levels, level j of the sweep holds about
-s^j / (j! h_00 .. h_(j-1)(j-1)) points, the lattice points of the first j
-coordinates in the simplex of size s, where s = min(limit, s0) and s0 =
-(d! det L)^(1/d) is the engine's start; levels below k cost a node each,
-level k a streamed point.  A cone goes to the engine when some level alone
-is expected to cost more than the whole engine, which ``_pick_search``
-decides in integer powers.  The last level alone, the estimate of a
-one-level sweep, would miss the outer nodes: on a cone whose Hermite
-diagonal is (2, D/2, D) each of about s/2 nodes finds at most one point.
+Both searches return the same least sum and lex-least key for any bound at
+or above the cone's minimum, so the choice between them moves only time and
+guard trip points, never an output.  Before either is chosen the bound is
+seeded: each Hermite row with h_i < D is a nonzero representative in the
+box, so the least row sum bounds the minimum, and the bound drops to it
+when it lies below the incumbent.  The estimate and the sweep's first chunk
+see that bound: on 1/r(1, 1) the first row, (1, 1), is the minimum 2/r, so
+the sweep streams 2 points and no r sends the cone to the engine.  Each
+cone takes the search expected to cost less.  With k = last + 1 walked
+levels, level j of the sweep holds about s^j / (j! h_00 .. h_(j-1)(j-1))
+points, the lattice points of the first j coordinates in the simplex of
+size s, where s = min(limit, s0) and s0 = (d! det L)^(1/d) is the engine's
+start; levels below k cost a node each, level k a streamed point.  A cone
+goes to the engine when some level alone is expected to cost more than the
+whole engine, which ``_pick_search`` decides in integer powers.  The last
+level alone, the estimate of a one-level sweep, would miss the outer nodes:
+on a cone whose Hermite diagonal is (2, D/2, D) each of about s/2 nodes
+finds at most one point.
 
 The estimate takes the minimum to lie near s0.  Where it lies far above
 (1/r(1, r-1), whose points all tie at value 1) the sweep would stream
 r - 1 points, so every sweep hands its cone to the engine once it has spent
 the engine's cost in units.  The engine then searches the cone afresh with
 the same bound, and the cone costs about twice the cheaper search at most
-(rent or buy).  The engine's cost in each unit comes from random cones,
-each one generator of order r, log-uniform in r up to 10^6, over random
-rays with entries in [-1, 1] or [-2, 2], with a one-level estimate between
-4 and 2^14 points; both searches timed on each at limit D, min of 3
-(Python 3.11.7, 2-vCPU Xeon).  The sweep's time is fitted as a + b P over
+(rent or buy).  Each streamed chunk is charged before it is computed,
+clipped to one unit past what is left, so a sweep stopped by the guard or
+the handover is charged the points it streamed and that one unit.
+
+The engine's cost in each unit comes from random cones, each one generator
+of order r, log-uniform in r up to 10^6, over random rays with entries in
+[-1, 1] or [-2, 2], with a one-level estimate between 4 and 2^14 points;
+both searches timed on each at limit D, min of 3 (Python 3.11.7, 2-vCPU
+Xeon).  The sweep's time is fitted as a + b P over
 the cones with no outer node (P streamed points), its node time is the
 median of (time - a - b P) / nodes over the cones with more nodes than
 points, and the engine's cost is its median time E as (E - a) / b points
@@ -276,8 +286,11 @@ def _sweep_cone(x_var: ToricVariety, ci: int, best: _Best, budget: _Budget) -> N
     if cone is None:
         return  # trivial quotient: only the origin
     denom, h, gint = cone
-    # the incumbent's value numerator over denom, the search's inclusive bound
+    # the incumbent's value numerator over denom, the search's inclusive bound,
+    # seeded with the least Hermite row in the box: each row with h_ii < D is
+    # a nonzero representative, so the cone's minimum is at most its sum
     limit = denom if best.value is None else math.floor(best.value * denom)
+    limit = min(limit, min(sum(row) for i, row in enumerate(h) if row[i] < denom))
     found = _pick_search(h, denom, limit)(h, denom, gint, limit, budget)
     if found is not None:
         scale = denom * x_var.lattice.denominator
@@ -328,10 +341,9 @@ def _sweep_first(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[t
     try:
         return _hnf_sweep(h, denom, gint, limit, budget)
     except TooLargeError:
-        pass
+        pass  # the sweep overdrew by one unit, which rest >= 1 covers
     finally:
         budget.left += rest
-    budget.spend(0)  # the sweep's last chunk may have passed the guard too
     return _width_cone(h, denom, gint, limit, budget)
 
 
@@ -350,12 +362,11 @@ def _coset_lattice(x_var: ToricVariety, ci: int) -> Optional[tuple[int, list[lis
 
 
 def _scaled_generators(x_var: ToricVariety, ci: int) -> list[list[int]]:
-    """Cone ``ci``'s generator rows times D_N, integral since they are lattice points."""
-    denom = x_var.lattice.denominator
-    return [
-        [x.numerator * (denom // x.denominator) for x in row]
-        for row in x_var.fan.max_cones[ci].generator_matrix
-    ]
+    """Cone ``ci``'s generator rows times D_N, off the fan's table rays =
+    ints / e: e divides D_N since the rays are lattice points."""
+    ints, e = x_var.fan.integral
+    f = x_var.lattice.denominator // e
+    return [[x * f for x in ints[i]] for i in x_var.fan.max_cones[ci].ray_indices]
 
 
 def _hnf_sweep(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tuple[int, tuple[int, ...]]]:
@@ -388,7 +399,9 @@ def _hnf_sweep(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tup
             top = min(denom - 1, limit - used)
             if lo > top:
                 return
-            n = min(chunk, (top - lo) // step + 1)
+            # clipped to one point past the guard, so a refused chunk is
+            # charged only that point and never computed
+            n = min(chunk, (top - lo) // step + 1, budget.left + 1)
             budget.spend(n)
             total = range(used + lo, used + lo + n * step, step)
             for b, s in tail:
@@ -657,8 +670,9 @@ def cyclic_quotient(r: int, weights: Sequence[int]) -> ToricVariety:
     if n < 1:
         raise InvalidWeightsError("need at least one weight")
     lat = Lattice.from_generators(n, [tuple(Fraction(a, r) for a in weights)])
-    rays = [lat.primitivize([int(i == j) for j in range(n)]) for i in range(n)]
-    fan = Fan.build(rays, [list(range(n))])
+    axes = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [lat._primitive_scaled(u, 1, u) for u in axes]
+    fan = Fan._from_scaled(rows, lat.denominator, [list(range(n))])
     return ToricVariety._on_lattice_points(lat, fan)
 
 

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 from .exactmath import (
     SingularMatrixError,
     _integral,
+    _least_terms,
     _scaled_inverse,
     as_fractions,
     rank,
@@ -60,33 +61,62 @@ class SimplicialCone:
 
 @dataclass(frozen=True)
 class Fan:
-    """Rays (primitive vectors) and maximal simplicial cones over them."""
+    """Rays (primitive vectors) and maximal simplicial cones over them.
+
+    ``integral`` is the rays' one integer table (ints, e): rays = ints / e,
+    e > 0 the least such, the lcm of the rays' denominators.  ``build`` and
+    ``_from_scaled`` make it as they check the fan and ``ToricMfs.fiber``
+    passes its own; a fan constructed with no table derives it from its
+    rays.  Every integer reader of the rays reads the table.
+    """
 
     rays: tuple[Vector, ...]
     max_cones: tuple[SimplicialCone, ...]
     dim: int
+    integral: tuple[tuple[tuple[int, ...], ...], int] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.integral is None:
+            ints, e = _integral(self.rays)
+            object.__setattr__(self, "integral", (tuple(map(tuple, ints)), e))
 
     @classmethod
     def build(cls, rays: Sequence[Sequence], cone_indices: Sequence[Sequence[int]]) -> "Fan":
         """Validate and assemble a fan from ray vectors and cone index lists."""
         ray_rows = tuple(as_fractions(r) for r in rays)
         if not ray_rows:
-            return cls(rays=(), max_cones=(), dim=0)
+            return cls(rays=(), max_cones=(), dim=0, integral=((), 1))
         dim = len(ray_rows[0])
         if any(len(r) != dim for r in ray_rows):
             raise DimensionMismatchError("rays have mixed dimensions")
         ints, e = _integral(ray_rows)  # every ray read once: rays = ints / e
-        if len(set(map(tuple, ints))) != len(ints):
+        return cls._checked(ray_rows, tuple(map(tuple, ints)), e, cone_indices)
+
+    @classmethod
+    def _from_scaled(cls, rows: Sequence[Sequence[int]], denom: int, cone_indices) -> "Fan":
+        """``build`` on the rays rows / denom, for nonempty integer rows of one
+        length: the table is the rows in lowest terms, and each ray is read
+        off it once."""
+        ints, e = _least_terms(rows, denom)
+        rays = tuple(tuple(Fraction(x, e) for x in row) for row in ints)
+        return cls._checked(rays, ints, e, cone_indices)
+
+    @classmethod
+    def _checked(cls, rays: tuple[Vector, ...], ints: tuple, e: int, cone_indices) -> "Fan":
+        """The fan on rays = ints / e, the rays and their table, after every
+        check of ``build``."""
+        if len(set(ints)) != len(ints):
             raise ValueError("duplicate rays in fan")
+        dim = len(ints[0])
         cones = []
         covered: set[int] = set()
         for idx_list in cone_indices:
             idx = tuple(idx_list)
             if len(set(idx)) != len(idx):
                 raise ValueError(f"repeated ray index in cone {idx}")
-            if any(i < 0 or i >= len(ray_rows) for i in idx):
+            if any(i < 0 or i >= len(rays) for i in idx):
                 raise ValueError(f"ray index out of range in cone {idx}")
-            gens = tuple(ray_rows[i] for i in idx)
+            gens = tuple(rays[i] for i in idx)
             inv = None
             if len(gens) == dim:
                 try:  # (K, q) is canonical, so the shared e gives the cone's own
@@ -101,9 +131,9 @@ class Fan:
             cones.append(SimplicialCone(ray_indices=idx, generator_matrix=gens, inverse=inv))
         if len({frozenset(c.ray_indices) for c in cones}) != len(cones):
             raise ValueError("duplicate maximal cones in fan")
-        if covered != set(range(len(ray_rows))):
+        if covered != set(range(len(rays))):
             raise ValueError("every ray must appear in at least one cone")
-        return cls(rays=ray_rows, max_cones=tuple(cones), dim=dim)
+        return cls(rays=rays, max_cones=tuple(cones), dim=dim, integral=(ints, e))
 
 
 class ToricVariety:
@@ -121,8 +151,9 @@ class ToricVariety:
             raise DimensionMismatchError(
                 f"fan dimension {fan.dim} does not match lattice dimension {lattice.dim}"
             )
-        for r in fan.rays:
-            if not lattice.contains(r):
+        ints, e = fan.integral  # r = w / e is a lattice point iff e divides all of C
+        for r, w in zip(fan.rays, ints):
+            if any(c % e for c in lattice._substitute(w)):
                 raise NotInLatticeError(f"ray {r!r} is not a lattice point")
         self.lattice = lattice
         self.fan = fan
@@ -141,8 +172,10 @@ class ToricVariety:
         return self.lattice.dim
 
     def rays_primitive(self) -> list[bool]:
-        """Whether each ray generator is primitive: its coordinates C / e have gcd(C) = e."""
-        return [g == e for _, e, g in map(self.lattice._content, self.fan.rays)]
+        """Whether each ray generator is primitive: for the fan's table, its
+        coordinates C / e have gcd(C) = e."""
+        ints, e = self.fan.integral
+        return [self.lattice._scaled_content(w, e, r)[1] == e for w, r in zip(ints, self.fan.rays)]
 
     def _cone_inverse(self, cone_index: int) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(K, q): integers with inverse(generator matrix) = K / q, q > 0 least."""

@@ -216,14 +216,14 @@ def test_mld_guard_env_bounds_the_sweep(tmp_path, capsys, monkeypatch):
 
 def test_family_guard_env_admits_the_cheaper_engine(capsys, monkeypatch):
     # at l = 11 the sweep would visit 2,962 points of X's largest cone, so
-    # that cone takes the width engine (44 units for X); the 64 units are
-    # the first streamed chunk of mld(Y), which stays on the sweep
-    monkeypatch.setenv("TORICMLD_GUARD", "64")
+    # that cone takes the width engine, and its 44 units for X set the
+    # boundary; mld(Y) sweeps the 2 points up to its first Hermite row
+    monkeypatch.setenv("TORICMLD_GUARD", "44")
     assert main(["family", "--l", "11"]) == EXIT_OK
     assert capsys.readouterr().out.endswith("mld_X = 672/7321\nmld_Y = 1/7321\n")
-    monkeypatch.setenv("TORICMLD_GUARD", "63")
+    monkeypatch.setenv("TORICMLD_GUARD", "43")
     assert main(["family", "--l", "11"]) == EXIT_ERROR
-    assert capsys.readouterr().err == "error: mld sweep exceeded guard of 63 points\n"
+    assert capsys.readouterr().err == "error: mld sweep exceeded guard of 43 points\n"
 
 
 def test_validate_guard_env_bounds_the_set_up_of_a_wide_fibration(tmp_path, capsys, monkeypatch):
@@ -257,13 +257,14 @@ def test_family_guard_env_bounds_the_sweep(capsys, monkeypatch):
 )
 def test_guard_env_reaches_every_mld_computation(tmp_path, capsys, monkeypatch, argv):
     # sweep, witness and check reach mld only through library calls that
-    # take no guard argument; the guard still bounds them
+    # take no guard argument; the guard still bounds them (witness's mld(Y)
+    # spends 2 units, so guard 1)
     path = write(tmp_path, "fam3.json", family_doc(3))
-    monkeypatch.setenv("TORICMLD_GUARD", "3")
+    monkeypatch.setenv("TORICMLD_GUARD", "1")
     assert main([path if a == "FILE" else a for a in argv]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: mld sweep exceeded guard of 3 points\n"
+    assert captured.err == "error: mld sweep exceeded guard of 1 points\n"
 
 
 def test_witness_guard_env_bounds_the_scan(capsys, monkeypatch):

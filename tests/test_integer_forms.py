@@ -8,20 +8,26 @@ Gauss-Jordan inverse of ``exactmath``, and ``Lattice.from_generators``
 (Hermite form modulo D) against the public constructor (``hnf`` of Z^d and
 the generators).  The substitution behind coordinates, ``to_ambient``,
 primitivization and ``ToricVariety.rays_primitive`` is checked against the
-kernels it replaced (``oracles``), results and errors alike.
+kernels it replaced (``oracles``), results and errors alike.  Every fan the
+library builds must carry its rays' integer table, equal to ``_integral``
+of its rays: rays = ints / e with e least.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import det_bareiss, primitivize_oracle, rays_primitive_oracle, solve_oracle, to_ambient_oracle
-from toricmld import Fan, Lattice, ToricVariety
-from toricmld.exactmath import det, inverse, mat_mul, vec_mat
+from test_fiber import fibrations
+from toricmld import Fan, Lattice, NotInLatticeError, ToricVariety, cyclic_quotient, example_family
+from toricmld.cli import load_instance
+from toricmld.exactmath import _integral, det, inverse, mat_mul, vec_mat
+from toricmld.mfs import assemble_mfs, family_spec
 
 F = Fraction
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -162,3 +168,73 @@ def test_primitivity_matches_primitivize_and_compare(lat, data):
             assert tuple(F(g, e) * x for x in primitivize_oracle(lat, v)) == v
     x_var = ToricVariety._on_lattice_points(lat, Fan(tuple(rays), (), lat.dim))
     assert _outcome(x_var.rays_primitive) == _outcome(rays_primitive_oracle, x_var)
+
+
+@PROPERTY
+@given(lattices(), st.data())
+def test_integer_primitivization_is_d_times_primitivize(lat, data):
+    denom = lat.denominator
+    for _ in range(3):
+        v = data.draw(ray_candidates(lat))
+        w, e = lat._read(v)
+        got = _outcome(lat._primitive_scaled, w, e, v)
+        assert got == _outcome(lambda: tuple(denom * x for x in lat.primitivize(v)))
+        assert got == _outcome(lambda: tuple(denom * x for x in primitivize_oracle(lat, v)))
+
+
+@PROPERTY
+@given(lattices(), st.data())
+def test_rays_primitive_on_a_built_fan_matches_the_oracle(lat, data):
+    # hand-built fans, each ray its own cone, over non-primitive and
+    # non-lattice rays alike: the table's reading keeps results and errors
+    rays = data.draw(st.lists(ray_candidates(lat), min_size=1, max_size=3, unique=True))
+    rays = [v for v in rays if any(v)]  # the zero vector spans no cone
+    assume(rays)
+    x_var = ToricVariety._on_lattice_points(lat, Fan.build(rays, [[i] for i in range(len(rays))]))
+    assert _outcome(x_var.rays_primitive) == _outcome(rays_primitive_oracle, x_var)
+
+
+def test_rays_primitive_names_the_first_ray_off_the_lattice():
+    lat = Lattice.from_generators(2, [(F(1, 2), F(1, 2))])
+    fan = Fan.build([(1, 1), (F(1, 2), F(-1, 2)), (0, 1)], [[0, 1], [1, 2]])
+    assert ToricVariety(lat, fan).rays_primitive() == [False, True, True]
+    off = ToricVariety._on_lattice_points(lat, Fan.build([(1, 1), (F(1, 3), 0)], [[0, 1]]))
+    want = (NotInLatticeError, "(Fraction(1, 3), Fraction(0, 1)) is not a lattice point")
+    assert _outcome(off.rays_primitive) == _outcome(rays_primitive_oracle, off) == want
+
+
+def table_of(rays):
+    """``_integral`` of the rays, as the tuples a fan keeps."""
+    ints, e = _integral(rays)
+    return tuple(map(tuple, ints)), e
+
+
+@PROPERTY
+@given(varieties())
+def test_fan_build_keeps_the_integer_table(x_var):
+    assert x_var.fan.integral == table_of(x_var.fan.rays)
+
+
+@PROPERTY
+@given(st.integers(1, 10**5), st.lists(st.integers(0, 10**5), min_size=1, max_size=4))
+def test_cyclic_quotient_keeps_the_integer_table(r, weights):
+    fan = cyclic_quotient(r, weights).fan
+    assert fan.integral == table_of(fan.rays)
+
+
+@PROPERTY
+@given(fibrations())
+def test_fibrations_and_their_fibers_keep_the_integer_table(mfs):
+    for fan in (mfs.x.fan, mfs.y.fan, mfs.fiber.z.fan):
+        assert fan.integral == table_of(fan.rays)
+
+
+def test_ray_overrides_keep_the_integer_table():
+    # assemble_mfs takes given rays through Fan.build: twice the family's
+    # (not primitive, so no fiber), and the hand-built instance file's
+    rays = [tuple(2 * x for x in r) for r in example_family(5).x.fan.rays]
+    doubled = assemble_mfs(**family_spec(5), rays=rays)
+    assert doubled.x.fan.rays == tuple(map(tuple, rays))
+    shuffled = load_instance(str(Path(__file__).parent / "golden" / "mfs_shuffled_fiber.json"))
+    for fan in (doubled.x.fan, doubled.y.fan, shuffled.x.fan, shuffled.y.fan, shuffled.fiber.z.fan):
+        assert fan.integral == table_of(fan.rays)

@@ -199,11 +199,32 @@ def test_guard_stops_a_sweep_of_ties():
     # every nonzero coset of 1/r(1, r-1) ties with the rays at value 1; the
     # width engine settles the tie in a few dozen units, not r - 1 points.
     # At r = 5001 and 18001 s0 = 100 and 189 keep the cone on the sweep,
-    # which hands it to the engine after 448 units
+    # which hands it to the engine after 192 streamed points
     for r in (10**12, 5001, 18001):
         res = mld(cyclic_quotient(r, (1, r - 1)), guard=1000)
         assert (res.value, res.witness, res.cone_index) == (1, (0, 1), 0)
     assert mld(cyclic_quotient(17, (1, 16)), guard=1000).value == 1
+
+
+def test_guard_counts_the_points_the_sweep_streams():
+    # the handover stops the sweep of 1/18001(1, 18000) after 192 streamed
+    # ties; the refused chunk is clipped to one unit past d = 2's 195, and
+    # the engine then spends 17 nodes: 192 + 4 + 17 = 213 units
+    x_var = cyclic_quotient(18001, (1, 18000))
+    res = mld(x_var, guard=213)
+    assert (res.value, res.witness, res.cone_index) == (1, (0, 1), 0)
+    with pytest.raises(TooLargeError, match="exceeded guard of 212 points"):
+        mld(x_var, guard=212)
+
+
+def test_first_hermite_row_seeds_the_bound():
+    # 1/r(1, 1) has the Hermite rows (1, 1), (0, r): the first is the
+    # minimum 2/r, so the sweep streams the 2 points up to it, whatever r
+    for r in (500, 38417, 100003):
+        res = mld(cyclic_quotient(r, (1, 1)), guard=2)
+        assert (res.value, res.witness, res.cone_index) == (F(2, r), (F(1, r), F(1, r)), 0)
+    with pytest.raises(TooLargeError, match="exceeded guard of 1 points"):
+        mld(cyclic_quotient(500, (1, 1)), guard=1)
 
 
 @pytest.mark.parametrize(

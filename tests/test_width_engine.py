@@ -3,7 +3,8 @@
 ``_width_cone`` is called directly on generated cones, whatever their
 quotient denominator D, and must return exactly what the Hermite-order sweep
 ``_hnf_sweep`` returns for the same bound: the least value numerator and the
-lex-least ambient key among the points that reach it.  ``mld`` picks one of
+lex-least ambient key among the points that reach it, at D and at the bound
+``mld`` seeds from the cone's least Hermite row.  ``mld`` picks one of
 the two per cone through ``_pick_search``; patched to always pick the engine,
 value, witness and cone must match the coset scan and ``mld_bruteforce``,
 and on cones drawn on both sides of each dimension's threshold ``mld`` must
@@ -124,6 +125,45 @@ def test_engine_matches_the_sweep_on_non_cyclic_groups(x_var, limit_frac):
     factors = x_var.lattice.quotient_group(cone.generator_matrix).invariant_factors
     assume(sum(f > 1 for f in factors) >= 2)
     compare_on_cone(x_var, limit_frac, sweep_guard=2 * 10**5)
+
+
+@PROPERTY
+@given(st.one_of(cones(3000), large_cones(), large_cones(generators=2)))
+def test_both_searches_agree_at_the_seeded_limit(x_var):
+    # every Hermite row with h_ii < D is a nonzero representative in the
+    # box, so the least row sum bounds the minimum, and each search returns
+    # the same (sum, key) at the seeded limit as at D
+    cone = mld_module._coset_lattice(x_var, 0)
+    assume(cone is not None)
+    denom, h, gint = cone
+    row_sum = min(sum(row) for i, row in enumerate(h) if row[i] < denom)
+    budget = mld_module._Budget
+    low = mld_module._width_cone(h, denom, gint, row_sum, budget(10**7))
+    assert low is not None and low[0] <= row_sum
+    seed = min(denom, row_sum)
+    want = mld_module._width_cone(h, denom, gint, denom, budget(10**7))
+    assert mld_module._width_cone(h, denom, gint, seed, budget(10**7)) == want
+    for name, limit in (("seed", seed), ("D", denom)):
+        try:
+            got = mld_module._hnf_sweep(h, denom, gint, limit, budget(2 * 10**4))
+        except TooLargeError:
+            event(f"sweep over its guard at limit {name}")  # counted in --hypothesis-show-statistics
+            continue
+        assert got == want
+
+
+@PROPERTY
+@given(st.integers(1, 20), st.data())
+def test_mld_matches_both_oracles_on_planes_with_small_weights(bits, data):
+    # 1/r(1, a) for r up to 10^6, every magnitude alike: the seed is the
+    # first Hermite row, (1, a), of value (1 + a) / r
+    r = data.draw(st.integers(max(2, 2 ** (bits - 1)), min(2**bits, 10**6)))
+    a = data.draw(st.integers(1, min(8, r - 1)))
+    x_var = cyclic_quotient(r, (1, a))
+    got = mld(x_var)
+    assert (got.value, got.witness) == klein_mld_2d(x_var)
+    want = mld_bruteforce(x_var)
+    assert (got.value, got.witness, got.cone_index) == (want.value, want.witness, want.cone_index)
 
 
 def orthant(gens):
