@@ -140,14 +140,13 @@ def parse_toric(doc: dict) -> ToricVariety:
         # the fan first: the lattice costs O(dim^2), so it is built only once
         # the file holds at least dim rays of dimension dim
         fan = Fan.build(rays, [list(c) for c in cones])
-        if fan.rays and fan.dim != dim:
+        count = len(fan.integral[0])
+        if count and fan.dim != dim:
             raise DimensionMismatchError(
                 f"fan dimension {fan.dim} does not match lattice dimension {dim}"
             )
-        if len(fan.rays) < dim:
-            raise NonSimplicialError(
-                f"{len(fan.rays)} rays span no full-dimensional cone in dimension {dim}"
-            )
+        if count < dim:
+            raise NonSimplicialError(f"{count} rays span no full-dimensional cone in dimension {dim}")
         return ToricVariety(Lattice.from_generators(dim, gens), fan)
     except ValueError as exc:
         raise InstanceParseError("$", str(exc))
@@ -279,7 +278,7 @@ def cmd_family(args) -> int:
     my = mld(fam.y)
     print(f"l = {args.l}")
     print(f"r = {fam.y.lattice.index_over_standard}")
-    print(f"rays = {len(fam.x.fan.rays)}")
+    print(f"rays = {len(fam.x.fan.integral[0])}")
     print(f"max_cones = {len(fam.x.fan.max_cones)}")
     print(f"mld_X = {mx.value}")
     print(f"mld_Y = {my.value}")

@@ -14,11 +14,13 @@ because N contains Z^d, so ``coords``, ``contains`` and ``primitivize`` form
 no inverse and no Fraction per step, and the gcd g of C tells whether v is
 a lattice point (e divides g) and primitive (g = e).  The substitution
 itself, ``_substitute``, takes the integer vector w = e v, so a caller that
-holds integer rows (a fan's ray table) reads no Fraction; the one integer
-primitivization, ``_primitive_scaled``, returns D times the primitive point,
-and ``primitivize`` divides it by D.  The public constructor takes any
-generating rows, runs ``hnf`` on them, and checks with the same
-substitution on each e_j that N contains Z^d.
+holds integer rows (a fan's ray table) reads no Fraction, and an error names
+such a point by building its Fractions then; a point given as Fractions is
+read into (w, e) by ``exactmath._integral``, as generators are.  The one
+integer primitivization, ``_primitive_scaled``, returns D times the
+primitive point, and ``primitivize`` divides it by D.  The public
+constructor takes any generating rows, runs ``hnf`` on them, and checks
+with the same substitution on each e_j that N contains Z^d.
 
 ``quotient_group`` reads N / B, for a full-rank sublattice B, off the Smith
 normal form of B's coordinate matrix; ``reps_scaled`` streams one
@@ -34,9 +36,9 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactmath import _least_terms, as_fractions, hnf, hnf_mod, snf
+from .exactmath import _integral, _least_terms, as_fractions, hnf, hnf_mod, snf
 
 Vector = tuple[Fraction, ...]
 
@@ -69,9 +71,14 @@ def _as_vector(v: Sequence, dim: int) -> Vector:
 
 def _scaled(dim: int, gens: Iterable[Sequence]) -> tuple[int, list[list[int]]]:
     """(D, D gens): D the lcm of the generators' denominators."""
-    gens = [_as_vector(g, dim) for g in gens]
-    denom = math.lcm(*(x.denominator for row in gens for x in row))
-    return denom, [[x.numerator * (denom // x.denominator) for x in row] for row in gens]
+    rows, denom = _integral([_as_vector(g, dim) for g in gens])
+    return denom, rows
+
+
+def _fractions(w: Sequence[int], e: int) -> Vector:
+    """The point w / e as Fractions, for integers w and e > 0: how a point
+    held as integers is returned or named in an error."""
+    return tuple(Fraction(x, e) for x in w)
 
 
 class Lattice:
@@ -121,22 +128,13 @@ class Lattice:
         """The rational basis rows / D, built on first use."""
         if self._basis is None:
             denom = self.denominator
-            self._basis = tuple(tuple(Fraction(x, denom) for x in row) for row in self.rows)
+            self._basis = tuple(_fractions(row, denom) for row in self.rows)
         return self._basis
 
     def _read(self, v: Sequence) -> tuple[list[int], int]:
-        """(w, e): integers with v = w / e, e the lcm of v's denominators,
-        each entry's numerator and denominator read once."""
-        if len(v) != self.dim:
-            raise ValueError(f"expected a vector of dimension {self.dim}, got {len(v)}")
-        nums, dens = [], []
-        for x in v:
-            if not isinstance(x, (int, Fraction)):
-                x = Fraction(x)
-            nums.append(x.numerator)
-            dens.append(x.denominator)
-        e = math.lcm(*dens)
-        return [a * (e // b) for a, b in zip(nums, dens)], e
+        """(w, e): integers with v = w / e, e the lcm of v's denominators."""
+        (w,), e = _integral([_as_vector(v, self.dim)])
+        return w, e
 
     def _solve(self, v: Sequence) -> tuple[list[int], int]:
         """(C, e): integers with coords(v) = C / e, e the lcm of v's denominators."""
@@ -162,8 +160,7 @@ class Lattice:
 
     def coords(self, v: Sequence) -> Vector:
         """Coordinates c of v in the basis (rational): c @ rows = D v."""
-        c, e = self._solve(v)
-        return tuple(Fraction(x, e) for x in c)
+        return _fractions(*self._solve(v))
 
     def to_ambient(self, c: Sequence) -> Vector:
         """The point with coordinates c: (c @ rows) / D, summed over i <= j
@@ -182,29 +179,26 @@ class Lattice:
         """The group order [N : Z^d]."""
         return self.denominator**self.dim // math.prod(self.rows[i][i] for i in range(self.dim))
 
-    def _content(self, v: Sequence) -> tuple[list[int], int, int]:
-        """(C, e, g) for a nonzero lattice point v with coordinates C / e: g is
-        the gcd of C, so v is g / e times the primitive point C / g, and v is
-        primitive iff g = e.  A lattice point iff e divides g."""
-        w, e = self._read(v)
-        c, g = self._scaled_content(w, e, v)
-        return c, e, g
-
-    def _scaled_content(self, w: Sequence[int], e: int, v: Sequence) -> tuple[list[int], int]:
-        """``_content``'s (C, g) for v = w / e, from integers w and e > 0;
-        v only names the point in errors."""
+    def _scaled_content(self, w: Sequence[int], e: int, v: Optional[Sequence] = None) -> tuple[list[int], int]:
+        """(C, g) for a nonzero lattice point v = w / e, from integers w and
+        e > 0, with coordinates C / e: g is the gcd of C, so v is g / e times
+        the primitive point C / g, and v is primitive iff g = e.  A lattice
+        point iff e divides g.  v only names the point in errors, w / e when
+        not given."""
         c = self._substitute(w)
         g = math.gcd(*c)
         if not g:
             raise ZeroVectorError("cannot primitivize the zero vector")
         if g % e:
-            raise NotInLatticeError(f"{v!r} is not a lattice point")
+            name = _fractions(w, e) if v is None else v
+            raise NotInLatticeError(f"{name!r} is not a lattice point")
         return c, g
 
-    def _primitive_scaled(self, w: Sequence[int], e: int, v: Sequence) -> tuple[int, ...]:
+    def _primitive_scaled(self, w: Sequence[int], e: int, v: Optional[Sequence] = None) -> tuple[int, ...]:
         """D times the shortest lattice point on the ray of v = w / e, for
         integers w and e > 0: (C / g) @ rows, summed over i <= j as the rows
-        are upper triangular.  v only names the point in errors."""
+        are upper triangular.  v names the point in errors, as in
+        ``_scaled_content``."""
         c, g = self._scaled_content(w, e, v)
         h = self.rows
         c = [x // g for x in c]
@@ -213,8 +207,7 @@ class Lattice:
     def primitivize(self, v: Sequence) -> Vector:
         """Shortest lattice point on the ray spanned by v (same direction):
         ``_primitive_scaled`` over D."""
-        denom = self.denominator
-        return tuple(Fraction(x, denom) for x in self._primitive_scaled(*self._read(v), v))
+        return _fractions(self._primitive_scaled(*self._read(v), v), self.denominator)
 
     def quotient_group(self, sub_basis: Sequence[Sequence]) -> "QuotientGroup":
         """Quotient N / <rows of sub_basis>, for a full-rank sublattice."""

@@ -35,8 +35,8 @@ from itertools import chain, combinations
 from operator import add
 from typing import Iterable, Optional, Sequence
 
-from .exactmath import _least_terms, hnf_mod, invariant_factors
-from .lattice import Lattice, Vector
+from .exactmath import _least_terms, as_fractions, hnf_mod, invariant_factors
+from .lattice import Lattice, Vector, _fractions
 from .mld import GUARD, TooLargeError, mld
 from .toric import Fan, SimplicialCone, ToricVariety, origin_barycentrics
 
@@ -145,19 +145,16 @@ class ToricMfs:
         m, n, denom = self.m, self.n, self.x.lattice.denominator
         z_lattice = Lattice._from_scaled(m, denom, [row[n:] for row in self._base_first_rows[n:]])
         kernel, (ints, e) = self._kernel_ray_indices, self.x.fan.integral
-        verts = tuple(self.x.fan.rays[i][:m] for i in kernel)
         # Fan.build's checks hold already: the kernel rays are distinct rays of
         # X and fiber_simplex makes every m of them independent
-        cones = tuple(
-            SimplicialCone(idx, tuple(verts[t] for t in idx), inv) for idx, inv in inverses
-        )
         table = _least_terms([ints[i][:m] for i in kernel], e)
-        z = ToricVariety._on_lattice_points(z_lattice, Fan(verts, cones, m, table))
-        return FiberData(z=z, simplex_vertices=verts, origin_barycentrics=self._origin_barycentrics)
+        fan = Fan(table, tuple(SimplicialCone(idx, inv) for idx, inv in inverses), m)
+        z = ToricVariety._on_lattice_points(z_lattice, fan)
+        return FiberData(z=z, simplex_vertices=fan.rays, origin_barycentrics=self._origin_barycentrics)
 
     def project(self, v: Sequence) -> Vector:
         """Apply F: drop the first m (fiber) coordinates."""
-        return tuple(Fraction(c) for c in v[self.m:])
+        return as_fractions(v[self.m:])
 
 
 @dataclass(frozen=True)
@@ -198,7 +195,6 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
     """The checks behind ``ToricMfs.report``."""
     checks: list[CheckResult] = []
     m, n = mfs.m, mfs.n
-    x_rays = mfs.x.fan.rays
     x_ints, x_e = mfs.x.fan.integral
 
     # the fiber/base split of the rays, shared by the checks that need it
@@ -220,7 +216,7 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
 
     def ray_count():
         want = n + m + 1
-        return len(x_rays) == want, f"{len(x_rays)} rays, expected {want}"
+        return len(x_ints) == want, f"{len(x_ints)} rays, expected {want}"
 
     def ray_roles():
         axis_of: dict[int, int] = {}
@@ -240,7 +236,7 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
         multiples = []  # image = (g / e) primitive, for its coordinates C / e and g = gcd(C)
         for l in range(n):
             i = axis_of[l]
-            _, g = mfs.y.lattice._scaled_content(x_ints[i][m:], x_e, x_rays[i][m:])
+            _, g = mfs.y.lattice._scaled_content(x_ints[i][m:], x_e)
             multiples.append(Fraction(g, x_e))
         return True, "base-ray multiples " + ", ".join(str(c) for c in multiples)
 
@@ -260,7 +256,7 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
         return True, f"origin barycentrics {tuple(map(str, ys))}"
 
     def cone_shape():
-        everything = set(range(len(x_rays)))
+        everything = set(range(len(x_ints)))
         expected = {frozenset(everything - {j}) for j in kernel}
         actual = {frozenset(c.ray_indices) for c in mfs.x.fan.max_cones}
         if actual != expected:
@@ -281,7 +277,7 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
         return False, f"cokernel invariant factors {invariant_factors(rows)}"
 
     def picard_rank():
-        rank = len(x_rays) - len(mfs.y.fan.rays) - m
+        rank = len(x_ints) - len(mfs.y.fan.integral[0]) - m
         return rank == 1, f"relative Picard rank {rank}"
 
     def properness():
@@ -320,7 +316,7 @@ def _check_parameters(m, n, fiber_rays, base_multiples, extra_generators) -> lis
         raise BadParameterError("fiber rays must be integer vectors")
     if len(base_multiples) != n or any(int(c) != c or c < 1 for c in base_multiples):
         raise BadParameterError("base multiples must be n positive integers")
-    extras = [tuple(Fraction(x) for x in g) for g in extra_generators]
+    extras = [as_fractions(g) for g in extra_generators]
     if any(len(g) != m + n for g in extras):
         raise BadParameterError("extra generators must have dimension m+n")
     return extras
@@ -372,13 +368,13 @@ def assemble_mfs(
         count = m + n + 1 if rays is None else len(rays)
         max_cones = [[i for i in range(count) if i != j] for j in range(m + 1)]
     if rays is None:
-        rows = [x_lattice._primitive_scaled(v, 1, v) for v in _normal_form_rays(m, n, fiber_rays)]
+        rows = [x_lattice._primitive_scaled(v, 1) for v in _normal_form_rays(m, n, fiber_rays)]
         x_fan = Fan._from_scaled(rows, x_lattice.denominator, max_cones)
         x_var = ToricVariety._on_lattice_points(x_lattice, x_fan)
     else:  # given rays must be checked to be lattice points
         x_var = ToricVariety(x_lattice, Fan.build(rays, max_cones))
     axes = [[int(j == l) for j in range(n)] for l in range(n)]
-    y_rows = [y_lattice._primitive_scaled(u, 1, u) for u in axes]
+    y_rows = [y_lattice._primitive_scaled(u, 1) for u in axes]
     y_fan = Fan._from_scaled(y_rows, y_lattice.denominator, [list(range(n))])
     y_var = ToricVariety._on_lattice_points(y_lattice, y_fan)
     return ToricMfs(x=x_var, y=y_var)
@@ -388,13 +384,13 @@ def warn_replaced_rays(mfs: ToricMfs, fiber_rays: Sequence[Sequence[int]]) -> No
     """Warn for each normal-form ray that assembly replaced by its primitive
     generator, a positive multiple of it: a fiber ray whose fiber block
     changed, or a base axis whose coordinate is no longer 1."""
-    m, rays = mfs.m, mfs.x.fan.rays
+    m, (ints, e) = mfs.m, mfs.x.fan.integral  # ray i is ints[i] / e
     for i, v in enumerate(fiber_rays):
-        if rays[i][:m] != tuple(v):
-            warnings.warn(f"fiber ray {tuple(v)} replaced by primitive generator {rays[i]}")
+        if ints[i][:m] != tuple(e * c for c in v):
+            warnings.warn(f"fiber ray {tuple(v)} replaced by primitive generator {_fractions(ints[i], e)}")
     for l in range(mfs.n):
-        if rays[m + 1 + l][m + l] != 1:
-            warnings.warn(f"base ray {l + 1} replaced by primitive generator {rays[m + 1 + l]}")
+        if ints[m + 1 + l][m + l] != e:
+            warnings.warn(f"base ray {l + 1} replaced by primitive generator {_fractions(ints[m + 1 + l], e)}")
 
 
 def make_mfs(
@@ -428,7 +424,7 @@ def make_mfs(
     except BadParameterError:
         raise
     except ValueError:
-        ys = origin_barycentrics([tuple(Fraction(c) for c in v) for v in fiber_rays])
+        ys = origin_barycentrics([as_fractions(v) for v in fiber_rays])
         if ys is not None and all(y > 0 for y in ys):
             raise
         mfs = None
@@ -443,12 +439,13 @@ def make_mfs(
             "projection image of the total lattice is smaller than the base lattice"
         )
     warn_replaced_rays(mfs, fiber_rays)
-    rays, y_rays = mfs.x.fan.rays, mfs.y.fan.rays
-    for l in range(n):
-        ratio = rays[m + 1 + l][m + l] / y_rays[l][l]
-        if ratio != int(base_multiples[l]):
+    (x_ints, x_e), (y_ints, y_e) = mfs.x.fan.integral, mfs.y.fan.integral
+    for l in range(n):  # the ratio of the two axis entries, num / den
+        num, den = x_ints[m + 1 + l][m + l] * y_e, x_e * y_ints[l][l]
+        if num != int(base_multiples[l]) * den:
             raise BaseMultipleMismatchError(
-                f"base axis {l + 1}: requested multiple {base_multiples[l]}, lattice gives {ratio}"
+                f"base axis {l + 1}: requested multiple {base_multiples[l]}, "
+                f"lattice gives {Fraction(num, den)}"
             )
 
     if not report.overall:

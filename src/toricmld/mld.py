@@ -140,7 +140,7 @@ from operator import add, eq, mod
 from typing import Optional, Sequence
 
 from .exactmath import hnf_mod, iroot_floor, lll, mat_mul
-from .lattice import Lattice, Vector
+from .lattice import Lattice, Vector, _fractions
 from .toric import (
     Fan,
     NonSimplicialError,
@@ -242,22 +242,20 @@ def _check_cones(x_var: ToricVariety) -> None:
 
 
 def _finalize(x_var: ToricVariety, best: _Best, method: str, ray_cap: bool = True) -> MldResult:
-    one = Fraction(1)
-    if ray_cap and (best.value is None or best.value >= one):
-        # cap at 1: value 1 is achieved at every ray generator
-        capped = _Best()
-        if best.value is not None and best.value == one:
-            capped.offer(best.value, best.witness)
-        for ray in x_var.fan.rays:
-            capped.offer(one, ray)
-        best = capped
+    ints, e = x_var.fan.integral
+    if ray_cap and (best.value is None or best.value >= 1):
+        # cap at 1: value 1 is achieved at every ray generator, and the
+        # lex-least of the rays ints / e, which share e, is min(ints) / e
+        ray = _fractions(min(ints), e)
+        if best.value is None or best.value > 1 or ray < best.witness:
+            best.value, best.witness = Fraction(1), ray
     if best.value is None:
         raise ValueError("no nonzero lattice points in the scanned range")
     # below 1 the witness is a representative of every cone holding it, and
     # each cone's search reaches it, so the lowest-index one offered it
     # first; a capped witness (value 1) is located afresh
     cone_index = best.cone
-    if cone_index is None or best.value >= one:
+    if cone_index is None or best.value >= 1:
         cone_index = find_containing_cone(x_var, best.witness)
     return MldResult(value=best.value, witness=best.witness, cone_index=cone_index, method=method)
 
@@ -294,7 +292,7 @@ def _sweep_cone(x_var: ToricVariety, ci: int, best: _Best, budget: _Budget) -> N
     found = _pick_search(h, denom, limit)(h, denom, gint, limit, budget)
     if found is not None:
         scale = denom * x_var.lattice.denominator
-        best.offer(Fraction(found[0], denom), tuple(Fraction(a, scale) for a in found[1]), ci)
+        best.offer(Fraction(found[0], denom), _fractions(found[1], scale), ci)
 
 
 def _pick_search(h, denom: int, limit: int):
@@ -313,9 +311,6 @@ def _pick_search(h, denom: int, limit: int):
     k = d  # the levels the sweep walks: those with h_ii < D
     while h[k - 1][k - 1] == denom:
         k -= 1
-    if k == 1:  # one streamed level, as in every 2-d cone over primitive rays
-        cap = points * h[0][0]
-        return _width_cone if limit > cap and fact_d * h[0][0] * denom ** (d - 1) > cap**d else _sweep_first
     s0_d = fact_d * denom ** (d - k)
     for i in range(k):
         s0_d *= h[i][i]
@@ -654,7 +649,7 @@ def mld_bruteforce(
                 break
             s = min(2 * s, s_max)
         if cone_best is not None:
-            best.offer(Fraction(cone_best, scale), tuple(Fraction(x, denom) for x in cone_witness))
+            best.offer(Fraction(cone_best, scale), _fractions(cone_witness, denom))
     return _finalize(x_var, best, "bruteforce", ray_cap=cap >= 1)
 
 
@@ -669,9 +664,9 @@ def cyclic_quotient(r: int, weights: Sequence[int]) -> ToricVariety:
     n = len(weights)
     if n < 1:
         raise InvalidWeightsError("need at least one weight")
-    lat = Lattice.from_generators(n, [tuple(Fraction(a, r) for a in weights)])
+    lat = Lattice.from_generators(n, [_fractions(weights, r)])
     axes = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows = [lat._primitive_scaled(u, 1, u) for u in axes]
+    rows = [lat._primitive_scaled(u, 1) for u in axes]
     fan = Fan._from_scaled(rows, lat.denominator, [list(range(n))])
     return ToricVariety._on_lattice_points(lat, fan)
 

@@ -1,9 +1,12 @@
 """Fans of simplicial cones and the log-discrepancy function.
 
 A toric variety here is a pair (lattice, fan): ``lattice`` is the lattice of
-valuations N (a finite overlattice of Z^d) and ``fan`` lists primitive ray
-generators plus the index sets of the maximal cones.  Only simplicial cones
-are representable; non-simplicial input is rejected when the fan is built.
+valuations N (a finite overlattice of Z^d) and ``fan`` holds the primitive
+ray generators as one integer table (ints, e), rays = ints / e, plus the
+index sets of the maximal cones and each full-dimensional cone's integer
+inverse.  The library reads only the table; the rays as Fractions are built
+on first read, for output.  Only simplicial cones are representable;
+non-simplicial input is rejected when the fan is built.
 
 The log discrepancy of a lattice point v is the value at v of the function
 that is linear on every cone and equals 1 on each primitive ray generator.
@@ -13,8 +16,8 @@ an error, because search code needs to probe and branch on that case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -27,7 +30,7 @@ from .exactmath import (
     rank,
     solve_exact,
 )
-from .lattice import Lattice, NotInLatticeError, Vector, ZeroVectorError
+from .lattice import Lattice, NotInLatticeError, Vector, ZeroVectorError, _fractions
 
 
 class DimensionMismatchError(ValueError):
@@ -44,14 +47,14 @@ class WrongShapeError(ValueError):
 
 @dataclass(frozen=True)
 class SimplicialCone:
-    """A simplicial cone: indices into the fan's ray table plus the generator rows.
+    """A simplicial cone: the indices of its generators in its fan's ray table.
 
     ``inverse`` is (K, q), integers with inverse(generator matrix) = K / q and
-    q > 0 least, for a full-dimensional cone, and None otherwise.
+    q > 0 least, for a full-dimensional cone, and None otherwise.  The cone
+    keeps no generator rows: they are its fan's rays at ``ray_indices``.
     """
 
     ray_indices: tuple[int, ...]
-    generator_matrix: tuple[Vector, ...]
     inverse: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
@@ -61,50 +64,46 @@ class SimplicialCone:
 
 @dataclass(frozen=True)
 class Fan:
-    """Rays (primitive vectors) and maximal simplicial cones over them.
+    """Maximal simplicial cones over a table of primitive rays.
 
-    ``integral`` is the rays' one integer table (ints, e): rays = ints / e,
-    e > 0 the least such, the lcm of the rays' denominators.  ``build`` and
-    ``_from_scaled`` make it as they check the fan and ``ToricMfs.fiber``
-    passes its own; a fan constructed with no table derives it from its
-    rays.  Every integer reader of the rays reads the table.
+    ``integral`` is the rays' one stored form, the integer table (ints, e):
+    rays = ints / e, e > 0 the least such, the lcm of the rays' denominators.
+    ``build`` and ``_from_scaled`` make it as they check the fan, and every
+    reader in the library reads it.  ``rays``, the same rays as Fraction
+    tuples, is built from it on first read, for output and tests.  A fan
+    constructed directly, ``Fan(integral, max_cones, dim)``, is not checked.
     """
 
-    rays: tuple[Vector, ...]
+    integral: tuple[tuple[tuple[int, ...], ...], int]
     max_cones: tuple[SimplicialCone, ...]
     dim: int
-    integral: tuple[tuple[tuple[int, ...], ...], int] = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.integral is None:
-            ints, e = _integral(self.rays)
-            object.__setattr__(self, "integral", (tuple(map(tuple, ints)), e))
+    @cached_property
+    def rays(self) -> tuple[Vector, ...]:
+        ints, e = self.integral
+        return tuple(_fractions(row, e) for row in ints)
 
     @classmethod
     def build(cls, rays: Sequence[Sequence], cone_indices: Sequence[Sequence[int]]) -> "Fan":
         """Validate and assemble a fan from ray vectors and cone index lists."""
-        ray_rows = tuple(as_fractions(r) for r in rays)
+        ray_rows = [as_fractions(r) for r in rays]
         if not ray_rows:
-            return cls(rays=(), max_cones=(), dim=0, integral=((), 1))
+            return cls(((), 1), (), 0)
         dim = len(ray_rows[0])
         if any(len(r) != dim for r in ray_rows):
             raise DimensionMismatchError("rays have mixed dimensions")
-        ints, e = _integral(ray_rows)  # every ray read once: rays = ints / e
-        return cls._checked(ray_rows, tuple(map(tuple, ints)), e, cone_indices)
+        ints, e = _integral(ray_rows)  # every ray read once: rays = ints / e, e least
+        return cls._checked(tuple(map(tuple, ints)), e, cone_indices)
 
     @classmethod
     def _from_scaled(cls, rows: Sequence[Sequence[int]], denom: int, cone_indices) -> "Fan":
         """``build`` on the rays rows / denom, for nonempty integer rows of one
-        length: the table is the rows in lowest terms, and each ray is read
-        off it once."""
-        ints, e = _least_terms(rows, denom)
-        rays = tuple(tuple(Fraction(x, e) for x in row) for row in ints)
-        return cls._checked(rays, ints, e, cone_indices)
+        length: the table is the rows in lowest terms."""
+        return cls._checked(*_least_terms(rows, denom), cone_indices)
 
     @classmethod
-    def _checked(cls, rays: tuple[Vector, ...], ints: tuple, e: int, cone_indices) -> "Fan":
-        """The fan on rays = ints / e, the rays and their table, after every
-        check of ``build``."""
+    def _checked(cls, ints: tuple, e: int, cone_indices) -> "Fan":
+        """The fan on the table rays = ints / e, after every check of ``build``."""
         if len(set(ints)) != len(ints):
             raise ValueError("duplicate rays in fan")
         dim = len(ints[0])
@@ -114,26 +113,26 @@ class Fan:
             idx = tuple(idx_list)
             if len(set(idx)) != len(idx):
                 raise ValueError(f"repeated ray index in cone {idx}")
-            if any(i < 0 or i >= len(rays) for i in idx):
+            if any(i < 0 or i >= len(ints) for i in idx):
                 raise ValueError(f"ray index out of range in cone {idx}")
-            gens = tuple(rays[i] for i in idx)
+            gens = [ints[i] for i in idx]
             inv = None
             if len(gens) == dim:
                 try:  # (K, q) is canonical, so the shared e gives the cone's own
-                    inv = _scaled_inverse([ints[i] for i in idx], e)
+                    inv = _scaled_inverse(gens, e)
                 except SingularMatrixError:
                     raise NonSimplicialError(f"cone {idx} generators are dependent") from None
             elif len(gens) > dim:
                 raise NonSimplicialError(f"cone {idx} has more generators than the dimension")
-            elif rank([ints[i] for i in idx]) != len(gens):
+            elif rank(gens) != len(gens):
                 raise NonSimplicialError(f"cone {idx} generators are dependent")
             covered.update(idx)
-            cones.append(SimplicialCone(ray_indices=idx, generator_matrix=gens, inverse=inv))
+            cones.append(SimplicialCone(idx, inv))
         if len({frozenset(c.ray_indices) for c in cones}) != len(cones):
             raise ValueError("duplicate maximal cones in fan")
-        if covered != set(range(len(rays))):
+        if covered != set(range(len(ints))):
             raise ValueError("every ray must appear in at least one cone")
-        return cls(rays=rays, max_cones=tuple(cones), dim=dim, integral=(ints, e))
+        return cls((ints, e), tuple(cones), dim)
 
 
 class ToricVariety:
@@ -147,14 +146,14 @@ class ToricVariety:
     __slots__ = ("lattice", "fan")
 
     def __init__(self, lattice: Lattice, fan: Fan):
-        if fan.rays and fan.dim != lattice.dim:
+        ints, e = fan.integral  # w / e is a lattice point iff e divides all of C
+        if ints and fan.dim != lattice.dim:
             raise DimensionMismatchError(
                 f"fan dimension {fan.dim} does not match lattice dimension {lattice.dim}"
             )
-        ints, e = fan.integral  # r = w / e is a lattice point iff e divides all of C
-        for r, w in zip(fan.rays, ints):
+        for w in ints:
             if any(c % e for c in lattice._substitute(w)):
-                raise NotInLatticeError(f"ray {r!r} is not a lattice point")
+                raise NotInLatticeError(f"ray {_fractions(w, e)!r} is not a lattice point")
         self.lattice = lattice
         self.fan = fan
 
@@ -175,7 +174,7 @@ class ToricVariety:
         """Whether each ray generator is primitive: for the fan's table, its
         coordinates C / e have gcd(C) = e."""
         ints, e = self.fan.integral
-        return [self.lattice._scaled_content(w, e, r)[1] == e for w, r in zip(ints, self.fan.rays)]
+        return [self.lattice._scaled_content(w, e)[1] == e for w in ints]
 
     def _cone_inverse(self, cone_index: int) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(K, q): integers with inverse(generator matrix) = K / q, q > 0 least."""
@@ -183,7 +182,7 @@ class ToricVariety:
 
     def __repr__(self) -> str:
         return (
-            f"ToricVariety(dim={self.dim}, rays={len(self.fan.rays)}, "
+            f"ToricVariety(dim={self.dim}, rays={len(self.fan.integral[0])}, "
             f"max_cones={len(self.fan.max_cones)}, index={self.lattice.index_over_standard})"
         )
 
@@ -194,8 +193,7 @@ def _locate(x_var: ToricVariety, vv: Vector) -> Optional[tuple[int, list[int], i
     dim = x_var.dim
     if len(vv) != dim:
         raise DimensionMismatchError(f"vector has dimension {len(vv)}, expected {dim}")
-    e = math.lcm(*(c.denominator for c in vv))
-    w = [c.numerator * (e // c.denominator) for c in vv]
+    (w,), e = _integral([vv])
     for ci, cone in enumerate(x_var.fan.max_cones):
         if cone.inverse is None:
             continue  # lower-dimensional

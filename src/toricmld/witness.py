@@ -34,15 +34,14 @@ x^(m+1) <= delta for x >= 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import le, mod
 from typing import Iterable, Optional, Sequence
 
-from .exactmath import as_fractions, hnf, iroot_floor
-from .lattice import NotInLatticeError, Vector, ZeroVectorError
+from .exactmath import _integral, as_fractions, hnf, iroot_floor
+from .lattice import NotInLatticeError, Vector, ZeroVectorError, _fractions
 from .mfs import FiberData, ToricMfs
 from .mld import GUARD, MldResult, TooLargeError, mld
 from .toric import _locate
@@ -138,7 +137,7 @@ def lift_to_X(mfs: ToricMfs, a: Sequence) -> Vector:
         y.append(q)
     # the fiber part of (y @ U F) / D, reduced mod Z^m
     fiber = (sum(c * row[j] for c, row in zip(y, carried)) % denom for j in range(m))
-    return tuple(Fraction(x, denom) for x in fiber) + av
+    return _fractions(fiber, denom) + av
 
 
 def _first_multiple(step: Sequence[int], d: int, g: int, last: int) -> Optional[int]:
@@ -233,9 +232,8 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
     # the first qualifying k*.  Over a common denominator d, with x = k*b_l*d
     # mod d, k qualifies iff every min(x, d-x)^(m+1) * den <= num * d^(m+1),
     # that is min(x, d-x) <= g for the integer root g below.
-    d = math.lcm(*(c.denominator for c in b))
+    (steps,), d = _integral([b])
     g = iroot_floor(num * d ** (m + 1) // den, m + 1)
-    steps = [c.numerator * (d // c.denominator) for c in b]
     guard = GUARD.get()
     k = _first_multiple(steps, d, g, min(t_count, guard))
     if k is None:

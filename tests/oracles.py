@@ -42,6 +42,9 @@ the Fraction tuples.
 ``klein_mld_2d`` is no former library code: it reads the mld of a 2-d cone
 off the Hirzebruch-Jung continued fraction of its quotient, in O(log r)
 steps, so it checks ``mld`` at orders far past the brute force's reach.
+
+``cone_generators`` reads a cone's generator rows off its fan's rays, which
+a ``SimplicialCone`` does not store.
 """
 
 from __future__ import annotations
@@ -60,6 +63,11 @@ from toricmld.mfs import FiberData, InvalidMfsError, ToricMfs
 from toricmld.mld import GUARD, MldResult, TooLargeError, _Best, _check_cones, _finalize, _scaled_generators
 from toricmld.toric import origin_barycentrics
 from toricmld.witness import EffectiveDelta, NotInBaseLatticeError
+
+
+def cone_generators(fan: Fan, cone) -> tuple[Vector, ...]:
+    """The generator rows of ``cone``, one of ``fan``'s cones, as Fractions."""
+    return tuple(fan.rays[i] for i in cone.ray_indices)
 
 
 def _frac(x: Fraction) -> Fraction:
@@ -459,7 +467,7 @@ def klein_mld_2d(x_var: ToricVariety) -> tuple[Fraction, Vector]:
     both monotone: only its two ends are offered.  So the walk takes O(log r)
     steps.  Ties go to the lex-least ambient point, as in ``mld``.
     """
-    g1, g2 = x_var.fan.max_cones[0].generator_matrix
+    g1, g2 = cone_generators(x_var.fan, x_var.fan.max_cones[0])
     det = g1[0] * g2[1] - g1[1] * g2[0]
     bary = [((b[0] * g2[1] - b[1] * g2[0]) / det, (b[1] * g1[0] - b[0] * g1[1]) / det) for b in x_var.lattice.basis]
     r = math.lcm(*(x.denominator for row in bary for x in row))

@@ -10,21 +10,36 @@ the generators).  The substitution behind coordinates, ``to_ambient``,
 primitivization and ``ToricVariety.rays_primitive`` is checked against the
 kernels it replaced (``oracles``), results and errors alike.  Every fan the
 library builds must carry its rays' integer table, equal to ``_integral``
-of its rays: rays = ints / e with e least.
+of its rays: rays = ints / e with e least, and no search or check of the
+library may build the rays' Fraction view from it.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import det_bareiss, primitivize_oracle, rays_primitive_oracle, solve_oracle, to_ambient_oracle
+from oracles import cone_generators, det_bareiss, primitivize_oracle, rays_primitive_oracle, solve_oracle, to_ambient_oracle
 from test_fiber import fibrations
-from toricmld import Fan, Lattice, NotInLatticeError, ToricVariety, cyclic_quotient, example_family
+from toricmld import (
+    Fan,
+    Lattice,
+    NotInLatticeError,
+    ToricVariety,
+    check_eps_delta,
+    cyclic_quotient,
+    example_family,
+    find_witness,
+    make_mfs,
+    mld,
+    mld_bruteforce,
+    validate,
+)
 from toricmld.cli import load_instance
 from toricmld.exactmath import _integral, det, inverse, mat_mul, vec_mat
 from toricmld.mfs import assemble_mfs, family_spec
@@ -116,7 +131,7 @@ def test_coords_and_contains_agree_with_the_inverse(lat, data):
 @given(varieties())
 def test_cone_inverse_is_integral_and_reduced(x_var):
     k, q = x_var._cone_inverse(0)
-    g = x_var.fan.max_cones[0].generator_matrix
+    g = cone_generators(x_var.fan, x_var.fan.max_cones[0])
     d = x_var.dim
     assert q > 0 and all(isinstance(x, int) for row in k for x in row)
     assert mat_mul(g, k) == [[q * (i == j) for j in range(d)] for i in range(d)]
@@ -164,9 +179,10 @@ def test_primitivity_matches_primitivize_and_compare(lat, data):
     for v in rays:
         assert _outcome(lat.primitivize, v) == _outcome(primitivize_oracle, lat, v)
         if lat.contains(v) and any(v):  # the ray_roles multiple: v = (g / e) primitive
-            _, e, g = lat._content(v)
+            w, e = lat._read(v)
+            _, g = lat._scaled_content(w, e)
             assert tuple(F(g, e) * x for x in primitivize_oracle(lat, v)) == v
-    x_var = ToricVariety._on_lattice_points(lat, Fan(tuple(rays), (), lat.dim))
+    x_var = ToricVariety._on_lattice_points(lat, Fan(table_of(rays), (), lat.dim))
     assert _outcome(x_var.rays_primitive) == _outcome(rays_primitive_oracle, x_var)
 
 
@@ -238,3 +254,46 @@ def test_ray_overrides_keep_the_integer_table():
     shuffled = load_instance(str(Path(__file__).parent / "golden" / "mfs_shuffled_fiber.json"))
     for fan in (doubled.x.fan, doubled.y.fan, shuffled.x.fan, shuffled.y.fan, shuffled.fiber.z.fan):
         assert fan.integral == table_of(fan.rays)
+
+
+@st.composite
+def standard_simplex_fibrations(draw):
+    """``make_mfs`` on the standard fiber simplex over 1/r(w), m, n <= 2, with
+    the base multiples read off the lattices, as the benchmark draws them."""
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    r = draw(st.integers(2, 60))
+    w = draw(st.lists(st.integers(0, r - 1), min_size=m + n, max_size=m + n))
+    w[m] = 1
+    gen = tuple(F(a, r) for a in w)
+    x_lat, y_lat = Lattice.from_generators(m + n, [gen]), Lattice.from_generators(n, [gen[m:]])
+    multiples = [
+        int(x_lat.primitivize([int(j == m + l) for j in range(m + n)])[m + l] / y_lat.primitivize([int(j == l) for j in range(n)])[l])
+        for l in range(n)
+    ]
+    fiber_rays = [tuple(int(i == j) for j in range(m)) for i in range(m)] + [(-1,) * m]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a replaced base ray warns
+        return make_mfs(m, n, fiber_rays, multiples, [gen])
+
+
+def assert_no_ray_fractions(mfs):
+    # every search and check reads the fans' integer tables, so none of them
+    # builds the Fraction view of the rays
+    for x_var in (mfs.x, mfs.y):
+        mld(x_var)
+        mld_bruteforce(x_var)
+    validate(mfs)
+    check_eps_delta(mfs)
+    find_witness(mfs)
+    for fan in (mfs.x.fan, mfs.y.fan):
+        assert "rays" not in fan.__dict__
+
+
+def test_family_path_builds_no_ray_fractions():
+    assert_no_ray_fractions(example_family(3))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(standard_simplex_fibrations())
+def test_fibration_path_builds_no_ray_fractions(mfs):
+    assert_no_ray_fractions(mfs)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import apply_unimodular, rand_affine_variety, rand_unimodular
 from toricmld import (
+    DimensionMismatchError,
     Fan,
     Lattice,
     NonSimplicialError,
@@ -14,6 +15,7 @@ from toricmld import (
     find_containing_cone,
     log_discrepancy,
 )
+from toricmld.exactmath import _integral
 
 F = Fraction
 
@@ -147,6 +149,41 @@ def test_fan_rejects_bad_input():
         Fan.build([(1, 0)], [[0, 3]])  # index out of range
     with pytest.raises(ValueError):
         Fan.build([(1, 0), (0, 1)], [[0, 1], [1, 0]])  # one cone listed twice
+
+
+# malformed fans, each with the type and text both constructors raise
+MALFORMED_FANS = [
+    ([(1, 0), (1, 0), (0, 1)], [[0, 2], [1, 2]], ValueError, "duplicate rays in fan"),
+    ([(1, 0), (0, 1)], [[0, 0]], ValueError, "repeated ray index in cone (0, 0)"),
+    ([(1, 0), (0, 1)], [[0, 3]], ValueError, "ray index out of range in cone (0, 3)"),
+    ([(1, 0), (0, 1)], [[-1, 0]], ValueError, "ray index out of range in cone (-1, 0)"),
+    ([(1, 0), (2, 0)], [[0, 1]], NonSimplicialError, "cone (0, 1) generators are dependent"),
+    ([(1, 0, 0), (-2, 0, 0)], [[0, 1]], NonSimplicialError, "cone (0, 1) generators are dependent"),
+    (
+        [(1, 0), (0, 1), (-1, -1)],
+        [[0, 1, 2]],
+        NonSimplicialError,
+        "cone (0, 1, 2) has more generators than the dimension",
+    ),
+    ([(1, 0), (0, 1)], [[0, 1], [1, 0]], ValueError, "duplicate maximal cones in fan"),
+    ([(1, 0), (0, 1), (-1, 0)], [[0, 1]], ValueError, "every ray must appear in at least one cone"),
+]
+
+
+@pytest.mark.parametrize("rays, cones, exc, message", MALFORMED_FANS)
+def test_build_and_from_scaled_raise_the_same_fan_errors(rays, cones, exc, message):
+    rays = [tuple(F(x, 2) for x in r) for r in rays]  # a table over e = 2
+    ints, e = _integral(rays)
+    scaled = [[3 * x for x in row] for row in ints]  # not in lowest terms
+    for make in (lambda: Fan.build(rays, cones), lambda: Fan._from_scaled(scaled, 3 * e, cones)):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert (type(info.value), str(info.value)) == (exc, message)
+
+
+def test_build_rejects_mixed_dimensions():
+    with pytest.raises(DimensionMismatchError, match="^rays have mixed dimensions$"):
+        Fan.build([(1, 0), (1,)], [[0, 1]])
 
 
 def test_variety_rejects_nonlattice_ray():
