@@ -199,15 +199,24 @@ def hnf_mod(rows: Sequence[Sequence[int]], modulus: int) -> list[list[int]]:
     12, 1987; Cohen, Alg. 2.4.8): no transform, and every entry is reduced
     mod D, since D e_j lies in the lattice.  Column c's pivot row starts as
     D e_c and folds in each row with a nonzero entry c by one unimodular
-    step; the step's other row, zero at c, stays in the working set.
+    step; the step's other row, zero at c, stays in the working set.  The
+    first fold needs no extended gcd: D e_c vanishes mod D, so with
+    g = gcd(D, a) for the row's entry a and y the inverse of a / g mod D / g,
+    the pivot row becomes y row, whose entry c is g, and the row (D / g) row.
     """
     d = len(rows[0])
     work = [[x % modulus for x in row] for row in rows]
     h = []
     for c in range(d):
-        p, rest = [modulus * (j == c) for j in range(d)], []
+        p, rest = None, []
         for row in work:
-            if row[c]:  # p_c becomes gcd(p_c, row_c) < D and row_c becomes 0
+            a = row[c]
+            if a and p is None:
+                g = math.gcd(modulus, a)
+                y = pow(a // g, -1, modulus // g)
+                p = [y * b % modulus for b in row]
+                row = [modulus // g * b % modulus for b in row]
+            elif a:  # p_c becomes gcd(p_c, row_c) < D and row_c becomes 0
                 g, x, y = xgcd(p[c], row[c])
                 s, t = p[c] // g, row[c] // g
                 p, row = (
@@ -216,7 +225,7 @@ def hnf_mod(rows: Sequence[Sequence[int]], modulus: int) -> list[list[int]]:
                 )
             if any(row):
                 rest.append(row)
-        h.append(p)
+        h.append([modulus * (j == c) for j in range(d)] if p is None else p)
         work = rest
     for c in range(d):  # reduce the entries above each pivot into [0, pivot)
         for i in range(c):

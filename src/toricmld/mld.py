@@ -118,15 +118,18 @@ s conv(0, g_1 .. g_d) and accepts only points of value <= s.  Every point of
 value <= s lies in that simplex, so the first round that finds a point holds
 the cone's minimum and its lex-least witness, exactly as one walk of the
 whole box would.  s starts at 2^-floor(bitlen(D q) / d) from the cone's
-data and doubles up to 1 (every generator has value 1, so the minimum is at
-most 1) or, below cap 1, up to d cap, the largest value in the box.  The
-walk is a branch and bound: once a round has a point of value t, the box
-shrinks to that of t conv(0, g_1 .. g_d), which still holds every point of
-value <= t, ties included, and each level stops as soon as its coordinate
-leaves the box.  A node's row on the next level is tested against the box
-before it is built, and the innermost row is clipped in closed form by the
-loop of the level above it.  The guard counts the nodes visited and the box
-points of the innermost rows.
+data.  After a round that finds nothing, the next is at min(2 s, v, s_max):
+v is the least value of a cone point that the round met at an end of an
+innermost row and turned away only because it exceeds s, which proves the
+minimum is at most v, so a round at v is the last; s_max is 1 (every
+generator has value 1) or, below cap 1, d cap, the largest value in the
+box.  The walk is a branch and bound: once a round has a point of value t,
+the box shrinks to that of t conv(0, g_1 .. g_d), which still holds every
+point of value <= t, ties included, and each level stops as soon as its
+coordinate leaves the box.  A node's row on the next level is tested against
+the box before it is built, and the innermost row is clipped in closed form
+by the loop of the level above it.  The guard counts the nodes visited and
+the box points of the innermost rows.
 """
 
 from __future__ import annotations
@@ -139,14 +142,9 @@ from itertools import compress, repeat
 from operator import add, eq, mod
 from typing import Optional, Sequence
 
-from .exactmath import hnf_mod, iroot_floor, lll, mat_mul
+from .exactmath import hnf_mod, iroot_floor, lll
 from .lattice import Lattice, Vector, _fractions
-from .toric import (
-    Fan,
-    NonSimplicialError,
-    ToricVariety,
-    find_containing_cone,
-)
+from .toric import Fan, NonSimplicialError, ToricVariety, _locate
 
 DEFAULT_GUARD = 10**7
 # the work guard of ``mld`` and ``mld_bruteforce`` when they get no ``guard=``,
@@ -198,21 +196,23 @@ class MldResult:
 
 
 class _Best:
-    """Running (value, witness) minimum under the fixed tie-break order, with
-    the index of the cone that first offered it (None when not given)."""
+    """Running minimum under the fixed tie-break order, held as integers: the
+    value num / scale, the witness key / (scale D_N) for the lattice's
+    denominator D_N, and the index of the cone that first offered it (None
+    when not given).  Entries are compared by cross-multiplication, so no
+    Fraction is built before ``_finalize``."""
 
-    __slots__ = ("value", "witness", "cone")
+    __slots__ = ("num", "scale", "key", "cone")
 
     def __init__(self):
-        self.value: Optional[Fraction] = None
-        self.witness: Optional[Vector] = None
-        self.cone: Optional[int] = None
+        self.num = self.scale = self.key = self.cone = None
 
-    def offer(self, value: Fraction, witness: Vector, cone: Optional[int] = None) -> None:
-        if self.value is None or value < self.value or (
-            value == self.value and witness < self.witness
-        ):
-            self.value, self.witness, self.cone = value, witness, cone
+    def offer(self, num: int, scale: int, key: tuple[int, ...], cone: Optional[int] = None) -> None:
+        if self.key is not None:
+            a, b = num * self.scale, self.num * scale
+            if a > b or a == b and tuple(x * self.scale for x in key) >= tuple(x * scale for x in self.key):
+                return
+        self.num, self.scale, self.key, self.cone = num, scale, key, cone
 
 
 class _Budget:
@@ -242,22 +242,24 @@ def _check_cones(x_var: ToricVariety) -> None:
 
 
 def _finalize(x_var: ToricVariety, best: _Best, method: str, ray_cap: bool = True) -> MldResult:
-    ints, e = x_var.fan.integral
-    if ray_cap and (best.value is None or best.value >= 1):
+    num, scale, key, cone = best.num, best.scale, best.key, best.cone
+    d_n = x_var.lattice.denominator
+    if ray_cap and (key is None or num >= scale):
         # cap at 1: value 1 is achieved at every ray generator, and the
-        # lex-least of the rays ints / e, which share e, is min(ints) / e
-        ray = _fractions(min(ints), e)
-        if best.value is None or best.value > 1 or ray < best.witness:
-            best.value, best.witness = Fraction(1), ray
-    if best.value is None:
+        # lex-least of the rays ints / e, which share e, is min(ints) / e;
+        # e divides D_N, as the rays are lattice points
+        ints, e = x_var.fan.integral
+        ray = tuple(x * (d_n // e) for x in min(ints))
+        if key is None or num > scale or tuple(x * scale for x in ray) < key:
+            num, scale, key = 1, 1, ray
+    if key is None:
         raise ValueError("no nonzero lattice points in the scanned range")
     # below 1 the witness is a representative of every cone holding it, and
     # each cone's search reaches it, so the lowest-index one offered it
     # first; a capped witness (value 1) is located afresh
-    cone_index = best.cone
-    if cone_index is None or best.value >= 1:
-        cone_index = find_containing_cone(x_var, best.witness)
-    return MldResult(value=best.value, witness=best.witness, cone_index=cone_index, method=method)
+    if cone is None or num >= scale:
+        cone = _locate(x_var, key, scale * d_n)[0]
+    return MldResult(Fraction(num, scale), _fractions(key, scale * d_n), cone, method)
 
 
 def mld(x_var: ToricVariety, guard: Optional[int] = None) -> MldResult:
@@ -287,12 +289,11 @@ def _sweep_cone(x_var: ToricVariety, ci: int, best: _Best, budget: _Budget) -> N
     # the incumbent's value numerator over denom, the search's inclusive bound,
     # seeded with the least Hermite row in the box: each row with h_ii < D is
     # a nonzero representative, so the cone's minimum is at most its sum
-    limit = denom if best.value is None else math.floor(best.value * denom)
+    limit = denom if best.key is None else best.num * denom // best.scale
     limit = min(limit, min(sum(row) for i, row in enumerate(h) if row[i] < denom))
     found = _pick_search(h, denom, limit)(h, denom, gint, limit, budget)
     if found is not None:
-        scale = denom * x_var.lattice.denominator
-        best.offer(Fraction(found[0], denom), _fractions(found[1], scale), ci)
+        best.offer(found[0], denom, found[1], ci)
 
 
 def _pick_search(h, denom: int, limit: int):
@@ -347,7 +348,15 @@ def _coset_lattice(x_var: ToricVariety, ci: int) -> Optional[tuple[int, list[lis
     gint with x @ gint = D D_N times the ambient point of x; None when D = 1."""
     lat = x_var.lattice
     k, q = x_var._cone_inverse(ci)
-    bary = mat_mul(lat.rows, k)  # over D q; reduced to lowest terms below
+    # lat.rows @ K over D q, reduced to lowest terms below: each triangular
+    # row adds the rows of K at its nonzero entries, d^2 on Z^d
+    bary = []
+    for row in lat.rows:
+        acc = [0] * len(row)
+        for a, k_row in zip(row, k):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, k_row)]
+        bary.append(acc)
     common = math.gcd(lat.denominator * q, *(x for row in bary for x in row))
     denom = lat.denominator * q // common
     if denom == 1:
@@ -526,19 +535,22 @@ def mld_bruteforce(
     node's row on the next level is built only when it meets the box.  On
     the innermost row the numerators are linear in the row index c, so the
     loop of the level above clips c in closed form to 0 <= numerator <=
-    cap D q and to a value of at most s (then at most the cone's best so
-    far), and the row's minimum is at an end of that range: the origin is
-    skipped, and on ties the smallest c (the lex-smallest point) wins.  Each
-    new best value t cuts the box to that of t conv(0, g_1 .. g_d), which
-    still holds every point of value <= t.  A round sees every point of
-    value <= s, so the first round that finds one holds the cone's minimum
-    and its lex-least witness.  s starts at 2^-floor(bitlen(D q) / d) and
-    doubles after each round that finds nothing, up to 1 (each generator has
-    value 1) or, when cap < 1, up to d cap, the largest value in the cube.
-    Every node visited (a round's root included) and every box point of an
-    innermost row counts against ``guard`` (default ``GUARD``), summed over
-    rounds; past it TooLargeError is raised.  The witness's cone is located
-    afresh, apart from the search.
+    cap D q, and the row's minimum is at an end of that range: the origin is
+    skipped, and on ties the smallest c (the lex-smallest point) wins.  That
+    end is accepted when its value is at most s (then at most the cone's best
+    so far); each new best value t cuts the box to that of
+    t conv(0, g_1 .. g_d), which still holds every point of value <= t.  A
+    round sees every point of value <= s, so the first round that finds one
+    holds the cone's minimum and its lex-least witness.  s starts at
+    2^-floor(bitlen(D q) / d).  After a round that finds nothing, the next is
+    at min(2 s, v, s_max), where v is the least value of a row end that the
+    round turned away only for exceeding s: that cone point proves the
+    minimum is at most v, so the round at v finds it or a better one.  s_max
+    is 1 (each generator has value 1) or, when cap < 1, d cap, the largest
+    value in the cube.  Every node visited (a round's root included) and
+    every box point of an innermost row counts against ``guard`` (default
+    ``GUARD``), summed over rounds; past it TooLargeError is raised.  The
+    witness's cone is located afresh, apart from the search.
     """
     cap = Fraction(cap)
     if cap <= 0:
@@ -550,7 +562,7 @@ def mld_bruteforce(
     # lattice points are (c @ h_rows) / denom for integer c
     denom, h_rows = x_var.lattice.denominator, x_var.lattice.rows
     cap_num, cap_den = cap.numerator, cap.denominator
-    s_max = Fraction(1) if cap >= 1 else d * cap
+    max_num, max_den = (1, 1) if cap >= 1 else (d * cap_num, cap_den)  # s_max
     zero = [0] * d
     best = _Best()
 
@@ -583,7 +595,7 @@ def mld_bruteforce(
             # denom; nums: partial @ k.  Each node's row on level j is tested
             # against the box before it is built; the innermost one is clipped
             # here, in closed form.
-            nonlocal cone_best, cone_witness, limit
+            nonlocal cone_best, cone_witness, limit, over
             j = i + 1
             step_j = h_rows[j][j]
             if i < 0:
@@ -604,14 +616,13 @@ def mld_bruteforce(
                         spent, left = 0, budget.left
                     else:
                         spent += c_hi - c_lo + 1
-                        # 0 <= base + c rise <= top for each numerator, and <= limit for their sum
-                        total = sum(nums_c)
-                        for base, rise, top_b in [(total, slope, limit), *zip(nums_c, row_nums[last], repeat(top))]:
+                        # 0 <= base + c rise <= top for each numerator
+                        for base, rise in zip(nums_c, row_nums[last]):
                             if rise > 0:
-                                lo_b, hi_b = -(base // rise), (top_b - base) // rise
+                                lo_b, hi_b = -(base // rise), (top - base) // rise
                             elif rise < 0:
-                                lo_b, hi_b = -((top_b - base) // -rise), base // -rise
-                            elif 0 <= base <= top_b:
+                                lo_b, hi_b = -((top - base) // -rise), base // -rise
+                            elif 0 <= base <= top:
                                 continue
                             else:
                                 break
@@ -624,15 +635,18 @@ def mld_bruteforce(
                         else:
                             # the row's least value is at an end; ties go to the lex-least point
                             c_pt = c_lo if slope >= 0 else c_hi
-                            total += c_pt * slope
+                            total = sum(nums_c) + c_pt * slope
                             if total == 0:  # the origin; its neighbour inward is the next best
                                 c_pt += 1 if slope >= 0 else -1
                                 total += abs(slope)
                             if c_lo <= c_pt <= c_hi:
-                                point = [a + c * b for a, b in zip(partial[:last], h)] + [y + c_pt * step_j]
-                                if cone_best is None or total < cone_best or point < cone_witness:
-                                    cone_best, cone_witness, limit = total, point, total
-                                    cut(total, scale)  # every point of value <= total stays in the box
+                                if total > limit:  # a cone point, turned away by the bound alone
+                                    over = total if over is None else min(over, total)
+                                else:
+                                    point = [a + c * b for a, b in zip(partial[:last], h)] + [y + c_pt * step_j]
+                                    if cone_best is None or total < cone_best or point < cone_witness:
+                                        cone_best, cone_witness, limit = total, point, total
+                                        cut(total, scale)  # every point of value <= total stays in the box
                 if spent > left:
                     budget.spend(spent)  # raises
                 x += step
@@ -640,16 +654,24 @@ def mld_bruteforce(
                 c += 1
             budget.spend(spent)
 
-        s = min(Fraction(1, 2 ** (scale.bit_length() // d)), s_max)
+        # the round's value bound s_num / s_den, which ends at s_max
+        s_num, s_den = 1, 1 << (scale.bit_length() // d)
         while True:
-            cut(s.numerator, s.denominator)
-            limit = s.numerator * scale // s.denominator  # the round's bound on the value numerator
+            if s_num * max_den >= max_num * s_den:
+                s_num, s_den = max_num, max_den
+            cut(s_num, s_den)
+            limit = s_num * scale // s_den  # the round's bound on the value numerator
+            over = None  # the least value numerator above limit at a row's end
             walk(-1, zero, zero, 0)
-            if cone_best is not None or s == s_max:
+            if cone_best is not None or (s_num, s_den) == (max_num, max_den):
                 break
-            s = min(2 * s, s_max)
+            # nothing of value <= s, and the cone point of value over / scale
+            # bounds the minimum: the next round is at min(2 s, that value)
+            s_num *= 2
+            if over is not None and over * s_den < s_num * scale:
+                s_num, s_den = over, scale
         if cone_best is not None:
-            best.offer(Fraction(cone_best, scale), _fractions(cone_witness, denom))
+            best.offer(cone_best, scale, tuple(x * scale for x in cone_witness))
     return _finalize(x_var, best, "bruteforce", ray_cap=cap >= 1)
 
 
@@ -664,7 +686,7 @@ def cyclic_quotient(r: int, weights: Sequence[int]) -> ToricVariety:
     n = len(weights)
     if n < 1:
         raise InvalidWeightsError("need at least one weight")
-    lat = Lattice.from_generators(n, [_fractions(weights, r)])
+    lat = Lattice._from_scaled(n, r, [weights])
     axes = [[int(i == j) for j in range(n)] for i in range(n)]
     rows = [lat._primitive_scaled(u, 1) for u in axes]
     fan = Fan._from_scaled(rows, lat.denominator, [list(range(n))])

@@ -187,13 +187,12 @@ class ToricVariety:
         )
 
 
-def _locate(x_var: ToricVariety, vv: Vector) -> Optional[tuple[int, list[int], int]]:
-    """(ci, nums, s): the lowest-index maximal cone ci containing vv, and vv's
-    barycentrics there, nums / s."""
+def _locate(x_var: ToricVariety, w: Sequence[int], e: int) -> Optional[tuple[int, list[int], int]]:
+    """(ci, nums, s): the lowest-index maximal cone ci containing the point
+    w / e, for integers w and e > 0, and its barycentrics there, nums / s."""
     dim = x_var.dim
-    if len(vv) != dim:
-        raise DimensionMismatchError(f"vector has dimension {len(vv)}, expected {dim}")
-    (w,), e = _integral([vv])
+    if len(w) != dim:
+        raise DimensionMismatchError(f"vector has dimension {len(w)}, expected {dim}")
     for ci, cone in enumerate(x_var.fan.max_cones):
         if cone.inverse is None:
             continue  # lower-dimensional
@@ -216,13 +215,15 @@ def log_discrepancy(x_var: ToricVariety, v: Sequence) -> Optional[Fraction]:
         raise ZeroVectorError("log discrepancy is undefined at the origin")
     if not x_var.lattice.contains(vv):
         raise NotInLatticeError(f"{v!r} is not a lattice point")
-    hit = _locate(x_var, vv)
+    (w,), e = _integral([vv])
+    hit = _locate(x_var, w, e)
     return None if hit is None else Fraction(sum(hit[1]), hit[2])
 
 
 def find_containing_cone(x_var: ToricVariety, v: Sequence) -> Optional[int]:
     """Lowest index of a maximal cone containing v, or None."""
-    hit = _locate(x_var, as_fractions(v))
+    (w,), e = _integral([as_fractions(v)])
+    hit = _locate(x_var, w, e)
     return None if hit is None else hit[0]
 
 

@@ -252,7 +252,8 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
     # located once: the containing cone and ld(Q), the sum of Q's barycentrics
     # there; outside the fan (only on a fibration that fails validation, which
     # _fiber_c then reports) both are None
-    hit = _locate(mfs.x, q)
+    (w,), e = _integral([q])
+    hit = _locate(mfs.x, w, e)
     cone_index, ld_q = (None, None) if hit is None else (hit[0], Fraction(sum(hit[1]), hit[2]))
     coeff = _fiber_c(mfs) + 1
     satisfied = ld_q ** (m + 1) <= coeff ** (m + 1) * delta

@@ -60,8 +60,8 @@ from toricmld import Fan, Lattice, NoPairFoundError, ToricVariety, find_witness,
 from toricmld.exactmath import hnf, invariant_factors, iroot_floor, snf, vec_mat
 from toricmld.lattice import LatticeError, NotInLatticeError, Vector, ZeroVectorError
 from toricmld.mfs import FiberData, InvalidMfsError, ToricMfs
-from toricmld.mld import GUARD, MldResult, TooLargeError, _Best, _check_cones, _finalize, _scaled_generators
-from toricmld.toric import origin_barycentrics
+from toricmld.mld import GUARD, MldResult, TooLargeError, _check_cones, _scaled_generators
+from toricmld.toric import find_containing_cone, origin_barycentrics
 from toricmld.witness import EffectiveDelta, NotInBaseLatticeError
 
 
@@ -282,6 +282,9 @@ def box_scan_oracle(
     end of that range: the origin is skipped, and on ties the smallest c (the
     lex-smallest point) wins.  Every box point counts against ``guard``
     (default ``GUARD``), a row at a time; past it TooLargeError is raised.
+    The least (value, witness) pair is kept as Fractions, capped at 1 by the
+    lex-least ray when cap >= 1, and its cone is located by
+    ``find_containing_cone``: none of the library's integer incumbent.
     """
     if guard is None:
         guard = GUARD.get()
@@ -294,7 +297,7 @@ def box_scan_oracle(
     # lattice points are (c @ h_rows) / denom for integer c
     denom, h_rows = x_var.lattice.denominator, x_var.lattice.rows
     cap_num, cap_den = cap.numerator, cap.denominator
-    best = _Best()
+    best: Optional[tuple[Fraction, Vector]] = None
     visited = 0
 
     for ci in range(len(x_var.fan.max_cones)):
@@ -354,8 +357,17 @@ def box_scan_oracle(
 
         scan(0, [0] * d, [0] * d)
         if cone_best is not None:
-            best.offer(Fraction(cone_best, scale), tuple(Fraction(x, denom) for x in cone_witness))
-    return _finalize(x_var, best, "bruteforce", ray_cap=cap >= 1)
+            cand = (Fraction(cone_best, scale), tuple(Fraction(x, denom) for x in cone_witness))
+            if best is None or cand < best:
+                best = cand
+    if cap >= 1:  # every ray has value 1
+        ray = (Fraction(1), min(x_var.fan.rays))
+        if best is None or ray < best:
+            best = ray
+    if best is None:
+        raise ValueError("no nonzero lattice points in the scanned range")
+    value, witness = best
+    return MldResult(value, witness, find_containing_cone(x_var, witness), "bruteforce")
 
 
 def det_bareiss(m: Sequence[Sequence[int]]) -> int:

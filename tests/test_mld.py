@@ -175,11 +175,13 @@ def test_lower_dimensional_cone_rejected():
 
 
 def test_bruteforce_guard():
-    # mld 13/25 takes four rounds (s = 1/8 .. 1) and 60 units in all
+    # mld 13/25 takes four rounds and 59 units in all: s = 1/8, 1/4 and 1/2
+    # find nothing, but the round at 1/2 meets a row ending at value 13/25,
+    # so the last round is at 13/25 (6 + 9 + 21 + 23 units) and not at 1
     v = cyclic_quotient(50, (1, 24))
-    assert mld_bruteforce(v, guard=60).value == F(13, 25)
-    with pytest.raises(TooLargeError, match="enumeration exceeded guard of 59 points"):
-        mld_bruteforce(v, guard=59)
+    assert mld_bruteforce(v, guard=59).value == F(13, 25)
+    with pytest.raises(TooLargeError, match="enumeration exceeded guard of 58 points"):
+        mld_bruteforce(v, guard=58)
 
 
 def test_bruteforce_box_follows_the_incumbent_on_a_thin_simplex():

@@ -6,19 +6,22 @@ coset of every maximal cone through ``Lattice.quotient_group(...)
 return the same value, the same tie-broken witness and the same cone as
 both, on generated inputs chosen to stress its bound and its tie-break.
 ``mld_bruteforce`` searches in rounds of growing value; ``box_scan_oracle``,
-its earlier single walk of the whole box, must agree with it at every cap.
+its earlier single walk of the whole box, must agree with it at every cap,
+and with both searches on fans of several cones, whose cones offer their
+values over different denominators.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_unimodular
+from conftest import apply_unimodular, rand_standard_simplex_mfs
 from oracles import box_scan_oracle, cone_generators, det_bareiss
 from test_fiber import fibrations, relisted
 from toricmld import (
@@ -289,15 +292,17 @@ def test_family_total_space_least_guard(l, units):
 
 def test_bruteforce_guard_counts_every_box_point():
     # the oracle's guard counts each outer-level node it visits and each box
-    # point of an innermost row, over every round; this cone's minimum 23/45 takes rounds 1/4, 1/2 and 1,
-    # and the instance succeeds at exactly their 726 units, fails one below
+    # point of an innermost row, over every round; this cone's minimum 23/45
+    # takes rounds 1/4 and 1/2, which find nothing, and a last round at 23/45,
+    # the least value the round at 1/2 met at a row's end (42 + 190 + 190
+    # units); the instance succeeds at exactly those 422 units, fails one below
     lattice = Lattice.from_generators(3, [(F(1, 5), F(2, 5), F(3, 5)), (F(1, 3), F(0), F(2, 3))])
     rays = [lattice.primitivize(r) for r in [(2, 3, -1), (-2, -1, -2), (2, 0, 2)]]
     x_var = ToricVariety(lattice, Fan.build(rays, [[0, 1, 2]]))
-    res = mld_bruteforce(x_var, guard=726)
+    res = mld_bruteforce(x_var, guard=422)
     assert (res.value, res.witness) == (F(23, 45), (F(-13, 15), F(-2, 5), F(-14, 15)))
-    with pytest.raises(TooLargeError, match="enumeration exceeded guard of 725 points"):
-        mld_bruteforce(x_var, guard=725)
+    with pytest.raises(TooLargeError, match="enumeration exceeded guard of 421 points"):
+        mld_bruteforce(x_var, guard=421)
 
 
 @PROPERTY
@@ -363,3 +368,64 @@ def bruteforce_outcome(search, x_var, cap):
 def test_bruteforce_rounds_match_the_whole_box_scan(x_var, cap):
     want = bruteforce_outcome(box_scan_oracle, x_var, cap)
     assert bruteforce_outcome(mld_bruteforce, x_var, cap) == want
+
+
+@st.composite
+def standard_simplex_fibrations(draw):
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    return rand_standard_simplex_mfs(random.Random(draw(st.integers(0, 2**32))), m, n, 40)
+
+
+@st.composite
+def complete_plane_fans(draw):
+    """A complete 2-d fan of 3 to 6 cones over a cyclic overlattice of Z^2:
+    its cones' quotients differ, so equal values and ties come from cones of
+    different orders."""
+    vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda v: math.gcd(*v) == 1)
+    rays = sorted(set(draw(st.lists(vectors, min_size=3, max_size=6))), key=lambda v: math.atan2(v[1], v[0]))
+    k = len(rays)
+    # every pair of neighbours turns left by less than a half turn
+    assume(k >= 3 and all(rays[i - 1][0] * rays[i][1] > rays[i - 1][1] * rays[i][0] for i in range(k)))
+    r = draw(st.integers(2, 30))
+    lattice = Lattice.from_generators(2, [(F(draw(st.integers(0, r - 1)), r), F(draw(st.integers(0, r - 1)), r))])
+    rays = [lattice.primitivize(v) for v in rays]
+    cones = draw(st.permutations([[i, (i + 1) % k] for i in range(k)]))
+    return ToricVariety(lattice, Fan.build(rays, cones))
+
+
+@settings(PROPERTY, max_examples=50)
+@given(
+    st.one_of(
+        st.integers(2, 4).map(example_family),
+        fibrations(),
+        standard_simplex_fibrations(),
+        complete_plane_fans(),
+    ),
+    st.sampled_from([F(1, 2), F(1)]),
+    st.data(),
+)
+def test_integer_incumbent_matches_the_fraction_oracle_across_cones(space, cap, data):
+    # each cone's value numerators and witness keys live over its own D q, so
+    # equal values and ties on shared faces reach the incumbent over
+    # different scales; it must keep what the oracle's Fraction minimum and
+    # find_containing_cone keep, in any cone order
+    varieties = [space] if isinstance(space, ToricVariety) else [space.x, relisted(space, data).x]
+    for x_var in varieties:
+        want = bruteforce_outcome(box_scan_oracle, x_var, cap)
+        assert bruteforce_outcome(mld_bruteforce, x_var, cap) == want
+        if cap == 1:
+            got = mld(x_var)
+            assert (got.value, got.witness, got.cone_index) == want[:3]
+
+
+def test_ties_across_cones_compare_over_each_cone_scale():
+    # value 2/5 is reached in cone 1, of order 20, at (-1/5, 2/5), and in
+    # cone 2, of order 5, at the lex-smaller (-3/10, 1/10): the integer keys
+    # (-40, 80) and (-15, 5) order the other way until each is read over its
+    # own cone's scale
+    lattice = Lattice.from_generators(2, [(F(3, 10), F(9, 10))])
+    rays = [lattice.primitivize(v) for v in [(1, -1), (0, 1), (-2, 1)]]
+    x_var = ToricVariety(lattice, Fan.build(rays, [[0, 1], [1, 2], [2, 0]]))
+    want = (F(2, 5), (F(-3, 10), F(1, 10)), 2)
+    for res in (mld(x_var), mld_bruteforce(x_var), box_scan_oracle(x_var)):
+        assert (res.value, res.witness, res.cone_index) == want
