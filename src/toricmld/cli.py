@@ -19,13 +19,13 @@ columns.  stdout carries data, stderr carries diagnostics.
 
 Exit codes: 0 success, 1 parse/validation/runtime error, 2 oracle mismatch
 (mld --brute-force), 3 witness precondition violated, 4 threshold inequality
-violated (check).  The environment variable TORICMLD_GUARD, a positive
-integer, overrides the work guard of every mld computation a subcommand
-runs and of the witness scan (``mld.GUARD``, default 10^7 units per
-computation: the sweep counts points, the box scan nodes and box points
-over its rounds, the width engine search-tree nodes, the witness scan
-multiples); a run past it exits 1.  It also caps each fibration's set-up
-by size: a dimension m + n above 4 whose cube exceeds it exits 1.
+violated (check) or witness bound not satisfied (witness, after printing the
+full report).  The environment variable TORICMLD_GUARD, a positive integer,
+sets ``mld.GUARD`` for the command: the work guard of every mld
+computation, witness scan and fibration set-up it runs (default 10^7 units
+each: the sweep counts points, the box scan nodes and box points over its
+rounds, the width engine search-tree nodes, the witness scan multiples, a
+set-up of dimension m + n above 4 the cube of m + n); a run past it exits 1.
 """
 
 from __future__ import annotations
@@ -349,6 +349,9 @@ def cmd_witness(args) -> int:
         f" vs {report.bound_power}"
     )
     print(f"bound_satisfied = {str(report.bound_satisfied).lower()}")
+    if not report.bound_satisfied:
+        print("error: witness bound violated: ld(Q) exceeds (C+1) * delta^(1/(m+1))", file=sys.stderr)
+        return EXIT_INEQUALITY
     return EXIT_OK
 
 

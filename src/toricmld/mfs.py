@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 from .exactmath import _least_terms, as_fractions, hnf_mod, invariant_factors
 from .lattice import Lattice, Vector, _fractions
-from .mld import GUARD, TooLargeError, mld
+from .mld import _Budget, mld
 from .toric import Fan, SimplicialCone, ToricVariety, origin_barycentrics
 
 
@@ -348,16 +348,16 @@ def assemble_mfs(
     rays in Z^n + (1/c_l) e_l + the base parts of the extra generators.
 
     The Hermite forms and cone inverses of the set-up take time cubic in
-    m + n, and nothing of it is counted as it runs.  So the set-up is capped
+    m + n, and nothing of it is counted as it runs.  So the set-up is charged
     by size instead: before any lattice is built, a dimension m + n above
-    ``_SETUP_FREE_DIM`` whose cube exceeds ``GUARD`` raises TooLargeError.
+    ``_SETUP_FREE_DIM`` spends (m + n)^3 units of a ``_Budget``, so one whose
+    cube exceeds ``GUARD`` raises TooLargeError.
     Set-ups up to that dimension pass any guard, so a small guard still
     reaches the mld searches that follow them.
     """
     extras = _check_parameters(m, n, fiber_rays, base_multiples, extra_generators)
-    guard = GUARD.get()
-    if m + n > _SETUP_FREE_DIM and (m + n) ** 3 > guard:
-        raise TooLargeError(f"fibration set-up of dimension {m + n} exceeded guard of {guard} points")
+    if m + n > _SETUP_FREE_DIM:
+        _Budget(f"fibration set-up of dimension {m + n}").spend((m + n) ** 3)
     x_lattice = Lattice.from_generators(m + n, extras)
     y_lattice = Lattice.from_generators(
         n,

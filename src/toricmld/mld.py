@@ -147,10 +147,12 @@ from .lattice import Lattice, Vector, _fractions
 from .toric import Fan, NonSimplicialError, ToricVariety, _locate
 
 DEFAULT_GUARD = 10**7
-# the work guard of ``mld`` and ``mld_bruteforce`` when they get no ``guard=``,
-# and of ``witness.find_witness``: the sweep counts points, the box scan the
-# nodes it visits and its innermost box points over all its rounds, the width
-# engine search-tree nodes, the witness scan multiples
+# the work guard, set per context (thread or task) and read only by
+# ``_Budget``: each ``mld`` and ``mld_bruteforce`` call, witness scan and
+# fibration set-up gets the units it holds.  The sweep counts points, the box
+# scan the nodes it visits and its innermost box points over all its rounds,
+# the width engine search-tree nodes, the witness scan multiples, the set-up
+# the cube of its dimension
 GUARD: ContextVar[int] = ContextVar("toricmld_guard", default=DEFAULT_GUARD)
 _CHUNK_MIN, _CHUNK_MAX = 64, 8192  # innermost stream chunk sizes, doubling
 # per dimension d: (d!, the width engine's median time on random cones in
@@ -173,7 +175,7 @@ class EmptyFanError(ValueError):
 
 
 class TooLargeError(RuntimeError):
-    """The sweep or the brute-force enumeration would exceed its work guard."""
+    """A search, the witness scan or a fibration set-up would exceed its work guard."""
 
 
 class InvalidWeightsError(ValueError):
@@ -216,19 +218,19 @@ class _Best:
 
 
 class _Budget:
-    """Units of work (points or tree nodes) the search may still spend."""
+    """Units of work the task ``what`` may still spend, ``GUARD`` at the start."""
 
-    __slots__ = ("guard", "left", "what")
+    __slots__ = ("guard", "left", "what", "unit")
 
-    def __init__(self, guard: int, what: str = "mld sweep"):
-        self.guard = guard
-        self.left = guard
+    def __init__(self, what: str, unit: str = "points"):
+        self.guard = self.left = GUARD.get()
         self.what = what
+        self.unit = unit
 
     def spend(self, n: int) -> None:
         self.left -= n
         if self.left < 0:  # "points" for tree nodes too: scripts match this text
-            raise TooLargeError(f"{self.what} exceeded guard of {self.guard} points")
+            raise TooLargeError(f"{self.what} exceeded guard of {self.guard} {self.unit}")
 
 
 def _check_cones(x_var: ToricVariety) -> None:
@@ -262,18 +264,18 @@ def _finalize(x_var: ToricVariety, best: _Best, method: str, ray_cap: bool = Tru
     return MldResult(Fraction(num, scale), _fractions(key, scale * d_n), cone, method)
 
 
-def mld(x_var: ToricVariety, guard: Optional[int] = None) -> MldResult:
+def mld(x_var: ToricVariety) -> MldResult:
     """Minimal log discrepancy via a bounded search of each cone's coset lattice.
 
     Each cone takes the Hermite-order sweep or the width engine, whichever
     its expected work says is cheaper (module docstring); both give the same
     answer.  Raises TooLargeError once the search has spent more than
-    ``guard`` units (default ``GUARD``): the sweep counts partial points at
-    the outer levels and streamed representatives at the innermost one, the
-    width engine one unit per node of its enumeration tree.
+    ``GUARD`` units: the sweep counts partial points at the outer levels and
+    streamed representatives at the innermost one, the width engine one unit
+    per node of its enumeration tree.
     """
     _check_cones(x_var)
-    budget = _Budget(GUARD.get() if guard is None else guard)
+    budget = _Budget("mld sweep")
     best = _Best()
     for ci in range(len(x_var.fan.max_cones)):
         _sweep_cone(x_var, ci, best, budget)
@@ -347,7 +349,7 @@ def _coset_lattice(x_var: ToricVariety, ci: int) -> Optional[tuple[int, list[lis
     """(D, h, gint): the Hermite rows h of cone ``ci``'s coset lattice L, and
     gint with x @ gint = D D_N times the ambient point of x; None when D = 1."""
     lat = x_var.lattice
-    k, q = x_var._cone_inverse(ci)
+    k, q = x_var.fan.max_cones[ci].inverse
     # lat.rows @ K over D q, reduced to lowest terms below: each triangular
     # row adds the rows of K at its nonzero entries, d^2 on Z^d
     bary = []
@@ -518,11 +520,7 @@ def _width_cone(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tu
         s = min(2 * s, limit)
 
 
-def mld_bruteforce(
-    x_var: ToricVariety,
-    cap: Fraction = Fraction(1),
-    guard: Optional[int] = None,
-) -> MldResult:
+def mld_bruteforce(x_var: ToricVariety, cap: Fraction = Fraction(1)) -> MldResult:
     """Independent oracle: scan the lattice points with barycentric coordinates
     in [0, cap] for every maximal cone, in rounds of growing value.
 
@@ -548,15 +546,15 @@ def mld_bruteforce(
     minimum is at most v, so the round at v finds it or a better one.  s_max
     is 1 (each generator has value 1) or, when cap < 1, d cap, the largest
     value in the cube.  Every node visited (a round's root included) and
-    every box point of an innermost row counts against ``guard`` (default
-    ``GUARD``), summed over rounds; past it TooLargeError is raised.  The
-    witness's cone is located afresh, apart from the search.
+    every box point of an innermost row counts against ``GUARD``, summed
+    over rounds; past it TooLargeError is raised.  The witness's cone is
+    located afresh, apart from the search.
     """
     cap = Fraction(cap)
     if cap <= 0:
         raise ValueError("cap must be positive")
     _check_cones(x_var)
-    budget = _Budget(GUARD.get() if guard is None else guard, "enumeration")
+    budget = _Budget("enumeration")
     d = x_var.dim
     last = d - 1
     # lattice points are (c @ h_rows) / denom for integer c
@@ -567,7 +565,7 @@ def mld_bruteforce(
     best = _Best()
 
     for ci in range(len(x_var.fan.max_cones)):
-        k, q = x_var._cone_inverse(ci)
+        k, q = x_var.fan.max_cones[ci].inverse
         scale = denom * q  # barycentric numerators live over this
         top = cap_num * scale // cap_den  # and must lie in [0, top]
         # the ambient box of the scaled cone body, the simplex's extreme

@@ -176,10 +176,6 @@ class ToricVariety:
         ints, e = self.fan.integral
         return [self.lattice._scaled_content(w, e)[1] == e for w in ints]
 
-    def _cone_inverse(self, cone_index: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(K, q): integers with inverse(generator matrix) = K / q, q > 0 least."""
-        return self.fan.max_cones[cone_index].inverse
-
     def __repr__(self) -> str:
         return (
             f"ToricVariety(dim={self.dim}, rays={len(self.fan.integral[0])}, "

@@ -43,7 +43,7 @@ from typing import Iterable, Optional, Sequence
 from .exactmath import _integral, as_fractions, hnf, iroot_floor
 from .lattice import NotInLatticeError, Vector, ZeroVectorError, _fractions
 from .mfs import FiberData, ToricMfs
-from .mld import GUARD, MldResult, TooLargeError, mld
+from .mld import MldResult, _Budget, mld
 from .toric import _locate
 
 
@@ -234,11 +234,10 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
     # that is min(x, d-x) <= g for the integer root g below.
     (steps,), d = _integral([b])
     g = iroot_floor(num * d ** (m + 1) // den, m + 1)
-    guard = GUARD.get()
-    k = _first_multiple(steps, d, g, min(t_count, guard))
+    budget = _Budget("witness scan", "multiples")
+    k = _first_multiple(steps, d, g, min(t_count, budget.left))
     if k is None:
-        if t_count > guard:
-            raise TooLargeError(f"witness scan exceeded guard of {guard} multiples")
+        budget.spend(t_count)  # raises when T exceeds the guard
         raise NoPairFoundError("box principle failed; threshold inconsistent")
     pair = (0, k)
 

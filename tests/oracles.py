@@ -44,7 +44,8 @@ off the Hirzebruch-Jung continued fraction of its quotient, in O(log r)
 steps, so it checks ``mld`` at orders far past the brute force's reach.
 
 ``cone_generators`` reads a cone's generator rows off its fan's rays, which
-a ``SimplicialCone`` does not store.
+a ``SimplicialCone`` does not store.  ``with_guard`` runs a library call
+under a given work guard, which the library reads only from ``GUARD``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,15 @@ from toricmld.witness import EffectiveDelta, NotInBaseLatticeError
 def cone_generators(fan: Fan, cone) -> tuple[Vector, ...]:
     """The generator rows of ``cone``, one of ``fan``'s cones, as Fractions."""
     return tuple(fan.rays[i] for i in cone.ray_indices)
+
+
+def with_guard(guard: int, fn: Callable, *args):
+    """``fn(*args)`` with ``GUARD`` set to ``guard`` in this context, then reset."""
+    token = GUARD.set(guard)
+    try:
+        return fn(*args)
+    finally:
+        GUARD.reset(token)
 
 
 def _frac(x: Fraction) -> Fraction:
@@ -266,11 +276,7 @@ def effective_delta_oracle(fiber: FiberData) -> EffectiveDelta:
     return EffectiveDelta(c_z=c_z, m=fiber.z.dim)
 
 
-def box_scan_oracle(
-    x_var: ToricVariety,
-    cap: Fraction = Fraction(1),
-    guard: Optional[int] = None,
-) -> MldResult:
+def box_scan_oracle(x_var: ToricVariety, cap: Fraction = Fraction(1)) -> MldResult:
     """``mld_bruteforce`` as it was before its rounds: scan all lattice points
     with barycentric coordinates in [0, cap] for every maximal cone.
 
@@ -280,14 +286,13 @@ def box_scan_oracle(
     innermost row they are linear in the row index c, so c is clipped to
     0 <= numerator <= cap D q in closed form, and the row's minimum is at an
     end of that range: the origin is skipped, and on ties the smallest c (the
-    lex-smallest point) wins.  Every box point counts against ``guard``
-    (default ``GUARD``), a row at a time; past it TooLargeError is raised.
+    lex-smallest point) wins.  Every box point counts against ``GUARD``, a
+    row at a time; past it TooLargeError is raised.
     The least (value, witness) pair is kept as Fractions, capped at 1 by the
     lex-least ray when cap >= 1, and its cone is located by
     ``find_containing_cone``: none of the library's integer incumbent.
     """
-    if guard is None:
-        guard = GUARD.get()
+    guard = GUARD.get()
     cap = Fraction(cap)
     if cap <= 0:
         raise ValueError("cap must be positive")
@@ -301,7 +306,7 @@ def box_scan_oracle(
     visited = 0
 
     for ci in range(len(x_var.fan.max_cones)):
-        k, q = x_var._cone_inverse(ci)
+        k, q = x_var.fan.max_cones[ci].inverse
         scale = denom * q  # barycentric numerators live over this
         top = cap_num * scale // cap_den  # and must lie in [0, top]
         # the ambient box of the scaled cone body, and each row's numerators

@@ -32,6 +32,10 @@ ORACLE_LARGE_STDOUT_SHA256 = "51a34c74fb28d35295542506f8fdb827041d6b8421a5b23073
 ORACLE_THIN = str(Path(__file__).parent / "golden" / "oracle_thin.json")
 ORACLE_THIN_STDOUT_SHA256 = "93ff42c836e45cc439fa45ed23d0962a39c416244939df9aa0a0bdbeea6f4f7a"
 # Z^3 onto Z^2 + (1/2, 0) + (0, 1/3): the one CLI output that goes through snf
+# family l = 3 in another fiber basis, with base rays sheared by (-1, 2) and
+# (2, 2): it validates, but its witness misses the bound
+SHEARED = str(Path(__file__).parent / "golden" / "mfs_sheared_bound.json")
+SHEARED_STDOUT_SHA256 = "80bd99129339f0fccca3f97804f2dd6972ecdd13558b30d355c306f9156d66d1"
 COKERNEL = str(Path(__file__).parent / "golden" / "mfs_cokernel.json")
 
 
@@ -438,6 +442,20 @@ def test_witness_precondition(tmp_path, capsys):
     assert main(["witness", path, "--delta", "1/1000000"]) == EXIT_PRECONDITION
 
 
+def test_witness_exits_4_when_its_bound_fails(capsys):
+    # the full report still goes to stdout; the shear shifts Q's fiber part
+    # by a multiple of k that the scan does not see, so ld(Q) = 109/41
+    # exceeds 8 (1/41)^(1/3)
+    assert main(["check", SHEARED]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["witness", SHEARED]) == EXIT_INEQUALITY
+    captured = capsys.readouterr()
+    assert "ld(Q) = 109/41\n" in captured.out
+    assert captured.out.endswith("bound_satisfied = false\n")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == SHEARED_STDOUT_SHA256
+    assert captured.err == "error: witness bound violated: ld(Q) exceeds (C+1) * delta^(1/(m+1))\n"
+
+
 def line_doc(**fields):
     doc = {
         "kind": "mfs",
@@ -552,7 +570,7 @@ def test_mld_oracle_mismatch_exit_code(tmp_path, capsys, monkeypatch):
 
     path = write(tmp_path, "q17.json", quotient_17_doc())
 
-    def fake_bruteforce(variety, guard=None):
+    def fake_bruteforce(variety):
         return MldResult(value=F(1, 3), witness=(F(1), F(0)), cone_index=0, method="bruteforce")
 
     monkeypatch.setattr(cli_mod, "mld_bruteforce", fake_bruteforce)

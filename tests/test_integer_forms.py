@@ -1,9 +1,9 @@
 """Property tests for the integer forms behind lattices and cones.
 
 A ``Lattice`` stores its denominator D and the integer Hermite rows of D N;
-``ToricVariety._cone_inverse`` stores each cone's inverse as integers K over
-q.  Every reader of those forms relies on the invariants checked here, on
-random lattices and cones of dimension at most 4, against the rational
+each ``SimplicialCone`` stores its ``inverse`` as integers K over q.  Every
+reader of those forms relies on the invariants checked here, on random
+lattices and cones of dimension at most 4, against the rational
 Gauss-Jordan inverse of ``exactmath``, and ``Lattice.from_generators``
 (Hermite form modulo D) against the public constructor (``hnf`` of Z^d and
 the generators).  The substitution behind coordinates, ``to_ambient``,
@@ -130,7 +130,7 @@ def test_coords_and_contains_agree_with_the_inverse(lat, data):
 @PROPERTY
 @given(varieties())
 def test_cone_inverse_is_integral_and_reduced(x_var):
-    k, q = x_var._cone_inverse(0)
+    k, q = x_var.fan.max_cones[0].inverse
     g = cone_generators(x_var.fan, x_var.fan.max_cones[0])
     d = x_var.dim
     assert q > 0 and all(isinstance(x, int) for row in k for x in row)

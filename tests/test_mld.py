@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import apply_unimodular, rand_affine_variety, rand_unimodular
+from oracles import with_guard
 from toricmld import (
     EmptyFanError,
     Fan,
@@ -179,9 +180,9 @@ def test_bruteforce_guard():
     # find nothing, but the round at 1/2 meets a row ending at value 13/25,
     # so the last round is at 13/25 (6 + 9 + 21 + 23 units) and not at 1
     v = cyclic_quotient(50, (1, 24))
-    assert mld_bruteforce(v, guard=59).value == F(13, 25)
+    assert with_guard(59, mld_bruteforce, v).value == F(13, 25)
     with pytest.raises(TooLargeError, match="enumeration exceeded guard of 58 points"):
-        mld_bruteforce(v, guard=58)
+        with_guard(58, mld_bruteforce, v)
 
 
 def test_bruteforce_box_follows_the_incumbent_on_a_thin_simplex():
@@ -189,7 +190,7 @@ def test_bruteforce_box_follows_the_incumbent_on_a_thin_simplex():
     # witness (1, 1, 1, 1)/r is the second of them, and its value cuts the
     # box to coordinates <= 4
     v = cyclic_quotient(10**6 + 3, (1, 1, 1, 1))
-    got, want = mld_bruteforce(v, guard=10**5), mld(v)
+    got, want = with_guard(10**5, mld_bruteforce, v), mld(v)
     assert got.value == F(4, 10**6 + 3)
     assert (got.value, got.witness, got.cone_index) == (want.value, want.witness, want.cone_index)
 

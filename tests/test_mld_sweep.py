@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -22,9 +24,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_unimodular, rand_standard_simplex_mfs
-from oracles import box_scan_oracle, cone_generators, det_bareiss
+from oracles import box_scan_oracle, cone_generators, det_bareiss, with_guard
 from test_fiber import fibrations, relisted
 from toricmld import (
+    DEFAULT_GUARD,
+    GUARD,
     Fan,
     Lattice,
     TooLargeError,
@@ -204,9 +208,9 @@ def test_guard_stops_a_sweep_of_ties():
     # At r = 5001 and 18001 s0 = 100 and 189 keep the cone on the sweep,
     # which hands it to the engine after 192 streamed points
     for r in (10**12, 5001, 18001):
-        res = mld(cyclic_quotient(r, (1, r - 1)), guard=1000)
+        res = with_guard(1000, mld, cyclic_quotient(r, (1, r - 1)))
         assert (res.value, res.witness, res.cone_index) == (1, (0, 1), 0)
-    assert mld(cyclic_quotient(17, (1, 16)), guard=1000).value == 1
+    assert with_guard(1000, mld, cyclic_quotient(17, (1, 16))).value == 1
 
 
 def test_guard_counts_the_points_the_sweep_streams():
@@ -214,20 +218,52 @@ def test_guard_counts_the_points_the_sweep_streams():
     # ties; the refused chunk is clipped to one unit past d = 2's 195, and
     # the engine then spends 17 nodes: 192 + 4 + 17 = 213 units
     x_var = cyclic_quotient(18001, (1, 18000))
-    res = mld(x_var, guard=213)
+    res = with_guard(213, mld, x_var)
     assert (res.value, res.witness, res.cone_index) == (1, (0, 1), 0)
     with pytest.raises(TooLargeError, match="exceeded guard of 212 points"):
-        mld(x_var, guard=212)
+        with_guard(212, mld, x_var)
+
+
+def test_guard_is_set_per_context():
+    # GUARD is a ContextVar, so two threads that run mld at the same time
+    # each spend the guard they set, and a fresh thread starts at the default;
+    # the barriers keep both guards set from before either mld starts until
+    # both have ended
+    x_var = example_family(11).x
+    both_set, both_ran = threading.Barrier(2), threading.Barrier(2)
+
+    def run(guard):
+        def call():
+            both_set.wait(timeout=60)
+            try:
+                return mld(x_var)
+            finally:
+                both_ran.wait(timeout=60)
+
+        try:
+            return with_guard(guard, call)
+        except TooLargeError as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fits, over = pool.map(run, (44, 43))
+    want = mld(x_var)
+    assert (fits.value, fits.witness, fits.cone_index) == (want.value, want.witness, want.cone_index)
+    assert isinstance(over, TooLargeError) and str(over) == "mld sweep exceeded guard of 43 points"
+    seen = []
+    fresh = threading.Thread(target=lambda: seen.append(GUARD.get()))
+    with_guard(43, lambda: (fresh.start(), fresh.join()))
+    assert seen == [DEFAULT_GUARD]
 
 
 def test_first_hermite_row_seeds_the_bound():
     # 1/r(1, 1) has the Hermite rows (1, 1), (0, r): the first is the
     # minimum 2/r, so the sweep streams the 2 points up to it, whatever r
     for r in (500, 38417, 100003):
-        res = mld(cyclic_quotient(r, (1, 1)), guard=2)
+        res = with_guard(2, mld, cyclic_quotient(r, (1, 1)))
         assert (res.value, res.witness, res.cone_index) == (F(2, r), (F(1, r), F(1, r)), 0)
     with pytest.raises(TooLargeError, match="exceeded guard of 1 points"):
-        mld(cyclic_quotient(500, (1, 1)), guard=1)
+        with_guard(1, mld, cyclic_quotient(500, (1, 1)))
 
 
 @pytest.mark.parametrize(
@@ -242,7 +278,7 @@ def test_line_with_non_primitive_rays(rays, max_cones, expected):
     # a 1-d cone over a non-primitive ray has a nontrivial quotient; its
     # first lattice point, of value 1/D, is the minimum
     x_var = ToricVariety(Lattice.from_generators(1, []), Fan.build([tuple(map(F, r)) for r in rays], max_cones))
-    res = mld(x_var, guard=64)
+    res = with_guard(64, mld, x_var)
     assert (res.value, res.witness, res.cone_index) == expected
     oracle = mld_bruteforce(x_var)
     assert (oracle.value, oracle.witness, oracle.cone_index) == expected
@@ -251,9 +287,9 @@ def test_line_with_non_primitive_rays(rays, max_cones, expected):
 def test_guard_counts_every_node_of_the_width_engine():
     # the largest cones of the family take the engine; its tree has exactly
     # 60 nodes at l = 20, each costing one unit of the guard
-    assert mld(example_family(20).x, guard=60).value == F(8022, 20**4 + 1)
+    assert with_guard(60, mld, example_family(20).x).value == F(8022, 20**4 + 1)
     with pytest.raises(TooLargeError, match="mld sweep exceeded guard of 59 points"):
-        mld(example_family(20).x, guard=59)
+        with_guard(59, mld, example_family(20).x)
 
 
 def test_family_l48_at_the_default_guard():
@@ -272,7 +308,7 @@ def test_family_total_space_closed_form(l):
 
 def test_family_l200_work_bound():
     # the sweep would visit about 3 * 10^9 points here
-    assert mld(example_family(200).x, guard=2000).value == F(200**3 + 202, 200**4 + 1)
+    assert with_guard(2000, mld, example_family(200).x).value == F(200**3 + 202, 200**4 + 1)
 
 
 @pytest.mark.parametrize(
@@ -285,9 +321,9 @@ def test_family_total_space_least_guard(l, units):
     # l = 11) where the width engine needs a few dozen nodes; at l = 5 and 6
     # only some of the three cones take it
     x_var = example_family(l).x
-    assert mld(x_var, guard=units).value == F(l**3 + l + 2, l**4 + 1)
+    assert with_guard(units, mld, x_var).value == F(l**3 + l + 2, l**4 + 1)
     with pytest.raises(TooLargeError, match=f"mld sweep exceeded guard of {units - 1} points"):
-        mld(x_var, guard=units - 1)
+        with_guard(units - 1, mld, x_var)
 
 
 def test_bruteforce_guard_counts_every_box_point():
@@ -299,10 +335,10 @@ def test_bruteforce_guard_counts_every_box_point():
     lattice = Lattice.from_generators(3, [(F(1, 5), F(2, 5), F(3, 5)), (F(1, 3), F(0), F(2, 3))])
     rays = [lattice.primitivize(r) for r in [(2, 3, -1), (-2, -1, -2), (2, 0, 2)]]
     x_var = ToricVariety(lattice, Fan.build(rays, [[0, 1, 2]]))
-    res = mld_bruteforce(x_var, guard=422)
+    res = with_guard(422, mld_bruteforce, x_var)
     assert (res.value, res.witness) == (F(23, 45), (F(-13, 15), F(-2, 5), F(-14, 15)))
     with pytest.raises(TooLargeError, match="enumeration exceeded guard of 421 points"):
-        mld_bruteforce(x_var, guard=421)
+        with_guard(421, mld_bruteforce, x_var)
 
 
 @PROPERTY

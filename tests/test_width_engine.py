@@ -28,7 +28,7 @@ import pytest
 from hypothesis import assume, event, given, reject, settings
 from hypothesis import strategies as st
 
-from oracles import cone_generators, det_bareiss, klein_mld_2d
+from oracles import cone_generators, det_bareiss, klein_mld_2d, with_guard
 from test_exact_kernels import modular_systems
 from test_mld_sweep import affine_varieties, assert_agrees
 from toricmld import Fan, Lattice, TooLargeError, ToricVariety, cyclic_quotient, example_family, mld, mld_bruteforce
@@ -78,7 +78,7 @@ def compare_on_cone(x_var, limit_frac, sweep_guard=10**7):
         return 1  # trivial quotient: neither search runs
     denom, h, gint = cone
     limit = max(1, int(limit_frac * denom))
-    budget = mld_module._Budget
+    budget = lambda guard: with_guard(guard, mld_module._Budget, "mld sweep")
     try:
         want = mld_module._hnf_sweep(h, denom, gint, limit, budget(sweep_guard))
     except TooLargeError:
@@ -108,7 +108,7 @@ def test_engine_matches_the_sweep_on_large_cones(x_var, limit_frac):
 def test_engine_matches_the_box_scan_on_large_cones(x_var):
     got = mld(x_var)
     try:
-        want = mld_bruteforce(x_var, guard=2 * 10**5)
+        want = with_guard(2 * 10**5, mld_bruteforce, x_var)
     except TooLargeError:
         event("box scan over its guard")  # counted in --hypothesis-show-statistics
         reject()
@@ -137,7 +137,7 @@ def test_both_searches_agree_at_the_seeded_limit(x_var):
     assume(cone is not None)
     denom, h, gint = cone
     row_sum = min(sum(row) for i, row in enumerate(h) if row[i] < denom)
-    budget = mld_module._Budget
+    budget = lambda guard: with_guard(guard, mld_module._Budget, "mld sweep")
     low = mld_module._width_cone(h, denom, gint, row_sum, budget(10**7))
     assert low is not None and low[0] <= row_sum
     seed = min(denom, row_sum)
@@ -227,7 +227,7 @@ def test_mld_matches_both_engines_across_the_threshold(x_var):
         engine = mld(x_var)
     try:
         with sweep_everywhere():
-            sweep = mld(x_var, guard=2 * 10**5)
+            sweep = with_guard(2 * 10**5, mld, x_var)
     except TooLargeError:
         reject()  # the forced sweep alone is too slow here
     key = (got.value, got.witness, got.cone_index)
@@ -300,7 +300,7 @@ def test_width_engine_cost_is_logarithmic_in_the_plane(x_var):
     # nodes, or about one per bit of D when the minimum lies near value 1
     cone = mld_module._coset_lattice(x_var, 0)
     assume(cone is not None and cone[0] > 10**6)
-    got = mld(x_var, guard=100 + cone[0].bit_length())
+    got = with_guard(100 + cone[0].bit_length(), mld, x_var)
     assert (got.value, got.witness) == klein_mld_2d(x_var)
 
 

@@ -15,10 +15,10 @@ from oracles import (
     first_multiple_loop,
     lift_oracle,
     scan_oracle_pair,
+    with_guard,
 )
 from test_fiber import SHUFFLED, fibrations, relisted
 from toricmld import (
-    GUARD,
     Fan,
     InvalidMfsError,
     Lattice,
@@ -493,14 +493,6 @@ def test_find_witness_deep_instance_is_pinned():
 
 def test_find_witness_scan_is_guarded():
     _, mfs = deep_m3()
-    token = GUARD.set(51718)
-    try:
-        with pytest.raises(TooLargeError, match="^witness scan exceeded guard of 51718 multiples$"):
-            find_witness(mfs)
-    finally:
-        GUARD.reset(token)
-    token = GUARD.set(51719)
-    try:
-        assert find_witness(mfs).pair == (0, 51719)
-    finally:
-        GUARD.reset(token)
+    with pytest.raises(TooLargeError, match="^witness scan exceeded guard of 51718 multiples$"):
+        with_guard(51718, find_witness, mfs)
+    assert with_guard(51719, find_witness, mfs).pair == (0, 51719)
