@@ -345,7 +345,8 @@ def assemble_mfs(
     of X are the primitive generators on the fiber rays and the base axes,
     and each maximal cone omits one fiber ray, unless ``rays`` and
     ``max_cones`` override them.  Y is the orthant over its primitive axis
-    rays in Z^n + (1/c_l) e_l + the base parts of the extra generators.
+    rays in Z^n + (1/c_l) e_l + the base parts of the extra generators,
+    built in closed form by ``ToricVariety._orthant``, with no elimination.
 
     The Hermite forms and cone inverses of the set-up take time cubic in
     m + n, and nothing of it is counted as it runs.  So the set-up is charged
@@ -373,11 +374,7 @@ def assemble_mfs(
         x_var = ToricVariety._on_lattice_points(x_lattice, x_fan)
     else:  # given rays must be checked to be lattice points
         x_var = ToricVariety(x_lattice, Fan.build(rays, max_cones))
-    axes = [[int(j == l) for j in range(n)] for l in range(n)]
-    y_rows = [y_lattice._primitive_scaled(u, 1) for u in axes]
-    y_fan = Fan._from_scaled(y_rows, y_lattice.denominator, [list(range(n))])
-    y_var = ToricVariety._on_lattice_points(y_lattice, y_fan)
-    return ToricMfs(x=x_var, y=y_var)
+    return ToricMfs(x=x_var, y=ToricVariety._orthant(y_lattice))
 
 
 def warn_replaced_rays(mfs: ToricMfs, fiber_rays: Sequence[Sequence[int]]) -> None:

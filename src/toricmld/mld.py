@@ -19,7 +19,12 @@ In barycentric coordinates the lattice is an overlattice of Z^d, spanned by
 and the cone's integer inverse K over q.  Scaled by D, the denominator of
 that matrix in lowest terms, it becomes an integer lattice L containing
 D Z^d, whose Hermite rows come from ``hnf_mod`` with no D I block and no
-transform.  The nonzero representatives are the points x of L with
+transform.  On an identity cone, (K, q) = (I, 1), which every well-formed
+cyclic quotient and every fibration's base has, the matrix is H / D_N, so
+D = D_N, as D_N is least, and the lattice's own rows are already the
+canonical Hermite form mod D_N: neither the product nor ``hnf_mod`` runs.
+On Z^d the matrix is K / q itself, already in lowest terms, so D = q and
+no product runs.  The nonzero representatives are the points x of L with
 0 <= x_i < D, of value sum(x) / D.  The Hermite form of L is upper
 triangular with diagonal h_i dividing D, so once x_0 .. x_{i-1} are fixed,
 x_i runs over one residue class mod h_i; a row with h_i = D is D e_i and
@@ -138,13 +143,14 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, repeat
-from operator import add, eq, mod
+from operator import add, eq, mod, mul
 from typing import Optional, Sequence
 
 from .exactmath import hnf_mod, iroot_floor, lll
 from .lattice import Lattice, Vector, _fractions
-from .toric import Fan, NonSimplicialError, ToricVariety, _locate
+from .toric import NonSimplicialError, ToricVariety, _locate
 
 DEFAULT_GUARD = 10**7
 # the work guard, set per context (thread or task) and read only by
@@ -345,13 +351,22 @@ def _sweep_first(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[t
     return _width_cone(h, denom, gint, limit, budget)
 
 
-def _coset_lattice(x_var: ToricVariety, ci: int) -> Optional[tuple[int, list[list[int]], list[list[int]]]]:
+def _coset_lattice(x_var: ToricVariety, ci: int) -> Optional[tuple[int, Sequence[Sequence[int]], list[list[int]]]]:
     """(D, h, gint): the Hermite rows h of cone ``ci``'s coset lattice L, and
-    gint with x @ gint = D D_N times the ambient point of x; None when D = 1."""
+    gint with x @ gint = D D_N times the ambient point of x; None when D = 1.
+    On an identity cone h is the lattice's own row tuples, which no search
+    mutates."""
     lat = x_var.lattice
+    d_n = lat.denominator
     k, q = x_var.fan.max_cones[ci].inverse
-    # lat.rows @ K over D q, reduced to lowest terms below: each triangular
-    # row adds the rows of K at its nonzero entries, d^2 on Z^d
+    if d_n == 1:  # the rows of Z^d are I, and q is least, so K / q is in lowest terms
+        return None if q == 1 else (q, hnf_mod(k, q), _scaled_generators(x_var, ci))
+    if q == 1 and k == _identity(len(k)):
+        # L is D_N N itself: D_N is least, so the rows are in lowest terms, and
+        # they are already the canonical Hermite form mod D_N
+        return d_n, lat.rows, _scaled_generators(x_var, ci)
+    # lat.rows @ K over D_N q, reduced to lowest terms below: each triangular
+    # row adds the rows of K at its nonzero entries
     bary = []
     for row in lat.rows:
         acc = [0] * len(row)
@@ -359,12 +374,17 @@ def _coset_lattice(x_var: ToricVariety, ci: int) -> Optional[tuple[int, list[lis
             if a:
                 acc = [x + a * y for x, y in zip(acc, k_row)]
         bary.append(acc)
-    common = math.gcd(lat.denominator * q, *(x for row in bary for x in row))
-    denom = lat.denominator * q // common
+    common = math.gcd(d_n * q, *(x for row in bary for x in row))
+    denom = d_n * q // common
     if denom == 1:
         return None
     scaled = [[x // common for x in row] for row in bary]
     return denom, hnf_mod(scaled, denom), _scaled_generators(x_var, ci)
+
+
+@lru_cache(maxsize=None)
+def _identity(d: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
 
 
 def _scaled_generators(x_var: ToricVariety, ci: int) -> list[list[int]]:
@@ -381,15 +401,10 @@ def _hnf_sweep(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tup
     last = max(i for i in range(d) if h[i][i] < denom)
     found: Optional[int] = None  # smallest numerator seen in this cone
     key: Optional[tuple[int, ...]] = None  # its lex-min ambient point, scaled
-    x = [0] * d
-
-    def consider(total: int, point: Sequence[int]) -> None:
-        nonlocal limit, found, key
-        k = tuple(sum(point[i] * gint[i][j] for i in range(d)) for j in range(d))
-        if found is None or total < found or k < key:
-            found, key, limit = total, k, total
+    x = [0] * d  # the coordinates fixed at the outer levels
 
     def stream(p: list[int], used: int) -> None:
+        nonlocal limit, found, key
         # x[last] runs over start + t*step; every deeper row is denom*e_k, so
         # x[k] for k > last is (base_k + t*h[last][k]) mod denom
         step = h[last][last]
@@ -419,11 +434,20 @@ def _hnf_sweep(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tup
             totals = list(total)
             low = min(totals)
             if low <= limit:
-                for j in compress(range(n), map(eq, totals, repeat(low, n))):
-                    x[last] = lo + j * step
-                    for k, (b, s) in enumerate(tail, last + 1):
-                        x[k] = (b + (t + j) * s) % denom
-                    consider(low, x)
+                # only the lex-least key of the chunk's ties is offered: point
+                # i has x[last] = start + i step and x[k] = (b + i s) mod denom
+                ties = list(compress(range(t, t + n), map(eq, totals, repeat(low, n))))
+                cols = [[(b + i * s) % denom for i in ties] for b, s in [(start, step), *tail]]
+                keys = []
+                for j in range(d):
+                    acc = repeat(sum(x[i] * gint[i][j] for i in range(last)), len(ties))
+                    for col, row in zip(cols, gint[last:]):
+                        if row[j]:
+                            acc = map(add, acc, map(mul, col, repeat(row[j])))
+                    keys.append(acc)
+                k = min(zip(*keys))
+                if found is None or low < found or k < key:
+                    found, key, limit = low, k, low
             t += n
             chunk = min(2 * chunk, _CHUNK_MAX)
 
@@ -684,11 +708,7 @@ def cyclic_quotient(r: int, weights: Sequence[int]) -> ToricVariety:
     n = len(weights)
     if n < 1:
         raise InvalidWeightsError("need at least one weight")
-    lat = Lattice._from_scaled(n, r, [weights])
-    axes = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows = [lat._primitive_scaled(u, 1) for u in axes]
-    fan = Fan._from_scaled(rows, lat.denominator, [list(range(n))])
-    return ToricVariety._on_lattice_points(lat, fan)
+    return ToricVariety._orthant(Lattice._from_scaled(n, r, [weights]))
 
 
 def mld_cyclic(r: int, weights: Sequence[int]) -> Fraction:

@@ -6,7 +6,12 @@ ray generators as one integer table (ints, e), rays = ints / e, plus the
 index sets of the maximal cones and each full-dimensional cone's integer
 inverse.  The library reads only the table; the rays as Fractions are built
 on first read, for output.  Only simplicial cones are representable;
-non-simplicial input is rejected when the fan is built.
+non-simplicial input is rejected when the fan is built.  Two builders
+make a fan unchecked, since every check holds by construction: the
+orthant over a lattice on its primitive axis rays, ``ToricVariety._orthant``
+(the cyclic quotients and every fibration's base), whose table and diagonal
+inverse are read off one substitution per axis, and ``ToricMfs.fiber``,
+which reuses the cone inverses of the total space.
 
 The log discrepancy of a lattice point v is the value at v of the function
 that is linear on every cone and equals 1 on each primitive ray generator.
@@ -16,6 +21,7 @@ an error, because search code needs to probe and branch on that case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -68,8 +74,9 @@ class Fan:
 
     ``integral`` is the rays' one stored form, the integer table (ints, e):
     rays = ints / e, e > 0 the least such, the lcm of the rays' denominators.
-    ``build`` and ``_from_scaled`` make it as they check the fan, and every
-    reader in the library reads it.  ``rays``, the same rays as Fraction
+    ``build`` and ``_from_scaled`` make it as they check the fan,
+    ``ToricVariety._orthant`` in closed form, and every reader in the
+    library reads it.  ``rays``, the same rays as Fraction
     tuples, is built from it on first read, for output and tests.  A fan
     constructed directly, ``Fan(integral, max_cones, dim)``, is not checked.
     """
@@ -165,6 +172,21 @@ class ToricVariety:
         var.lattice = lattice
         var.fan = fan
         return var
+
+    @classmethod
+    def _orthant(cls, lattice: Lattice) -> "ToricVariety":
+        """The nonnegative orthant over ``lattice`` on its primitive axis rays,
+        in closed form.  N contains Z^d, so e_i / g_i is primitive for g_i the
+        gcd of the coordinates of e_i: the table is (L / g_i) e_i over
+        L = lcm(g), and the cone's inverse is diag(g) over 1.  Every check of
+        ``Fan._checked`` holds by construction, so none runs."""
+        d = lattice.dim
+        g = [math.gcd(*lattice._substitute([int(i == j) for j in range(d)])) for i in range(d)]
+        e = math.lcm(*g)
+        ints = tuple(tuple(e // g[i] if i == j else 0 for j in range(d)) for i in range(d))
+        k = tuple(tuple(g[i] if i == j else 0 for j in range(d)) for i in range(d))
+        fan = Fan((ints, e), (SimplicialCone(tuple(range(d)), (k, 1)),), d)
+        return cls._on_lattice_points(lattice, fan)
 
     @property
     def dim(self) -> int:

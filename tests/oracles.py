@@ -43,6 +43,10 @@ the Fraction tuples.
 off the Hirzebruch-Jung continued fraction of its quotient, in O(log r)
 steps, so it checks ``mld`` at orders far past the brute force's reach.
 
+``coset_lattice_oracle`` is ``mld._coset_lattice`` before an identity cone
+read its coset lattice off the lattice's rows and Z^d skipped the product:
+every cone takes (H K) over D_N q to lowest terms and its Hermite form mod D.
+
 ``cone_generators`` reads a cone's generator rows off its fan's rays, which
 a ``SimplicialCone`` does not store.  ``with_guard`` runs a library call
 under a given work guard, which the library reads only from ``GUARD``.
@@ -58,7 +62,7 @@ from typing import Callable, Optional, Sequence
 from itertools import combinations
 
 from toricmld import Fan, Lattice, NoPairFoundError, ToricVariety, find_witness, lift_to_X, mld
-from toricmld.exactmath import hnf, invariant_factors, iroot_floor, snf, vec_mat
+from toricmld.exactmath import hnf, hnf_mod, invariant_factors, iroot_floor, snf, vec_mat
 from toricmld.lattice import LatticeError, NotInLatticeError, Vector, ZeroVectorError
 from toricmld.mfs import FiberData, InvalidMfsError, ToricMfs
 from toricmld.mld import GUARD, MldResult, TooLargeError, _check_cones, _scaled_generators
@@ -69,6 +73,19 @@ from toricmld.witness import EffectiveDelta, NotInBaseLatticeError
 def cone_generators(fan: Fan, cone) -> tuple[Vector, ...]:
     """The generator rows of ``cone``, one of ``fan``'s cones, as Fractions."""
     return tuple(fan.rays[i] for i in cone.ray_indices)
+
+
+def coset_lattice_oracle(x_var: ToricVariety, ci: int):
+    """(D, h, gint) of cone ``ci`` as ``mld._coset_lattice`` gives it, always
+    through the product H K and ``hnf_mod``; None when D = 1."""
+    lat = x_var.lattice
+    k, q = x_var.fan.max_cones[ci].inverse
+    bary = [vec_mat(row, k) for row in lat.rows]
+    common = math.gcd(lat.denominator * q, *(x for row in bary for x in row))
+    denom = lat.denominator * q // common
+    if denom == 1:
+        return None
+    return denom, hnf_mod([[x // common for x in row] for row in bary], denom), _scaled_generators(x_var, ci)
 
 
 def with_guard(guard: int, fn: Callable, *args):

@@ -11,7 +11,11 @@ primitivization and ``ToricVariety.rays_primitive`` is checked against the
 kernels it replaced (``oracles``), results and errors alike.  Every fan the
 library builds must carry its rays' integer table, equal to ``_integral``
 of its rays: rays = ints / e with e least, and no search or check of the
-library may build the rays' Fraction view from it.
+library may build the rays' Fraction view from it.  The orthant that
+``cyclic_quotient`` and ``assemble_mfs`` build in closed form must be the
+checked fan on the primitive axis rays, and each cone's coset lattice, read
+off the lattice's rows on an identity cone, must be the one the product
+H K and ``hnf_mod`` give (``oracles.coset_lattice_oracle``).
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cone_generators, det_bareiss, primitivize_oracle, rays_primitive_oracle, solve_oracle, to_ambient_oracle
+from oracles import cone_generators, coset_lattice_oracle, det_bareiss, primitivize_oracle, rays_primitive_oracle, solve_oracle, to_ambient_oracle
 from test_fiber import fibrations
 from toricmld import (
     Fan,
@@ -43,6 +48,7 @@ from toricmld import (
 from toricmld.cli import load_instance
 from toricmld.exactmath import _integral, det, inverse, mat_mul, vec_mat
 from toricmld.mfs import assemble_mfs, family_spec
+from toricmld.mld import _coset_lattice
 
 F = Fraction
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -297,3 +303,79 @@ def test_family_path_builds_no_ray_fractions():
 @given(standard_simplex_fibrations())
 def test_fibration_path_builds_no_ray_fractions(mfs):
     assert_no_ray_fractions(mfs)
+
+
+@st.composite
+def quotient_lattices(draw):
+    """Z^d, d = 1..4, plus one or two vectors in (1/r)Z^d; r = 1 gives Z^d."""
+    d = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 60))
+    coords = st.lists(st.integers(0, r - 1), min_size=d, max_size=d)
+    gens = [tuple(F(a, r) for a in draw(coords)) for _ in range(draw(st.integers(1, 2)))]
+    return Lattice.from_generators(d, gens)
+
+
+def _cones(fan):
+    return [(c.ray_indices, c.inverse) for c in fan.max_cones]
+
+
+@PROPERTY
+@given(quotient_lattices())
+@example(Lattice.standard(3))
+@example(Lattice.from_generators(2, [(F(1, 50), F(24, 50))]))  # 1/50(1, 24): e_1 / 2 is primitive
+def test_orthant_is_the_checked_fan_on_the_primitive_axes(lat):
+    d = lat.dim
+    rows = [lat._primitive_scaled([int(i == j) for j in range(d)], 1) for i in range(d)]
+    want = Fan._from_scaled(rows, lat.denominator, [list(range(d))])
+    got = ToricVariety._orthant(lat)
+    assert got.lattice is lat
+    assert (got.fan.integral, got.fan.dim) == (want.integral, want.dim)
+    assert _cones(got.fan) == _cones(want)
+
+
+def test_cyclic_quotients_and_bases_are_orthants():
+    assert _cones(cyclic_quotient(50, (1, 24)).fan) == [((0, 1), (((2, 0), (0, 1)), 1))]
+    assert _cones(cyclic_quotient(617, (1, 1)).fan) == [((0, 1), (((1, 0), (0, 1)), 1))]
+    fam = example_family(4)
+    assert fam.y.fan.integral == ToricVariety._orthant(fam.y.lattice).fan.integral
+    assert _cones(fam.y.fan) == _cones(ToricVariety._orthant(fam.y.lattice).fan)
+
+
+def assert_coset_lattices_match(x_var):
+    for ci, cone in enumerate(x_var.fan.max_cones):
+        got, want = _coset_lattice(x_var, ci), coset_lattice_oracle(x_var, ci)
+        if want is None:
+            assert got is None
+            continue
+        denom, h, gint = got
+        assert (denom, [list(row) for row in h], gint) == want
+        k, q = cone.inverse
+        if q == 1 and k == tuple(tuple(int(i == j) for j in range(x_var.dim)) for i in range(x_var.dim)):
+            assert h is x_var.lattice.rows  # the identity cone's shortcut
+
+
+@st.composite
+def standard_cones(draw):
+    """One cone over Z^d, d = 1..4, on primitive rays, most not unimodular."""
+    d = draw(st.integers(1, 4))
+    entries = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    rows = draw(st.lists(entries, min_size=d, max_size=d))
+    assume(det_bareiss(rows) != 0)
+    lat = Lattice.standard(d)
+    rays = [lat.primitivize(row) for row in rows]
+    return ToricVariety(lat, Fan.build(rays, [list(range(d))]))
+
+
+@PROPERTY
+@given(st.one_of(quotient_lattices().map(ToricVariety._orthant), standard_cones(), varieties()))
+@example(cyclic_quotient(617, (1, 1)))
+@example(cyclic_quotient(50, (1, 24)))
+def test_coset_lattice_matches_the_product_and_hermite_form(x_var):
+    assert_coset_lattices_match(x_var)
+
+
+@pytest.mark.parametrize("l", range(2, 8))
+def test_family_coset_lattices_match_the_product_and_hermite_form(l):
+    fam = example_family(l)
+    assert_coset_lattices_match(fam.x)
+    assert_coset_lattices_match(fam.y)

@@ -379,4 +379,4 @@ def test_width_engine_basis_is_dual_to_the_sorted_rows(x_var):
     # the basis the engine used to get from a second inverse: D (dual^T)^-1
     k, q = scaled_inverse([list(col) for col in zip(*dual)])
     assert basis == [[denom * x // q for x in row] for row in k]
-    assert hnf(basis)[0] == h
+    assert hnf(basis)[0] == [list(row) for row in h]  # an identity cone's h is the lattice's tuples
