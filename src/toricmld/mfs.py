@@ -18,27 +18,38 @@ Those fiber-cone inverses are derived once, in ``ToricMfs._fiber_inverses``,
 which is all the witness layer reads of the fiber, so only callers of
 ``generic_fiber`` build it.  ``assemble_mfs`` is the one place that builds
 a fibration from its normal-form parameters; it checks their shapes but not
-the geometry, so ``validate`` can report every failed check.  ``make_mfs``
-is the safe constructor that gates the assembly.  ``example_family`` builds the
-weighted-quotient family (parameters in ``family_spec``) whose base
-discrepancy shrinks like the fourth power of the total-space discrepancy.
+the geometry, so ``validate`` can report every failed check.  With no ray
+or cone override it builds X's fan in ``_product_fan`` from one solve of
+the fiber simplex, with no elimination in dimension m + n, and hands that
+solve's barycentrics to the report.  ``make_mfs`` is the safe constructor
+that gates the assembly.  ``example_family`` builds the weighted-quotient
+family (parameters in ``family_spec``) whose base discrepancy shrinks like
+the fourth power of the total-space discrepancy.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import add
 from typing import Iterable, Optional, Sequence
 
-from .exactmath import _least_terms, as_fractions, hnf_mod, invariant_factors
+from .exactmath import (
+    SingularMatrixError,
+    _integral,
+    _least_terms,
+    adjugate,
+    as_fractions,
+    hnf_mod,
+    invariant_factors,
+)
 from .lattice import Lattice, Vector, _fractions
 from .mld import _Budget, mld
-from .toric import Fan, SimplicialCone, ToricVariety, origin_barycentrics
+from .toric import Fan, NonSimplicialError, SimplicialCone, ToricVariety, origin_barycentrics
 
 
 # fibrations up to this dimension m + n set up under any work guard; the
@@ -69,10 +80,13 @@ class BadParameterError(ValueError):
 @dataclass(frozen=True)
 class ToricMfs:
     """A fibration X -> Y in normal form, F being the projection onto the
-    last dim Y coordinates; ``report`` is its one validation."""
+    last dim Y coordinates; ``report`` is its one validation.
+    ``_fiber_solve`` is the origin's barycentrics when the set-up solved the
+    fiber simplex already (``assemble_mfs``'s closed-form fan), else None."""
 
     x: ToricVariety
     y: ToricVariety
+    _fiber_solve: Optional[tuple[Fraction, ...]] = field(default=None, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -107,7 +121,10 @@ class ToricMfs:
     def _origin_barycentrics(self) -> Optional[tuple[Fraction, ...]]:
         """The origin's barycentrics in the fiber simplex, None when it is
         degenerate: solved once, for the ``fiber_simplex`` check and ``fiber``,
-        on the integer table, since scaling the vertices keeps the solution."""
+        on the integer table, since scaling the vertices keeps the solution,
+        unless the set-up handed over its solve."""
+        if self._fiber_solve is not None:
+            return self._fiber_solve
         m, ints = self.m, self.x.fan.integral[0]
         return origin_barycentrics([ints[i][:m] for i in self._kernel_ray_indices])
 
@@ -329,6 +346,54 @@ def _normal_form_rays(m: int, n: int, fiber_rays: Sequence[Sequence[int]]) -> li
     ]
 
 
+def _product_fan(ints: tuple, e: int, m: int) -> Optional[tuple[Fan, tuple[Fraction, ...]]]:
+    """(fan, ys): X's fan on the normal-form table rays = ints / e, each
+    maximal cone omitting one fiber ray, built from one solve of the fiber
+    simplex, and the origin's barycentrics ys in it; None when the simplex is
+    affinely degenerate, so that ``Fan._from_scaled`` diagnoses it.
+
+    For A the (m+1) x (m+1) matrix whose column i is (w_i, 1), w_i the fiber
+    block of ray i, and adj(A) = (B, delta): y_i = B[i][m] / delta.  The cone
+    omitting fiber ray j gives the point x the coordinate
+    e x . (B[i][:m] B[j][m] - B[j][:m] B[i][m]) / (delta B[j][m]) on fiber
+    ray i, the rank-one step that zeroes the coordinate on ray j, and
+    e x_(m+l) / b_l on the base ray with axis entry b_l.  B[j][m] is the
+    cofactor of the other m fiber blocks, so it is 0 iff they are dependent,
+    and that cone raises as in ``Fan._from_scaled``.  Every other check there
+    holds by construction: delta != 0 makes the fiber rays distinct, and
+    base rays differ from them and from each other in their base blocks.
+    """
+    n = len(ints[0]) - m
+    a = [[ints[i][r] for i in range(m + 1)] for r in range(m)] + [[1] * (m + 1)]
+    try:
+        b, delta = adjugate(a)
+    except SingularMatrixError:
+        return None
+    axes = [ints[m + 1 + l][m + l] for l in range(n)]
+    lcm = math.lcm(*axes)
+    cones = []
+    for j in range(m + 1):
+        idx = tuple(i for i in range(m + n + 1) if i != j)
+        bj, pivot = b[j], b[j][m]
+        if not pivot:
+            raise NonSimplicialError(f"cone {idx} generators are dependent")
+        # the cone's columns over the common denominator delta B[j][m] lcm(b)
+        den = delta * pivot * lcm
+        cols = [
+            [e * lcm * (b[i][r] * pivot - bj[r] * b[i][m]) for r in range(m)] + [0] * n
+            for i in range(m + 1)
+            if i != j
+        ]
+        cols += [[0] * (m + l) + [e * den // axes[l]] + [0] * (n - 1 - l) for l in range(n)]
+        g = math.gcd(den, *chain.from_iterable(cols))
+        if den < 0:
+            g = -g
+        k = tuple(tuple(x // g for x in row) for row in zip(*cols))
+        cones.append(SimplicialCone(idx, (k, den // g)))
+    ys = tuple(Fraction(b[i][m], delta) for i in range(m + 1))
+    return Fan((ints, e), tuple(cones), m + n), ys
+
+
 def assemble_mfs(
     m: int,
     n: int,
@@ -344,37 +409,50 @@ def assemble_mfs(
     ``validate`` can report every structural check on the result.  The rays
     of X are the primitive generators on the fiber rays and the base axes,
     and each maximal cone omits one fiber ray, unless ``rays`` and
-    ``max_cones`` override them.  Y is the orthant over its primitive axis
-    rays in Z^n + (1/c_l) e_l + the base parts of the extra generators,
-    built in closed form by ``ToricVariety._orthant``, with no elimination.
+    ``max_cones`` override them.  With neither override the fan is
+    ``_product_fan``'s, or, on an affinely degenerate fiber simplex, the
+    checked fan on the same table; overrides get every check.  Y is the
+    orthant over its primitive axis rays in Z^n + (1/c_l) e_l + the base
+    parts of the extra generators, built in closed form by
+    ``ToricVariety._orthant``, with no elimination.
 
-    The Hermite forms and cone inverses of the set-up take time cubic in
-    m + n, and nothing of it is counted as it runs.  So the set-up is charged
-    by size instead: before any lattice is built, a dimension m + n above
-    ``_SETUP_FREE_DIM`` spends (m + n)^3 units of a ``_Budget``, so one whose
-    cube exceeds ``GUARD`` raises TooLargeError.
-    Set-ups up to that dimension pass any guard, so a small guard still
-    reaches the mld searches that follow them.
+    The Hermite forms of the set-up take time cubic in m + n, and the cone
+    inverses (m + 1)(m + n)^2 with the fiber solve, or (m + 1)(m + n)^3 on
+    the checked path; nothing of it is counted as it runs.  So the set-up
+    is charged by size instead: before any lattice is built, a dimension
+    m + n above ``_SETUP_FREE_DIM`` spends (m + n)^3 units of a ``_Budget``,
+    so one whose cube exceeds ``GUARD`` raises TooLargeError.  Set-ups up
+    to that dimension pass any guard, so a small guard still reaches the
+    mld searches that follow them.
     """
     extras = _check_parameters(m, n, fiber_rays, base_multiples, extra_generators)
     if m + n > _SETUP_FREE_DIM:
         _Budget(f"fibration set-up of dimension {m + n}").spend((m + n) ** 3)
-    x_lattice = Lattice.from_generators(m + n, extras)
-    y_lattice = Lattice.from_generators(
+    gens, d = _integral(extras)  # extras = gens / d; Y adds (1 / c_l) e_l
+    x_lattice = Lattice._from_scaled(m + n, d, gens)
+    c = [int(x) for x in base_multiples]
+    d_y = math.lcm(d, *c)
+    y_lattice = Lattice._from_scaled(
         n,
-        [tuple(Fraction(int(j == l), int(base_multiples[l])) for j in range(n)) for l in range(n)]
-        + [g[m:] for g in extras],
+        d_y,
+        [[d_y // c[l] * (j == l) for j in range(n)] for l in range(n)]
+        + [[d_y // d * x for x in row[m:]] for row in gens],
     )
-    if max_cones is None:
+    cones = max_cones
+    if cones is None:
         count = m + n + 1 if rays is None else len(rays)
-        max_cones = [[i for i in range(count) if i != j] for j in range(m + 1)]
+        cones = [[i for i in range(count) if i != j] for j in range(m + 1)]
+    x_fan, ys = None, None
     if rays is None:
         rows = [x_lattice._primitive_scaled(v, 1) for v in _normal_form_rays(m, n, fiber_rays)]
-        x_fan = Fan._from_scaled(rows, x_lattice.denominator, max_cones)
+        if max_cones is None:
+            x_fan, ys = _product_fan(*_least_terms(rows, x_lattice.denominator), m) or (None, None)
+        if x_fan is None:  # given cones, or a degenerate simplex, get every check
+            x_fan = Fan._from_scaled(rows, x_lattice.denominator, cones)
         x_var = ToricVariety._on_lattice_points(x_lattice, x_fan)
     else:  # given rays must be checked to be lattice points
-        x_var = ToricVariety(x_lattice, Fan.build(rays, max_cones))
-    return ToricMfs(x=x_var, y=ToricVariety._orthant(y_lattice))
+        x_var = ToricVariety(x_lattice, Fan.build(rays, cones))
+    return ToricMfs(x=x_var, y=ToricVariety._orthant(y_lattice), _fiber_solve=ys)
 
 
 def warn_replaced_rays(mfs: ToricMfs, fiber_rays: Sequence[Sequence[int]]) -> None:

@@ -6,12 +6,14 @@ ray generators as one integer table (ints, e), rays = ints / e, plus the
 index sets of the maximal cones and each full-dimensional cone's integer
 inverse.  The library reads only the table; the rays as Fractions are built
 on first read, for output.  Only simplicial cones are representable;
-non-simplicial input is rejected when the fan is built.  Two builders
+non-simplicial input is rejected when the fan is built.  Three builders
 make a fan unchecked, since every check holds by construction: the
 orthant over a lattice on its primitive axis rays, ``ToricVariety._orthant``
 (the cyclic quotients and every fibration's base), whose table and diagonal
-inverse are read off one substitution per axis, and ``ToricMfs.fiber``,
-which reuses the cone inverses of the total space.
+inverse are read off one substitution per axis; the total space of a
+fibration in normal form, ``mfs._product_fan``, whose cone inverses are
+read off one solve of the fiber simplex and the base diagonal; and
+``ToricMfs.fiber``, which reuses the cone inverses of the total space.
 
 The log discrepancy of a lattice point v is the value at v of the function
 that is linear on every cone and equals 1 on each primitive ray generator.
@@ -75,9 +77,9 @@ class Fan:
     ``integral`` is the rays' one stored form, the integer table (ints, e):
     rays = ints / e, e > 0 the least such, the lcm of the rays' denominators.
     ``build`` and ``_from_scaled`` make it as they check the fan,
-    ``ToricVariety._orthant`` in closed form, and every reader in the
-    library reads it.  ``rays``, the same rays as Fraction
-    tuples, is built from it on first read, for output and tests.  A fan
+    ``ToricVariety._orthant`` and ``mfs._product_fan`` in closed form, and
+    every reader in the library reads it.  ``rays``, the same rays as
+    Fraction tuples, is built from it on first read, for output and tests.  A fan
     constructed directly, ``Fan(integral, max_cones, dim)``, is not checked.
     """
 
@@ -252,8 +254,8 @@ def origin_barycentrics(vertices: Sequence[Vector]) -> Optional[tuple[Fraction, 
     if k != dim + 1:
         raise WrongShapeError(f"need {dim + 1} vertices in dimension {dim}")
     a = [[vertices[i][j] for i in range(k)] for j in range(dim)]
-    a.append([Fraction(1)] * k)
-    b = [Fraction(0)] * dim + [Fraction(1)]
+    a.append([1] * k)
+    b = [0] * dim + [1]
     try:
         return tuple(solve_exact(a, b))
     except SingularMatrixError:

@@ -37,6 +37,8 @@ ORACLE_THIN_STDOUT_SHA256 = "93ff42c836e45cc439fa45ed23d0962a39c416244939df9aa0a
 SHEARED = str(Path(__file__).parent / "golden" / "mfs_sheared_bound.json")
 SHEARED_STDOUT_SHA256 = "80bd99129339f0fccca3f97804f2dd6972ecdd13558b30d355c306f9156d66d1"
 COKERNEL = str(Path(__file__).parent / "golden" / "mfs_cokernel.json")
+COLLINEAR = str(Path(__file__).parent / "golden" / "mfs_degenerate_collinear.json")
+FACET = str(Path(__file__).parent / "golden" / "mfs_degenerate_facet.json")
 
 
 def write(tmp_path, name, doc):
@@ -549,6 +551,34 @@ def test_validate_reports_the_cokernel_in_smith_form(capsys):
     assert out.endswith("overall: FAIL\n")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "87d1890a8c0ce971628b8c131798de6bcaacb7d829f1c21112f4c712caae39fa"
+    )
+
+
+def test_validate_reports_a_collinear_fiber_simplex(capsys):
+    # (1, 0), (0, 1), (2, -1) lie on one line, so no closed-form fan exists
+    # and the checked fan is built; stdout is pinned by its sha256 in CI too
+    assert main(["validate", COLLINEAR]) == EXIT_ERROR
+    out = capsys.readouterr().out
+    assert "FAIL  fiber_simplex         fiber vertices are affinely degenerate\n" in out
+    assert [line[:4] for line in out.splitlines()] == ["PASS"] * 3 + ["FAIL"] + ["PASS"] * 3 + ["FAIL", "over"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "37b2942318b748fb152d596bdbbd730599d7862b737b958d87e8dda0f390a687"
+    )
+
+
+def test_validate_rejects_a_fiber_facet_through_the_origin(capsys):
+    # (1, 0) and (-1, 0) span no cone, so the cone omitting (0, 1) fails
+    assert main(["validate", FACET]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $: cone (0, 1, 3) generators are dependent\n"
+
+
+@pytest.mark.parametrize("path", [COLLINEAR, FACET])
+def test_mld_rejects_a_degenerate_fiber_simplex(path, capsys):
+    assert main(["mld", path]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: fiber rays must form a simplex with the origin strictly inside\n"
     )
 
 

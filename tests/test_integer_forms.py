@@ -13,7 +13,9 @@ library builds must carry its rays' integer table, equal to ``_integral``
 of its rays: rays = ints / e with e least, and no search or check of the
 library may build the rays' Fraction view from it.  The orthant that
 ``cyclic_quotient`` and ``assemble_mfs`` build in closed form must be the
-checked fan on the primitive axis rays, and each cone's coset lattice, read
+checked fan on the primitive axis rays, X's fan that ``assemble_mfs``
+builds from one solve of the fiber simplex must be the checked fan on the
+normal-form rays, errors included, and each cone's coset lattice, read
 off the lattice's rows on an identity cone, must be the one the product
 H K and ``hnf_mod`` give (``oracles.coset_lattice_oracle``).
 """
@@ -47,8 +49,9 @@ from toricmld import (
 )
 from toricmld.cli import load_instance
 from toricmld.exactmath import _integral, det, inverse, mat_mul, vec_mat
-from toricmld.mfs import assemble_mfs, family_spec
+from toricmld.mfs import _normal_form_rays, assemble_mfs, family_spec
 from toricmld.mld import _coset_lattice
+from toricmld.toric import origin_barycentrics
 
 F = Fraction
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -339,6 +342,52 @@ def test_cyclic_quotients_and_bases_are_orthants():
     fam = example_family(4)
     assert fam.y.fan.integral == ToricVariety._orthant(fam.y.lattice).fan.integral
     assert _cones(fam.y.fan) == _cones(ToricVariety._orthant(fam.y.lattice).fan)
+
+
+def assert_product_fan_is_the_checked_fan(m, n, fiber_rays, extras=()):
+    """``assemble_mfs``'s X fan, in closed form unless the fiber simplex is
+    degenerate, against ``Fan._from_scaled`` on the same rows: the table,
+    each cone's indices and (K, q), or the same error; and the barycentrics
+    it hands over against ``origin_barycentrics`` on the table."""
+    lat = Lattice.from_generators(m + n, extras)
+    rows = [lat._primitive_scaled(v, 1) for v in _normal_form_rays(m, n, fiber_rays)]
+    cones = [[i for i in range(m + n + 1) if i != j] for j in range(m + 1)]
+    want = _outcome(Fan._from_scaled, rows, lat.denominator, cones)
+    got = _outcome(assemble_mfs, m, n, fiber_rays, [1] * n, extras)
+    if isinstance(want, tuple):  # (type, message) of the error
+        assert got == want
+        return
+    assert (got.x.fan.integral, got.x.fan.dim) == (want.integral, want.dim)
+    assert _cones(got.x.fan) == _cones(want)
+    ys = origin_barycentrics([w[:m] for w in want.integral[0][: m + 1]])
+    assert got._fiber_solve == ys  # None iff degenerate, and then solved again
+    assert got._origin_barycentrics == ys
+
+
+@st.composite
+def normal_form_parameters(draw):
+    """m = 1..4, n = 1..3, nonzero fiber rays with entries in [-3, 3], and
+    zero or one extra generator."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    ray = st.lists(st.integers(-3, 3), min_size=m, max_size=m).filter(any)
+    fiber_rays = draw(st.lists(ray, min_size=m + 1, max_size=m + 1))
+    extras = draw(st.lists(st.lists(rationals(), min_size=m + n, max_size=m + n), max_size=1))
+    return m, n, fiber_rays, extras
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(normal_form_parameters())
+@example((2, 1, [[1, 0], [0, 1], [2, -1]], []))  # collinear: the degenerate fallback
+@example((2, 1, [[1, 0], [-1, 0], [0, 1]], []))  # cone (0, 1, 3) is dependent
+@example((2, 1, [[1, 0], [2, 0], [0, 1]], []))  # duplicate primitive rays
+def test_product_fan_is_the_checked_fan(params):
+    assert_product_fan_is_the_checked_fan(*params)
+
+
+@pytest.mark.parametrize("l", range(2, 15))
+def test_family_product_fan_is_the_checked_fan(l):
+    spec = family_spec(l)
+    assert_product_fan_is_the_checked_fan(spec["m"], spec["n"], spec["fiber_rays"], spec["extra_generators"])
 
 
 def assert_coset_lattices_match(x_var):
