@@ -19,12 +19,13 @@ which is all the witness layer reads of the fiber, so only callers of
 ``generic_fiber`` build it.  ``assemble_mfs`` is the one place that builds
 a fibration from its normal-form parameters; it checks their shapes but not
 the geometry, so ``validate`` can report every failed check.  With no ray
-or cone override it builds X's fan in ``_product_fan`` from one solve of
-the fiber simplex, with no elimination in dimension m + n, and hands that
-solve's barycentrics to the report.  ``make_mfs`` is the safe constructor
-that gates the assembly.  ``example_family`` builds the weighted-quotient
-family (parameters in ``family_spec``) whose base discrepancy shrinks like
-the fourth power of the total-space discrepancy.
+or cone override it builds X's fan in ``_product_fan`` from the fiber
+blocks of its block-diagonal cones, with no elimination in dimension
+m + n, and hands the origin's barycentrics read off the first cone to the
+report.  ``make_mfs`` is the safe constructor that gates the assembly.
+``example_family`` builds the weighted-quotient family (parameters in
+``family_spec``) whose base discrepancy shrinks like the fourth power of
+the total-space discrepancy.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .exactmath import (
     SingularMatrixError,
     _integral,
     _least_terms,
-    adjugate,
+    _scaled_inverse,
     as_fractions,
     hnf_mod,
     invariant_factors,
@@ -81,8 +82,9 @@ class BadParameterError(ValueError):
 class ToricMfs:
     """A fibration X -> Y in normal form, F being the projection onto the
     last dim Y coordinates; ``report`` is its one validation.
-    ``_fiber_solve`` is the origin's barycentrics when the set-up solved the
-    fiber simplex already (``assemble_mfs``'s closed-form fan), else None."""
+    ``_fiber_solve`` is the origin's barycentrics when the set-up read them
+    off X's first cone (``assemble_mfs``'s closed-form fan on a
+    nondegenerate simplex), else None."""
 
     x: ToricVariety
     y: ToricVariety
@@ -346,51 +348,42 @@ def _normal_form_rays(m: int, n: int, fiber_rays: Sequence[Sequence[int]]) -> li
     ]
 
 
-def _product_fan(ints: tuple, e: int, m: int) -> Optional[tuple[Fan, tuple[Fraction, ...]]]:
+def _product_fan(ints: tuple, e: int, m: int) -> tuple[Fan, Optional[tuple[Fraction, ...]]]:
     """(fan, ys): X's fan on the normal-form table rays = ints / e, each
-    maximal cone omitting one fiber ray, built from one solve of the fiber
-    simplex, and the origin's barycentrics ys in it; None when the simplex is
-    affinely degenerate, so that ``Fan._from_scaled`` diagnoses it.
+    maximal cone omitting one fiber ray, and the origin's barycentrics ys in
+    the fiber simplex, None when it is affinely degenerate.
 
-    For A the (m+1) x (m+1) matrix whose column i is (w_i, 1), w_i the fiber
-    block of ray i, and adj(A) = (B, delta): y_i = B[i][m] / delta.  The cone
-    omitting fiber ray j gives the point x the coordinate
-    e x . (B[i][:m] B[j][m] - B[j][:m] B[i][m]) / (delta B[j][m]) on fiber
-    ray i, the rank-one step that zeroes the coordinate on ray j, and
-    e x_(m+l) / b_l on the base ray with axis entry b_l.  B[j][m] is the
-    cofactor of the other m fiber blocks, so it is 0 iff they are dependent,
-    and that cone raises as in ``Fan._from_scaled``.  Every other check there
-    holds by construction: delta != 0 makes the fiber rays distinct, and
-    base rays differ from them and from each other in their base blocks.
+    The cone omitting fiber ray j has a block-diagonal generator matrix: the
+    other m fiber blocks over e beside diag(b) / e, b the base axis entries.
+    So its inverse is the fiber block's ``_scaled_inverse`` (K, q) beside
+    diag(e / b), over q.  N contains Z^(m+n), so each base ray is
+    e_(m+l) / g_l and e / b_l = g_l is an integer, as in
+    ``ToricVariety._orthant``; K / q is least, so the whole is.  It raises
+    what ``Fan._checked`` raises, in the same order: duplicate rays, then the
+    first cone whose fiber blocks are dependent; every other check holds by
+    construction.  The first cone gives ys: for a_0 the fiber block of ray 0
+    and u = -a_0 K, ys = (e q, u) / (e q + sum(u)), and that sum is 0 iff the
+    simplex is degenerate.
     """
+    if len(set(ints)) != len(ints):
+        raise ValueError("duplicate rays in fan")
     n = len(ints[0]) - m
-    a = [[ints[i][r] for i in range(m + 1)] for r in range(m)] + [[1] * (m + 1)]
-    try:
-        b, delta = adjugate(a)
-    except SingularMatrixError:
-        return None
-    axes = [ints[m + 1 + l][m + l] for l in range(n)]
-    lcm = math.lcm(*axes)
+    fiber = [w[:m] for w in ints[: m + 1]]
+    g = [e // ints[m + 1 + l][m + l] for l in range(n)]
     cones = []
     for j in range(m + 1):
         idx = tuple(i for i in range(m + n + 1) if i != j)
-        bj, pivot = b[j], b[j][m]
-        if not pivot:
-            raise NonSimplicialError(f"cone {idx} generators are dependent")
-        # the cone's columns over the common denominator delta B[j][m] lcm(b)
-        den = delta * pivot * lcm
-        cols = [
-            [e * lcm * (b[i][r] * pivot - bj[r] * b[i][m]) for r in range(m)] + [0] * n
-            for i in range(m + 1)
-            if i != j
-        ]
-        cols += [[0] * (m + l) + [e * den // axes[l]] + [0] * (n - 1 - l) for l in range(n)]
-        g = math.gcd(den, *chain.from_iterable(cols))
-        if den < 0:
-            g = -g
-        k = tuple(tuple(x // g for x in row) for row in zip(*cols))
-        cones.append(SimplicialCone(idx, (k, den // g)))
-    ys = tuple(Fraction(b[i][m], delta) for i in range(m + 1))
+        try:
+            k, q = _scaled_inverse([fiber[i] for i in idx[:m]], e)
+        except SingularMatrixError:
+            raise NonSimplicialError(f"cone {idx} generators are dependent") from None
+        if not j:
+            u = [-sum(x * y for x, y in zip(fiber[0], col)) for col in zip(*k)]
+            s = e * q + sum(u)
+            ys = tuple(Fraction(x, s) for x in [e * q] + u) if s else None
+        rows = [row + (0,) * n for row in k]
+        rows += [(0,) * (m + l) + (q * g[l],) + (0,) * (n - 1 - l) for l in range(n)]
+        cones.append(SimplicialCone(idx, (tuple(rows), q)))
     return Fan((ints, e), tuple(cones), m + n), ys
 
 
@@ -410,15 +403,14 @@ def assemble_mfs(
     of X are the primitive generators on the fiber rays and the base axes,
     and each maximal cone omits one fiber ray, unless ``rays`` and
     ``max_cones`` override them.  With neither override the fan is
-    ``_product_fan``'s, or, on an affinely degenerate fiber simplex, the
-    checked fan on the same table; overrides get every check.  Y is the
-    orthant over its primitive axis rays in Z^n + (1/c_l) e_l + the base
-    parts of the extra generators, built in closed form by
-    ``ToricVariety._orthant``, with no elimination.
+    ``_product_fan``'s, degenerate simplices included; overrides get every
+    check.  Y is the orthant over its primitive axis rays in
+    Z^n + (1/c_l) e_l + the base parts of the extra generators, built in
+    closed form by ``ToricVariety._orthant``, with no elimination.
 
     The Hermite forms of the set-up take time cubic in m + n, and the cone
-    inverses (m + 1)(m + n)^2 with the fiber solve, or (m + 1)(m + n)^3 on
-    the checked path; nothing of it is counted as it runs.  So the set-up
+    inverses (m + 1) m^3 from the fiber blocks, or (m + 1)(m + n)^3 on the
+    checked path; nothing of it is counted as it runs.  So the set-up
     is charged by size instead: before any lattice is built, a dimension
     m + n above ``_SETUP_FREE_DIM`` spends (m + n)^3 units of a ``_Budget``,
     so one whose cube exceeds ``GUARD`` raises TooLargeError.  Set-ups up
@@ -438,19 +430,19 @@ def assemble_mfs(
         [[d_y // c[l] * (j == l) for j in range(n)] for l in range(n)]
         + [[d_y // d * x for x in row[m:]] for row in gens],
     )
-    cones = max_cones
-    if cones is None:
-        count = m + n + 1 if rays is None else len(rays)
-        cones = [[i for i in range(count) if i != j] for j in range(m + 1)]
-    x_fan, ys = None, None
+    ys = None
     if rays is None:
         rows = [x_lattice._primitive_scaled(v, 1) for v in _normal_form_rays(m, n, fiber_rays)]
+        table = _least_terms(rows, x_lattice.denominator)
         if max_cones is None:
-            x_fan, ys = _product_fan(*_least_terms(rows, x_lattice.denominator), m) or (None, None)
-        if x_fan is None:  # given cones, or a degenerate simplex, get every check
-            x_fan = Fan._from_scaled(rows, x_lattice.denominator, cones)
+            x_fan, ys = _product_fan(*table, m)
+        else:  # given cones get every check
+            x_fan = Fan._checked(*table, max_cones)
         x_var = ToricVariety._on_lattice_points(x_lattice, x_fan)
     else:  # given rays must be checked to be lattice points
+        cones = max_cones
+        if cones is None:
+            cones = [[i for i in range(len(rays)) if i != j] for j in range(m + 1)]
         x_var = ToricVariety(x_lattice, Fan.build(rays, cones))
     return ToricMfs(x=x_var, y=ToricVariety._orthant(y_lattice), _fiber_solve=ys)
 
@@ -491,17 +483,16 @@ def make_mfs(
     then the whole report.  The simplex gate is validation's ``fiber_simplex``
     check: the primitive generators are positive multiples of the fiber rays,
     so the origin is strictly inside the one simplex iff inside the other.
-    Only when no fan can be built over the fiber rays does the gate solve on
-    the rays themselves, so that a degenerate simplex still explains it.
+    Every ValueError of the assembly past its parameter checks, a zero fiber
+    ray, two fiber rays on one primitive ray or a cone whose fiber rays are
+    dependent, puts the origin outside the open simplex, so it fails that
+    gate too.
     """
     try:
         mfs = assemble_mfs(m, n, fiber_rays, base_multiples, extra_generators)
     except BadParameterError:
         raise
     except ValueError:
-        ys = origin_barycentrics([as_fractions(v) for v in fiber_rays])
-        if ys is not None and all(y > 0 for y in ys):
-            raise
         mfs = None
     if mfs is None or not mfs.report["fiber_simplex"].passed:
         raise DegenerateSimplexError(

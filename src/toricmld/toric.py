@@ -7,12 +7,13 @@ index sets of the maximal cones and each full-dimensional cone's integer
 inverse.  The library reads only the table; the rays as Fractions are built
 on first read, for output.  Only simplicial cones are representable;
 non-simplicial input is rejected when the fan is built.  Three builders
-make a fan unchecked, since every check holds by construction: the
-orthant over a lattice on its primitive axis rays, ``ToricVariety._orthant``
-(the cyclic quotients and every fibration's base), whose table and diagonal
-inverse are read off one substitution per axis; the total space of a
-fibration in normal form, ``mfs._product_fan``, whose cone inverses are
-read off one solve of the fiber simplex and the base diagonal; and
+skip the checks that hold by construction: the orthant over a lattice on
+its primitive axis rays, ``ToricVariety._orthant`` (the cyclic quotients
+and every fibration's base), whose table and diagonal inverse are read off
+one substitution per axis; the total space of a fibration in normal form,
+``mfs._product_fan``, whose cone inverses are block diagonal, a fiber
+block's inverse beside the base diagonal, and which keeps the two checks
+that can fail there, duplicate rays and dependent cones; and
 ``ToricMfs.fiber``, which reuses the cone inverses of the total space.
 
 The log discrepancy of a lattice point v is the value at v of the function
@@ -32,7 +33,6 @@ from typing import Optional, Sequence
 from .exactmath import (
     SingularMatrixError,
     _integral,
-    _least_terms,
     _scaled_inverse,
     as_fractions,
     rank,
@@ -76,7 +76,7 @@ class Fan:
 
     ``integral`` is the rays' one stored form, the integer table (ints, e):
     rays = ints / e, e > 0 the least such, the lcm of the rays' denominators.
-    ``build`` and ``_from_scaled`` make it as they check the fan,
+    ``build`` and ``_checked`` make it as they check the fan,
     ``ToricVariety._orthant`` and ``mfs._product_fan`` in closed form, and
     every reader in the library reads it.  ``rays``, the same rays as
     Fraction tuples, is built from it on first read, for output and tests.  A fan
@@ -103,12 +103,6 @@ class Fan:
             raise DimensionMismatchError("rays have mixed dimensions")
         ints, e = _integral(ray_rows)  # every ray read once: rays = ints / e, e least
         return cls._checked(tuple(map(tuple, ints)), e, cone_indices)
-
-    @classmethod
-    def _from_scaled(cls, rows: Sequence[Sequence[int]], denom: int, cone_indices) -> "Fan":
-        """``build`` on the rays rows / denom, for nonempty integer rows of one
-        length: the table is the rows in lowest terms."""
-        return cls._checked(*_least_terms(rows, denom), cone_indices)
 
     @classmethod
     def _checked(cls, ints: tuple, e: int, cone_indices) -> "Fan":

@@ -39,6 +39,8 @@ SHEARED_STDOUT_SHA256 = "80bd99129339f0fccca3f97804f2dd6972ecdd13558b30d355c306f
 COKERNEL = str(Path(__file__).parent / "golden" / "mfs_cokernel.json")
 COLLINEAR = str(Path(__file__).parent / "golden" / "mfs_degenerate_collinear.json")
 FACET = str(Path(__file__).parent / "golden" / "mfs_degenerate_facet.json")
+DUPLICATE = str(Path(__file__).parent / "golden" / "mfs_degenerate_duplicate.json")
+ZERO_RAY = str(Path(__file__).parent / "golden" / "mfs_degenerate_zero_ray.json")
 
 
 def write(tmp_path, name, doc):
@@ -555,8 +557,8 @@ def test_validate_reports_the_cokernel_in_smith_form(capsys):
 
 
 def test_validate_reports_a_collinear_fiber_simplex(capsys):
-    # (1, 0), (0, 1), (2, -1) lie on one line, so no closed-form fan exists
-    # and the checked fan is built; stdout is pinned by its sha256 in CI too
+    # (1, 0), (0, 1), (2, -1) lie on one line, but every two of them span a
+    # cone, so the fan is built; stdout is pinned by its sha256 in CI too
     assert main(["validate", COLLINEAR]) == EXIT_ERROR
     out = capsys.readouterr().out
     assert "FAIL  fiber_simplex         fiber vertices are affinely degenerate\n" in out
@@ -574,7 +576,21 @@ def test_validate_rejects_a_fiber_facet_through_the_origin(capsys):
     assert captured.err == "error: $: cone (0, 1, 3) generators are dependent\n"
 
 
-@pytest.mark.parametrize("path", [COLLINEAR, FACET])
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (DUPLICATE, "duplicate rays in fan"),  # (1, 0) and (2, 0) have one primitive ray
+        (ZERO_RAY, "cannot primitivize the zero vector"),
+    ],
+)
+def test_validate_rejects_a_fiber_ray_that_spans_no_simplex(path, message, capsys):
+    assert main(["validate", path]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: $: {message}\n"
+
+
+@pytest.mark.parametrize("path", [COLLINEAR, FACET, DUPLICATE, ZERO_RAY])
 def test_mld_rejects_a_degenerate_fiber_simplex(path, capsys):
     assert main(["mld", path]) == EXIT_ERROR
     assert capsys.readouterr().err == (

@@ -14,10 +14,10 @@ of its rays: rays = ints / e with e least, and no search or check of the
 library may build the rays' Fraction view from it.  The orthant that
 ``cyclic_quotient`` and ``assemble_mfs`` build in closed form must be the
 checked fan on the primitive axis rays, X's fan that ``assemble_mfs``
-builds from one solve of the fiber simplex must be the checked fan on the
-normal-form rays, errors included, and each cone's coset lattice, read
-off the lattice's rows on an identity cone, must be the one the product
-H K and ``hnf_mod`` give (``oracles.coset_lattice_oracle``).
+builds from the fiber blocks of its block-diagonal cones must be the
+checked fan on the normal-form rays, errors included, and each cone's
+coset lattice, read off the lattice's rows on an identity cone, must be the
+one the product H K and ``hnf_mod`` give (``oracles.coset_lattice_oracle``).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from toricmld import (
     validate,
 )
 from toricmld.cli import load_instance
-from toricmld.exactmath import _integral, det, inverse, mat_mul, vec_mat
+from toricmld.exactmath import _integral, _least_terms, det, inverse, mat_mul, vec_mat
 from toricmld.mfs import _normal_form_rays, assemble_mfs, family_spec
 from toricmld.mld import _coset_lattice
 from toricmld.toric import origin_barycentrics
@@ -329,7 +329,7 @@ def _cones(fan):
 def test_orthant_is_the_checked_fan_on_the_primitive_axes(lat):
     d = lat.dim
     rows = [lat._primitive_scaled([int(i == j) for j in range(d)], 1) for i in range(d)]
-    want = Fan._from_scaled(rows, lat.denominator, [list(range(d))])
+    want = Fan._checked(*_least_terms(rows, lat.denominator), [list(range(d))])
     got = ToricVariety._orthant(lat)
     assert got.lattice is lat
     assert (got.fan.integral, got.fan.dim) == (want.integral, want.dim)
@@ -345,14 +345,14 @@ def test_cyclic_quotients_and_bases_are_orthants():
 
 
 def assert_product_fan_is_the_checked_fan(m, n, fiber_rays, extras=()):
-    """``assemble_mfs``'s X fan, in closed form unless the fiber simplex is
-    degenerate, against ``Fan._from_scaled`` on the same rows: the table,
-    each cone's indices and (K, q), or the same error; and the barycentrics
-    it hands over against ``origin_barycentrics`` on the table."""
+    """``assemble_mfs``'s X fan, in closed form, against ``Fan._checked`` on
+    the same rows in lowest terms: the table, each cone's indices and (K, q),
+    or the same error; and the barycentrics it hands over against
+    ``origin_barycentrics`` on the table."""
     lat = Lattice.from_generators(m + n, extras)
     rows = [lat._primitive_scaled(v, 1) for v in _normal_form_rays(m, n, fiber_rays)]
     cones = [[i for i in range(m + n + 1) if i != j] for j in range(m + 1)]
-    want = _outcome(Fan._from_scaled, rows, lat.denominator, cones)
+    want = _outcome(Fan._checked, *_least_terms(rows, lat.denominator), cones)
     got = _outcome(assemble_mfs, m, n, fiber_rays, [1] * n, extras)
     if isinstance(want, tuple):  # (type, message) of the error
         assert got == want
@@ -377,7 +377,7 @@ def normal_form_parameters(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(normal_form_parameters())
-@example((2, 1, [[1, 0], [0, 1], [2, -1]], []))  # collinear: the degenerate fallback
+@example((2, 1, [[1, 0], [0, 1], [2, -1]], []))  # collinear: the fan exists, ys is None
 @example((2, 1, [[1, 0], [-1, 0], [0, 1]], []))  # cone (0, 1, 3) is dependent
 @example((2, 1, [[1, 0], [2, 0], [0, 1]], []))  # duplicate primitive rays
 def test_product_fan_is_the_checked_fan(params):

@@ -148,9 +148,20 @@ def test_make_mfs_matches_family():
     ]
 
 
-def test_make_mfs_degenerate_simplex():
-    with pytest.raises(DegenerateSimplexError):
-        make_mfs(2, 2, [(1, 0), (0, 1), (1, 1)], (1, 1), [])
+@pytest.mark.parametrize(
+    "fiber_rays",
+    [
+        [(1, 0), (0, 1), (1, 1)],  # the origin is outside
+        [(0, 0), (1, 0), (0, 1)],  # a zero fiber ray
+        [(1, 0), (2, 0), (0, 1)],  # a repeated primitive ray
+        [(1, 0), (-1, 0), (0, 1)],  # opposite rays: a dependent cone
+        [(1, 0), (0, 1), (2, -1)],  # collinear rays
+    ],
+    ids=["outside", "zero_ray", "repeated_ray", "opposite_rays", "collinear"],
+)
+def test_make_mfs_degenerate_simplex(fiber_rays):
+    with pytest.raises(DegenerateSimplexError, match="^fiber rays must form a simplex with the origin strictly inside$"):
+        make_mfs(2, 2, fiber_rays, (1, 1), [])
 
 
 def test_make_mfs_nonsurjective():

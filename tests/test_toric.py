@@ -15,7 +15,7 @@ from toricmld import (
     find_containing_cone,
     log_discrepancy,
 )
-from toricmld.exactmath import _integral
+from toricmld.exactmath import _integral, _least_terms
 
 F = Fraction
 
@@ -151,7 +151,8 @@ def test_fan_rejects_bad_input():
         Fan.build([(1, 0), (0, 1)], [[0, 1], [1, 0]])  # one cone listed twice
 
 
-# malformed fans, each with the type and text both constructors raise
+# malformed fans, each with the type and text that ``build`` and ``_checked``
+# on unreduced rows raise
 MALFORMED_FANS = [
     ([(1, 0), (1, 0), (0, 1)], [[0, 2], [1, 2]], ValueError, "duplicate rays in fan"),
     ([(1, 0), (0, 1)], [[0, 0]], ValueError, "repeated ray index in cone (0, 0)"),
@@ -175,7 +176,7 @@ def test_build_and_from_scaled_raise_the_same_fan_errors(rays, cones, exc, messa
     rays = [tuple(F(x, 2) for x in r) for r in rays]  # a table over e = 2
     ints, e = _integral(rays)
     scaled = [[3 * x for x in row] for row in ints]  # not in lowest terms
-    for make in (lambda: Fan.build(rays, cones), lambda: Fan._from_scaled(scaled, 3 * e, cones)):
+    for make in (lambda: Fan.build(rays, cones), lambda: Fan._checked(*_least_terms(scaled, 3 * e), cones)):
         with pytest.raises(ValueError) as info:
             make()
         assert (type(info.value), str(info.value)) == (exc, message)
