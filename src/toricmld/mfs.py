@@ -11,18 +11,18 @@ omitting one fiber ray.
 ``validate`` re-checks every piece of that structure independently and
 reports per-check results instead of raising, so deliberately broken inputs
 can be diagnosed.  ``ToricMfs.report`` runs the checks once per fibration and
-keeps the result; ``validate`` returns it.  One Hermite form of X's lattice,
-base coordinates first, serves the surjectivity check and the kernel lattice
-of ``ToricMfs.fiber``, whose simplex fan reuses the cone inverses of X.
-Those fiber-cone inverses are derived once, in ``ToricMfs._fiber_inverses``,
+keeps the result; ``validate`` returns it.  The checks read F(N) off the
+base blocks of X's Hermite rows, and the origin's barycentrics off the
+stored inverse of X's cone omitting the first fiber ray.
+``ToricMfs.fiber`` takes its kernel lattice from a base-first Hermite form
+and reuses X's cone inverses, derived once in ``ToricMfs._fiber_inverses``,
 which is all the witness layer reads of the fiber, so only callers of
 ``generic_fiber`` build it.  ``assemble_mfs`` is the one place that builds
 a fibration from its normal-form parameters; it checks their shapes but not
 the geometry, so ``validate`` can report every failed check.  With no ray
 or cone override it builds X's fan in ``_product_fan`` from the fiber
-blocks of its block-diagonal cones, with no elimination in dimension
-m + n, and hands the origin's barycentrics read off the first cone to the
-report.  ``make_mfs`` is the safe constructor that gates the assembly.
+blocks of its block-diagonal cones, with no elimination in dimension m + n.
+``make_mfs`` is the safe constructor that gates the assembly.
 ``example_family`` builds the weighted-quotient family (parameters in
 ``family_spec``) whose base discrepancy shrinks like the fourth power of
 the total-space discrepancy.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import chain, combinations
@@ -81,14 +81,11 @@ class BadParameterError(ValueError):
 @dataclass(frozen=True)
 class ToricMfs:
     """A fibration X -> Y in normal form, F being the projection onto the
-    last dim Y coordinates; ``report`` is its one validation.
-    ``_fiber_solve`` is the origin's barycentrics when the set-up read them
-    off X's first cone (``assemble_mfs``'s closed-form fan on a
-    nondegenerate simplex), else None."""
+    last dim Y coordinates; ``report`` is its one validation, and every
+    fact it reads is derived from the two varieties."""
 
     x: ToricVariety
     y: ToricVariety
-    _fiber_solve: Optional[tuple[Fraction, ...]] = field(default=None, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -106,29 +103,30 @@ class ToricMfs:
         return _run_checks(self)
 
     @cached_property
-    def _base_first_rows(self) -> list[list[int]]:
-        """Hermite rows, modulo D, of D N with the base coordinates first: the
-        base blocks of the top n rows span D F(N), and the last m rows, zero
-        on the base by triangularity, span D (N cap ker F) by their fiber blocks."""
-        m, lat = self.m, self.x.lattice
-        return hnf_mod([row[m:] + row[:m] for row in lat.rows], lat.denominator)
-
-    @cached_property
     def _kernel_ray_indices(self) -> list[int]:
-        """Indices of the rays of X in ker F, the fiber rays: found once for
-        the report's checks, ``_origin_barycentrics`` and ``fiber``."""
+        """Indices of the rays of X in ker F, the fiber rays, in table order:
+        found once for the report's checks, the barycentrics and the fiber."""
         return [i for i, w in enumerate(self.x.fan.integral[0]) if not any(w[self.m:])]
 
     @cached_property
     def _origin_barycentrics(self) -> Optional[tuple[Fraction, ...]]:
-        """The origin's barycentrics in the fiber simplex, None when it is
-        degenerate: solved once, for the ``fiber_simplex`` check and ``fiber``,
-        on the integer table, since scaling the vertices keeps the solution,
-        unless the set-up handed over its solve."""
-        if self._fiber_solve is not None:
-            return self._fiber_solve
-        m, ints = self.m, self.x.fan.integral[0]
-        return origin_barycentrics([ints[i][:m] for i in self._kernel_ray_indices])
+        """The origin's barycentrics in the fiber simplex, in kernel order,
+        None when it is degenerate, for ``fiber_simplex`` and ``fiber``.  The
+        cone on every ray but the first fiber ray v_0 = w_0 / e has n
+        generators independent on the base, so -v_0 = (u / e q) . (the other
+        fiber rays) for u = -w_0 K at their columns, and ys is (e q, u) over
+        its sum, which is 0 iff the simplex is degenerate.  A fan without that
+        cone gets one solve on the table, as scaling vertices keeps ys."""
+        m, kernel, (ints, e) = self.m, self._kernel_ray_indices, self.x.fan.integral
+        w0 = ints[kernel[0]][:m]
+        for cone in self.x.fan.max_cones:
+            idx = cone.ray_indices
+            if len(idx) == len(ints) - 1 and kernel[0] not in idx and cone.inverse is not None:
+                k, q = cone.inverse
+                u = [-sum(a * row[idx.index(i)] for a, row in zip(w0, k)) for i in kernel[1:]]
+                s = e * q + sum(u)
+                return tuple(Fraction(x, s) for x in [e * q] + u) if s else None
+        return origin_barycentrics([ints[i][:m] for i in kernel])
 
     @cached_property
     def _fiber_inverses(self) -> tuple[tuple[tuple[int, ...], tuple], ...]:
@@ -158,11 +156,13 @@ class ToricMfs:
     def fiber(self) -> FiberData:
         """The fiber over the dense base point (kernel lattice, simplex fan,
         the origin's barycentrics), read off X on first use and kept: the
-        lattice from ``_base_first_rows``, the cones from ``_fiber_inverses``,
-        and the barycentrics from the report's ``fiber_simplex`` solve."""
+        cones from ``_fiber_inverses``, the barycentrics from the report's
+        ``fiber_simplex`` check, and the lattice from a base-first Hermite form."""
         inverses = self._fiber_inverses  # raises on a fibration that fails validation
-        m, n, denom = self.m, self.n, self.x.lattice.denominator
-        z_lattice = Lattice._from_scaled(m, denom, [row[n:] for row in self._base_first_rows[n:]])
+        m, n, lat = self.m, self.n, self.x.lattice
+        # D N's rows mod D, base first: the last m, zero on the base, span D (N cap ker F)
+        base_first = hnf_mod([row[m:] + row[:m] for row in lat.rows], lat.denominator)
+        z_lattice = Lattice._from_scaled(m, lat.denominator, [row[n:] for row in base_first[n:]])
         kernel, (ints, e) = self._kernel_ray_indices, self.x.fan.integral
         # Fan.build's checks hold already: the kernel rays are distinct rays of
         # X and fiber_simplex makes every m of them independent
@@ -252,6 +252,10 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
             axis_of[l] = i
         if sorted(axis_of) != list(range(n)):
             return False, f"base axes covered: {sorted(axis_of)}"
+        y_ints, y_cones = mfs.y.fan.integral[0], mfs.y.fan.max_cones
+        y_axes = {l for w in y_ints for l in range(n) if w[l] > 0 and not any(w[:l] + w[l + 1 :])}
+        if len(y_ints) != n or len(y_axes) != n or len(y_cones) != 1 or y_cones[0].dim != n:
+            return False, "base fan is not the orthant on the base axes"
         multiples = []  # image = (g / e) primitive, for its coordinates C / e and g = gcd(C)
         for l in range(n):
             i = axis_of[l]
@@ -283,9 +287,9 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
         return True, f"{len(actual)} maximal cones of the product shape"
 
     def lattice_surjectivity():
-        denom = mfs.x.lattice.denominator  # F(N): the top n rows' base blocks / D
-        image = [row[:n] for row in mfs._base_first_rows[:n]]
-        if m >= 0 and Lattice._from_scaled(n, denom, image) == mfs.y.lattice:
+        lat = mfs.x.lattice  # D N's Hermite rows span D F(N) by their base blocks
+        image = [row[m:] for row in lat.rows]
+        if m >= 0 and Lattice._from_scaled(n, lat.denominator, image) == mfs.y.lattice:
             return True, "projection maps the total lattice onto the base lattice"
         rows = []  # the failure's detail: where the image leaves, or its cokernel
         for b in mfs.x.lattice.basis:
@@ -348,10 +352,9 @@ def _normal_form_rays(m: int, n: int, fiber_rays: Sequence[Sequence[int]]) -> li
     ]
 
 
-def _product_fan(ints: tuple, e: int, m: int) -> tuple[Fan, Optional[tuple[Fraction, ...]]]:
-    """(fan, ys): X's fan on the normal-form table rays = ints / e, each
-    maximal cone omitting one fiber ray, and the origin's barycentrics ys in
-    the fiber simplex, None when it is affinely degenerate.
+def _product_fan(ints: tuple, e: int, m: int) -> Fan:
+    """X's fan on the normal-form table rays = ints / e, each maximal cone
+    omitting one fiber ray.
 
     The cone omitting fiber ray j has a block-diagonal generator matrix: the
     other m fiber blocks over e beside diag(b) / e, b the base axis entries.
@@ -361,9 +364,7 @@ def _product_fan(ints: tuple, e: int, m: int) -> tuple[Fan, Optional[tuple[Fract
     ``ToricVariety._orthant``; K / q is least, so the whole is.  It raises
     what ``Fan._checked`` raises, in the same order: duplicate rays, then the
     first cone whose fiber blocks are dependent; every other check holds by
-    construction.  The first cone gives ys: for a_0 the fiber block of ray 0
-    and u = -a_0 K, ys = (e q, u) / (e q + sum(u)), and that sum is 0 iff the
-    simplex is degenerate.
+    construction.
     """
     if len(set(ints)) != len(ints):
         raise ValueError("duplicate rays in fan")
@@ -377,14 +378,10 @@ def _product_fan(ints: tuple, e: int, m: int) -> tuple[Fan, Optional[tuple[Fract
             k, q = _scaled_inverse([fiber[i] for i in idx[:m]], e)
         except SingularMatrixError:
             raise NonSimplicialError(f"cone {idx} generators are dependent") from None
-        if not j:
-            u = [-sum(x * y for x, y in zip(fiber[0], col)) for col in zip(*k)]
-            s = e * q + sum(u)
-            ys = tuple(Fraction(x, s) for x in [e * q] + u) if s else None
         rows = [row + (0,) * n for row in k]
         rows += [(0,) * (m + l) + (q * g[l],) + (0,) * (n - 1 - l) for l in range(n)]
         cones.append(SimplicialCone(idx, (tuple(rows), q)))
-    return Fan((ints, e), tuple(cones), m + n), ys
+    return Fan((ints, e), tuple(cones), m + n)
 
 
 def assemble_mfs(
@@ -404,9 +401,10 @@ def assemble_mfs(
     and each maximal cone omits one fiber ray, unless ``rays`` and
     ``max_cones`` override them.  With neither override the fan is
     ``_product_fan``'s, degenerate simplices included; overrides get every
-    check.  Y is the orthant over its primitive axis rays in
-    Z^n + (1/c_l) e_l + the base parts of the extra generators, built in
-    closed form by ``ToricVariety._orthant``, with no elimination.
+    check; the report reads X's barycentrics off its cones either way.  Y is
+    the orthant over its primitive axis rays in Z^n + (1/c_l) e_l + the
+    base parts of the extra generators, built in closed form by
+    ``ToricVariety._orthant``, with no elimination.
 
     The Hermite forms of the set-up take time cubic in m + n, and the cone
     inverses (m + 1) m^3 from the fiber blocks, or (m + 1)(m + n)^3 on the
@@ -430,12 +428,11 @@ def assemble_mfs(
         [[d_y // c[l] * (j == l) for j in range(n)] for l in range(n)]
         + [[d_y // d * x for x in row[m:]] for row in gens],
     )
-    ys = None
     if rays is None:
         rows = [x_lattice._primitive_scaled(v, 1) for v in _normal_form_rays(m, n, fiber_rays)]
         table = _least_terms(rows, x_lattice.denominator)
         if max_cones is None:
-            x_fan, ys = _product_fan(*table, m)
+            x_fan = _product_fan(*table, m)
         else:  # given cones get every check
             x_fan = Fan._checked(*table, max_cones)
         x_var = ToricVariety._on_lattice_points(x_lattice, x_fan)
@@ -444,7 +441,7 @@ def assemble_mfs(
         if cones is None:
             cones = [[i for i in range(len(rays)) if i != j] for j in range(m + 1)]
         x_var = ToricVariety(x_lattice, Fan.build(rays, cones))
-    return ToricMfs(x=x_var, y=ToricVariety._orthant(y_lattice), _fiber_solve=ys)
+    return ToricMfs(x=x_var, y=ToricVariety._orthant(y_lattice))
 
 
 def warn_replaced_rays(mfs: ToricMfs, fiber_rays: Sequence[Sequence[int]]) -> None:

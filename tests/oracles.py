@@ -47,6 +47,11 @@ steps, so it checks ``mld`` at orders far past the brute force's reach.
 read its coset lattice off the lattice's rows and Z^d skipped the product:
 every cone takes (H K) over D_N q to lowest terms and its Hermite form mod D.
 
+``surjectivity_image_oracle`` is F(N) as ``lattice_surjectivity`` read it
+before it took the base blocks of N's own Hermite rows: from the Hermite
+form modulo D of D N with the base coordinates first, whose top n rows span
+D F(N) by their base blocks.
+
 ``cone_generators`` reads a cone's generator rows off its fan's rays, which
 a ``SimplicialCone`` does not store.  ``with_guard`` runs a library call
 under a given work guard, which the library reads only from ``GUARD``.
@@ -86,6 +91,13 @@ def coset_lattice_oracle(x_var: ToricVariety, ci: int):
     if denom == 1:
         return None
     return denom, hnf_mod([[x // common for x in row] for row in bary], denom), _scaled_generators(x_var, ci)
+
+
+def surjectivity_image_oracle(lat: Lattice, m: int) -> Lattice:
+    """The image of N under the projection dropping the first m coordinates."""
+    n = lat.dim - m
+    base_first = hnf_mod([row[m:] + row[:m] for row in lat.rows], lat.denominator)
+    return Lattice._from_scaled(n, lat.denominator, [row[:n] for row in base_first[:n]])
 
 
 def with_guard(guard: int, fn: Callable, *args):

@@ -36,6 +36,7 @@ ORACLE_THIN_STDOUT_SHA256 = "93ff42c836e45cc439fa45ed23d0962a39c416244939df9aa0a
 # (2, 2): it validates, but its witness misses the bound
 SHEARED = str(Path(__file__).parent / "golden" / "mfs_sheared_bound.json")
 SHEARED_STDOUT_SHA256 = "80bd99129339f0fccca3f97804f2dd6972ecdd13558b30d355c306f9156d66d1"
+SHEARED_VALIDATE_SHA256 = "4822ea39c2c41797e09e21e89934a5b7ab290b6138b0b2c19ccfa4e5fa630498"
 COKERNEL = str(Path(__file__).parent / "golden" / "mfs_cokernel.json")
 COLLINEAR = str(Path(__file__).parent / "golden" / "mfs_degenerate_collinear.json")
 FACET = str(Path(__file__).parent / "golden" / "mfs_degenerate_facet.json")
@@ -458,6 +459,16 @@ def test_witness_exits_4_when_its_bound_fails(capsys):
     assert captured.out.endswith("bound_satisfied = false\n")
     assert hashlib.sha256(captured.out.encode()).hexdigest() == SHEARED_STDOUT_SHA256
     assert captured.err == "error: witness bound violated: ld(Q) exceeds (C+1) * delta^(1/(m+1))\n"
+
+
+def test_validate_reads_the_barycentrics_off_a_sheared_cone(capsys):
+    # the report's fiber_simplex comes off the stored inverse of the override
+    # cone omitting the first fiber ray, whose base rays are sheared
+    assert main(["validate", SHEARED]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "fiber_simplex         origin barycentrics ('2/3', '1/6', '1/6')\n" in captured.out
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == SHEARED_VALIDATE_SHA256
+    assert captured.err == ""
 
 
 def line_doc(**fields):

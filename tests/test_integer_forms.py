@@ -18,6 +18,9 @@ builds from the fiber blocks of its block-diagonal cones must be the
 checked fan on the normal-form rays, errors included, and each cone's
 coset lattice, read off the lattice's rows on an identity cone, must be the
 one the product H K and ``hnf_mod`` give (``oracles.coset_lattice_oracle``).
+The report's barycentrics, read off a cone inverse of X on override fans
+too, must be the exact solve, and the image F(N) it reads off N's rows the
+one a base-first Hermite form gives (``oracles.surjectivity_image_oracle``).
 """
 
 from __future__ import annotations
@@ -26,17 +29,19 @@ import math
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cone_generators, coset_lattice_oracle, det_bareiss, primitivize_oracle, rays_primitive_oracle, solve_oracle, to_ambient_oracle
+from oracles import cone_generators, coset_lattice_oracle, det_bareiss, primitivize_oracle, rays_primitive_oracle, solve_oracle, surjectivity_image_oracle, to_ambient_oracle
 from test_fiber import fibrations
 from toricmld import (
     Fan,
     Lattice,
     NotInLatticeError,
+    ToricMfs,
     ToricVariety,
     check_eps_delta,
     cyclic_quotient,
@@ -47,6 +52,7 @@ from toricmld import (
     mld_bruteforce,
     validate,
 )
+from toricmld import mfs as mfs_module
 from toricmld.cli import load_instance
 from toricmld.exactmath import _integral, _least_terms, det, inverse, mat_mul, vec_mat
 from toricmld.mfs import _normal_form_rays, assemble_mfs, family_spec
@@ -347,8 +353,8 @@ def test_cyclic_quotients_and_bases_are_orthants():
 def assert_product_fan_is_the_checked_fan(m, n, fiber_rays, extras=()):
     """``assemble_mfs``'s X fan, in closed form, against ``Fan._checked`` on
     the same rows in lowest terms: the table, each cone's indices and (K, q),
-    or the same error; and the barycentrics it hands over against
-    ``origin_barycentrics`` on the table."""
+    or the same error; and the report's barycentrics, read off X's first
+    cone, against ``origin_barycentrics`` on the table."""
     lat = Lattice.from_generators(m + n, extras)
     rows = [lat._primitive_scaled(v, 1) for v in _normal_form_rays(m, n, fiber_rays)]
     cones = [[i for i in range(m + n + 1) if i != j] for j in range(m + 1)]
@@ -360,8 +366,7 @@ def assert_product_fan_is_the_checked_fan(m, n, fiber_rays, extras=()):
     assert (got.x.fan.integral, got.x.fan.dim) == (want.integral, want.dim)
     assert _cones(got.x.fan) == _cones(want)
     ys = origin_barycentrics([w[:m] for w in want.integral[0][: m + 1]])
-    assert got._fiber_solve == ys  # None iff degenerate, and then solved again
-    assert got._origin_barycentrics == ys
+    assert got._origin_barycentrics == ys  # None iff degenerate
 
 
 @st.composite
@@ -388,6 +393,91 @@ def test_product_fan_is_the_checked_fan(params):
 def test_family_product_fan_is_the_checked_fan(l):
     spec = family_spec(l)
     assert_product_fan_is_the_checked_fan(spec["m"], spec["n"], spec["fiber_rays"], spec["extra_generators"])
+
+
+@st.composite
+def override_fibrations(draw):
+    """``assemble_mfs`` arguments of a family member l = 2..7 given by its
+    rays and cones, moved by the lattice automorphism (f, b) -> (f A + b S, b)
+    for A in GL_m(Z), a product of elementary shears and a swap, and an
+    integer shear S of the base rays; the rays, the cones and each cone's
+    indices are shuffled, and sometimes one cone is dropped."""
+    spec = family_spec(draw(st.integers(2, 7)))
+    m, n = spec["m"], spec["n"]
+    a = [[int(i == j) for j in range(m)] for i in range(m)]
+    index, entry = st.integers(0, m - 1), st.integers(-3, 3)
+    for i, j, c in draw(st.lists(st.tuples(index, index, entry), max_size=4)):
+        if i != j:
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    if draw(st.booleans()):
+        a.reverse()
+    shear = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+
+    def move(v):
+        fiber = zip(vec_mat(v[:m], a), vec_mat(v[m:], shear))
+        return tuple(x + y for x, y in fiber) + tuple(v[m:])
+
+    rays = [move(v) for v in _normal_form_rays(m, n, spec["fiber_rays"])]
+    order = draw(st.permutations(range(len(rays))))  # ray order[k] goes to position k
+    cones = [[order.index(i) for i in range(len(rays)) if i != j] for j in range(m + 1)]
+    cones = [draw(st.permutations(cone)) for cone in draw(st.permutations(cones))]
+    if draw(st.booleans()):
+        cones.pop()
+    fiber_rays = [move(v + (0,) * n)[:m] for v in spec["fiber_rays"]]
+    extras = [move(g) for g in spec["extra_generators"]]
+    return m, n, fiber_rays, [1] * n, extras, [rays[k] for k in order], cones
+
+
+FAMILY_2_EXTRAS = [(F(2, 17), F(4, 17), F(1, 17), F(1, 17))]
+FAMILY_2_RAYS = [(1, 0, 0, 0), (-1, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(override_fibrations())
+@example((2, 2, [(1, 0), (-1, 1), (-1, -1)], [1, 1], FAMILY_2_EXTRAS, FAMILY_2_RAYS, [[1, 2, 3, 4], [0, 2, 3, 4], [0, 1, 3, 4]]))
+@example((2, 2, [(1, 0), (-1, 1), (-1, -1)], [1, 1], FAMILY_2_EXTRAS, FAMILY_2_RAYS, [[0, 2, 3, 4], [0, 1, 3, 4]]))
+@example((2, 2, [(1, 0), (-1, 1), (-1, -1)], [1, 1], FAMILY_2_EXTRAS, FAMILY_2_RAYS + [(0, 1, 1, 0)], [[1, 3, 4, 5], [0, 2, 3, 4], [0, 1, 3, 4]]))
+def test_origin_barycentrics_read_off_an_override_fan(params):
+    """The report's barycentrics equal ``origin_barycentrics`` on the kernel
+    rows of the table, and they are solved iff no cone of X omits just the
+    first fiber ray; otherwise they are read off that cone's inverse.  The
+    examples: the read-off, the solve on a dropped cone, and the solve where
+    the full cone omitting the first fiber ray omits a second one too."""
+    mfs = assemble_mfs(*params)
+    m, kernel, (ints, _) = mfs.m, mfs._kernel_ray_indices, mfs.x.fan.integral
+    want = origin_barycentrics([ints[i][:m] for i in kernel])
+    solves = []
+
+    def counted(vertices):
+        solves.append(vertices)
+        return origin_barycentrics(vertices)
+
+    with patch.object(mfs_module, "origin_barycentrics", counted):
+        assert mfs._origin_barycentrics == want
+    others = set(range(len(ints))) - {kernel[0]}
+    has_cone = any(set(c.ray_indices) == others for c in mfs.x.fan.max_cones)
+    assert len(solves) == (not has_cone)
+
+
+@st.composite
+def split_lattices(draw):
+    """(m, N): a random lattice of dimension m + n, m and n in 1..3."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    vectors = st.lists(rationals(), min_size=m + n, max_size=m + n)
+    return m, Lattice.from_generators(m + n, draw(st.lists(vectors, max_size=3)))
+
+
+@PROPERTY
+@given(split_lattices())
+def test_surjectivity_reads_the_image_off_the_hermite_rows(case):
+    """``lattice_surjectivity`` passes on a base lattice iff it is F(N) of
+    the base-first Hermite form."""
+    m, lat = case
+    want = surjectivity_image_oracle(lat, m)
+    x = ToricVariety._orthant(lat)
+    for base in {want, Lattice.standard(lat.dim - m)}:
+        report = validate(ToricMfs(x=x, y=ToricVariety._orthant(base)))
+        assert report["lattice_surjectivity"].passed == (base == want)
 
 
 def assert_coset_lattices_match(x_var):

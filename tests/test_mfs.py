@@ -268,6 +268,27 @@ def test_mutation_break_surjectivity():
         assert report[name].passed, name
 
 
+def test_mutation_base_fan_off_the_axes():
+    # Y on the family's own base lattice, with one ray over (1, 2) instead of
+    # the second axis: mld(Y) = 1/17, where the orthant gives 2/17
+    fam = example_family(2)
+    lat = fam.y.lattice
+
+    def base(rays):
+        return ToricVariety(lat, Fan.build([lat.primitivize(r) for r in rays], [[0, 1]]))
+
+    sheared = ToricMfs(x=fam.x, y=base([(1, 0), (1, 2)]))
+    assert mld(sheared.y).value == F(1, 17)
+    report = validate(sheared)
+    assert not report.overall
+    assert report["ray_roles"].detail == "base fan is not the orthant on the base axes"
+    assert [c.name for c in report.checks if not c.passed] == ["ray_roles"]
+    with pytest.raises(InvalidMfsError, match=r"normal-form validation failed: \['ray_roles'\]"):
+        find_witness(sheared)
+    # the orthant with its axes listed in another order still passes
+    assert validate(ToricMfs(x=fam.x, y=base([(0, 1), (1, 0)]))).overall
+
+
 def test_mutation_shift_fiber_simplex():
     lat = Lattice.standard(4)
     rays = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
