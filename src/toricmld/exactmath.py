@@ -235,23 +235,22 @@ def hnf_mod(rows: Sequence[Sequence[int]], modulus: int) -> list[list[int]]:
     return h
 
 
-def snf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+def snf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Smith normal form of an integer matrix, built on ``hnf``.
 
-    Returns (S, U, V) with S = U @ m @ V, U and V unimodular, S diagonal
-    with nonnegative entries s_1 | s_2 | ..., zeros last.  S is canonical;
-    U and V are valid transforms but not canonical.  Row and column Hermite
-    forms alternate until S is diagonal (Kannan and Bachem, SIAM J. Comput.
-    8, 1979), then one unimodular gcd step per pair of diagonal entries
-    makes the diagonal a divisibility chain.
+    Returns (S, U) with U unimodular and S = U @ m @ V for some unimodular V,
+    S diagonal with nonnegative entries s_1 | s_2 | ..., zeros last.  S is
+    canonical; U is a valid transform but not canonical.  Row and column
+    Hermite forms alternate until S is diagonal (Kannan and Bachem, SIAM J.
+    Comput. 8, 1979), then one unimodular gcd step per pair of diagonal
+    entries makes the diagonal a divisibility chain.
     """
     rows, cols = len(m), len(m[0]) if m else 0
-    s, u, v = [list(row) for row in m], identity(rows), identity(cols)
+    s, u = [list(row) for row in m], identity(rows)
     while rows and cols:  # the transposes below need both
         s, t = hnf(s)
         u = mat_mul(t, u)
-        s, t = hnf([list(col) for col in zip(*s)])
-        v = mat_mul(v, [list(col) for col in zip(*t)])
+        s, _ = hnf([list(col) for col in zip(*s)])
         s = [list(col) for col in zip(*s)]
         if all(s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j):
             break
@@ -264,15 +263,13 @@ def snf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], l
             g, x, y = xgcd(a, b)
             p, q = a // g, b // g
             u[i], u[j] = _gcd_step(u[i], u[j], x, y, p, q)
-            for row in v:
-                row[i], row[j] = row[i] + row[j], x * p * row[j] - y * q * row[i]
             s[i][i], s[j][j] = g, a * q
-    return s, u, v
+    return s, u
 
 
 def invariant_factors(m: Sequence[Sequence[int]]) -> list[int]:
     """Diagonal of the Smith form, without trailing zeros beyond min(shape)."""
-    s, _, _ = snf(m)
+    s, _ = snf(m)
     return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
 
 

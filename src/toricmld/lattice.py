@@ -220,7 +220,7 @@ class Lattice:
             if any(x.denominator != 1 for x in c):
                 raise NotSublatticeError(f"{r!r} is not a lattice point")
             coord_rows.append([int(x) for x in c])
-        s, u, _ = snf(coord_rows)
+        s, u = snf(coord_rows)
         factors = tuple(s[i][i] for i in range(self.dim))
         if 0 in factors:  # the Smith diagonal holds a 0 iff det = 0
             raise DegenerateBasisError("sublattice basis rows are linearly dependent")

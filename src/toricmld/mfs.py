@@ -14,10 +14,10 @@ can be diagnosed.  ``ToricMfs.report`` runs the checks once per fibration and
 keeps the result; ``validate`` returns it.  The checks read F(N) off the
 base blocks of X's Hermite rows, and the origin's barycentrics off the
 stored inverse of X's cone omitting the first fiber ray.
-``ToricMfs.fiber`` takes its kernel lattice from a base-first Hermite form
+``generic_fiber`` takes its kernel lattice from a base-first Hermite form
 and reuses X's cone inverses, derived once in ``ToricMfs._fiber_inverses``,
-which is all the witness layer reads of the fiber, so only callers of
-``generic_fiber`` build it.  ``assemble_mfs`` is the one place that builds
+which is all the witness layer reads of the fiber, so only its callers
+build the fiber.  ``assemble_mfs`` is the one place that builds
 a fibration from its normal-form parameters; it checks their shapes but not
 the geometry, so ``validate`` can report every failed check.  With no ray
 or cone override it builds X's fan in ``_product_fan`` from the fiber
@@ -105,18 +105,19 @@ class ToricMfs:
     @cached_property
     def _kernel_ray_indices(self) -> list[int]:
         """Indices of the rays of X in ker F, the fiber rays, in table order:
-        found once for the report's checks, the barycentrics and the fiber."""
+        found once for the report's checks, the barycentrics and ``generic_fiber``."""
         return [i for i, w in enumerate(self.x.fan.integral[0]) if not any(w[self.m:])]
 
     @cached_property
     def _origin_barycentrics(self) -> Optional[tuple[Fraction, ...]]:
         """The origin's barycentrics in the fiber simplex, in kernel order,
-        None when it is degenerate, for ``fiber_simplex`` and ``fiber``.  The
-        cone on every ray but the first fiber ray v_0 = w_0 / e has n
-        generators independent on the base, so -v_0 = (u / e q) . (the other
-        fiber rays) for u = -w_0 K at their columns, and ys is (e q, u) over
-        its sum, which is 0 iff the simplex is degenerate.  A fan without that
-        cone gets one solve on the table, as scaling vertices keeps ys."""
+        None when it is degenerate, for ``fiber_simplex`` and
+        ``generic_fiber``.  The cone on every ray but the first fiber ray
+        v_0 = w_0 / e has n generators independent on the base, so
+        -v_0 = (u / e q) . (the other fiber rays) for u = -w_0 K at their
+        columns, and ys is (e q, u) over its sum, which is 0 iff the simplex
+        is degenerate.  A fan without that cone gets one solve on the table,
+        as scaling vertices keeps ys."""
         m, kernel, (ints, e) = self.m, self._kernel_ray_indices, self.x.fan.integral
         w0 = ints[kernel[0]][:m]
         for cone in self.x.fan.max_cones:
@@ -151,25 +152,6 @@ class ToricMfs:
                 block = [tuple(x // g for x in row) for row in block]
             inverses.append((idx, (tuple(block), q // g)))
         return tuple(inverses)
-
-    @cached_property
-    def fiber(self) -> FiberData:
-        """The fiber over the dense base point (kernel lattice, simplex fan,
-        the origin's barycentrics), read off X on first use and kept: the
-        cones from ``_fiber_inverses``, the barycentrics from the report's
-        ``fiber_simplex`` check, and the lattice from a base-first Hermite form."""
-        inverses = self._fiber_inverses  # raises on a fibration that fails validation
-        m, n, lat = self.m, self.n, self.x.lattice
-        # D N's rows mod D, base first: the last m, zero on the base, span D (N cap ker F)
-        base_first = hnf_mod([row[m:] + row[:m] for row in lat.rows], lat.denominator)
-        z_lattice = Lattice._from_scaled(m, lat.denominator, [row[n:] for row in base_first[n:]])
-        kernel, (ints, e) = self._kernel_ray_indices, self.x.fan.integral
-        # Fan.build's checks hold already: the kernel rays are distinct rays of
-        # X and fiber_simplex makes every m of them independent
-        table = _least_terms([ints[i][:m] for i in kernel], e)
-        fan = Fan(table, tuple(SimplicialCone(idx, inv) for idx, inv in inverses), m)
-        z = ToricVariety._on_lattice_points(z_lattice, fan)
-        return FiberData(z=z, simplex_vertices=fan.rays, origin_barycentrics=self._origin_barycentrics)
 
     def project(self, v: Sequence) -> Vector:
         """Apply F: drop the first m (fiber) coordinates."""
@@ -323,8 +305,22 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
 
 
 def generic_fiber(mfs: ToricMfs) -> FiberData:
-    """``mfs.fiber``: the fiber over the dense base point, built once."""
-    return mfs.fiber
+    """The fiber over the dense base point (kernel lattice, simplex fan,
+    the origin's barycentrics), read off X: the cones from
+    ``ToricMfs._fiber_inverses``, the barycentrics from the report's
+    ``fiber_simplex`` check, and the lattice from a base-first Hermite form."""
+    inverses = mfs._fiber_inverses  # raises on a fibration that fails validation
+    m, n, lat = mfs.m, mfs.n, mfs.x.lattice
+    # D N's rows mod D, base first: the last m, zero on the base, span D (N cap ker F)
+    base_first = hnf_mod([row[m:] + row[:m] for row in lat.rows], lat.denominator)
+    z_lattice = Lattice._from_scaled(m, lat.denominator, [row[n:] for row in base_first[n:]])
+    kernel, (ints, e) = mfs._kernel_ray_indices, mfs.x.fan.integral
+    # Fan.build's checks hold already: the kernel rays are distinct rays of
+    # X and fiber_simplex makes every m of them independent
+    table = _least_terms([ints[i][:m] for i in kernel], e)
+    fan = Fan(table, tuple(SimplicialCone(idx, inv) for idx, inv in inverses), m)
+    z = ToricVariety._on_lattice_points(z_lattice, fan)
+    return FiberData(z=z, simplex_vertices=fan.rays, origin_barycentrics=mfs._origin_barycentrics)
 
 
 def _check_parameters(m, n, fiber_rays, base_multiples, extra_generators) -> list[Vector]:
@@ -580,10 +576,11 @@ def sweep_family(l_min: int, l_max: int) -> list[FamilySweepRow]:
 
 
 def loglog_slope(points: Sequence[tuple[Fraction, Fraction]]) -> Optional[float]:
-    """Least-squares slope of log y against log x; None with fewer than 2 points."""
-    if len(points) < 2:
-        return None
+    """Least-squares slope of log y against log x; None when the points have
+    fewer than 2 distinct values of log x, through which no line is fitted."""
     xs = [math.log(x) for x, _ in points]
+    if len(set(xs)) < 2:
+        return None
     ys = [math.log(y) for _, y in points]
     k = len(points)
     mean_x = _add_up(xs) / k

@@ -117,18 +117,17 @@ its minimum) or d >= 8, takes the sweep, handed over at d = 7's cost.
 
 ``mld_bruteforce`` re-derives the same minimum in ambient coordinates and
 exists purely to cross-check ``mld``.  It walks, per cone, the integer box of
-the scaled cone body {sum l_i g_i : 0 <= l <= cap} in rounds with a value
-bound s: a round walks only that box cut down to the box of the simplex
-s conv(0, g_1 .. g_d) and accepts only points of value <= s.  Every point of
-value <= s lies in that simplex, so the first round that finds a point holds
-the cone's minimum and its lex-least witness, exactly as one walk of the
-whole box would.  s starts at 2^-floor(bitlen(D q) / d) from the cone's
-data.  After a round that finds nothing, the next is at min(2 s, v, s_max):
-v is the least value of a cone point that the round met at an end of an
-innermost row and turned away only because it exceeds s, which proves the
-minimum is at most v, so a round at v is the last; s_max is 1 (every
-generator has value 1) or, below cap 1, d cap, the largest value in the
-box.  The walk is a branch and bound: once a round has a point of value t,
+the simplex s conv(0, g_1 .. g_d) in rounds with a value bound s <= 1 and
+accepts only points of value <= s.  Every point of value <= s lies in that
+simplex, so the first round that finds a point holds the cone's minimum and
+its lex-least witness, exactly as one walk of the box of the cone body
+{sum l_i g_i : 0 <= l <= 1} would; at s <= 1 the simplex's box lies inside
+that one.  s starts at 2^-floor(bitlen(D q) / d) from the cone's data.
+After a round that finds nothing, the next is at min(2 s, v, 1): v is the
+least value of a cone point that the round met at an end of an innermost
+row and turned away only because it exceeds s, which proves the minimum is
+at most v, so a round at v is the last, and every generator has value 1.
+The walk is a branch and bound: once a round has a point of value t,
 the box shrinks to that of t conv(0, g_1 .. g_d), which still holds every
 point of value <= t, ties included, and each level stops as soon as its
 coordinate leaves the box.  A node's row on the next level is tested against
@@ -249,10 +248,10 @@ def _check_cones(x_var: ToricVariety) -> None:
             )
 
 
-def _finalize(x_var: ToricVariety, best: _Best, method: str, ray_cap: bool = True) -> MldResult:
+def _finalize(x_var: ToricVariety, best: _Best, method: str) -> MldResult:
     num, scale, key, cone = best.num, best.scale, best.key, best.cone
     d_n = x_var.lattice.denominator
-    if ray_cap and (key is None or num >= scale):
+    if key is None or num >= scale:
         # cap at 1: value 1 is achieved at every ray generator, and the
         # lex-least of the rays ints / e, which share e, is min(ints) / e;
         # e divides D_N, as the rays are lattice points
@@ -260,8 +259,6 @@ def _finalize(x_var: ToricVariety, best: _Best, method: str, ray_cap: bool = Tru
         ray = tuple(x * (d_n // e) for x in min(ints))
         if key is None or num > scale or tuple(x * scale for x in ray) < key:
             num, scale, key = 1, 1, ray
-    if key is None:
-        raise ValueError("no nonzero lattice points in the scanned range")
     # below 1 the witness is a representative of every cone holding it, and
     # each cone's search reaches it, so the lowest-index one offered it
     # first; a capped witness (value 1) is located afresh
@@ -544,20 +541,20 @@ def _width_cone(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tu
         s = min(2 * s, limit)
 
 
-def mld_bruteforce(x_var: ToricVariety, cap: Fraction = Fraction(1)) -> MldResult:
+def mld_bruteforce(x_var: ToricVariety) -> MldResult:
     """Independent oracle: scan the lattice points with barycentric coordinates
-    in [0, cap] for every maximal cone, in rounds of growing value.
+    in [0, 1] for every maximal cone, in rounds of growing value.
 
-    A round with value bound s walks the ambient box of the scaled cone body
-    {sum l_i g_i : 0 <= l <= cap} cut down to the box of the simplex
-    s conv(0, g_1 .. g_d), which holds every point of value <= s, level by
-    level, one triangular lattice row per level, carrying the barycentric
+    A round with value bound s <= 1 walks the ambient box of the simplex
+    s conv(0, g_1 .. g_d), which holds every point of value <= s and lies in
+    the box of the cone body {sum l_i g_i : 0 <= l <= 1}, level by level,
+    one triangular lattice row per level, carrying the barycentric
     numerators (point @ K) down the levels by adding each row's numerators.
     Each level steps upward and stops once its coordinate passes the box; a
     node's row on the next level is built only when it meets the box.  On
     the innermost row the numerators are linear in the row index c, so the
-    loop of the level above clips c in closed form to 0 <= numerator <=
-    cap D q, and the row's minimum is at an end of that range: the origin is
+    loop of the level above clips c in closed form to 0 <= numerator <= D q,
+    and the row's minimum is at an end of that range: the origin is
     skipped, and on ties the smallest c (the lex-smallest point) wins.  That
     end is accepted when its value is at most s (then at most the cone's best
     so far); each new best value t cuts the box to that of
@@ -565,38 +562,28 @@ def mld_bruteforce(x_var: ToricVariety, cap: Fraction = Fraction(1)) -> MldResul
     round sees every point of value <= s, so the first round that finds one
     holds the cone's minimum and its lex-least witness.  s starts at
     2^-floor(bitlen(D q) / d).  After a round that finds nothing, the next is
-    at min(2 s, v, s_max), where v is the least value of a row end that the
+    at min(2 s, v, 1), where v is the least value of a row end that the
     round turned away only for exceeding s: that cone point proves the
-    minimum is at most v, so the round at v finds it or a better one.  s_max
-    is 1 (each generator has value 1) or, when cap < 1, d cap, the largest
-    value in the cube.  Every node visited (a round's root included) and
-    every box point of an innermost row counts against ``GUARD``, summed
-    over rounds; past it TooLargeError is raised.  The witness's cone is
-    located afresh, apart from the search.
+    minimum is at most v, so the round at v finds it or a better one; 1 is
+    the value of each generator.  Every node visited (a round's root
+    included) and every box point of an innermost row counts against
+    ``GUARD``, summed over rounds; past it TooLargeError is raised.  The
+    witness's cone is located afresh, apart from the search.
     """
-    cap = Fraction(cap)
-    if cap <= 0:
-        raise ValueError("cap must be positive")
     _check_cones(x_var)
     budget = _Budget("enumeration")
     d = x_var.dim
     last = d - 1
     # lattice points are (c @ h_rows) / denom for integer c
     denom, h_rows = x_var.lattice.denominator, x_var.lattice.rows
-    cap_num, cap_den = cap.numerator, cap.denominator
-    max_num, max_den = (1, 1) if cap >= 1 else (d * cap_num, cap_den)  # s_max
     zero = [0] * d
     best = _Best()
 
     for ci in range(len(x_var.fan.max_cones)):
         k, q = x_var.fan.max_cones[ci].inverse
-        scale = denom * q  # barycentric numerators live over this
-        top = cap_num * scale // cap_den  # and must lie in [0, top]
-        # the ambient box of the scaled cone body, the simplex's extreme
-        # coordinates, and each row's numerators
+        scale = denom * q  # barycentric numerators live over this, in [0, scale]
+        # the simplex's extreme coordinates, and each row's numerators
         g = _scaled_generators(x_var, ci)
-        cube_lo = [-(-cap_num * sum(min(row[j], 0) for row in g) // cap_den) for j in range(d)]
-        cube_hi = [cap_num * sum(max(row[j], 0) for row in g) // cap_den for j in range(d)]
         g_lo = [min(0, *col) for col in zip(*g)]
         g_hi = [max(0, *col) for col in zip(*g)]
         row_nums = [[sum(h[a] * k[a][b] for a in range(d)) for b in range(d)] for h in h_rows]
@@ -607,9 +594,9 @@ def mld_bruteforce(x_var: ToricVariety, cap: Fraction = Fraction(1)) -> MldResul
         cone_witness: Optional[list[int]] = None
 
         def cut(num: int, den: int) -> None:
-            # the box of the scaled cone body cut to that of (num/den) conv(0, g_1 .. g_d)
-            lo[:] = [max(a, -(-num * b // den)) for a, b in zip(cube_lo, g_lo)]
-            hi[:] = [min(a, num * b // den) for a, b in zip(cube_hi, g_hi)]
+            # the box of (num/den) conv(0, g_1 .. g_d)
+            lo[:] = [-(-num * b // den) for b in g_lo]
+            hi[:] = [num * b // den for b in g_hi]
 
         def walk(i: int, partial: list[int], nums: list[int], c: int) -> None:
             # Step level i (-1: the root, the origin alone) from node c until its
@@ -638,13 +625,13 @@ def mld_bruteforce(x_var: ToricVariety, cap: Fraction = Fraction(1)) -> MldResul
                         spent, left = 0, budget.left
                     else:
                         spent += c_hi - c_lo + 1
-                        # 0 <= base + c rise <= top for each numerator
+                        # 0 <= base + c rise <= scale for each numerator
                         for base, rise in zip(nums_c, row_nums[last]):
                             if rise > 0:
-                                lo_b, hi_b = -(base // rise), (top - base) // rise
+                                lo_b, hi_b = -(base // rise), (scale - base) // rise
                             elif rise < 0:
-                                lo_b, hi_b = -((top - base) // -rise), base // -rise
-                            elif 0 <= base <= top:
+                                lo_b, hi_b = -((scale - base) // -rise), base // -rise
+                            elif 0 <= base <= scale:
                                 continue
                             else:
                                 break
@@ -676,16 +663,16 @@ def mld_bruteforce(x_var: ToricVariety, cap: Fraction = Fraction(1)) -> MldResul
                 c += 1
             budget.spend(spent)
 
-        # the round's value bound s_num / s_den, which ends at s_max
+        # the round's value bound s_num / s_den, which ends at 1
         s_num, s_den = 1, 1 << (scale.bit_length() // d)
         while True:
-            if s_num * max_den >= max_num * s_den:
-                s_num, s_den = max_num, max_den
+            if s_num >= s_den:
+                s_num, s_den = 1, 1
             cut(s_num, s_den)
             limit = s_num * scale // s_den  # the round's bound on the value numerator
             over = None  # the least value numerator above limit at a row's end
             walk(-1, zero, zero, 0)
-            if cone_best is not None or (s_num, s_den) == (max_num, max_den):
+            if cone_best is not None or s_num == s_den:
                 break
             # nothing of value <= s, and the cone point of value over / scale
             # bounds the minimum: the next round is at min(2 s, that value)
@@ -694,7 +681,7 @@ def mld_bruteforce(x_var: ToricVariety, cap: Fraction = Fraction(1)) -> MldResul
                 s_num, s_den = over, scale
         if cone_best is not None:
             best.offer(cone_best, scale, tuple(x * scale for x in cone_witness))
-    return _finalize(x_var, best, "bruteforce", ray_cap=cap >= 1)
+    return _finalize(x_var, best, "bruteforce")
 
 
 def cyclic_quotient(r: int, weights: Sequence[int]) -> ToricVariety:

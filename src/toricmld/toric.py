@@ -14,7 +14,7 @@ one substitution per axis; the total space of a fibration in normal form,
 ``mfs._product_fan``, whose cone inverses are block diagonal, a fiber
 block's inverse beside the base diagonal, and which keeps the two checks
 that can fail there, duplicate rays and dependent cones; and
-``ToricMfs.fiber``, which reuses the cone inverses of the total space.
+``mfs.generic_fiber``, which reuses the cone inverses of the total space.
 
 The log discrepancy of a lattice point v is the value at v of the function
 that is linear on every cone and equals 1 on each primitive ray generator.

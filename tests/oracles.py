@@ -6,7 +6,7 @@ that ``find_witness`` used before it scanned multiples directly;
 ``first_multiple_loop`` is the per-k integer loop that ``find_witness`` ran
 before its scan was streamed.
 
-``fiber_oracle`` builds the generic fiber the way ``ToricMfs.fiber`` did
+``fiber_oracle`` builds the generic fiber the way ``generic_fiber`` did
 before it read the fiber off the total space's Hermite form and cone
 inverses: the kernel lattice from a Smith-form kernel (``integer_row_kernel``),
 the simplex fan from ``Fan.build``, and the origin's barycentrics from an
@@ -69,7 +69,7 @@ from itertools import combinations
 from toricmld import Fan, Lattice, NoPairFoundError, ToricVariety, find_witness, lift_to_X, mld
 from toricmld.exactmath import hnf, hnf_mod, invariant_factors, iroot_floor, snf, vec_mat
 from toricmld.lattice import LatticeError, NotInLatticeError, Vector, ZeroVectorError
-from toricmld.mfs import FiberData, InvalidMfsError, ToricMfs
+from toricmld.mfs import FiberData, InvalidMfsError, ToricMfs, generic_fiber
 from toricmld.mld import GUARD, MldResult, TooLargeError, _check_cones, _scaled_generators
 from toricmld.toric import find_containing_cone, origin_barycentrics
 from toricmld.witness import EffectiveDelta, NotInBaseLatticeError
@@ -222,7 +222,7 @@ def integer_row_kernel(m: Sequence[Sequence[int]]) -> list[list[int]]:
     The returned rows extend to a basis of Z^rows (they come from a
     unimodular transform), so the kernel is returned saturated.
     """
-    s, u, _ = snf(m)
+    s, u = snf(m)
     rows = len(m)
     cols = len(m[0]) if m else 0
     kernel = []
@@ -253,7 +253,7 @@ def fiber_oracle(mfs: ToricMfs) -> FiberData:
 def generic_fiber_group(mfs: ToricMfs) -> tuple[int, ...]:
     """Invariant factors of the fiber lattice modulo the standard fiber
     lattice Z^m (the finite group acting on the fixed model fiber)."""
-    z = mfs.fiber.z.lattice
+    z = generic_fiber(mfs).z.lattice
     rows = []
     for i in range(mfs.m):
         e = tuple(Fraction(int(i == j)) for j in range(mfs.m))
@@ -305,43 +305,38 @@ def effective_delta_oracle(fiber: FiberData) -> EffectiveDelta:
     return EffectiveDelta(c_z=c_z, m=fiber.z.dim)
 
 
-def box_scan_oracle(x_var: ToricVariety, cap: Fraction = Fraction(1)) -> MldResult:
+def box_scan_oracle(x_var: ToricVariety) -> MldResult:
     """``mld_bruteforce`` as it was before its rounds: scan all lattice points
-    with barycentric coordinates in [0, cap] for every maximal cone.
+    with barycentric coordinates in [0, 1] for every maximal cone.
 
     Sweeps the ambient bounding box of each scaled cone body level by level,
     one triangular lattice row per level, carrying the barycentric numerators
     (point @ K) down the levels by adding each row's numerators.  On the
     innermost row they are linear in the row index c, so c is clipped to
-    0 <= numerator <= cap D q in closed form, and the row's minimum is at an
+    0 <= numerator <= D q in closed form, and the row's minimum is at an
     end of that range: the origin is skipped, and on ties the smallest c (the
     lex-smallest point) wins.  Every box point counts against ``GUARD``, a
     row at a time; past it TooLargeError is raised.
     The least (value, witness) pair is kept as Fractions, capped at 1 by the
-    lex-least ray when cap >= 1, and its cone is located by
+    lex-least ray, and its cone is located by
     ``find_containing_cone``: none of the library's integer incumbent.
     """
     guard = GUARD.get()
-    cap = Fraction(cap)
-    if cap <= 0:
-        raise ValueError("cap must be positive")
     _check_cones(x_var)
     d = x_var.dim
     last = d - 1
     # lattice points are (c @ h_rows) / denom for integer c
     denom, h_rows = x_var.lattice.denominator, x_var.lattice.rows
-    cap_num, cap_den = cap.numerator, cap.denominator
     best: Optional[tuple[Fraction, Vector]] = None
     visited = 0
 
     for ci in range(len(x_var.fan.max_cones)):
         k, q = x_var.fan.max_cones[ci].inverse
-        scale = denom * q  # barycentric numerators live over this
-        top = cap_num * scale // cap_den  # and must lie in [0, top]
-        # the ambient box of the scaled cone body, and each row's numerators
+        scale = denom * q  # barycentric numerators live over this, in [0, scale]
+        # the ambient box of the cone body, and each row's numerators
         g = _scaled_generators(x_var, ci)
-        lo = [-(-cap_num * sum(min(row[j], 0) for row in g) // cap_den) for j in range(d)]
-        hi = [cap_num * sum(max(row[j], 0) for row in g) // cap_den for j in range(d)]
+        lo = [sum(min(row[j], 0) for row in g) for j in range(d)]
+        hi = [sum(max(row[j], 0) for row in g) for j in range(d)]
         row_nums = [[sum(h[a] * k[a][b] for a in range(d)) for b in range(d)] for h in h_rows]
         slope = sum(row_nums[last])
 
@@ -369,13 +364,13 @@ def box_scan_oracle(x_var: ToricVariety, cap: Fraction = Fraction(1)) -> MldResu
             if visited > guard:
                 raise TooLargeError(f"enumeration exceeded guard of {guard} points")
             for base, s in zip(nums, row_nums[last]):
-                if s > 0:  # 0 <= base + c s <= top
+                if s > 0:  # 0 <= base + c s <= scale
                     c_lo = max(c_lo, -(base // s))
-                    c_hi = min(c_hi, (top - base) // s)
+                    c_hi = min(c_hi, (scale - base) // s)
                 elif s < 0:
-                    c_lo = max(c_lo, -((top - base) // -s))
+                    c_lo = max(c_lo, -((scale - base) // -s))
                     c_hi = min(c_hi, base // -s)
-                elif not 0 <= base <= top:
+                elif not 0 <= base <= scale:
                     return
             c = c_lo if slope >= 0 else c_hi
             total = sum(nums) + c * slope
@@ -394,12 +389,9 @@ def box_scan_oracle(x_var: ToricVariety, cap: Fraction = Fraction(1)) -> MldResu
             cand = (Fraction(cone_best, scale), tuple(Fraction(x, denom) for x in cone_witness))
             if best is None or cand < best:
                 best = cand
-    if cap >= 1:  # every ray has value 1
-        ray = (Fraction(1), min(x_var.fan.rays))
-        if best is None or ray < best:
-            best = ray
-    if best is None:
-        raise ValueError("no nonzero lattice points in the scanned range")
+    ray = (Fraction(1), min(x_var.fan.rays))  # every ray has value 1
+    if best is None or ray < best:
+        best = ray
     value, witness = best
     return MldResult(value, witness, find_containing_cone(x_var, witness), "bruteforce")
 

@@ -167,6 +167,51 @@ def test_mld_bad_field_path(tmp_path, capsys):
     assert "$.rays[1][0]" in err
 
 
+def _toric_doc_with(path, value):
+    """The 1/17(1, 1) document with the value at ``path`` (a tuple of keys and
+    indices) replaced, or removed when ``value`` is ``...``."""
+    doc = quotient_17_doc()
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    if value is ...:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("rays", 0, 0), True, "$.rays[0][0]: expected a rational, got a boolean"),
+        (("rays", 1, 1), 1.5, "$.rays[1][1]: expected an integer or 'p/q' string, got float"),
+        (("dim",), "2", "$.dim: expected an integer, got '2'"),
+        (("rays", 1), 7, "$.rays[1]: expected a list"),
+        (("max_cones",), {"0": [0, 1]}, "$.max_cones: expected a list of vectors"),
+        (("rays",), ..., "$.rays: missing field"),
+    ],
+    ids=["boolean", "float", "string-int", "vector", "matrix", "missing"],
+)
+def test_mld_parse_error_names_the_json_path(tmp_path, capsys, path, value, message):
+    bad = write(tmp_path, "bad.json", _toric_doc_with(path, value))
+    assert main(["mld", bad]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_mld_unreadable_and_non_object_files(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["mld", missing]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: $: cannot read {missing}: ") and err.count("\n") == 1
+    listed = write(tmp_path, "list.json", [quotient_17_doc()])
+    assert main(["mld", listed]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: $: top level must be an object\n"
+
+
 def test_mld_guard_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TORICMLD_GUARD", "3")
     path = write(tmp_path, "q17.json", quotient_17_doc())
@@ -418,6 +463,14 @@ def test_sweep_csv(tmp_path):
         F(row["mld_Y"])
 
 
+def test_sweep_out_into_a_missing_directory(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "sweep.csv")
+    assert main(["sweep", "--l-min", "2", "--l-max", "3", "--out", out]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ") and captured.err.count("\n") == 1
+
+
 def test_sweep_single_row(capsys):
     assert main(["sweep", "--l-min", "3", "--l-max", "3"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -516,6 +569,24 @@ def test_validate_reports_non_primitive_rays(tmp_path, capsys):
     assert "FAIL  rays_primitive        non-primitive rays: X [0], Y []" in lines
     assert lines[-1] == "overall: FAIL"
     assert sum(line.startswith("FAIL") for line in lines) == 1
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "rays, cones, detail",
+    [
+        ([["1", "0"], ["-1", "0"], ["0", "-1"]], [[1, 2], [0, 2]], "ray 2 does not map onto a base axis ray"),
+        ([["1", "0"], ["-1", "0"], ["0", "1"], ["1", "1"]], [[0, 3], [3, 2], [2, 1]], "base axis 1 is hit by two rays"),
+    ],
+    ids=["negative-axis", "two-rays"],
+)
+def test_validate_names_a_ray_off_the_base_axes(tmp_path, capsys, rays, cones, detail):
+    path = write(tmp_path, "roles.json", dict(line_doc(), rays=rays, max_cones=cones))
+    assert main(["validate", path]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert f"FAIL  ray_roles             {detail}" in lines
+    assert lines[-1] == "overall: FAIL"
     assert captured.err == ""
 
 

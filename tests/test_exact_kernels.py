@@ -25,7 +25,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_gauss_jordan, det_bareiss
-from test_exactmath import assert_hnf_shape
+from test_exactmath import assert_hnf_shape, column_hnf
 from toricmld import exactmath
 from toricmld.exactmath import (
     SingularMatrixError,
@@ -243,9 +243,9 @@ def test_hnf_carries_rows_through_its_row_operations(data):
 def test_snf(data):
     m = data.draw(int_matrices())
     rows, cols = len(m), len(m[0])
-    s, u, v = snf(m)
-    assert abs(det_bareiss(u)) == 1 and abs(det_bareiss(v)) == 1
-    assert mat_mul(mat_mul(u, m), v) == s
+    s, u = snf(m)
+    assert abs(det_bareiss(u)) == 1
+    assert column_hnf(mat_mul(u, m)) == column_hnf(s)
     k = min(rows, cols)
     assert all(s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
     diag = [s[i][i] for i in range(k)]

@@ -58,11 +58,15 @@ def check_hnf(m):
     return h, u
 
 
+def column_hnf(m):
+    """The column Hermite form: equal for A and B iff A V = B for a unimodular V."""
+    return hnf([list(col) for col in zip(*m)])[0]
+
+
 def check_snf(m):
-    s, u, v = snf(m)
+    s, u = snf(m)
     assert abs(det_bareiss(u)) == 1
-    assert abs(det_bareiss(v)) == 1
-    assert mat_mul(mat_mul(u, m), v) == s
+    assert column_hnf(mat_mul(u, m)) == column_hnf(s)
     k = min(len(s), len(s[0]) if s else 0)
     diag = [s[i][i] for i in range(k)]
     for i in range(len(s)):

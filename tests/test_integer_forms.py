@@ -47,6 +47,7 @@ from toricmld import (
     cyclic_quotient,
     example_family,
     find_witness,
+    generic_fiber,
     make_mfs,
     mld,
     mld_bruteforce,
@@ -256,7 +257,7 @@ def test_cyclic_quotient_keeps_the_integer_table(r, weights):
 @PROPERTY
 @given(fibrations())
 def test_fibrations_and_their_fibers_keep_the_integer_table(mfs):
-    for fan in (mfs.x.fan, mfs.y.fan, mfs.fiber.z.fan):
+    for fan in (mfs.x.fan, mfs.y.fan, generic_fiber(mfs).z.fan):
         assert fan.integral == table_of(fan.rays)
 
 
@@ -267,7 +268,7 @@ def test_ray_overrides_keep_the_integer_table():
     doubled = assemble_mfs(**family_spec(5), rays=rays)
     assert doubled.x.fan.rays == tuple(map(tuple, rays))
     shuffled = load_instance(str(Path(__file__).parent / "golden" / "mfs_shuffled_fiber.json"))
-    for fan in (doubled.x.fan, doubled.y.fan, shuffled.x.fan, shuffled.y.fan, shuffled.fiber.z.fan):
+    for fan in (doubled.x.fan, doubled.y.fan, shuffled.x.fan, shuffled.y.fan, generic_fiber(shuffled).z.fan):
         assert fan.integral == table_of(fan.rays)
 
 

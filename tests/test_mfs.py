@@ -353,6 +353,11 @@ def test_sweep_bad_range():
 
 def test_loglog_slope():
     assert loglog_slope([(F(1, 2), F(1, 4))]) is None
+    # every x equal: no slope, where the least-squares quotient would divide by 0
+    assert loglog_slope([(F(1, 2), F(1, 3)), (F(1, 2), F(1, 5))]) is None
+    # distinct x whose logs round to one float fit no line either
+    tiny = F(1, 10**20)
+    assert loglog_slope([(tiny, F(1)), (tiny + F(1, 10**60), F(2))]) is None
     # exact power law y = x^3 gives slope 3
     pts = [(F(1, k), F(1, k**3)) for k in (2, 3, 5, 7)]
     assert loglog_slope(pts) == pytest.approx(3.0)

@@ -6,9 +6,9 @@ coset of every maximal cone through ``Lattice.quotient_group(...)
 return the same value, the same tie-broken witness and the same cone as
 both, on generated inputs chosen to stress its bound and its tie-break.
 ``mld_bruteforce`` searches in rounds of growing value; ``box_scan_oracle``,
-its earlier single walk of the whole box, must agree with it at every cap,
-and with both searches on fans of several cones, whose cones offer their
-values over different denominators.
+its earlier single walk of the whole box, must agree with it, and with both
+searches on fans of several cones, whose cones offer their values over
+different denominators.
 """
 
 from __future__ import annotations
@@ -45,13 +45,9 @@ F = Fraction
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
-def scan_mld(x_var, cap=None):
-    """(value, witness, cone) from every coset representative of every cone.
-
-    With a cap below 1, only representatives whose barycentric coordinates
-    are all at most cap count, the rays do not, and None means there is none.
-    """
-    candidates = [(F(1), ray) for ray in x_var.fan.rays] if cap is None else []
+def scan_mld(x_var):
+    """(value, witness, cone) from every coset representative of every cone."""
+    candidates = [(F(1), ray) for ray in x_var.fan.rays]
     d = x_var.dim
     for cone in x_var.fan.max_cones:
         g = cone_generators(x_var.fan, cone)
@@ -67,27 +63,21 @@ def scan_mld(x_var, cap=None):
             s = sum(num)
             if s == 0 or (low is not None and s > low):
                 continue
-            if cap is not None and max(num) > cap * denom:
-                continue
             k = tuple(sum(num[i] * gint[i][j] for i in range(d)) for j in range(d))
             if low is None or s < low or k < key:
                 low, key = s, k
         if low is not None and low <= denom:
             candidates.append((F(low, denom), tuple(F(x, denom * e) for x in key)))
-    if not candidates:
-        return None
     value, witness = min(candidates)
     return value, witness, find_containing_cone(x_var, witness)
 
 
-def assert_agrees(x_var, brute_cap=1):
+def assert_agrees(x_var):
     got = mld(x_var)
     assert got.method == "parallelepiped"
     want = (got.value, got.witness, got.cone_index)
     assert scan_mld(x_var) == want
-    # any point of value <= v has every barycentric coordinate <= v, so a
-    # box scan capped at the answer still sees the whole competition
-    brute = mld_bruteforce(x_var, cap=max(got.value, brute_cap))
+    brute = mld_bruteforce(x_var)
     assert (brute.value, brute.witness, brute.cone_index) == want
     assert x_var.lattice.contains(got.witness)
     assert log_discrepancy(x_var, got.witness) == got.value
@@ -125,8 +115,8 @@ def unimodular_matrices(draw, d):
 @pytest.mark.parametrize("l", range(2, 13))
 def test_family_matches_scan_and_bruteforce(l):
     fam = example_family(l)
-    assert_agrees(fam.x, brute_cap=0)
-    assert assert_agrees(fam.y, brute_cap=0).value == F(2, l**4 + 1)
+    assert_agrees(fam.x)
+    assert assert_agrees(fam.y).value == F(2, l**4 + 1)
 
 
 def test_family_l20_total_space():
@@ -351,29 +341,6 @@ def test_mld_keeps_the_cone_its_minimum_came_from(mfs, data):
         assert got.cone_index == find_containing_cone(x_var, got.witness)
 
 
-@PROPERTY
-@given(st.data())
-def test_bruteforce_below_one_matches_the_scan(data):
-    # caps on the barycentric grid put points exactly on the cap, and the
-    # lowest values near the origin, where the oracle must skip it
-    x_var = data.draw(st.one_of(
-        affine_varieties(max_index=40),
-        affine_varieties(max_index=12, generators=2, dims=(2, 3)),
-        st.builds(cyclic_quotient, st.integers(2, 60), st.lists(st.integers(1, 59), min_size=1, max_size=3)),
-    ))
-    denom = x_var.lattice.quotient_group(cone_generators(x_var.fan, x_var.fan.max_cones[0])).denominator
-    assume(denom > 1)
-    cap = F(data.draw(st.integers(1, denom - 1)), denom)
-    want = scan_mld(x_var, cap)
-    if want is None:
-        with pytest.raises(ValueError, match="no nonzero lattice points"):
-            mld_bruteforce(x_var, cap=cap)
-    else:
-        got = mld_bruteforce(x_var, cap=cap)
-        assert got.method == "bruteforce"
-        assert (got.value, got.witness, got.cone_index) == want
-
-
 @st.composite
 def sheared_quotients(draw):
     """A cyclic quotient in ambient coordinates sheared by a unimodular map,
@@ -383,11 +350,8 @@ def sheared_quotients(draw):
     return apply_unimodular(x_var, draw(unimodular_matrices(x_var.dim)))
 
 
-def bruteforce_outcome(search, x_var, cap):
-    try:
-        res = search(x_var, cap=cap)
-    except ValueError as exc:  # no point of the cube but the origin
-        return str(exc)
+def bruteforce_outcome(search, x_var):
+    res = search(x_var)
     return res.value, res.witness, res.cone_index, res.method
 
 
@@ -398,12 +362,10 @@ def bruteforce_outcome(search, x_var, cap):
         affine_varieties(max_index=30, generators=2, dims=(2, 3, 4)),
         st.builds(cyclic_quotient, st.integers(2, 200), st.lists(st.integers(1, 199), min_size=1, max_size=3)),
         sheared_quotients(),
-    ),
-    st.sampled_from([F(1, 5), F(1, 2), F(5, 7), F(1), F(3, 2), F(2)]),
+    )
 )
-def test_bruteforce_rounds_match_the_whole_box_scan(x_var, cap):
-    want = bruteforce_outcome(box_scan_oracle, x_var, cap)
-    assert bruteforce_outcome(mld_bruteforce, x_var, cap) == want
+def test_bruteforce_rounds_match_the_whole_box_scan(x_var):
+    assert bruteforce_outcome(mld_bruteforce, x_var) == bruteforce_outcome(box_scan_oracle, x_var)
 
 
 @st.composite
@@ -437,21 +399,19 @@ def complete_plane_fans(draw):
         standard_simplex_fibrations(),
         complete_plane_fans(),
     ),
-    st.sampled_from([F(1, 2), F(1)]),
     st.data(),
 )
-def test_integer_incumbent_matches_the_fraction_oracle_across_cones(space, cap, data):
+def test_integer_incumbent_matches_the_fraction_oracle_across_cones(space, data):
     # each cone's value numerators and witness keys live over its own D q, so
     # equal values and ties on shared faces reach the incumbent over
     # different scales; it must keep what the oracle's Fraction minimum and
     # find_containing_cone keep, in any cone order
     varieties = [space] if isinstance(space, ToricVariety) else [space.x, relisted(space, data).x]
     for x_var in varieties:
-        want = bruteforce_outcome(box_scan_oracle, x_var, cap)
-        assert bruteforce_outcome(mld_bruteforce, x_var, cap) == want
-        if cap == 1:
-            got = mld(x_var)
-            assert (got.value, got.witness, got.cone_index) == want[:3]
+        want = bruteforce_outcome(box_scan_oracle, x_var)
+        assert bruteforce_outcome(mld_bruteforce, x_var) == want
+        got = mld(x_var)
+        assert (got.value, got.witness, got.cone_index) == want[:3]
 
 
 def test_ties_across_cones_compare_over_each_cone_scale():

@@ -143,7 +143,7 @@ def test_lift_matches_the_transform_oracle_where_the_kernel_lattice_is_larger():
         warnings.simplefilter("ignore")
         shuffled = load_instance(str(SHUFFLED))
     for mfs in (shuffled, index_three_line()):
-        assert mfs.fiber.z.lattice.index_over_standard == 3
+        assert generic_fiber(mfs).z.lattice.index_over_standard == 3
         for c in range(-3, 4):
             assert_lift_matches_the_oracle(mfs, [c] + [1 - c] * (mfs.n - 1))
 
@@ -154,6 +154,8 @@ def test_lift_rejects_zero_and_foreign_points():
         lift_to_X(mfs, (0, 0))
     with pytest.raises(NotInBaseLatticeError):
         lift_to_X(mfs, (F(1, 5), F(1, 5)))
+    with pytest.raises(ValueError, match=r"^base point has dimension 3, expected 2$"):
+        lift_to_X(mfs, (1, 1, 1))
 
 
 def test_lift_rejects_a_point_that_fails_only_the_triangular_solve():
