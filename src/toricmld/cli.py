@@ -66,7 +66,6 @@ EXIT_INEQUALITY = 4
 class InstanceParseError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
-        self.json_path = path
 
 
 def _parse_rational(value, path: str) -> Fraction:

@@ -44,15 +44,6 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    """Matrix product a @ b for list-of-rows matrices."""
-    cols_b = len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols_b)]
-        for i in range(len(a))
-    ]
-
-
 def vec_mat(v: Sequence, m) -> list:
     """Row vector times matrix: sum_i v[i] * m[i]."""
     cols = len(m[0]) if m else 0
@@ -242,14 +233,14 @@ def snf(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
     S diagonal with nonnegative entries s_1 | s_2 | ..., zeros last.  S is
     canonical; U is a valid transform but not canonical.  Row and column
     Hermite forms alternate until S is diagonal (Kannan and Bachem, SIAM J.
-    Comput. 8, 1979), then one unimodular gcd step per pair of diagonal
-    entries makes the diagonal a divisibility chain.
+    Comput. 8, 1979), each row form carrying U through its row operations,
+    then one unimodular gcd step per pair of diagonal entries makes the
+    diagonal a divisibility chain.
     """
     rows, cols = len(m), len(m[0]) if m else 0
     s, u = [list(row) for row in m], identity(rows)
     while rows and cols:  # the transposes below need both
-        s, t = hnf(s)
-        u = mat_mul(t, u)
+        s, u = hnf(s, u)
         s, _ = hnf([list(col) for col in zip(*s)])
         s = [list(col) for col in zip(*s)]
         if all(s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j):

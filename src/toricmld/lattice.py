@@ -23,19 +23,18 @@ constructor takes any generating rows, runs ``hnf`` on them, and checks
 with the same substitution on each e_j that N contains Z^d.
 
 ``quotient_group`` reads N / B, for a full-rank sublattice B, off the Smith
-normal form of B's coordinate matrix; ``reps_scaled`` streams one
-representative per coset, as integer sublattice coordinates over a common
-denominator, in the half-open cube [0,1)^d, so groups of order ~10^6 never
-get materialized.
+normal form of B's coordinate matrix; ``reps_scaled`` counts one
+representative per coset in mixed radix, as integer sublattice coordinates
+over a common denominator in [0,1)^d.  Only tests list a group: ``mld``
+searches each cone's coset lattice in Hermite order instead.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exactmath import _integral, _least_terms, as_fractions, hnf, hnf_mod, snf
@@ -162,14 +161,6 @@ class Lattice:
         """Coordinates c of v in the basis (rational): c @ rows = D v."""
         return _fractions(*self._solve(v))
 
-    def to_ambient(self, c: Sequence) -> Vector:
-        """The point with coordinates c: (c @ rows) / D, summed over i <= j
-        since the rows are upper triangular."""
-        h, denom = self.rows, self.denominator
-        return tuple(
-            Fraction(sum(c[i] * h[i][j] for i in range(j + 1)), denom) for j in range(self.dim)
-        )
-
     def contains(self, v: Sequence) -> bool:
         c, e = self._solve(v)
         return all(x % e == 0 for x in c)
@@ -272,33 +263,9 @@ class QuotientGroup:
         sublattice basis B given to ``quotient_group``, each entry in
         [0, denominator).  First yield is the zero tuple.
         Enumeration order is a fixed mixed-radix count over the invariant
-        factors, so repeated runs agree.
+        factors, the last one least significant, so repeated runs agree.
         """
-        denom = self.denominator
-        factors = self.invariant_factors
-        active = [i for i in range(len(factors)) if factors[i] > 1]
-        if not active:
-            yield (0,) * len(self.generator_rows)
-            return
-        # Mixed-radix count with the last active factor as the least
-        # significant digit: the outer digits are a product loop, and the
-        # inner digit's run of f cosets is streamed column by column as
-        # arithmetic progressions mod denom, so each coset costs no Python
-        # bytecode of its own.
-        *outer, inner = active
-        f = factors[inner]
-        step = self.generator_rows[inner]
-        outer_rows = [self.generator_rows[i] for i in outer]
-        for digits in product(*(range(factors[i]) for i in outer)):
-            base = [
-                sum(d * row[j] for d, row in zip(digits, outer_rows)) % denom
-                for j in range(len(step))
-            ]
-            yield from zip(
-                *(
-                    map(operator.mod, range(b, b + f * c, c), repeat(denom, f))
-                    if c
-                    else repeat(b, f)
-                    for b, c in zip(base, step)
-                )
-            )
+        denom, rows = self.denominator, self.generator_rows
+        cols = range(len(rows))
+        for digits in product(*map(range, self.invariant_factors)):
+            yield tuple(sum(t * row[j] for t, row in zip(digits, rows)) % denom for j in cols)

@@ -285,11 +285,12 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
         rank = len(x_ints) - len(mfs.y.fan.integral[0]) - m
         return rank == 1, f"relative Picard rank {rank}"
 
-    def properness():
-        ok = by_name["fiber_simplex"] and by_name["cone_shape"]
-        if ok:
-            return True, "support of the fan equals the preimage of the base cone"
-        return False, "support condition fails (see fiber_simplex / cone_shape)"
+    def properness():  # the base rays must lie on the base cone's axes too
+        if not (by_name["fiber_simplex"] and by_name["cone_shape"]):
+            return False, "support condition fails (see fiber_simplex / cone_shape)"
+        if not by_name["ray_roles"]:
+            return False, "support condition fails (see ray_roles)"
+        return True, "support of the fan equals the preimage of the base cone"
 
     run("ray_count", ray_count)
     run("ray_roles", ray_roles, needs_kernel=True)

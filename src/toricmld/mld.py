@@ -14,6 +14,7 @@ fundamental parallelepiped of the cone generators, capped at 1:
 
 So the minimum over coset representatives of the generator sublattice,
 capped at 1, is complete.  ``mld`` finds it without visiting every coset.
+Every search is bounded at value 1, and a tie there goes to the least ray.
 In barycentric coordinates the lattice is an overlattice of Z^d, spanned by
 (H K) / (D_N q) for the lattice's Hermite rows H over its denominator D_N
 and the cone's integer inverse K over q.  Scaled by D, the denominator of
@@ -149,7 +150,7 @@ from typing import Optional, Sequence
 
 from .exactmath import hnf_mod, iroot_floor, lll
 from .lattice import Lattice, Vector, _fractions
-from .toric import NonSimplicialError, ToricVariety, _locate
+from .toric import ToricVariety, _locate, _require_full_dimensional
 
 DEFAULT_GUARD = 10**7
 # the work guard, set per context (thread or task) and read only by
@@ -241,11 +242,7 @@ class _Budget:
 def _check_cones(x_var: ToricVariety) -> None:
     if not x_var.fan.max_cones:
         raise EmptyFanError("fan has no maximal cones")
-    for cone in x_var.fan.max_cones:
-        if cone.dim != x_var.dim:
-            raise NonSimplicialError(
-                f"maximal cone {cone.ray_indices} is not full-dimensional"
-            )
+    _require_full_dimensional(x_var)
 
 
 def _finalize(x_var: ToricVariety, best: _Best, method: str) -> MldResult:
@@ -257,7 +254,7 @@ def _finalize(x_var: ToricVariety, best: _Best, method: str) -> MldResult:
         # e divides D_N, as the rays are lattice points
         ints, e = x_var.fan.integral
         ray = tuple(x * (d_n // e) for x in min(ints))
-        if key is None or num > scale or tuple(x * scale for x in ray) < key:
+        if key is None or tuple(x * scale for x in ray) < key:
             num, scale, key = 1, 1, ray
     # below 1 the witness is a representative of every cone holding it, and
     # each cone's search reaches it, so the lowest-index one offered it
@@ -317,9 +314,7 @@ def _pick_search(h, denom: int, limit: int):
     k = d  # the levels the sweep walks: those with h_ii < D
     while h[k - 1][k - 1] == denom:
         k -= 1
-    s0_d = fact_d * denom ** (d - k)
-    for i in range(k):
-        s0_d *= h[i][i]
+    s0_d = fact_d * math.prod(h[i][i] for i in range(d))
     covol = fact = 1  # of L's projection on the first j coordinates, and j!
     for j in range(1, k + 1):
         covol *= h[j - 1][j - 1]
@@ -398,7 +393,6 @@ def _hnf_sweep(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tup
     last = max(i for i in range(d) if h[i][i] < denom)
     found: Optional[int] = None  # smallest numerator seen in this cone
     key: Optional[tuple[int, ...]] = None  # its lex-min ambient point, scaled
-    x = [0] * d  # the coordinates fixed at the outer levels
 
     def stream(p: list[int], used: int) -> None:
         nonlocal limit, found, key
@@ -432,12 +426,13 @@ def _hnf_sweep(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tup
             low = min(totals)
             if low <= limit:
                 # only the lex-least key of the chunk's ties is offered: point
-                # i has x[last] = start + i step and x[k] = (b + i s) mod denom
+                # i has x[last] = start + i step and x[k] = (b + i s) mod denom;
+                # x[i] = p[i] below last, as every deeper row is 0 in column i
                 ties = list(compress(range(t, t + n), map(eq, totals, repeat(low, n))))
                 cols = [[(b + i * s) % denom for i in ties] for b, s in [(start, step), *tail]]
                 keys = []
                 for j in range(d):
-                    acc = repeat(sum(x[i] * gint[i][j] for i in range(last)), len(ties))
+                    acc = repeat(sum(p[i] * gint[i][j] for i in range(last)), len(ties))
                     for col, row in zip(cols, gint[last:]):
                         if row[j]:
                             acc = map(add, acc, map(mul, col, repeat(row[j])))
@@ -457,7 +452,6 @@ def _hnf_sweep(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tup
         while xi <= min(denom - 1, limit - used):
             budget.spend(1)
             c = (xi - p[i]) // step
-            x[i] = xi
             sweep(i + 1, [p[k] + c * h[i][k] for k in range(d)], used + xi)
             xi += step
 

@@ -19,7 +19,8 @@ that can fail there, duplicate rays and dependent cones; and
 The log discrepancy of a lattice point v is the value at v of the function
 that is linear on every cone and equals 1 on each primitive ray generator.
 Points outside the fan support get the explicit result ``None`` rather than
-an error, because search code needs to probe and branch on that case.
+an error, because search code needs to probe and branch on that case; a fan
+with a lower-dimensional maximal cone is an error, as it is for the mld.
 """
 
 from __future__ import annotations
@@ -201,15 +202,21 @@ class ToricVariety:
         )
 
 
+def _require_full_dimensional(x_var: ToricVariety) -> None:
+    """Reject a fan whose maximal cones are not all full-dimensional."""
+    for cone in x_var.fan.max_cones:
+        if cone.dim != x_var.dim:
+            raise NonSimplicialError(f"maximal cone {cone.ray_indices} is not full-dimensional")
+
+
 def _locate(x_var: ToricVariety, w: Sequence[int], e: int) -> Optional[tuple[int, list[int], int]]:
     """(ci, nums, s): the lowest-index maximal cone ci containing the point
     w / e, for integers w and e > 0, and its barycentrics there, nums / s."""
     dim = x_var.dim
     if len(w) != dim:
         raise DimensionMismatchError(f"vector has dimension {len(w)}, expected {dim}")
+    _require_full_dimensional(x_var)
     for ci, cone in enumerate(x_var.fan.max_cones):
-        if cone.inverse is None:
-            continue  # lower-dimensional
         k, q = cone.inverse
         nums = [sum(w[i] * k[i][j] for i in range(dim)) for j in range(dim)]
         if all(c >= 0 for c in nums):
@@ -222,7 +229,8 @@ def log_discrepancy(x_var: ToricVariety, v: Sequence) -> Optional[Fraction]:
 
     Returns the sum of barycentric coordinates in any maximal cone containing
     v (the value does not depend on the choice), or None when v is outside
-    the fan support.
+    the fan support.  Raises NonSimplicialError on a fan with a maximal cone
+    that is not full-dimensional, as ``mld`` does.
     """
     vv = as_fractions(v)
     if all(c == 0 for c in vv):
@@ -235,7 +243,7 @@ def log_discrepancy(x_var: ToricVariety, v: Sequence) -> Optional[Fraction]:
 
 
 def find_containing_cone(x_var: ToricVariety, v: Sequence) -> Optional[int]:
-    """Lowest index of a maximal cone containing v, or None."""
+    """Lowest index of a maximal cone containing v, or None; raises as ``log_discrepancy``."""
     (w,), e = _integral([as_fractions(v)])
     hit = _locate(x_var, w, e)
     return None if hit is None else hit[0]

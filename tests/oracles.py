@@ -32,12 +32,15 @@ reads the fiber part off their product with those rows.
 
 ``dense_gauss_jordan`` is the fraction-free Gauss-Jordan step that updates
 every row at every pivot, before rows already zero in the pivot column were
-only rescaled.  ``solve_oracle``, ``to_ambient_oracle`` and
-``primitivize_oracle`` are ``Lattice._solve``, ``Lattice.to_ambient`` and
+only rescaled.  ``mat_mul`` is the matrix product that ``snf`` took of each
+row transform before ``hnf`` carried U through its row operations.
+``solve_oracle`` and ``primitivize_oracle`` are ``Lattice._solve`` and
 ``Lattice.primitivize`` before the substitution read each entry once and the
-product skipped the zeros below the triangular rows; ``rays_primitive_oracle``
-is ``ToricVariety.rays_primitive`` when it primitivized every ray and compared
-the Fraction tuples.
+product skipped the zeros below the triangular rows; ``to_ambient_oracle``,
+the point with given lattice coordinates, is what ``Lattice.to_ambient``
+computed before it left the library, which never read it.
+``rays_primitive_oracle`` is ``ToricVariety.rays_primitive`` when it
+primitivized every ray and compared the Fraction tuples.
 
 ``klein_mld_2d`` is no former library code: it reads the mld of a 2-d cone
 off the Hirzebruch-Jung continued fraction of its quotient, in O(log r)
@@ -242,7 +245,7 @@ def fiber_oracle(mfs: ToricMfs) -> FiberData:
     m = mfs.m
     # kernel of the projection restricted to the lattice, as a sublattice of Q^m
     kernel_rows = integer_row_kernel([row[m:] for row in mfs.x.lattice.rows])
-    ambient = [mfs.x.lattice.to_ambient(row) for row in kernel_rows]
+    ambient = [to_ambient_oracle(mfs.x.lattice, row) for row in kernel_rows]
     z_lattice = Lattice.from_generators(m, [v[:m] for v in ambient])
     verts = [tuple(r[:m]) for r in mfs.x.fan.rays if not any(r[m:])]
     fan = Fan.build(verts, [list(c) for c in combinations(range(m + 1), m)])
@@ -464,6 +467,15 @@ def solve_oracle(lat: Lattice, v: Sequence) -> tuple[list[int], int]:
             raise LatticeError("basis does not contain Z^d with finite index")
         c.append(cj)
     return c, e
+
+
+def mat_mul(a, b):
+    """Matrix product a @ b for list-of-rows matrices."""
+    cols_b = len(b[0]) if b else 0
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols_b)]
+        for i in range(len(a))
+    ]
 
 
 def to_ambient_oracle(lat: Lattice, c: Sequence) -> Vector:

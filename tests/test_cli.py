@@ -42,6 +42,9 @@ COLLINEAR = str(Path(__file__).parent / "golden" / "mfs_degenerate_collinear.jso
 FACET = str(Path(__file__).parent / "golden" / "mfs_degenerate_facet.json")
 DUPLICATE = str(Path(__file__).parent / "golden" / "mfs_degenerate_duplicate.json")
 ZERO_RAY = str(Path(__file__).parent / "golden" / "mfs_degenerate_zero_ray.json")
+# the base ray (0, -1) points away from the base cone, so the support is the
+# preimage of the opposite half-line
+BASE_RAY_NEGATIVE = str(Path(__file__).parent / "golden" / "mfs_base_ray_negative.json")
 
 
 def write(tmp_path, name, doc):
@@ -647,6 +650,19 @@ def test_validate_reports_a_collinear_fiber_simplex(capsys):
     assert [line[:4] for line in out.splitlines()] == ["PASS"] * 3 + ["FAIL"] + ["PASS"] * 3 + ["FAIL", "over"]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "37b2942318b748fb152d596bdbbd730599d7862b737b958d87e8dda0f390a687"
+    )
+
+
+def test_validate_fails_properness_on_a_base_ray_off_the_base_cone(capsys):
+    # fiber_simplex and cone_shape pass here, so ray_roles alone is the
+    # cause; stdout is pinned by its sha256 in CI too
+    assert main(["validate", BASE_RAY_NEGATIVE]) == EXIT_ERROR
+    out = capsys.readouterr().out
+    assert "FAIL  ray_roles             ray 2 does not map onto a base axis ray\n" in out
+    assert "FAIL  properness_support    support condition fails (see ray_roles)\n" in out
+    assert [line[:4] for line in out.splitlines()] == ["PASS", "FAIL"] + ["PASS"] * 5 + ["FAIL", "over"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f5ffc66aebe8222c34ceff80e53efa83ff4270832169a6beb150541d33f40910"
     )
 
 

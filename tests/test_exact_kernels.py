@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_gauss_jordan, det_bareiss
+from oracles import dense_gauss_jordan, det_bareiss, mat_mul
 from test_exactmath import assert_hnf_shape, column_hnf
 from toricmld import exactmath
 from toricmld.exactmath import (
@@ -37,7 +37,6 @@ from toricmld.exactmath import (
     identity,
     invariant_factors,
     inverse,
-    mat_mul,
     rank,
     scaled_inverse,
     snf,

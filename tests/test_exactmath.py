@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import det_bareiss
+from oracles import det_bareiss, mat_mul
 from toricmld.exactmath import (
     SingularMatrixError,
     adjugate,
@@ -13,7 +13,6 @@ from toricmld.exactmath import (
     invariant_factors,
     inverse,
     iroot_floor,
-    mat_mul,
     rank,
     snf,
     solve_exact,

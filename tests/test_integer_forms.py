@@ -6,9 +6,10 @@ reader of those forms relies on the invariants checked here, on random
 lattices and cones of dimension at most 4, against the rational
 Gauss-Jordan inverse of ``exactmath``, and ``Lattice.from_generators``
 (Hermite form modulo D) against the public constructor (``hnf`` of Z^d and
-the generators).  The substitution behind coordinates, ``to_ambient``,
+the generators).  The substitution behind coordinates,
 primitivization and ``ToricVariety.rays_primitive`` is checked against the
-kernels it replaced (``oracles``), results and errors alike.  Every fan the
+kernels it replaced (``oracles``), results and errors alike, and coordinates
+invert ``oracles.to_ambient_oracle``.  Every fan the
 library builds must carry its rays' integer table, equal to ``_integral``
 of its rays: rays = ints / e with e least, and no search or check of the
 library may build the rays' Fraction view from it.  The orthant that
@@ -35,7 +36,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cone_generators, coset_lattice_oracle, det_bareiss, primitivize_oracle, rays_primitive_oracle, solve_oracle, surjectivity_image_oracle, to_ambient_oracle
+from oracles import cone_generators, coset_lattice_oracle, det_bareiss, mat_mul, primitivize_oracle, rays_primitive_oracle, solve_oracle, surjectivity_image_oracle, to_ambient_oracle
 from test_fiber import fibrations
 from toricmld import (
     Fan,
@@ -55,7 +56,7 @@ from toricmld import (
 )
 from toricmld import mfs as mfs_module
 from toricmld.cli import load_instance
-from toricmld.exactmath import _integral, _least_terms, det, inverse, mat_mul, vec_mat
+from toricmld.exactmath import _integral, _least_terms, det, inverse, vec_mat
 from toricmld.mfs import _normal_form_rays, assemble_mfs, family_spec
 from toricmld.mld import _coset_lattice
 from toricmld.toric import origin_barycentrics
@@ -85,7 +86,7 @@ def varieties(draw, max_dim=4):
     entries = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
     coords = draw(st.lists(entries, min_size=d, max_size=d))
     assume(det_bareiss(coords) != 0)
-    rays = [lat.to_ambient(c) for c in coords]
+    rays = [to_ambient_oracle(lat, c) for c in coords]
     return ToricVariety(lat, Fan.build(rays, [list(range(d))]))
 
 
@@ -140,7 +141,7 @@ def test_coords_and_contains_agree_with_the_inverse(lat, data):
         want = tuple(vec_mat(v, binv))
         assert lat.coords(v) == want
         assert lat.contains(v) == all(x.denominator == 1 for x in want)
-        assert lat.to_ambient(want) == tuple(F(x) for x in v)
+        assert to_ambient_oracle(lat, want) == tuple(F(x) for x in v)
 
 
 @PROPERTY
@@ -174,7 +175,7 @@ def ray_candidates(draw, lat):
         return tuple(draw(st.lists(rationals(), min_size=d, max_size=d)))
     c = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
     k = draw(st.integers(2, 4)) if kind == "multiple" else 1
-    return lat.to_ambient([k * x for x in c])
+    return to_ambient_oracle(lat, [k * x for x in c])
 
 
 @PROPERTY
@@ -185,7 +186,7 @@ def test_solve_and_to_ambient_match_the_old_kernels(lat, data):
         v = data.draw(st.lists(st.one_of(rationals(), st.integers(-9, 9)), min_size=d, max_size=d))
         assert _outcome(lat._solve, v) == _outcome(solve_oracle, lat, v)
         c = data.draw(st.lists(st.one_of(st.integers(-9, 9), rationals()), min_size=d, max_size=d))
-        assert lat.to_ambient(c) == to_ambient_oracle(lat, c)
+        assert lat.coords(to_ambient_oracle(lat, c)) == tuple(F(x) for x in c)
 
 
 @PROPERTY

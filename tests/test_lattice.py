@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_overlattice, rand_unimodular
-from oracles import det_bareiss
+from oracles import det_bareiss, to_ambient_oracle
 from toricmld import (
     DegenerateBasisError,
     Lattice,
@@ -251,7 +251,7 @@ def test_primitivize_idempotent():
     for _ in range(50):
         d = rng.randint(1, 4)
         lat = rand_overlattice(rng, d, 40)
-        v = lat.to_ambient([rng.randint(-5, 5) for _ in range(d)])
+        v = to_ambient_oracle(lat, [rng.randint(-5, 5) for _ in range(d)])
         if all(x == 0 for x in v):
             continue
         p = lat.primitivize(v)

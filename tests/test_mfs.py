@@ -282,8 +282,10 @@ def test_mutation_base_fan_off_the_axes():
     report = validate(sheared)
     assert not report.overall
     assert report["ray_roles"].detail == "base fan is not the orthant on the base axes"
-    assert [c.name for c in report.checks if not c.passed] == ["ray_roles"]
-    with pytest.raises(InvalidMfsError, match=r"normal-form validation failed: \['ray_roles'\]"):
+    assert [c.name for c in report.checks if not c.passed] == ["ray_roles", "properness_support"]
+    assert report["properness_support"].detail == "support condition fails (see ray_roles)"
+    failed = r"normal-form validation failed: \['ray_roles', 'properness_support'\]"
+    with pytest.raises(InvalidMfsError, match=failed):
         find_witness(sheared)
     # the orthant with its axes listed in another order still passes
     assert validate(ToricMfs(x=fam.x, y=base([(0, 1), (1, 0)]))).overall

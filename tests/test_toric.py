@@ -14,6 +14,7 @@ from toricmld import (
     ZeroVectorError,
     find_containing_cone,
     log_discrepancy,
+    mld,
 )
 from toricmld.exactmath import _integral, _least_terms
 
@@ -136,6 +137,18 @@ def test_find_containing_cone_triangle():
     assert find_containing_cone(v, (-1, -1)) == 1
     assert find_containing_cone(v, (0, 0)) == 0
     assert find_containing_cone(v, (5, 1)) == 0
+
+
+def test_queries_reject_a_lower_dimensional_maximal_cone():
+    # (-1, -1) generates the maximal cone (2,), of value 1 there; mld rejects
+    # the fan, and so do both queries, at any point
+    x = ToricVariety(Lattice.standard(2), Fan.build([(1, 0), (0, 1), (-1, -1)], [[0, 1], [2]]))
+    for query in (log_discrepancy, find_containing_cone):
+        for v in [(-1, -1), (1, 1)]:
+            with pytest.raises(NonSimplicialError, match=r"^maximal cone \(2,\) is not full-dimensional$"):
+                query(x, v)
+    with pytest.raises(NonSimplicialError, match=r"^maximal cone \(2,\) is not full-dimensional$"):
+        mld(x)
 
 
 def test_fan_rejects_bad_input():

@@ -28,11 +28,11 @@ import pytest
 from hypothesis import assume, event, given, reject, settings
 from hypothesis import strategies as st
 
-from oracles import cone_generators, det_bareiss, klein_mld_2d, with_guard
+from oracles import cone_generators, det_bareiss, klein_mld_2d, mat_mul, with_guard
 from test_exact_kernels import modular_systems
 from test_mld_sweep import affine_varieties, assert_agrees
 from toricmld import Fan, Lattice, TooLargeError, ToricVariety, cyclic_quotient, example_family, mld, mld_bruteforce
-from toricmld.exactmath import hnf, hnf_mod, identity, lll, mat_mul, rank, scaled_inverse
+from toricmld.exactmath import hnf, hnf_mod, identity, lll, rank, scaled_inverse
 
 mld_module = importlib.import_module("toricmld.mld")
 F = Fraction
