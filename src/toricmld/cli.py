@@ -14,7 +14,8 @@ Instance files are JSON with a "kind" discriminator:
           optional "rays" / "max_cones" overriding the derived fan}
 
 Rationals are serialized as strings ("2/17", "3") so round-trips are
-bit-exact; decimal output appears only in the explicitly approximate CSV
+bit-exact, and read, in files and --delta, only in the form [sign]digits
+[/digits]; decimal output appears only in the explicitly approximate CSV
 columns.  stdout carries data, stderr carries diagnostics.
 
 Exit codes: 0 success, 1 parse/validation/runtime error, 2 oracle mismatch
@@ -35,6 +36,7 @@ import csv
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -74,7 +76,9 @@ def _parse_rational(value, path: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
+        try:  # the grammar bounds the work: Fraction would expand "1e-1000000"
+            if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
+                raise ValueError("expected an optional sign, digits and an optional /digits")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceParseError(path, f"bad rational string {value!r}: {exc}")

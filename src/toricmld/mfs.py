@@ -15,9 +15,10 @@ keeps the result; ``validate`` returns it.  The checks read F(N) off the
 base blocks of X's Hermite rows, and the origin's barycentrics off the
 stored inverse of X's cone omitting the first fiber ray.
 ``generic_fiber`` takes its kernel lattice from a base-first Hermite form
-and reuses X's cone inverses, derived once in ``ToricMfs._fiber_inverses``,
-which is all the witness layer reads of the fiber, so only its callers
-build the fiber.  ``assemble_mfs`` is the one place that builds
+and checks its simplex fan as ``Fan.build`` does; the witness layer reads
+the fiber cones' inverses straight off X's cones, so only its callers
+build the fiber.  Both refuse a fibration that fails validation.
+``assemble_mfs`` is the one place that builds
 a fibration from its normal-form parameters; it checks their shapes but not
 the geometry, so ``validate`` can report every failed check.  With no ray
 or cone override it builds X's fan in ``_product_fan`` from the fiber
@@ -35,7 +36,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from operator import add
 from typing import Iterable, Optional, Sequence
 
@@ -129,29 +130,12 @@ class ToricMfs:
                 return tuple(Fraction(x, s) for x in [e * q] + u) if s else None
         return origin_barycentrics([ints[i][:m] for i in kernel])
 
-    @cached_property
-    def _fiber_inverses(self) -> tuple[tuple[tuple[int, ...], tuple], ...]:
-        """The m+1 cones of the fiber fan, each as its vertex indices and its
-        inverse (K, q), read off X on first use and kept, on a fibration
-        that passes validation: the fiber block of the stored (K, q) of the
-        cone of X omitting the same fiber ray, whose generator matrix is
-        block triangular, so its fiber block is that inverse."""
+    def _require_valid(self) -> None:
+        """Raise InvalidMfsError naming the failed checks unless ``report``
+        passes: the gate of ``generic_fiber`` and of the witness layer."""
         if not self.report.overall:
             failed = [c.name for c in self.report.checks if not c.passed]
             raise InvalidMfsError(f"normal-form validation failed: {failed}")
-        m, kernel, x_cones = self.m, self._kernel_ray_indices, self.x.fan.max_cones
-        # cone_shape makes each cone of X the full set omitting one fiber ray
-        inverses = []
-        for j, idx in zip(range(m, -1, -1), combinations(range(m + 1), m)):
-            cone = next(c for c in x_cones if kernel[j] not in c.ray_indices)
-            k, q = cone.inverse
-            cols = [cone.ray_indices.index(kernel[t]) for t in idx]  # any ray order
-            block = [tuple(row[s] for s in cols) for row in k[:m]]
-            g = math.gcd(q, *chain.from_iterable(block))
-            if g > 1:
-                block = [tuple(x // g for x in row) for row in block]
-            inverses.append((idx, (tuple(block), q // g)))
-        return tuple(inverses)
 
     def project(self, v: Sequence) -> Vector:
         """Apply F: drop the first m (fiber) coordinates."""
@@ -199,13 +183,8 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
     x_ints, x_e = mfs.x.fan.integral
 
     # the fiber/base split of the rays, shared by the checks that need it
-    try:
-        kernel = mfs._kernel_ray_indices
-        bad_kernel = None
-        if len(kernel) != m + 1:
-            bad_kernel = f"{len(kernel)} rays in ker F, expected {m + 1}"
-    except Exception as exc:  # a failed check must never abort the report
-        kernel, bad_kernel = [], f"check crashed: {exc}"
+    kernel = mfs._kernel_ray_indices
+    bad_kernel = None if len(kernel) == m + 1 else f"{len(kernel)} rays in ker F, expected {m + 1}"
 
     def run(name: str, fn, needs_kernel: bool = False) -> bool:
         try:
@@ -307,19 +286,17 @@ def _run_checks(mfs: ToricMfs) -> ValidationReport:
 
 def generic_fiber(mfs: ToricMfs) -> FiberData:
     """The fiber over the dense base point (kernel lattice, simplex fan,
-    the origin's barycentrics), read off X: the cones from
-    ``ToricMfs._fiber_inverses``, the barycentrics from the report's
-    ``fiber_simplex`` check, and the lattice from a base-first Hermite form."""
-    inverses = mfs._fiber_inverses  # raises on a fibration that fails validation
+    the origin's barycentrics), read off X on a fibration that passes
+    validation: the fan is ``Fan._checked``'s on the fiber blocks of the
+    kernel rays, the barycentrics the report's ``fiber_simplex`` ones, and
+    the lattice comes from a base-first Hermite form."""
+    mfs._require_valid()
     m, n, lat = mfs.m, mfs.n, mfs.x.lattice
     # D N's rows mod D, base first: the last m, zero on the base, span D (N cap ker F)
     base_first = hnf_mod([row[m:] + row[:m] for row in lat.rows], lat.denominator)
     z_lattice = Lattice._from_scaled(m, lat.denominator, [row[n:] for row in base_first[n:]])
     kernel, (ints, e) = mfs._kernel_ray_indices, mfs.x.fan.integral
-    # Fan.build's checks hold already: the kernel rays are distinct rays of
-    # X and fiber_simplex makes every m of them independent
-    table = _least_terms([ints[i][:m] for i in kernel], e)
-    fan = Fan(table, tuple(SimplicialCone(idx, inv) for idx, inv in inverses), m)
+    fan = Fan._checked(*_least_terms([ints[i][:m] for i in kernel], e), combinations(range(m + 1), m))
     z = ToricVariety._on_lattice_points(z_lattice, fan)
     return FiberData(z=z, simplex_vertices=fan.rays, origin_barycentrics=mfs._origin_barycentrics)
 

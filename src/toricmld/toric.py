@@ -6,15 +6,14 @@ ray generators as one integer table (ints, e), rays = ints / e, plus the
 index sets of the maximal cones and each full-dimensional cone's integer
 inverse.  The library reads only the table; the rays as Fractions are built
 on first read, for output.  Only simplicial cones are representable;
-non-simplicial input is rejected when the fan is built.  Three builders
+non-simplicial input is rejected when the fan is built.  Two builders
 skip the checks that hold by construction: the orthant over a lattice on
 its primitive axis rays, ``ToricVariety._orthant`` (the cyclic quotients
 and every fibration's base), whose table and diagonal inverse are read off
-one substitution per axis; the total space of a fibration in normal form,
-``mfs._product_fan``, whose cone inverses are block diagonal, a fiber
+one substitution per axis; and the total space of a fibration in normal
+form, ``mfs._product_fan``, whose cone inverses are block diagonal, a fiber
 block's inverse beside the base diagonal, and which keeps the two checks
-that can fail there, duplicate rays and dependent cones; and
-``mfs.generic_fiber``, which reuses the cone inverses of the total space.
+that can fail there, duplicate rays and dependent cones.
 
 The log discrepancy of a lattice point v is the value at v of the function
 that is linear on every cone and equals 1 on each primitive ray generator.

@@ -20,10 +20,16 @@ The multiple k*P, with the fiber part re-centered to the nearest-integer
 representative, is a nonzero lattice point Q with nonnegative base part; its
 log discrepancy is at most (C+1) * delta^(1/(m+1)) where C is the largest
 coefficient 1-norm among the linear pieces of the fiber's discrepancy
-function.  C is read from the fiber cones' inverses, which X's cones already
-hold, and depends on the basis the fiber is given in: for family l = 5 it is
-6 in the family's own basis and 7 to 44 in five transformed bases.  Q's
-fiber part comes from the integer residues x = k*b_l*d mod d of the scan,
+function.  When X's base rays v_l = (s_l, t_l e_l) have fiber parts s_l,
+the point A_X = sum_l (a_l / t_l) v_l over A has ld(A_X) <= delta (t_l is
+a multiple c_l >= 1 of Y's ray), and x = Q - k*A_X lies in the fiber, so
+ld(Q) <= C*|x|_inf + k*delta in Q's cone, with k*delta <= delta^(1/(m+1)).
+So the scan runs on b' = b - s, s the fiber part of A_X (0 when no base ray
+is sheared), and Q's fiber part is the re-centered k*b' plus k*s.  C is read
+from the fiber cones' inverses, which X's cones already hold, and depends
+on the basis the fiber is given in: for family l = 5 it is 6 in the
+family's own basis and 7 to 44 in five transformed bases.  Q's fiber part
+comes from the integer residues x = k*b'_l*d mod d of the scan,
 and Q is located in the fan of X once: that one cone-location pass gives
 both its cone and ld(Q), the sum of its barycentrics there.
 
@@ -184,10 +190,12 @@ def effective_delta(fiber: FiberData) -> EffectiveDelta:
 
 
 def _fiber_c(mfs: ToricMfs) -> Fraction:
-    """``effective_delta(generic_fiber(mfs)).c_z`` from the fiber cones'
-    inverses alone, with no fiber built; raises InvalidMfsError as
-    ``generic_fiber`` does on a fibration that fails validation."""
-    return _largest_norm(inverse for _, inverse in mfs._fiber_inverses)
+    """``effective_delta(generic_fiber(mfs)).c_z`` off X's cones, on a valid
+    fibration: each omits one fiber ray, so its first m rows of K are the
+    fiber cone's inverse at the fiber rays' columns and 0 at the base rays'."""
+    mfs._require_valid()
+    m = mfs.m
+    return _largest_norm((k[:m], q) for k, q in (cone.inverse for cone in mfs.x.fan.max_cones))
 
 
 def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessReport:
@@ -197,14 +205,17 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
     raises PreconditionFailedError.  The pair is (0, k*) for the smallest
     k* <= T whose multiple of the lifted fiber part lies within
     delta^(1/(m+1)) of the origin on the torus, found by an exact integer
-    scan over k; NoPairFoundError is raised if no k <= T qualifies.  The scan
+    scan over k; NoPairFoundError is raised if no k <= T qualifies.  The
+    lifted fiber part is shifted on sheared base rays (see the module
+    sketch), so ld_q meets the bound on every fibration that validates, and
+    InvalidMfsError is raised on one that does not.  The scan
     examines at most ``GUARD`` multiples: when T exceeds the guard and no k
     up to it qualifies, TooLargeError is raised instead.  The report is
     self-verifying: Q is a nonzero lattice point of the total space, its
     base image is componentwise nonnegative, and Q is located once in the
     fan of X, which gives its cone and ld_q from scratch.  The bound's C is
-    ``effective_delta``'s, read from the fiber cones' inverses with no
-    fiber built, so it depends on the fiber basis as that C does.
+    ``effective_delta``'s, read off X's cones with no fiber built, so it
+    depends on the fiber basis as that C does.
     """
     base = mld(mfs.y)
     if delta is None:
@@ -215,10 +226,15 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
             raise PreconditionFailedError(
                 f"base discrepancy {base.value} exceeds requested delta {delta}"
             )
+    coeff = _fiber_c(mfs) + 1  # raises on a fibration that fails validation
     m, n = mfs.m, mfs.n
     a = base.witness
     p = lift_to_X(mfs, a)
-    b = p[:m]
+    # s, the fiber part of A_X = sum_l (a_l / t_l) (s_l, t_l e_l), from the sheared base rays
+    rays = mfs.x.fan.integral[0]
+    sheared = [(w, next(l for l in range(n) if w[m + l])) for w in rays if any(w[m:]) and any(w[:m])]
+    shift = [sum(a[l] * w[j] / w[m + l] for w, l in sheared) for j in range(m)]
+    b = [x - y for x, y in zip(p[:m], shift)] if sheared else p[:m]
 
     # number of multiples: k = 0..T with T = floor(delta^(-m/(m+1))), at least 1,
     # so that (T+1) boxes of side delta^(1/(m+1)) overfill the fiber torus
@@ -244,17 +260,17 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
     # the nearest-integer representative of k b: x / d or x / d - 1, x = k s mod d
     residues = [k * s % d for s in steps]
     q_fiber = tuple(Fraction(x, d) if 2 * x <= d else Fraction(x - d, d) for x in residues)
+    if sheared:  # Q - k A_X is the centred fiber point; Q = k P less an integer vector
+        q_fiber = tuple(x + k * y for x, y in zip(q_fiber, shift))
     q = q_fiber + tuple(k * c for c in a)
     if not mfs.x.lattice.contains(q):
         raise NotInLatticeError("constructed witness left the lattice")  # unreachable
 
     # located once: the containing cone and ld(Q), the sum of Q's barycentrics
-    # there; outside the fan (only on a fibration that fails validation, which
-    # _fiber_c then reports) both are None
+    # there; a validated fan covers the preimage of the base cone, so Q is in it
     (w,), e = _integral([q])
-    hit = _locate(mfs.x, w, e)
-    cone_index, ld_q = (None, None) if hit is None else (hit[0], Fraction(sum(hit[1]), hit[2]))
-    coeff = _fiber_c(mfs) + 1
+    cone_index, nums, scale = _locate(mfs.x, w, e)
+    ld_q = Fraction(sum(nums), scale)
     satisfied = ld_q ** (m + 1) <= coeff ** (m + 1) * delta
     return WitnessReport(
         base_point=a,
@@ -288,8 +304,9 @@ def check_eps_delta(mfs: ToricMfs) -> EpsDeltaCertificate:
 
     For a standard-simplex fiber C+1 equals twice the fiber dimension, so
     this is the power form of the threshold inequality at its sharp constant.
-    C is ``effective_delta``'s, read from the fiber cones' inverses with no
-    fiber built, so it depends on the fiber basis as that C does.
+    C is ``effective_delta``'s, read off X's cones with no fiber built, so
+    it depends on the fiber basis as that C does; a fibration that fails
+    validation raises InvalidMfsError.
     """
     c_z = _fiber_c(mfs)
     rx = mld(mfs.x)

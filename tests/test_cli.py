@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from toricmld import DEFAULT_GUARD, GUARD, Lattice, example_family, mld
+from toricmld import DEFAULT_GUARD, GUARD, Lattice, example_family, find_witness, mld
+from toricmld import cli
 from toricmld.cli import (
     EXIT_ERROR,
     EXIT_INEQUALITY,
@@ -31,12 +33,12 @@ ORACLE_LARGE_STDOUT_SHA256 = "51a34c74fb28d35295542506f8fdb827041d6b8421a5b23073
 # 1/1000003(1, 1, 1, 1): a thin simplex whose witness the oracle meets early
 ORACLE_THIN = str(Path(__file__).parent / "golden" / "oracle_thin.json")
 ORACLE_THIN_STDOUT_SHA256 = "93ff42c836e45cc439fa45ed23d0962a39c416244939df9aa0a0bdbeea6f4f7a"
-# Z^3 onto Z^2 + (1/2, 0) + (0, 1/3): the one CLI output that goes through snf
 # family l = 3 in another fiber basis, with base rays sheared by (-1, 2) and
-# (2, 2): it validates, but its witness misses the bound
+# (2, 2): it validates, and its witness meets the bound
 SHEARED = str(Path(__file__).parent / "golden" / "mfs_sheared_bound.json")
-SHEARED_STDOUT_SHA256 = "80bd99129339f0fccca3f97804f2dd6972ecdd13558b30d355c306f9156d66d1"
+SHEARED_STDOUT_SHA256 = "d0df364722896ab7eb05df189aa2bcad6e753591dd99f6787a41ebf806501d16"
 SHEARED_VALIDATE_SHA256 = "4822ea39c2c41797e09e21e89934a5b7ab290b6138b0b2c19ccfa4e5fa630498"
+# Z^3 onto Z^2 + (1/2, 0) + (0, 1/3): the one CLI output that goes through snf
 COKERNEL = str(Path(__file__).parent / "golden" / "mfs_cokernel.json")
 COLLINEAR = str(Path(__file__).parent / "golden" / "mfs_degenerate_collinear.json")
 FACET = str(Path(__file__).parent / "golden" / "mfs_degenerate_facet.json")
@@ -168,6 +170,19 @@ def test_mld_bad_field_path(tmp_path, capsys):
     assert main(["mld", path]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert "$.rays[1][0]" in err
+
+
+@pytest.mark.parametrize("value", ["1e-5", "0.5", " 3", "1_000"])
+def test_rationals_are_sign_digits_and_an_optional_denominator(tmp_path, capsys, value):
+    # Fraction accepts each of these, and expands an exponent, so that
+    # "1e-1000000" would cost time without bound
+    doc = quotient_17_doc()
+    doc["lattice_generators"] = [[value, "0"]]
+    assert main(["mld", write(tmp_path, "exponent.json", doc)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: $.lattice_generators[0][0]: bad rational string {value!r}: ")
 
 
 def _toric_doc_with(path, value):
@@ -503,17 +518,30 @@ def test_witness_precondition(tmp_path, capsys):
     assert main(["witness", path, "--delta", "1/1000000"]) == EXIT_PRECONDITION
 
 
-def test_witness_exits_4_when_its_bound_fails(capsys):
-    # the full report still goes to stdout; the shear shifts Q's fiber part
-    # by a multiple of k that the scan does not see, so ld(Q) = 109/41
-    # exceeds 8 (1/41)^(1/3)
+def test_witness_meets_its_bound_on_the_sheared_golden(capsys):
+    # the scan runs on b - s, s the fiber part of the point over A on X's
+    # sheared base rays, so ld(Q) = 21/41 is within 8 (1/41)^(1/3)
     assert main(["check", SHEARED]) == EXIT_OK
     capsys.readouterr()
+    assert main(["witness", SHEARED]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "pair = (i=0, j=2)\nQ = (12/41, 13/41, 1/41, 1/41)\n" in captured.out
+    assert "ld(Q) = 21/41\n" in captured.out
+    assert captured.out.endswith("bound_satisfied = true\n")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == SHEARED_STDOUT_SHA256
+    assert captured.err == ""
+
+
+def test_witness_exits_4_when_its_bound_fails(capsys, monkeypatch):
+    # no validated fibration misses the bound, so a report that does is fed in
+    def missed(mfs, delta):
+        return dataclasses.replace(find_witness(mfs, delta), bound_satisfied=False)
+
+    monkeypatch.setattr(cli, "find_witness", missed)
     assert main(["witness", SHEARED]) == EXIT_INEQUALITY
     captured = capsys.readouterr()
-    assert "ld(Q) = 109/41\n" in captured.out
+    assert "ld(Q) = 21/41\n" in captured.out  # the full report still goes to stdout
     assert captured.out.endswith("bound_satisfied = false\n")
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == SHEARED_STDOUT_SHA256
     assert captured.err == "error: witness bound violated: ld(Q) exceeds (C+1) * delta^(1/(m+1))\n"
 
 

@@ -55,6 +55,10 @@ CHECKS = {
         lambda: Lattice(2, [(1, 0), (2, 0)]),
         DegenerateBasisError, "generators do not span Q^d",
     ),
+    "quotient-group-too-few-rows": (
+        lambda: Lattice.standard(2).quotient_group([(2, 0)]),
+        DegenerateBasisError, "sublattice basis must have d rows",
+    ),
     "variety-dimensions-differ": (
         lambda: ToricVariety(Lattice.standard(3), Fan.build([(1, 0), (0, 1)], [[0, 1]])),
         DimensionMismatchError, "fan dimension 2 does not match lattice dimension 3",

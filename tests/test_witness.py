@@ -2,9 +2,10 @@ import random
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_standard_simplex_mfs, standard_fiber_rays
@@ -18,6 +19,7 @@ from oracles import (
     with_guard,
 )
 from test_fiber import SHUFFLED, fibrations, relisted
+from test_integer_forms import override_fibrations
 from toricmld import (
     Fan,
     InvalidMfsError,
@@ -42,6 +44,7 @@ from toricmld import (
 )
 from toricmld.cli import load_instance
 from toricmld.exactmath import iroot_floor, vec_mat
+from toricmld.mfs import assemble_mfs
 from toricmld.witness import _first_multiple
 
 F = Fraction
@@ -312,6 +315,31 @@ def check_witness_report(mfs, report):
     m = mfs.m
     assert report.ld_q ** (m + 1) <= report.bound_power
     assert report.bound_satisfied
+
+
+@st.composite
+def sheared_fibrations(draw):
+    """Fibrations whose base rays may have fiber parts: a family member moved
+    by a fiber basis change and a base shear, as ``override_fibrations``
+    draws it, or a fibration with a base multiple > 1 whose base rays
+    ``relisted`` moves by kernel lattice points."""
+    if draw(st.booleans()):
+        mfs = assemble_mfs(*draw(override_fibrations()))
+        assume(mfs.report.overall)
+        return mfs
+    return relisted(draw(fibrations(base_multiples=True)), SimpleNamespace(draw=draw))
+
+
+@FIBRATIONS
+@given(sheared_fibrations())
+@example(load_instance(str(Path(__file__).parent / "golden" / "mfs_sheared_bound.json")))
+def test_witness_meets_its_bound_on_sheared_base_rays(mfs):
+    """Q - k A_X lies in the fiber, A_X the point over A on X's base rays,
+    so the scan on b minus A_X's fiber part bounds ld(Q) on every validated
+    fibration.  The example is the sheared golden, whose bound fails when
+    the scan runs on b itself."""
+    check_witness_report(mfs, find_witness(mfs))
+    assert_c_read_from_the_fiber_cones(mfs)
 
 
 def located_instances():
