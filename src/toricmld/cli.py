@@ -76,7 +76,7 @@ def _parse_rational(value, path: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:  # the grammar bounds the work: Fraction would expand "1e-1000000"
+        try:  # no exponent to expand: work grows with the string's length only
             if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
                 raise ValueError("expected an optional sign, digits and an optional /digits")
             return Fraction(value)

@@ -230,11 +230,11 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
     m, n = mfs.m, mfs.n
     a = base.witness
     p = lift_to_X(mfs, a)
-    # s, the fiber part of A_X = sum_l (a_l / t_l) (s_l, t_l e_l), from the sheared base rays
+    # s, the fiber part of A_X = sum_l (a_l / t_l) (s_l, t_l e_l): 0 but for sheared base rays
     rays = mfs.x.fan.integral[0]
     sheared = [(w, next(l for l in range(n) if w[m + l])) for w in rays if any(w[m:]) and any(w[:m])]
     shift = [sum(a[l] * w[j] / w[m + l] for w, l in sheared) for j in range(m)]
-    b = [x - y for x, y in zip(p[:m], shift)] if sheared else p[:m]
+    b = [x - y for x, y in zip(p[:m], shift)]
 
     # number of multiples: k = 0..T with T = floor(delta^(-m/(m+1))), at least 1,
     # so that (T+1) boxes of side delta^(1/(m+1)) overfill the fiber torus
@@ -259,9 +259,9 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
 
     # the nearest-integer representative of k b: x / d or x / d - 1, x = k s mod d
     residues = [k * s % d for s in steps]
-    q_fiber = tuple(Fraction(x, d) if 2 * x <= d else Fraction(x - d, d) for x in residues)
-    if sheared:  # Q - k A_X is the centred fiber point; Q = k P less an integer vector
-        q_fiber = tuple(x + k * y for x, y in zip(q_fiber, shift))
+    # Q - k A_X is that centred fiber point; Q = k P less an integer vector
+    centred = (Fraction(x, d) if 2 * x <= d else Fraction(x - d, d) for x in residues)
+    q_fiber = tuple(x + k * y for x, y in zip(centred, shift))
     q = q_fiber + tuple(k * c for c in a)
     if not mfs.x.lattice.contains(q):
         raise NotInLatticeError("constructed witness left the lattice")  # unreachable
