@@ -18,7 +18,7 @@ bit-exact, and read, in files and --delta, only in the form [sign]digits
 [/digits]; decimal output appears only in the explicitly approximate CSV
 columns.  stdout carries data, stderr carries diagnostics.
 
-Exit codes: 0 success, 1 parse/validation/runtime error, 2 oracle mismatch
+Exit codes: 0 success, 1 usage/parse/validation/runtime error, 2 oracle mismatch
 (mld --brute-force), 3 witness precondition violated, 4 threshold inequality
 violated (check) or witness bound not satisfied (witness, after printing the
 full report).  The environment variable TORICMLD_GUARD, a positive integer,
@@ -107,18 +107,6 @@ def _get(doc: dict, key: str, path: str = "$"):
     if key not in doc:
         raise InstanceParseError(f"{path}.{key}", "missing field")
     return doc[key]
-
-
-def serialize_toric(variety: ToricVariety) -> dict:
-    return {
-        "kind": "toric",
-        "dim": variety.dim,
-        "lattice_generators": [
-            [str(x) for x in row] for row in variety.lattice.basis
-        ],
-        "rays": [[str(x) for x in r] for r in variety.fan.rays],
-        "max_cones": [list(c.ray_indices) for c in variety.fan.max_cones],
-    }
 
 
 def serialize_mfs(m: int, n: int, fiber_rays, base_multiples, extra_generators) -> dict:
@@ -379,11 +367,17 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1 through main, as any other error
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
-    was, and each subcommand looks its library calls up when it runs."""
-    parser = argparse.ArgumentParser(
+    was, and each subcommand looks its library calls up when it runs.  Its
+    subparsers share its class, so a usage error anywhere raises ValueError."""
+    parser = _Parser(
         prog="toricmld",
         description="Exact minimal log discrepancies of simplicial toric varieties",
     )
@@ -422,10 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     token = GUARD.set(_guard())
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

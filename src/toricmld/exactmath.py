@@ -4,7 +4,7 @@ Everything in this package computes over Python ints (arbitrary precision)
 and ``fractions.Fraction``; no floats enter any core computation.  Matrices
 are plain lists of row lists, vectors are sequences.  Row convention: a
 lattice point with coordinates ``c`` relative to basis rows ``B`` is the
-row-vector product ``vec_mat(c, B)``.
+row-vector product c B = sum_i c[i] B[i].
 
 All functions are pure and never mutate their arguments.
 """
@@ -42,12 +42,6 @@ def as_fractions(v: Sequence) -> tuple[Fraction, ...]:
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def vec_mat(v: Sequence, m) -> list:
-    """Row vector times matrix: sum_i v[i] * m[i]."""
-    cols = len(m[0]) if m else 0
-    return [sum(v[i] * m[i][j] for i in range(len(m))) for j in range(cols)]
 
 
 def _require_square(m, what: str) -> int:

@@ -18,9 +18,9 @@ holds integer rows (a fan's ray table) reads no Fraction, and an error names
 such a point by building its Fractions then; a point given as Fractions is
 read into (w, e) by ``exactmath._integral``, as generators are.  The one
 integer primitivization, ``_primitive_scaled``, returns D times the
-primitive point, and ``primitivize`` divides it by D.  The public
-constructor takes any generating rows, runs ``hnf`` on them, and checks
-with the same substitution on each e_j that N contains Z^d.
+primitive point, and ``primitivize`` divides it by D.  Every lattice is
+built by ``from_generators`` or, from integer rows over a denominator, by
+``_from_scaled``.
 
 ``quotient_group`` reads N / B, for a full-rank sublattice B, off the Smith
 normal form of B's coordinate matrix; ``reps_scaled`` counts one
@@ -37,6 +37,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
+# hnf is unused here: it stays importable as lattice.hnf while perfbench's tests bind it
 from .exactmath import _integral, _least_terms, as_fractions, hnf, hnf_mod, snf
 
 Vector = tuple[Fraction, ...]
@@ -68,12 +69,6 @@ def _as_vector(v: Sequence, dim: int) -> Vector:
     return as_fractions(v)
 
 
-def _scaled(dim: int, gens: Iterable[Sequence]) -> tuple[int, list[list[int]]]:
-    """(D, D gens): D the lcm of the generators' denominators."""
-    rows, denom = _integral([_as_vector(g, dim) for g in gens])
-    return denom, rows
-
-
 def _fractions(w: Sequence[int], e: int) -> Vector:
     """The point w / e as Fractions, for integers w and e > 0: how a point
     held as integers is returned or named in an error."""
@@ -85,23 +80,6 @@ class Lattice:
 
     __slots__ = ("dim", "denominator", "rows", "_basis")
 
-    def __init__(self, dim: int, gens: Sequence[Sequence[Fraction]]):
-        denom, scaled = _scaled(dim, gens)
-        if len(scaled) < dim:
-            raise DegenerateBasisError("need at least d generating rows")
-        top = hnf(scaled)[0][:dim]
-        if any(top[i][i] == 0 for i in range(dim)):
-            raise DegenerateBasisError("generators do not span Q^d")
-        self._set(dim, denom, top)
-        for j in range(dim):  # Z^d is inside N iff every e_j is
-            self._substitute([int(i == j) for i in range(dim)])
-
-    def _set(self, dim: int, denominator: int, rows: Sequence[Sequence[int]]) -> None:
-        self.dim = dim
-        self.denominator = denominator
-        self.rows = tuple(tuple(row) for row in rows)
-        self._basis = None
-
     @classmethod
     def standard(cls, dim: int) -> "Lattice":
         return cls.from_generators(dim, [])
@@ -111,15 +89,19 @@ class Lattice:
         """Smallest lattice containing Z^d and all of gens, in canonical form."""
         if dim < 1:
             raise ValueError("dimension must be positive")
-        return cls._from_scaled(dim, *_scaled(dim, gens))
+        rows, denom = _integral([_as_vector(g, dim) for g in gens])
+        return cls._from_scaled(dim, denom, rows)
 
     @classmethod
     def _from_scaled(cls, dim: int, denom: int, rows: Sequence[Sequence[int]]) -> "Lattice":
         """``from_generators`` of the rows / denom, for integer rows: in lowest
         terms rows / denom = A / D, and D N = span(A) + D Z^d."""
         rows, denom = _least_terms(rows, denom)
-        lat = cls.__new__(cls)
-        lat._set(dim, denom, hnf_mod(rows or [[0] * dim], denom))
+        lat = cls()
+        lat.dim = dim
+        lat.denominator = denom
+        lat.rows = tuple(map(tuple, hnf_mod(rows or [[0] * dim], denom)))
+        lat._basis = None
         return lat
 
     @property
@@ -142,19 +124,15 @@ class Lattice:
 
     def _substitute(self, w: Sequence[int]) -> list[int]:
         """C with C @ rows = D w, for an integer vector w, by substitution on
-        the triangular rows.  Every division is exact when N contains Z^d,
-        since D rows^-1 is then an integer matrix; an inexact one proves that
-        it does not (LatticeError)."""
+        the triangular rows.  Every division is exact: N contains Z^d, so
+        D rows^-1 is an integer matrix."""
         denom, h = self.denominator, self.rows
         c: list[int] = []
         for j, x in enumerate(w):
             t = x * denom
             for i in range(j):
                 t -= c[i] * h[i][j]
-            cj, rest = divmod(t, h[j][j])
-            if rest:
-                raise LatticeError("basis does not contain Z^d with finite index")
-            c.append(cj)
+            c.append(t // h[j][j])
         return c
 
     def coords(self, v: Sequence) -> Vector:

@@ -524,7 +524,6 @@ class FamilySweepRow:
     mld_x: Fraction
     mld_y: Fraction
     ratio_approx: float
-    bound_check: bool
 
     @classmethod
     def compute(cls, l: int) -> "FamilySweepRow":
@@ -537,17 +536,12 @@ class FamilySweepRow:
             mld_x=mx,
             mld_y=my,
             ratio_approx=float(my / mx**4),
-            bound_check=mx >= Fraction(9, 20 * l),
         )
 
 
 def sweep_family(l_min: int, l_max: int) -> list[FamilySweepRow]:
-    """Exact discrepancies of the family for l in [l_min, l_max].
-
-    ``bound_check`` records the per-row lower bound mld(X) >= 0.9/(2l) (the
-    asymptotic rate with a fixed slack for small l).  Rows are independent;
-    output is ordered by l.
-    """
+    """Exact discrepancies of the family for l in [l_min, l_max].  Rows are
+    independent; output is ordered by l."""
     if l_min < 2 or l_max < l_min:
         raise BadParameterError("need 2 <= l_min <= l_max")
     return [FamilySweepRow.compute(l) for l in range(l_min, l_max + 1)]

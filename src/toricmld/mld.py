@@ -116,25 +116,8 @@ d = 7's point cost lies past the band's 2^14 points, on the fitted line.
 A dimension outside the table, d = 1 (whose first point, of value 1/D, is
 its minimum) or d >= 8, takes the sweep, handed over at d = 7's cost.
 
-``mld_bruteforce`` re-derives the same minimum in ambient coordinates and
-exists purely to cross-check ``mld``.  It walks, per cone, the integer box of
-the simplex s conv(0, g_1 .. g_d) in rounds with a value bound s <= 1 and
-accepts only points of value <= s.  Every point of value <= s lies in that
-simplex, so the first round that finds a point holds the cone's minimum and
-its lex-least witness, exactly as one walk of the box of the cone body
-{sum l_i g_i : 0 <= l <= 1} would; at s <= 1 the simplex's box lies inside
-that one.  s starts at 2^-floor(bitlen(D q) / d) from the cone's data.
-After a round that finds nothing, the next is at min(2 s, v, 1): v is the
-least value of a cone point that the round met at an end of an innermost
-row and turned away only because it exceeds s, which proves the minimum is
-at most v, so a round at v is the last, and every generator has value 1.
-The walk is a branch and bound: once a round has a point of value t,
-the box shrinks to that of t conv(0, g_1 .. g_d), which still holds every
-point of value <= t, ties included, and each level stops as soon as its
-coordinate leaves the box.  A node's row on the next level is tested against
-the box before it is built, and the innermost row is clipped in closed form
-by the loop of the level above it.  The guard counts the nodes visited and
-the box points of the innermost rows.
+``mld_bruteforce``, the independent box-scan oracle, documents its own
+search.
 """
 
 from __future__ import annotations

@@ -33,7 +33,11 @@ reads the fiber part off their product with those rows.
 ``dense_gauss_jordan`` is the fraction-free Gauss-Jordan step that updates
 every row at every pivot, before rows already zero in the pivot column were
 only rescaled.  ``mat_mul`` is the matrix product that ``snf`` took of each
-row transform before ``hnf`` carried U through its row operations.
+row transform before ``hnf`` carried U through its row operations, and
+``vec_mat`` the row-vector product, which the library no longer takes.
+``checked_lattice_oracle`` is the checked ``Lattice(dim, gens)`` constructor
+that ``from_generators`` replaced: a full ``hnf`` of the generators and a
+substitution per e_j to check that N contains Z^d.
 ``solve_oracle`` and ``primitivize_oracle`` are ``Lattice._solve`` and
 ``Lattice.primitivize`` before the substitution read each entry once and the
 product skipped the zeros below the triangular rows; ``to_ambient_oracle``,
@@ -70,8 +74,8 @@ from typing import Callable, Optional, Sequence
 from itertools import combinations
 
 from toricmld import Fan, Lattice, NoPairFoundError, ToricVariety, find_witness, lift_to_X, mld
-from toricmld.exactmath import hnf, hnf_mod, invariant_factors, iroot_floor, snf, vec_mat
-from toricmld.lattice import LatticeError, NotInLatticeError, Vector, ZeroVectorError
+from toricmld.exactmath import hnf, hnf_mod, invariant_factors, iroot_floor, snf
+from toricmld.lattice import DegenerateBasisError, LatticeError, NotInLatticeError, Vector, ZeroVectorError
 from toricmld.mfs import FiberData, InvalidMfsError, ToricMfs, generic_fiber
 from toricmld.mld import GUARD, MldResult, TooLargeError, _check_cones, _scaled_generators
 from toricmld.toric import find_containing_cone, origin_barycentrics
@@ -476,6 +480,33 @@ def mat_mul(a, b):
         [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols_b)]
         for i in range(len(a))
     ]
+
+
+def vec_mat(v: Sequence, m) -> list:
+    """Row vector times matrix: sum_i v[i] * m[i]."""
+    cols = len(m[0]) if m else 0
+    return [sum(v[i] * m[i][j] for i in range(len(m))) for j in range(cols)]
+
+
+def checked_lattice_oracle(dim: int, gens: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, rows) of the lattice N that the rational rows gens generate: D the
+    lcm of their denominators, rows the top of the full ``hnf`` of D gens,
+    and each e_j checked by substitution to lie in N."""
+    if len(gens) < dim:
+        raise DegenerateBasisError("need at least d generating rows")
+    gens = [[Fraction(x) for x in g] for g in gens]
+    denom = math.lcm(*(x.denominator for g in gens for x in g))
+    top = hnf([[x.numerator * (denom // x.denominator) for x in g] for g in gens])[0][:dim]
+    if any(top[i][i] == 0 for i in range(dim)):
+        raise DegenerateBasisError("generators do not span Q^d")
+    for j in range(dim):  # Z^d is inside N iff every e_j is
+        c: list[int] = []
+        for k in range(dim):
+            ck, rest = divmod(denom * (j == k) - sum(c[i] * top[i][k] for i in range(k)), top[k][k])
+            if rest:
+                raise LatticeError("basis does not contain Z^d with finite index")
+            c.append(ck)
+    return denom, tuple(map(tuple, top))
 
 
 def to_ambient_oracle(lat: Lattice, c: Sequence) -> Vector:

@@ -19,7 +19,6 @@ from toricmld.cli import (
     build_parser,
     load_instance,
     main,
-    serialize_toric,
 )
 
 F = Fraction
@@ -447,13 +446,39 @@ def test_family_bad_parameter(capsys):
 
 
 def test_toric_serialization_roundtrip(tmp_path):
-    fam = example_family(2)
-    doc = serialize_toric(fam.x)
-    path = write(tmp_path, "famx.json", doc)
-    parsed = load_instance(path)
-    assert parsed.lattice == fam.x.lattice
-    assert parsed.fan.rays == fam.x.fan.rays
-    assert serialize_toric(parsed) == doc
+    # a toric file of a variety's lattice basis, rays and cones reads back as it
+    x = example_family(2).x
+    doc = {
+        "kind": "toric",
+        "dim": x.dim,
+        "lattice_generators": [[str(c) for c in row] for row in x.lattice.basis],
+        "rays": [[str(c) for c in r] for r in x.fan.rays],
+        "max_cones": [list(c.ray_indices) for c in x.fan.max_cones],
+    }
+    parsed = load_instance(write(tmp_path, "famx.json", doc))
+    assert parsed.lattice == x.lattice
+    assert parsed.fan.rays == x.fan.rays
+    assert parsed.fan.max_cones == x.fan.max_cones
+
+
+@pytest.mark.parametrize("argv", [
+    ["mld"],
+    ["witness", SHEARED, "--delta", "-1/2"],  # argparse reads -1/2 as an option
+    ["frobnicate"],
+    ["family", "--l", "x"],
+], ids=["missing-path", "negative-delta", "unknown-command", "bad-int"])
+def test_usage_errors_exit_1_with_one_error_line(argv, capsys):
+    assert main(argv) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: toricmld") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: toricmld")
 
 
 def test_sweep_stdout_is_the_same_on_every_python(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import det_bareiss, mat_mul
+from oracles import det_bareiss, mat_mul, vec_mat
 from toricmld.exactmath import (
     SingularMatrixError,
     adjugate,
@@ -16,7 +16,6 @@ from toricmld.exactmath import (
     rank,
     snf,
     solve_exact,
-    vec_mat,
     xgcd,
 )
 

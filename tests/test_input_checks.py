@@ -17,12 +17,14 @@ from toricmld import (
     InvalidWeightsError,
     Lattice,
     ToricVariety,
+    WrongShapeError,
     cyclic_quotient,
     example_family,
     make_mfs,
     validate,
 )
 from toricmld.exactmath import iroot_floor, solve_exact
+from toricmld.toric import origin_barycentrics
 
 F = Fraction
 
@@ -47,14 +49,6 @@ CHECKS = {
         lambda: Lattice.standard(2).contains((1, 0, 0)),
         ValueError, "expected a vector of dimension 2, got 3",
     ),
-    "constructor-too-few-rows": (
-        lambda: Lattice(2, [(1, 0)]),
-        DegenerateBasisError, "need at least d generating rows",
-    ),
-    "constructor-rows-span-a-line": (
-        lambda: Lattice(2, [(1, 0), (2, 0)]),
-        DegenerateBasisError, "generators do not span Q^d",
-    ),
     "quotient-group-too-few-rows": (
         lambda: Lattice.standard(2).quotient_group([(2, 0)]),
         DegenerateBasisError, "sublattice basis must have d rows",
@@ -70,6 +64,10 @@ CHECKS = {
     "solve-exact-non-square": (
         lambda: solve_exact([[1, 2]], [1]),
         ValueError, "solve_exact needs a square system",
+    ),
+    "origin-barycentrics-vertex-count": (
+        lambda: origin_barycentrics([(1, 0), (0, 1)]),
+        WrongShapeError, "need 3 vertices in dimension 2",
     ),
     "iroot-floor-negative": (
         lambda: iroot_floor(-1, 2),

@@ -5,14 +5,15 @@ each ``SimplicialCone`` stores its ``inverse`` as integers K over q.  Every
 reader of those forms relies on the invariants checked here, on random
 lattices and cones of dimension at most 4, against the rational
 Gauss-Jordan inverse of ``exactmath``, and ``Lattice.from_generators``
-(Hermite form modulo D) against the public constructor (``hnf`` of Z^d and
-the generators).  The substitution behind coordinates,
-primitivization and ``ToricVariety.rays_primitive`` is checked against the
-kernels it replaced (``oracles``), results and errors alike, and coordinates
-invert ``oracles.to_ambient_oracle``.  Every fan the
-library builds must carry its rays' integer table, equal to ``_integral``
-of its rays: rays = ints / e with e least, and no search or check of the
-library may build the rays' Fraction view from it.  The orthant that
+(Hermite form modulo D) against the checked constructor it replaced
+(``oracles.checked_lattice_oracle``: ``hnf`` of Z^d and the generators).
+The substitution behind coordinates, primitivization and
+``ToricVariety.rays_primitive`` is checked against the kernels it replaced
+(``oracles``), results and errors alike, and coordinates invert
+``oracles.to_ambient_oracle``.  Every fan the library builds must carry
+its rays' integer table, equal to ``_integral`` of its rays: rays =
+ints / e with e least, and no search or check of the library may build
+the rays' Fraction view from it.  The orthant that
 ``cyclic_quotient`` and ``assemble_mfs`` build in closed form must be the
 checked fan on the primitive axis rays, X's fan that ``assemble_mfs``
 builds from the fiber blocks of its block-diagonal cones must be the
@@ -27,6 +28,7 @@ one a base-first Hermite form gives (``oracles.surjectivity_image_oracle``).
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +38,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cone_generators, coset_lattice_oracle, det_bareiss, mat_mul, primitivize_oracle, rays_primitive_oracle, solve_oracle, surjectivity_image_oracle, to_ambient_oracle
+from oracles import checked_lattice_oracle, cone_generators, coset_lattice_oracle, det_bareiss, mat_mul, primitivize_oracle, rays_primitive_oracle, solve_oracle, surjectivity_image_oracle, to_ambient_oracle, vec_mat
 from test_fiber import fibrations
 from toricmld import (
     Fan,
@@ -56,7 +58,8 @@ from toricmld import (
 )
 from toricmld import mfs as mfs_module
 from toricmld.cli import load_instance
-from toricmld.exactmath import _integral, _least_terms, det, inverse, vec_mat
+from toricmld.exactmath import _integral, _least_terms, det, inverse
+from toricmld.lattice import DegenerateBasisError, LatticeError
 from toricmld.mfs import _normal_form_rays, assemble_mfs, family_spec
 from toricmld.mld import _coset_lattice
 from toricmld.toric import origin_barycentrics
@@ -124,12 +127,19 @@ def test_basis_is_rows_over_the_denominator(lat):
 def test_from_generators_matches_the_direct_constructor(case):
     d, gens = case
     lat = Lattice.from_generators(d, gens)
-    direct = Lattice(d, [[F(int(i == j)) for j in range(d)] for i in range(d)] + gens)
-    assert lat.denominator == direct.denominator
-    assert lat.rows == direct.rows
-    assert lat.basis == direct.basis
-    assert lat.index_over_standard == direct.index_over_standard
-    assert lat == direct and hash(lat) == hash(direct)
+    eye = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    assert (lat.denominator, lat.rows) == checked_lattice_oracle(d, eye + gens)
+
+
+@pytest.mark.parametrize("gens, error, message", [
+    ([(1, 0)], DegenerateBasisError, "need at least d generating rows"),
+    ([(1, 0), (2, 0)], DegenerateBasisError, "generators do not span Q^d"),
+    # D^d / prod(diag rows) is 1 here, yet (0, 1) is not in the group
+    ([(F(1, 2), 0), (0, 2)], LatticeError, "basis does not contain Z^d with finite index"),
+], ids=["too-few-rows", "rows-span-a-line", "group-without-z-d"])
+def test_checked_lattice_oracle_raises_its_error(gens, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        checked_lattice_oracle(2, gens)
 
 
 @PROPERTY

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_overlattice, rand_unimodular
-from oracles import det_bareiss, to_ambient_oracle
+from oracles import det_bareiss, to_ambient_oracle, vec_mat
 from toricmld import (
     DegenerateBasisError,
     Lattice,
@@ -13,7 +13,6 @@ from toricmld import (
     QuotientGroup,
     ZeroVectorError,
 )
-from toricmld.exactmath import vec_mat
 
 F = Fraction
 
@@ -284,11 +283,3 @@ def test_unimodular_equivariance():
         q1 = lat.quotient_group(eye)
         q2 = lat2.quotient_group(eye)
         assert q1.invariant_factors == q2.invariant_factors
-
-
-def test_constructor_rejects_a_group_without_z_d():
-    # D^d / prod(diag rows) is 1 here, yet (0, 1) is not in the group
-    from toricmld.lattice import LatticeError
-
-    with pytest.raises(LatticeError, match="does not contain Z\\^d"):
-        Lattice(2, [(F(1, 2), 0), (0, 2)])

@@ -1,9 +1,12 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import rand_standard_simplex_mfs, standard_fiber_rays
+from test_integer_forms import override_fibrations
 from toricmld import (
     BadParameterError,
     BaseMultipleMismatchError,
@@ -25,6 +28,8 @@ from toricmld import (
     validate,
 )
 from toricmld import mfs as mfs_module
+from toricmld.exactmath import iroot_floor
+from toricmld.mfs import assemble_mfs
 
 F = Fraction
 
@@ -52,6 +57,32 @@ def test_family_base_mld():
 def test_family_bad_parameter():
     with pytest.raises(BadParameterError):
         example_family(1)
+
+
+@functools.cache
+def family_mlds(l):
+    fam = example_family(l)
+    return mld(fam.x).value, mld(fam.y).value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(override_fibrations())
+def test_fibration_invariants_survive_a_change_of_basis(params):
+    """A family member moved by a fiber-block GL_m(Z) change and an integer
+    base shear, its rays and cones shuffled, keeps mld(Y); with all m + 1
+    cones it still validates and keeps mld(X) and the certificate, and with
+    a cone dropped it fails validation."""
+    mfs = assemble_mfs(*params)
+    r = mfs.y.lattice.index_over_standard
+    l = iroot_floor(r - 1, 4)
+    assert l**4 + 1 == r
+    mld_x, mld_y = family_mlds(l)
+    assert mld(mfs.y).value == mld_y
+    kept = len(params[-1]) == mfs.m + 1
+    assert mfs.report.overall == kept
+    if kept:
+        assert mld(mfs.x).value == mld_x
+        assert check_eps_delta(mfs).holds
 
 
 def test_validate_family_all_pass():
@@ -342,7 +373,6 @@ def test_sweep_rows():
     assert [r.l for r in rows] == [2, 3, 4]
     assert rows[0].mld_y == F(2, 17)
     assert rows[0].r == 17
-    assert all(r.bound_check for r in rows)
     assert rows[0].ratio_approx == pytest.approx(float(F(2, 17) / F(12, 17) ** 4))
 
 

@@ -16,6 +16,7 @@ from oracles import (
     first_multiple_loop,
     lift_oracle,
     scan_oracle_pair,
+    vec_mat,
     with_guard,
 )
 from test_fiber import SHUFFLED, fibrations, relisted
@@ -43,7 +44,7 @@ from toricmld import (
     mld,
 )
 from toricmld.cli import load_instance
-from toricmld.exactmath import iroot_floor, vec_mat
+from toricmld.exactmath import iroot_floor
 from toricmld.mfs import assemble_mfs
 from toricmld.witness import _first_multiple
 
