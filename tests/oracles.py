@@ -25,6 +25,12 @@ tests keep it as the reference determinant of integer matrices.
 running maximum as an integer pair: the Fraction maximum of each fiber
 cone's coefficient 1-norm.
 
+``witness_report_oracle`` is ``find_witness`` as it was built over
+Fractions: ``lift_oracle``'s lift, the shift summed over the sheared base
+rays, ``first_multiple_loop`` over the least denominator of b', and Q's cone
+and ld(Q) from ``find_containing_cone`` and ``log_discrepancy``, with C from
+``effective_delta_oracle`` on ``fiber_oracle``'s fiber.
+
 ``lift_oracle`` is ``witness.lift_to_X`` before ``hnf`` carried the fiber
 blocks through its row operations: it builds the whole unimodular transform
 U, solves for the coordinates y U of the preimage in the rows of D N, and
@@ -78,8 +84,8 @@ from toricmld.exactmath import hnf, hnf_mod, invariant_factors, iroot_floor, snf
 from toricmld.lattice import DegenerateBasisError, LatticeError, NotInLatticeError, Vector, ZeroVectorError
 from toricmld.mfs import FiberData, InvalidMfsError, ToricMfs, generic_fiber
 from toricmld.mld import GUARD, MldResult, TooLargeError, _check_cones, _scaled_generators
-from toricmld.toric import find_containing_cone, origin_barycentrics
-from toricmld.witness import EffectiveDelta, NotInBaseLatticeError
+from toricmld.toric import find_containing_cone, log_discrepancy, origin_barycentrics
+from toricmld.witness import EffectiveDelta, NotInBaseLatticeError, WitnessReport
 
 
 def cone_generators(fan: Fan, cone) -> tuple[Vector, ...]:
@@ -221,6 +227,48 @@ def first_multiple_loop(step: Sequence[int], d: int, num: int, den: int, last: i
         if max(min(x, d - x) for x in cur) ** (m + 1) * den <= limit:
             return k
     return None
+
+
+def witness_report_oracle(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessReport:
+    """The report of ``find_witness(mfs, delta)``, every field built over
+    Fractions: scan b' = b - s, s = sum_l (a_l / t_l) s_l over the base rays
+    (s_l, t_l e_l) with s_l != 0, over b''s least denominator d, one multiple
+    at a time, and locate Q = k P less an integer vector by the public
+    queries."""
+    base = mld(mfs.y)
+    delta = base.value if delta is None else Fraction(delta)
+    m, n = mfs.m, mfs.n
+    coeff = effective_delta_oracle(fiber_oracle(mfs)).c_z + 1
+    a = base.witness
+    p = lift_oracle(mfs, a)
+    shift = [Fraction(0)] * m
+    for w in mfs.x.fan.rays:
+        if any(w[m:]) and any(w[:m]):
+            l = next(i for i in range(n) if w[m + i])
+            shift = [s + a[l] * w[j] / w[m + l] for j, s in enumerate(shift)]
+    b = [x - s for x, s in zip(p[:m], shift)]
+    t = max(iroot_floor(delta.denominator**m // delta.numerator**m, m + 1), 1)
+    d = math.lcm(*(x.denominator for x in b))
+    k = first_multiple_loop([int(x * d) for x in b], d, delta.numerator, delta.denominator, t)
+    if k is None:
+        raise NoPairFoundError("no multiple k <= T is close enough to the origin")
+    centred = ((k * x) % 1 for x in b)
+    q_fiber = tuple((c if 2 * c <= 1 else c - 1) + k * s for c, s in zip(centred, shift))
+    q = q_fiber + tuple(k * c for c in a)
+    ld_q = log_discrepancy(mfs.x, q)
+    return WitnessReport(
+        base_point=a,
+        lift=p,
+        t=Fraction(t),
+        pair=(0, k),
+        q=q,
+        q_fiber=q_fiber,
+        cone_index=find_containing_cone(mfs.x, q),
+        ld_q=ld_q,
+        delta=delta,
+        bound_coefficient=coeff,
+        bound_satisfied=ld_q ** (m + 1) <= coeff ** (m + 1) * delta,
+    )
 
 
 def integer_row_kernel(m: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -17,6 +17,7 @@ from oracles import (
     lift_oracle,
     scan_oracle_pair,
     vec_mat,
+    witness_report_oracle,
     with_guard,
 )
 from test_fiber import SHUFFLED, fibrations, relisted
@@ -341,6 +342,44 @@ def test_witness_meets_its_bound_on_sheared_base_rays(mfs):
     the scan runs on b itself."""
     check_witness_report(mfs, find_witness(mfs))
     assert_c_read_from_the_fiber_cones(mfs)
+
+
+SHEARED_GOLDEN = Path(__file__).parent / "golden" / "mfs_sheared_bound.json"
+
+
+@st.composite
+def deep_fibrations(draw):
+    """Standard-simplex fibrations over 1/r(1, 1) with random fiber weights,
+    r up to 5,000, where k* is mostly well above 1; half of them with their
+    base rays sheared by ``relisted``."""
+    m, r = draw(st.integers(2, 3)), draw(st.integers(200, 5000))
+    weights = draw(st.lists(st.integers(0, r - 1), min_size=m, max_size=m))
+    gen = tuple(F(w, r) for w in weights) + (F(1, r), F(1, r))
+    mfs = make_mfs(m, 2, standard_fiber_rays(m), (1, 1), [gen])
+    return relisted(mfs, SimpleNamespace(draw=draw)) if draw(st.booleans()) else mfs
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        fibrations(),
+        fibrations(base_multiples=True),
+        sheared_fibrations(),
+        st.integers(2, 7).map(example_family),
+        deep_fibrations(),
+    ),
+    st.fractions(0, 3, max_denominator=100),
+)
+@example(load_instance(str(SHEARED_GOLDEN)), F(1, 3))
+def test_find_witness_matches_the_fraction_construction(mfs, extra):
+    """Every report field, its type included, is the Fraction construction's,
+    at delta = mld(Y) and at a delta up to four times it."""
+    base = mld(mfs.y).value
+    for delta in (None, base * (1 + extra)):
+        report = find_witness(mfs, delta)
+        oracle = witness_report_oracle(mfs, delta)
+        assert report == oracle
+        assert repr(report) == repr(oracle)
 
 
 def located_instances():
