@@ -210,15 +210,22 @@ def _require_full_dimensional(x_var: ToricVariety) -> None:
 
 def _locate(x_var: ToricVariety, w: Sequence[int], e: int) -> Optional[tuple[int, list[int], int]]:
     """(ci, nums, s): the lowest-index maximal cone ci containing the point
-    w / e, for integers w and e > 0, and its barycentrics there, nums / s."""
+    w / e, for integers w and e > 0, and its barycentrics there, nums / s.
+    A cone is left at its first negative barycentric."""
     dim = x_var.dim
     if len(w) != dim:
         raise DimensionMismatchError(f"vector has dimension {len(w)}, expected {dim}")
     _require_full_dimensional(x_var)
+    cols = range(dim)
     for ci, cone in enumerate(x_var.fan.max_cones):
         k, q = cone.inverse
-        nums = [sum(w[i] * k[i][j] for i in range(dim)) for j in range(dim)]
-        if all(c >= 0 for c in nums):
+        nums = []
+        for j in cols:
+            c = sum([w[i] * k[i][j] for i in cols])
+            if c < 0:
+                break
+            nums.append(c)
+        else:
             return ci, nums, e * q
     return None
 

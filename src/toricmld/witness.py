@@ -1,52 +1,50 @@
 """Constructive witness search: from a small discrepancy on the base to a
 small-discrepancy lattice point on the total space.
 
-Sketch of the construction, with delta the base discrepancy and m the fiber
-dimension: lift the base witness A to P in the total lattice with fiber
-coordinates b in [0,1)^m, and look at the multiples k*b mod Z^m for
-k = 0..T with T = floor(delta^(-m/(m+1))).  The box principle guarantees two
-of them within delta^(1/(m+1)) of each other in every coordinate on the
-torus, because (T+1) * delta^(m/(m+1)) >= 1.  Since k -> k*b mod Z^m is
-additive, the first such pair is always (0, k*) with k* the smallest k >= 1
-whose multiple k*b is that close to the origin, so the search is a scan over
-k.  Over a common denominator d of b, k qualifies iff every residue
-x = k*b_l*d mod d has min(x, d - x) <= g for one integer root g of the
-threshold, that is (x + g) mod d <= 2g.  The scan streams one coordinate's
-residues as an arithmetic progression mod d, lazily and at C level, and tests
-the other coordinates only at its survivors.  It examines at most
-``mld.GUARD`` multiples and raises TooLargeError past that.
+With delta the base discrepancy and m the fiber dimension, lift the base
+witness A to P in the total lattice with fiber part b in [0,1)^m, and look at
+the multiples k*b mod Z^m for k = 0..T, T = floor(delta^(-m/(m+1))).  As
+(T+1) * delta^(m/(m+1)) >= 1, the box principle puts two of them within
+delta^(1/(m+1)) of each other in every coordinate on the torus, and as
+k -> k*b mod Z^m is additive, the first such pair is (0, k*), k* the least
+k >= 1 whose multiple is that close to the origin.
 
-The multiple k*P, with the fiber part re-centered to the nearest-integer
-representative, is a nonzero lattice point Q with nonnegative base part; its
-log discrepancy is at most (C+1) * delta^(1/(m+1)) where C is the largest
-coefficient 1-norm among the linear pieces of the fiber's discrepancy
-function.  When X's base rays v_l = (s_l, t_l e_l) have fiber parts s_l,
-the point A_X = sum_l (a_l / t_l) v_l over A has ld(A_X) <= delta (t_l is
-a multiple c_l >= 1 of Y's ray), and x = Q - k*A_X lies in the fiber, so
-ld(Q) <= C*|x|_inf + k*delta in Q's cone, with k*delta <= delta^(1/(m+1)).
-So the scan runs on b' = b - s, s the fiber part of A_X (0 when no base ray
-is sheared), and Q's fiber part is the re-centered k*b' plus k*s.  C is read
-from the fiber cones' inverses, which X's cones already hold, and depends
-on the basis the fiber is given in: for family l = 5 it is 6 in the
-family's own basis and 7 to 44 in five transformed bases.  Q's fiber part
-comes from the integer residues x = k*b'_l*d mod d of the scan,
-and Q is located in the fan of X once: that one cone-location pass gives
-both its cone and ld(Q), the sum of its barycentrics there.
+Q = k*P with its fiber part re-centred to the nearest integers is a nonzero
+lattice point with nonnegative base part.  On X's base rays
+v_l = (s_l, t_l e_l) the point A_X = sum_l (a_l / t_l) v_l over A has
+ld(A_X) <= delta, and x = Q - k*A_X lies in the fiber, so in Q's cone
+ld(Q) <= C*|x|_inf + k*delta <= (C+1) * delta^(1/(m+1)), C the largest
+coefficient 1-norm of the fiber cones' discrepancy functionals.  So the scan
+runs on b' = b - s, s the fiber part of A_X, which is 0 unless a base ray
+is sheared (s_l != 0).  C is read off X's cones.
 
-Every threshold comparison against the irrational delta^(1/(m+1)) is done as
-an exact integer-power comparison of rationals: x <= delta^(1/(m+1)) iff
-x^(m+1) <= delta for x >= 0.
+Everything from the lift to the bound check is an integer over one common
+denominator L = D*M, D the lattice's denominator and M the lcm of the
+sheared base rays' t_l (L = D when none is sheared): L*b', L*s, L*A and L*Q
+are integer vectors.  With delta = num / den, k qualifies iff every residue
+x = k*L*b'_l mod L has y = min(x, L - x) with y^(m+1) * den <= num * L^(m+1),
+that is y <= g = iroot(floor(num * L^(m+1) / den), m+1).  Another common
+denominator c*L scales every y by c and the right side by c^(m+1), so k*
+does not depend on L.  The scan streams one coordinate's residues mod L at C
+level, tests the others only at its survivors, and examines at most
+``mld.GUARD`` multiples (TooLargeError past that).  Q is checked to be a
+lattice point by one integer substitution and located once in the fan of X,
+which gives its cone and ld(Q), the sum of its barycentrics; the bound
+ld(Q)^(m+1) <= (C+1)^(m+1) * delta is tested by cross-multiplying integers.
+The report's Fractions are built once, at the end.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import le, mod
 from typing import Iterable, Optional, Sequence
 
-from .exactmath import _integral, as_fractions, hnf, iroot_floor
+from .exactmath import as_fractions, hnf, iroot_floor
 from .lattice import NotInLatticeError, Vector, ZeroVectorError, _fractions
 from .mfs import FiberData, ToricMfs
 from .mld import MldResult, _Budget, mld
@@ -107,25 +105,29 @@ class WitnessReport:
 
     @property
     def bound_approx(self) -> float:
+        """The bound as a float.  Where delta is below the normal floats, or
+        delta or C+1 is past the float range, it is read off the logs of
+        their exact integers, and a bound past the float range reads inf."""
         m = len(self.q_fiber)
-        return float(self.bound_coefficient) * float(self.delta) ** (1.0 / (m + 1))
+        c, d = self.bound_coefficient, self.delta
+        if d >= sys.float_info.min and max(c, d) <= sys.float_info.max:
+            return float(c) * float(d) ** (1.0 / (m + 1))
+        log = math.log(c.numerator) - math.log(c.denominator)
+        try:
+            return math.exp(log + (math.log(d.numerator) - math.log(d.denominator)) / (m + 1))
+        except OverflowError:
+            return math.inf
 
 
-def lift_to_X(mfs: ToricMfs, a: Sequence) -> Vector:
-    """Preimage of base lattice point A with fiber coordinates in [0,1).
+def _lift_numerators(mfs: ToricMfs, a: Sequence, av: Vector) -> tuple[list[int], list[int]]:
+    """(F, T) for the base point A = av (named a in errors): T = D*A and F
+    the numerators over D of the fiber part of A's lift, reduced mod D.
 
-    Solves y @ H = D A against the Hermite form H = U B of the base blocks B
-    of the integer rows of D N, whose fiber blocks F the same row operations
+    Solves y @ H = T against the Hermite form H = U B of the base blocks B of
+    the integer rows of D N, whose fiber blocks F the same row operations
     carry to U F, so the preimage's fiber part is y @ U F with no U built.
-    That part is reduced modulo the standard fiber lattice Z^m (always
-    inside the kernel lattice): (y @ U F mod D) / D.
     """
     m, n = mfs.m, mfs.n
-    av = as_fractions(a)
-    if len(av) != n:
-        raise ValueError(f"base point has dimension {len(av)}, expected {n}")
-    if all(c == 0 for c in av):
-        raise ZeroVectorError("cannot lift the zero point: witnesses must be nonzero")
     lat = mfs.x.lattice
     denom = lat.denominator
     # the image of D N is D times the base lattice, so D A must be integral
@@ -141,9 +143,20 @@ def lift_to_X(mfs: ToricMfs, a: Sequence) -> Vector:
         if rest:
             raise NotInBaseLatticeError(f"{a!r} is not in the base lattice")
         y.append(q)
-    # the fiber part of (y @ U F) / D, reduced mod Z^m
-    fiber = (sum(c * row[j] for c, row in zip(y, carried)) % denom for j in range(m))
-    return _fractions(fiber, denom) + av
+    return [sum(c * row[j] for c, row in zip(y, carried)) % denom for j in range(m)], target
+
+
+def lift_to_X(mfs: ToricMfs, a: Sequence) -> Vector:
+    """Preimage of base lattice point A with fiber coordinates in [0,1):
+    ``_lift_numerators``' F / D, the fiber part reduced modulo the standard
+    fiber lattice Z^m (always inside the kernel lattice), then A."""
+    av = as_fractions(a)
+    if len(av) != mfs.n:
+        raise ValueError(f"base point has dimension {len(av)}, expected {mfs.n}")
+    if all(c == 0 for c in av):
+        raise ZeroVectorError("cannot lift the zero point: witnesses must be nonzero")
+    fiber, _ = _lift_numerators(mfs, a, av)
+    return _fractions(fiber, mfs.x.lattice.denominator) + av
 
 
 def _first_multiple(step: Sequence[int], d: int, g: int, last: int) -> Optional[int]:
@@ -202,20 +215,19 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
     """Run the box-principle construction at threshold delta.
 
     delta defaults to the exact base discrepancy; an explicit delta below it
-    raises PreconditionFailedError.  The pair is (0, k*) for the smallest
-    k* <= T whose multiple of the lifted fiber part lies within
-    delta^(1/(m+1)) of the origin on the torus, found by an exact integer
-    scan over k; NoPairFoundError is raised if no k <= T qualifies.  The
-    lifted fiber part is shifted on sheared base rays (see the module
-    sketch), so ld_q meets the bound on every fibration that validates, and
-    InvalidMfsError is raised on one that does not.  The scan
+    raises PreconditionFailedError, and a fibration that fails validation
+    raises InvalidMfsError.  The pair is (0, k*) for the least k* <= T whose
+    multiple of b' = b - s lies within delta^(1/(m+1)) of the origin on the
+    torus, found by an integer scan over k on the numerators of b' over the
+    common denominator L of the module docstring, on which k* does not
+    depend; NoPairFoundError is raised if no k <= T qualifies.  The scan
     examines at most ``GUARD`` multiples: when T exceeds the guard and no k
-    up to it qualifies, TooLargeError is raised instead.  The report is
-    self-verifying: Q is a nonzero lattice point of the total space, its
-    base image is componentwise nonnegative, and Q is located once in the
-    fan of X, which gives its cone and ld_q from scratch.  The bound's C is
-    ``effective_delta``'s, read off X's cones with no fiber built, so it
-    depends on the fiber basis as that C does.
+    up to it qualifies, TooLargeError is raised instead.  Q = k*P less an
+    integer vector is built over L, checked to be a lattice point of the
+    total space, and located once in the fan of X, which gives its cone and
+    ld_q; ld_q meets the bound (C+1) * delta^(1/(m+1)) on every fibration
+    that validates, sheared base rays included, with C ``effective_delta``'s
+    read off X's cones.
     """
     base = mld(mfs.y)
     if delta is None:
@@ -229,58 +241,47 @@ def find_witness(mfs: ToricMfs, delta: Optional[Fraction] = None) -> WitnessRepo
     coeff = _fiber_c(mfs) + 1  # raises on a fibration that fails validation
     m, n = mfs.m, mfs.n
     a = base.witness
-    p = lift_to_X(mfs, a)
-    # s, the fiber part of A_X = sum_l (a_l / t_l) (s_l, t_l e_l): 0 but for sheared base rays
+    fiber, target = _lift_numerators(mfs, a, a)  # D*b and D*A
+    # s = sum_l (a_l / t_l) s_l over the sheared base rays (s_l, t_l e_l): over
+    # L = D*M, M = lcm_t the lcm of their t_l, shift = L*s and steps = L*b' mod L
     rays = mfs.x.fan.integral[0]
     sheared = [(w, next(l for l in range(n) if w[m + l])) for w in rays if any(w[m:]) and any(w[:m])]
-    shift = [sum(a[l] * w[j] / w[m + l] for w, l in sheared) for j in range(m)]
-    b = [x - y for x, y in zip(p[:m], shift)]
+    lcm_t = math.lcm(*(w[m + l] for w, l in sheared))
+    common = mfs.x.lattice.denominator * lcm_t
+    shift = [sum(target[l] * w[j] * (lcm_t // w[m + l]) for w, l in sheared) for j in range(m)]
+    steps = [(x * lcm_t - y) % common for x, y in zip(fiber, shift)]
 
     # number of multiples: k = 0..T with T = floor(delta^(-m/(m+1))), at least 1,
     # so that (T+1) boxes of side delta^(1/(m+1)) overfill the fiber torus
     num, den = delta.numerator, delta.denominator
-    t_count = iroot_floor((den**m) // (num**m), m + 1)
-    t_count = max(t_count, 1)
-
-    # The gap between multiples i < j is the distance of (j-i)*b from the
-    # origin on the torus, so a pair (i, j) qualifies iff (0, j-i) does, and
-    # the first qualifying pair (smallest j, then smallest i) is (0, k*) for
-    # the first qualifying k*.  Over a common denominator d, with x = k*b_l*d
-    # mod d, k qualifies iff every min(x, d-x)^(m+1) * den <= num * d^(m+1),
-    # that is min(x, d-x) <= g for the integer root g below.
-    (steps,), d = _integral([b])
-    g = iroot_floor(num * d ** (m + 1) // den, m + 1)
+    t_count = max(iroot_floor(den**m // num**m, m + 1), 1)
+    g = iroot_floor(num * common ** (m + 1) // den, m + 1)
     budget = _Budget("witness scan", "multiples")
-    k = _first_multiple(steps, d, g, min(t_count, budget.left))
+    k = _first_multiple(steps, common, g, min(t_count, budget.left))
     if k is None:
         budget.spend(t_count)  # raises when T exceeds the guard
         raise NoPairFoundError("box principle failed; threshold inconsistent")
-    pair = (0, k)
 
-    # the nearest-integer representative of k b: x / d or x / d - 1, x = k s mod d
-    residues = [k * s % d for s in steps]
-    # Q - k A_X is that centred fiber point; Q = k P less an integer vector
-    centred = (Fraction(x, d) if 2 * x <= d else Fraction(x - d, d) for x in residues)
-    q_fiber = tuple(x + k * y for x, y in zip(centred, shift))
-    q = q_fiber + tuple(k * c for c in a)
-    if not mfs.x.lattice.contains(q):
+    # L*Q: the nearest-integer representative of k*L*b' mod L, plus k*L*s, then k*L*A
+    w = [x if 2 * x <= common else x - common for x in (k * s % common for s in steps)]
+    w = [x + k * y for x, y in zip(w, shift)] + [k * lcm_t * c for c in target]
+    if any(c % common for c in mfs.x.lattice._substitute(w)):
         raise NotInLatticeError("constructed witness left the lattice")  # unreachable
-
-    # located once: the containing cone and ld(Q), the sum of Q's barycentrics
-    # there; a validated fan covers the preimage of the base cone, so Q is in it
-    (w,), e = _integral([q])
-    cone_index, nums, scale = _locate(mfs.x, w, e)
-    ld_q = Fraction(sum(nums), scale)
-    satisfied = ld_q ** (m + 1) <= coeff ** (m + 1) * delta
+    # a validated fan covers the preimage of the base cone, so Q is in a cone;
+    # ld(Q) = ld / scale, and ld^(m+1) <= coeff^(m+1) * delta is cross-multiplied
+    cone_index, nums, scale = _locate(mfs.x, w, common)
+    ld = sum(nums)
+    satisfied = (ld * coeff.denominator) ** (m + 1) * den <= (coeff.numerator * scale) ** (m + 1) * num
+    q = _fractions(w, common)
     return WitnessReport(
         base_point=a,
-        lift=p,
+        lift=_fractions(fiber, mfs.x.lattice.denominator) + a,
         t=Fraction(t_count),
-        pair=pair,
+        pair=(0, k),
         q=q,
-        q_fiber=q_fiber,
+        q_fiber=q[:m],
         cone_index=cone_index,
-        ld_q=ld_q,
+        ld_q=Fraction(ld, scale),
         delta=delta,
         bound_coefficient=coeff,
         bound_satisfied=satisfied,

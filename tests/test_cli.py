@@ -543,6 +543,33 @@ def test_witness_precondition(tmp_path, capsys):
     assert main(["witness", path, "--delta", "1/1000000"]) == EXIT_PRECONDITION
 
 
+def test_witness_bound_approx_survives_a_delta_below_the_normal_floats(tmp_path, capsys):
+    # over 1/R(1, 1), R = 10^400 + 1, delta = 2/R rounds to 0.0 as a float;
+    # the bound 2 (2/R)^(1/2) is read off the logs of the exact integers
+    r = 10**400 + 1
+    doc = {
+        "kind": "mfs",
+        "m": 1,
+        "n": 2,
+        "fiber_rays": [[1], [-1]],
+        "base_multiples": [1, 1],
+        "extra_generators": [["0", f"1/{r}", f"1/{r}"]],
+    }
+    path = write(tmp_path, "tiny_delta.json", doc)
+    assert main(["witness", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"ld(Q) = 2/{r}\n" in out
+    assert "bound = 2 * delta^(1/2) ~ 2.82843e-200\n" in out
+
+
+def test_witness_bound_approx_survives_a_delta_past_the_float_range(capsys):
+    # float(10^400) overflows; the bound 8 (10^400)^(1/3) is read off the logs
+    assert main(["witness", SHEARED, f"--delta={10**400}"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "bound = 8 * delta^(1/3) ~ 1.72355e+134\n" in captured.out
+    assert captured.err == ""
+
+
 def test_witness_meets_its_bound_on_the_sheared_golden(capsys):
     # the scan runs on b - s, s the fiber part of the point over A on X's
     # sheared base rays, so ld(Q) = 21/41 is within 8 (1/41)^(1/3)

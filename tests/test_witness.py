@@ -371,9 +371,12 @@ def deep_fibrations(draw):
     st.fractions(0, 3, max_denominator=100),
 )
 @example(load_instance(str(SHEARED_GOLDEN)), F(1, 3))
+@example(make_mfs(1, 2, standard_fiber_rays(1), (1, 1), [(F(13, 77), F(1, 77), F(1, 77))]), F(0))
 def test_find_witness_matches_the_fraction_construction(mfs, extra):
     """Every report field, its type included, is the Fraction construction's,
-    at delta = mld(Y) and at a delta up to four times it."""
+    at delta = mld(Y) and at a delta up to four times it.  In the second
+    example ld(Q)^2 is 11/14 of the bound's power (k* = 5), so a bound check
+    that is off by a factor of 14/11 or more fails it."""
     base = mld(mfs.y).value
     for delta in (None, base * (1 + extra)):
         report = find_witness(mfs, delta)
