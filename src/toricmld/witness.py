@@ -25,8 +25,9 @@ are integer vectors.  With delta = num / den, k qualifies iff every residue
 x = k*L*b'_l mod L has y = min(x, L - x) with y^(m+1) * den <= num * L^(m+1),
 that is y <= g = iroot(floor(num * L^(m+1) / den), m+1).  Another common
 denominator c*L scales every y by c and the right side by c^(m+1), so k*
-does not depend on L.  The scan streams one coordinate's residues mod L at C
-level, tests the others only at its survivors, and examines at most
+does not depend on L.  The scan is lazy: one C-level filter per nonzero
+coordinate of L*b' (a zero one always passes), each testing only the
+survivors of the one before; it stops at k* and examines at most
 ``mld.GUARD`` multiples (TooLargeError past that).  Q is checked to be a
 lattice point by one integer substitution and located once in the fan of X,
 which gives its cone and ld(Q), the sum of its barycentrics; the bound
@@ -40,8 +41,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import le, mod
+from itertools import compress, repeat, tee
+from operator import add, le, mod, mul
 from typing import Iterable, Optional, Sequence
 
 from .exactmath import as_fractions, hnf, iroot_floor
@@ -164,19 +165,21 @@ def _first_multiple(step: Sequence[int], d: int, g: int, last: int) -> Optional[
     s in ``step``, or None.
 
     For 0 <= x < d that test is (x + g) mod d <= 2g, also when 2g + 1 >= d,
-    where it always holds.  A zero step always passes.  The first nonzero
-    step's residues are streamed lazily, so the scan stops at k*; only its
-    survivors (about a 2g/d share) test the other steps.
+    where it always holds.  A zero step always passes and is dropped.  The
+    scan is lazy and stops at k*: one ``compress`` stage per nonzero step,
+    each filtering the survivors of the stage before through a ``tee``.
     """
     step = [s for s in step if s]
     if not step:
         return 1 if last >= 1 else None
-    s0, rest, band = step[0], step[1:], 2 * g
+    s0, band = step[0], 2 * g
     first = map(mod, range(s0 + g, s0 * (last + 1) + g, s0), repeat(d))
-    for k in compress(range(1, last + 1), map(le, first, repeat(band))):
-        if all((k * s + g) % d <= band for s in rest):
-            return k
-    return None
+    ks = compress(range(1, last + 1), map(le, first, repeat(band)))
+    for s in step[1:]:
+        ks, probe = tee(ks)  # ks is a compress object here, so the buffer holds one k
+        shifted = map(mod, map(add, map(mul, probe, repeat(s)), repeat(g)), repeat(d))  # (k*s + g) mod d
+        ks = compress(ks, map(le, shifted, repeat(band)))
+    return next(ks, None)
 
 
 def _largest_norm(inverses: Iterable[tuple]) -> Fraction:

@@ -320,16 +320,35 @@ def check_witness_report(mfs, report):
 
 
 @st.composite
+def deep_fibrations(draw, sheared=None):
+    """Standard-simplex fibrations over 1/r(1, 1) with random fiber weights,
+    r up to 5,000, where k* is mostly well above 1; their base rays are
+    sheared by ``relisted`` if ``sheared``, and in half of them if it is
+    None."""
+    m, r = draw(st.integers(2, 3)), draw(st.integers(200, 5000))
+    weights = draw(st.lists(st.integers(0, r - 1), min_size=m, max_size=m))
+    gen = tuple(F(w, r) for w in weights) + (F(1, r), F(1, r))
+    mfs = make_mfs(m, 2, standard_fiber_rays(m), (1, 1), [gen])
+    if sheared is None:
+        sheared = draw(st.booleans())
+    return relisted(mfs, SimpleNamespace(draw=draw)) if sheared else mfs
+
+
+@st.composite
 def sheared_fibrations(draw):
     """Fibrations whose base rays may have fiber parts: a family member moved
     by a fiber basis change and a base shear, as ``override_fibrations``
-    draws it, or a fibration with a base multiple > 1 whose base rays
-    ``relisted`` moves by kernel lattice points."""
-    if draw(st.booleans()):
+    draws it, a fibration with a base multiple > 1 whose base rays
+    ``relisted`` moves by kernel lattice points, or a sheared deep
+    fibration, where k* is mostly above 1."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
         mfs = assemble_mfs(*draw(override_fibrations()))
         assume(mfs.report.overall)
         return mfs
-    return relisted(draw(fibrations(base_multiples=True)), SimpleNamespace(draw=draw))
+    if kind == 1:
+        return relisted(draw(fibrations(base_multiples=True)), SimpleNamespace(draw=draw))
+    return draw(deep_fibrations(sheared=True))
 
 
 @FIBRATIONS
@@ -345,18 +364,6 @@ def test_witness_meets_its_bound_on_sheared_base_rays(mfs):
 
 
 SHEARED_GOLDEN = Path(__file__).parent / "golden" / "mfs_sheared_bound.json"
-
-
-@st.composite
-def deep_fibrations(draw):
-    """Standard-simplex fibrations over 1/r(1, 1) with random fiber weights,
-    r up to 5,000, where k* is mostly well above 1; half of them with their
-    base rays sheared by ``relisted``."""
-    m, r = draw(st.integers(2, 3)), draw(st.integers(200, 5000))
-    weights = draw(st.lists(st.integers(0, r - 1), min_size=m, max_size=m))
-    gen = tuple(F(w, r) for w in weights) + (F(1, r), F(1, r))
-    mfs = make_mfs(m, 2, standard_fiber_rays(m), (1, 1), [gen])
-    return relisted(mfs, SimpleNamespace(draw=draw)) if draw(st.booleans()) else mfs
 
 
 @PROPERTY
@@ -539,6 +546,10 @@ def test_streamed_scan_matches_the_per_multiple_loop(case):
         (((1, 3), 10, 1, 10**6, 10), 10),  # g = 0, first hit at k = T
         (((1, 3), 10, 1, 10**6, 9), None),  # no hit within T
         (((2, 3), 7, 1, 7**3, 6), None),  # g = 0: only k = 0 mod 7
+        # g = 0 below, so k passes step s iff d / gcd(s, d) divides k
+        (((3, 2), 6, 1, 10**6, 12), 6),  # survivors 2, 4, 6: a probe that shares the data skips k = 6
+        (((2, 3), 6, 1, 10**6, 6), 6),  # the last step alone passes k = 2
+        (((15, 10, 6), 30, 1, 10**6, 30), 30),  # k = 10 passes steps 1 and 3, fails step 2
     ],
 )
 def test_streamed_scan_edges(case, expected):
