@@ -68,34 +68,27 @@ or above the cone's minimum, so the choice between them moves only time and
 guard trip points, never an output.  Before either is chosen the bound is
 seeded: each Hermite row with h_i < D is a nonzero representative in the
 box, so the least row sum bounds the minimum, and the bound drops to it
-when it lies below the incumbent.  The estimate and the sweep's first chunk
-see that bound: on 1/r(1, 1) the first row, (1, 1), is the minimum 2/r, so
-the sweep streams 2 points and no r sends the cone to the engine.  Each
-cone takes the search expected to cost less.  With k = last + 1 walked
-levels, level j of the sweep holds about s^j / (j! h_00 .. h_(j-1)(j-1))
-points, the lattice points of the first j coordinates in the simplex of
-size s, where s = min(limit, s0) and s0 = (d! det L)^(1/d) is the engine's
-start; levels below k cost a node each, level k a streamed point.  A cone
-goes to the engine when some level alone is expected to cost more than the
-whole engine, which ``_pick_search`` decides in integer powers.  The last
-level alone, the estimate of a one-level sweep, would miss the outer nodes:
-on a cone whose Hermite diagonal is (2, D/2, D) each of about s/2 nodes
-finds at most one point.
+when it lies below the incumbent.  On 1/r(1, 1) the first row, (1, 1), is
+the minimum 2/r, so the sweep streams 2 points whatever r.
 
-The estimate takes the minimum to lie near s0.  Where it lies far above
-(1/r(1, r-1), whose points all tie at value 1) the sweep would stream
-r - 1 points, so every sweep hands its cone to the engine once it has spent
-the engine's cost in units.  The engine then searches the cone afresh with
-the same bound, and the cone costs about twice the cheaper search at most
-(rent or buy).  Each streamed chunk is charged before it is computed,
-clipped to one unit past what is left, so a sweep stopped by the guard or
-the handover is charged the points it streamed and that one unit.
+The choice is made from an exact bound on the sweep's work at that limit.
+Each walked coordinate x_j takes one residue class mod h_j in
+[0, min(D - 1, limit)], and the bound only drops during the search, so
+level j visits at most count_j = prod_{i <= j} (floor(min(D - 1, limit) /
+h_i) + 1) nodes, a level with h_j = D a factor 1, and count_j is points at
+the last walked level.  A cone goes to the engine when an outer level's
+count exceeds the engine's cost in nodes or the last level's its cost in
+points, so a swept cone spends at most the sum of its counts.  Outer levels
+are priced too: on a cone whose Hermite diagonal is (2, D/2, D) each of
+about limit/2 nodes finds at most one point.  Each streamed chunk is charged
+before it is computed, clipped to one unit past what is left, so a sweep
+stopped by the guard is charged the points it streamed and that one unit.
 
 The engine's cost in each unit comes from random cones, each one generator
 of order r, log-uniform in r up to 10^6, over random rays with entries in
-[-1, 1] or [-2, 2], with a one-level estimate between 4 and 2^14 points;
-both searches timed on each at limit D, min of 3 (Python 3.11.7, 2-vCPU
-Xeon).  The sweep's time is fitted as a + b P over
+[-1, 1] or [-2, 2], with a one-level volume estimate (d! det L)^(1/d)
+between 4 and 2^14 points; both searches timed on each at limit D, min of 3
+(Python 3.11.7, 2-vCPU Xeon).  The sweep's time is fitted as a + b P over
 the cones with no outer node (P streamed points), its node time is the
 median of (time - a - b P) / nodes over the cones with more nodes than
 points, and the engine's cost is its median time E as (E - a) / b points
@@ -113,8 +106,8 @@ and (E - a) / node time nodes:
 A 2-d cone over primitive rays is a cyclic quotient with h_00 = 1 and no
 outer level, so d = 2 drew no node; its node cost takes d = 3's node time.
 d = 7's point cost lies past the band's 2^14 points, on the fitted line.
-A dimension outside the table, d = 1 (whose first point, of value 1/D, is
-its minimum) or d >= 8, takes the sweep, handed over at d = 7's cost.
+A dimension outside the table, d = 1 (whose seed, its first point, is its
+minimum, so its count is 2) or d >= 8, is priced at d = 7's row.
 
 ``mld_bruteforce``, the independent box-scan oracle, documents its own
 search.
@@ -144,17 +137,16 @@ DEFAULT_GUARD = 10**7
 # the cube of its dimension
 GUARD: ContextVar[int] = ContextVar("toricmld_guard", default=DEFAULT_GUARD)
 _CHUNK_MIN, _CHUNK_MAX = 64, 8192  # innermost stream chunk sizes, doubling
-# per dimension d: (d!, the width engine's median time on random cones in
-# outer-level nodes of the sweep, and in its streamed points), from the band
-# table of the module docstring; a dimension outside it takes the sweep,
-# handed over at the last row's cost
+# per dimension d: the width engine's median time on random cones in
+# outer-level nodes of the sweep and in its streamed points, from the band
+# table of the module docstring; a dimension outside it takes the last row
 _ENGINE_COST = {
-    2: (2, 9, 195),
-    3: (6, 31, 407),
-    4: (24, 72, 610),
-    5: (120, 173, 1227),
-    6: (720, 729, 4029),
-    7: (5040, 5034, 25224),
+    2: (9, 195),
+    3: (31, 407),
+    4: (72, 610),
+    5: (173, 1227),
+    6: (729, 4029),
+    7: (5034, 25224),
 }
 _TABLE_TOP = max(_ENGINE_COST)
 
@@ -250,8 +242,8 @@ def _finalize(x_var: ToricVariety, best: _Best, method: str) -> MldResult:
 def mld(x_var: ToricVariety) -> MldResult:
     """Minimal log discrepancy via a bounded search of each cone's coset lattice.
 
-    Each cone takes the Hermite-order sweep or the width engine, whichever
-    its expected work says is cheaper (module docstring); both give the same
+    Each cone takes the Hermite-order sweep unless a bound on its work
+    exceeds the width engine's cost (module docstring); both give the same
     answer.  Raises TooLargeError once the search has spent more than
     ``GUARD`` units: the sweep counts partial points at the outer levels and
     streamed representatives at the innermost one, the width engine one unit
@@ -282,48 +274,17 @@ def _sweep_cone(x_var: ToricVariety, ci: int, best: _Best, budget: _Budget) -> N
 
 
 def _pick_search(h, denom: int, limit: int):
-    """``_width_cone`` when some level of the sweep is expected to cost more
-    than the whole width engine (module docstring), else ``_sweep_first``.
-
-    With s = min(limit, s0), level j holds more than the engine's cost of
-    points iff s^j > cap, cap = that cost times j! h_00 .. h_(j-1)(j-1);
-    that is limit^j > cap and (d! det L)^j > cap^d, so no root is taken.
-    """
-    d = len(h)
-    row = _ENGINE_COST.get(d)
-    if row is None:  # d = 1, whose first point is the least, or past the table
-        return _sweep_first
-    fact_d, nodes, points = row
-    k = d  # the levels the sweep walks: those with h_ii < D
-    while h[k - 1][k - 1] == denom:
-        k -= 1
-    s0_d = fact_d * math.prod(h[i][i] for i in range(d))
-    covol = fact = 1  # of L's projection on the first j coordinates, and j!
-    for j in range(1, k + 1):
-        covol *= h[j - 1][j - 1]
-        fact *= j
-        cap = (points if j == k else nodes) * fact * covol
-        if limit**j > cap and s0_d**j > cap**d:
+    """``_width_cone`` when the sweep's work bound at ``limit`` exceeds the
+    engine's cost at some level (module docstring), else ``_hnf_sweep``."""
+    nodes, points = _ENGINE_COST.get(len(h), _ENGINE_COST[_TABLE_TOP])
+    top = min(denom - 1, limit)
+    last = max(i for i in range(len(h)) if h[i][i] < denom)
+    count = 1  # the nodes of level j, points at the last
+    for j in range(last + 1):
+        count *= top // h[j][j] + 1
+        if count > (points if j == last else nodes):
             return _width_cone
-    return _sweep_first
-
-
-def _sweep_first(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tuple[int, tuple[int, ...]]]:
-    """``_hnf_sweep``, handing the cone to ``_width_cone`` once it has spent
-    the engine's cost in units.  Where the estimate is wrong, as on
-    1/r(1, r-1), whose points all tie at value 1 far above s0, the cone then
-    costs about twice the cheaper search, not r - 1 streamed points."""
-    rest = budget.left - _ENGINE_COST.get(len(h), _ENGINE_COST[_TABLE_TOP])[2]
-    if rest <= 0:
-        return _hnf_sweep(h, denom, gint, limit, budget)  # the guard stops it first
-    budget.left -= rest
-    try:
-        return _hnf_sweep(h, denom, gint, limit, budget)
-    except TooLargeError:
-        pass  # the sweep overdrew by one unit, which rest >= 1 covers
-    finally:
-        budget.left += rest
-    return _width_cone(h, denom, gint, limit, budget)
+    return _hnf_sweep
 
 
 def _coset_lattice(x_var: ToricVariety, ci: int) -> Optional[tuple[int, Sequence[Sequence[int]], list[list[int]]]]:

@@ -408,13 +408,15 @@ def test_family_product_fan_is_the_checked_fan(l):
 
 
 @st.composite
-def override_fibrations(draw):
-    """``assemble_mfs`` arguments of a family member l = 2..7 given by its
-    rays and cones, moved by the lattice automorphism (f, b) -> (f A + b S, b)
+def override_fibrations(draw, spec=None):
+    """``assemble_mfs`` arguments of a family member l = 2..7, or of the
+    ``make_mfs`` arguments ``spec`` with base multiples 1, given by its rays
+    and cones, moved by the lattice automorphism (f, b) -> (f A + b S, b)
     for A in GL_m(Z), a product of elementary shears and a swap, and an
     integer shear S of the base rays; the rays, the cones and each cone's
-    indices are shuffled, and sometimes one cone is dropped."""
-    spec = family_spec(draw(st.integers(2, 7)))
+    indices are shuffled, and for m > 1 sometimes one cone is dropped."""
+    if spec is None:
+        spec = family_spec(draw(st.integers(2, 7)))
     m, n = spec["m"], spec["n"]
     a = [[int(i == j) for j in range(m)] for i in range(m)]
     index, entry = st.integers(0, m - 1), st.integers(-3, 3)
@@ -433,7 +435,7 @@ def override_fibrations(draw):
     order = draw(st.permutations(range(len(rays))))  # ray order[k] goes to position k
     cones = [[order.index(i) for i in range(len(rays)) if i != j] for j in range(m + 1)]
     cones = [draw(st.permutations(cone)) for cone in draw(st.permutations(cones))]
-    if draw(st.booleans()):
+    if m > 1 and draw(st.booleans()):  # at m = 1 each cone holds a ray no other does
         cones.pop()
     fiber_rays = [move(v + (0,) * n)[:m] for v in spec["fiber_rays"]]
     extras = [move(g) for g in spec["extra_generators"]]

@@ -3,7 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_standard_simplex_mfs, standard_fiber_rays
 from test_integer_forms import override_fibrations
@@ -83,6 +84,35 @@ def test_fibration_invariants_survive_a_change_of_basis(params):
     if kept:
         assert mld(mfs.x).value == mld_x
         assert check_eps_delta(mfs).holds
+
+
+@st.composite
+def standard_simplex_specs(draw):
+    """``make_mfs`` arguments of a standard-simplex fibration, m = 1..3, over
+    1/r(1, ..., 1) with n = 2 or 3 (so every base multiple is 1), r up to
+    5,000 and random fiber weights."""
+    m, n, r = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(2, 5000))
+    weights = draw(st.lists(st.integers(0, r - 1), min_size=m, max_size=m))
+    gen = tuple(F(w, r) for w in weights) + (F(1, r),) * n
+    return dict(m=m, n=n, fiber_rays=standard_fiber_rays(m), base_multiples=(1,) * n, extra_generators=[gen])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(standard_simplex_specs(), st.data())
+def test_standard_simplex_invariants_survive_a_change_of_basis(spec, data):
+    """The same moves on standard-simplex fibrations: mld(Y) is kept, and
+    with all m + 1 cones validation, mld(X) and the certificate's verdict
+    are those of the unmoved fibration; with a cone dropped it fails
+    validation."""
+    params = data.draw(override_fibrations(spec))
+    mfs, unmoved = assemble_mfs(*params), make_mfs(**spec)
+    assert mld(mfs.y).value == mld(unmoved.y).value
+    kept = len(params[-1]) == mfs.m + 1
+    assert mfs.report.overall == kept
+    event(f"m = {mfs.m}, {'all cones' if kept else 'a cone dropped'}")  # counted in --hypothesis-show-statistics
+    if kept:
+        assert mld(mfs.x).value == mld(unmoved.x).value
+        assert check_eps_delta(mfs).holds == check_eps_delta(unmoved).holds
 
 
 def test_validate_family_all_pass():

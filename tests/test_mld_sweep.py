@@ -194,9 +194,8 @@ def test_tie_on_the_bound_of_an_outer_level(gens, rows):
 
 def test_guard_stops_a_sweep_of_ties():
     # every nonzero coset of 1/r(1, r-1) ties with the rays at value 1; the
-    # width engine settles the tie in a few dozen units, not r - 1 points.
-    # At r = 5001 and 18001 s0 = 100 and 189 keep the cone on the sweep,
-    # which hands it to the engine after 192 streamed points
+    # seed is the row (1, r - 1), of sum r, so the sweep's bound is r points
+    # and from r = 196 on the width engine settles the tie in a few dozen units
     for r in (10**12, 5001, 18001):
         res = with_guard(1000, mld, cyclic_quotient(r, (1, r - 1)))
         assert (res.value, res.witness, res.cone_index) == (1, (0, 1), 0)
@@ -204,14 +203,24 @@ def test_guard_stops_a_sweep_of_ties():
 
 
 def test_guard_counts_the_points_the_sweep_streams():
-    # the handover stops the sweep of 1/18001(1, 18000) after 192 streamed
-    # ties; the refused chunk is clipped to one unit past d = 2's 195, and
-    # the engine then spends 17 nodes: 192 + 4 + 17 = 213 units
-    x_var = cyclic_quotient(18001, (1, 18000))
-    res = with_guard(213, mld, x_var)
-    assert (res.value, res.witness, res.cone_index) == (1, (0, 1), 0)
-    with pytest.raises(TooLargeError, match="exceeded guard of 212 points"):
-        with_guard(212, mld, x_var)
+    cases = [
+        # the seed row (1, 18000) has sum D, so the sweep's bound is
+        # floor(18000 / 1) + 1 = 18,001 points, past d = 2's 195: the engine
+        # takes the cone and spends 17 nodes
+        (18001, (1, 18000), 17, (1, (0, 1), 0)),
+        # the seed row (1, 99) is the minimum 100/10007 (t 99 < 10007 for
+        # t <= 100), so the bound is 101 points and the sweep takes the cone;
+        # it skips the origin and streams x_0 = 1..100 in chunks of 64 and 36
+        # points, and at 99 units the second chunk is clipped to one unit
+        # past the 35 left
+        (10007, (1, 99), 100, (F(100, 10007), (F(1, 10007), F(99, 10007)), 0)),
+    ]
+    for r, weights, units, want in cases:
+        x_var = cyclic_quotient(r, weights)
+        res = with_guard(units, mld, x_var)
+        assert (res.value, res.witness, res.cone_index) == want
+        with pytest.raises(TooLargeError, match=f"exceeded guard of {units - 1} points"):
+            with_guard(units - 1, mld, x_var)
 
 
 def test_guard_is_set_per_context():
@@ -306,10 +315,10 @@ def test_family_l200_work_bound():
     [(5, 324), (6, 497), (9, 44), (10, 46), (11, 44), (12, 49), (13, 50), (14, 48)],
 )
 def test_family_total_space_least_guard(l, units):
-    # each cone takes the search expected to cost less: from l = 9 on, the
-    # sweep would visit thousands of points of the largest cone (2,962 at
-    # l = 11) where the width engine needs a few dozen nodes; at l = 5 and 6
-    # only some of the three cones take it
+    # a cone takes the width engine when the sweep's work bound exceeds the
+    # engine's cost: from l = 9 on, the sweep could visit thousands of points
+    # of the largest cone where the width engine needs a few dozen nodes; at
+    # l = 5 and 6 only some of the three cones take it
     x_var = example_family(l).x
     assert with_guard(units, mld, x_var).value == F(l**3 + l + 2, l**4 + 1)
     with pytest.raises(TooLargeError, match=f"mld sweep exceeded guard of {units - 1} points"):

@@ -5,10 +5,11 @@ quotient denominator D, and must return exactly what the Hermite-order sweep
 ``_hnf_sweep`` returns for the same bound: the least value numerator and the
 lex-least ambient key among the points that reach it, at D and at the bound
 ``mld`` seeds from the cone's least Hermite row.  ``mld`` picks one of
-the two per cone through ``_pick_search``; patched to always pick the engine,
-value, witness and cone must match the coset scan and ``mld_bruteforce``,
-and on cones drawn on both sides of each dimension's threshold ``mld`` must
-match both forced searches.  On large cones ``mld`` must also match
+the two per cone through ``_pick_search``, from an exact bound on the
+sweep's work that a swept cone must stay within; patched to always pick
+the engine, value, witness and cone must match the coset scan and
+``mld_bruteforce``, and on cones drawn on both sides of each dimension's
+threshold ``mld`` must match both forced searches.  On large cones ``mld`` must also match
 ``mld_bruteforce`` alone, whose rounds of growing value keep it fast at any
 D whose minimum lies low in the cone.  In the plane ``klein_mld_2d`` checks
 ``mld`` at any D, and past 10^6 bounds the engine's cost by a few units per
@@ -20,8 +21,9 @@ contragrediently, so the engine's basis is the one a second inverse gave.
 from __future__ import annotations
 
 import importlib
-import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -70,6 +72,12 @@ def cones(max_index):
         # every nonzero coset ties at value 1: lines of constant sum
         st.builds(lambda r: cyclic_quotient(r, (1, r - 1)), st.integers(2, min(max_index, 3000))),
     )
+
+
+def seeded_limit(h, denom):
+    """The bound ``mld`` starts a lone cone's search at: D, or the least sum
+    of a Hermite row in the box when that is smaller."""
+    return min(denom, min(sum(row) for i, row in enumerate(h) if row[i] < denom))
 
 
 def compare_on_cone(x_var, limit_frac, sweep_guard=10**7):
@@ -194,16 +202,15 @@ def test_engine_everywhere_matches_both_oracles(x_var):
 
 @st.composite
 def threshold_cones(draw):
-    """A cone of dimension 2..5 whose quotient puts the sweep's expected work
+    """A cone of dimension 2..5 whose quotient puts the sweep's work bound
     within a factor of 8 of that dimension's threshold, on either side:
-    1/r(1, a_2 .. a_d), where the sweep walks one Hermite level of about
-    s0 = (d! r^(d-1))^(1/d) points, over the orthant or over random rays,
-    where it may walk more levels."""
+    1/r(1, a_2 .. a_d), where the sweep walks one Hermite level of at most
+    min(r - 1, 1 + a_2 + .. + a_d) + 1 points, over the orthant or over
+    random rays, where it may walk more levels."""
     d = draw(st.integers(2, 5))
-    points = mld_module._ENGINE_COST[d][2]
-    r_star = (points**d / math.factorial(d)) ** (1 / (d - 1))  # s0 = points here
-    r = max(2, round(r_star * 2 ** (draw(st.integers(-24, 24)) / 8)))
-    weights = [1] + draw(st.lists(st.integers(0, r - 1), min_size=d - 1, max_size=d - 1))
+    points = mld_module._ENGINE_COST[d][1]  # r = points is the threshold here
+    r = max(2, round(points * 2 ** (draw(st.sampled_from(range(-24, 25))) / 8)))
+    weights = [1] + draw(st.lists(st.sampled_from(range(r)), min_size=d - 1, max_size=d - 1))  # uniform: in the plane the bound is 1 + a_2
     if draw(st.booleans()):
         return cyclic_quotient(r, weights)
     lattice = Lattice.from_generators(d, [tuple(F(a, r) for a in weights)])
@@ -220,7 +227,7 @@ def test_mld_matches_both_engines_across_the_threshold(x_var):
     cone = mld_module._coset_lattice(x_var, 0)
     assume(cone is not None)
     denom, h, _ = cone
-    picked = mld_module._pick_search(h, denom, denom)
+    picked = mld_module._pick_search(h, denom, seeded_limit(h, denom))
     event(f"d = {x_var.dim}: {picked.__name__}")  # counted in --hypothesis-show-statistics
     got = mld(x_var)
     with engine_everywhere():
@@ -235,6 +242,40 @@ def test_mld_matches_both_engines_across_the_threshold(x_var):
     assert (sweep.value, sweep.witness, sweep.cone_index) == key
 
 
+def sweep_work_bound(h, denom, limit):
+    """count_j for each level j that ``_hnf_sweep`` walks at ``limit``: x_j
+    takes one residue class mod h_jj in [0, min(D - 1, limit)] and the bound
+    only drops, so level j has at most the product of
+    floor(min(D - 1, limit) / h_ii) + 1 over i <= j nodes, points at the last
+    walked level (the last with h_jj < D)."""
+    top = min(denom - 1, limit)
+    last = max(i for i in range(len(h)) if h[i][i] < denom)
+    return list(accumulate((top // h[i][i] + 1 for i in range(last + 1)), mul))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.one_of(cones(3000), large_cones(), threshold_cones()), st.sampled_from(["seed", F(1), F(1, 2), F(1, 10)]))
+def test_a_swept_cone_stays_within_its_work_bound(x_var, at):
+    # the sweep is picked exactly when no outer level's count exceeds the
+    # engine's cost in nodes and the last level's its cost in points; it
+    # then finishes under a guard of the counts' sum, with the engine's answer
+    cone = mld_module._coset_lattice(x_var, 0)
+    assume(cone is not None)
+    denom, h, gint = cone
+    limit = seeded_limit(h, denom) if at == "seed" else max(1, int(at * denom))
+    table = mld_module._ENGINE_COST
+    nodes, points = table.get(len(h), table[max(table)])
+    *outer, inner = counts = sweep_work_bound(h, denom, limit)
+    fits = inner <= points and all(c <= nodes for c in outer)
+    picked = mld_module._pick_search(h, denom, limit)
+    event(f"{picked.__name__}, {len(counts)} walked levels")  # counted in --hypothesis-show-statistics
+    assert (picked is mld_module._hnf_sweep) == fits
+    if fits:
+        budget = lambda guard: with_guard(guard, mld_module._Budget, "mld sweep")
+        want = mld_module._width_cone(h, denom, gint, limit, budget(10**7))
+        assert mld_module._hnf_sweep(h, denom, gint, limit, budget(sum(counts))) == want
+
+
 @pytest.mark.parametrize(
     "r, weights",
     [
@@ -245,8 +286,7 @@ def test_mld_matches_both_engines_across_the_threshold(x_var):
     ],
 )
 def test_mld_matches_both_engines_past_six_dimensions(r, weights):
-    # d = 7 is the table's last row; d = 8 is past it and sweeps with the
-    # handover at d = 7's cost
+    # d = 7 is the table's last row; d = 8 is past it and priced at d = 7's
     x_var = cyclic_quotient(r, weights)
     got = mld(x_var)
     with engine_everywhere():
