@@ -26,7 +26,9 @@ sets ``mld.GUARD`` for the command: the work guard of every mld
 computation, witness scan and fibration set-up it runs (default 10^7 units
 each: the sweep counts points, the box scan nodes and box points over its
 rounds, the width engine search-tree nodes, the witness scan multiples, a
-set-up of dimension m + n above 4 the cube of m + n); a run past it exits 1.
+set-up of dimension m + n above 4 the cube of m + n).  Each charges a unit
+before the work it counts and raises at the first unit past the guard; the
+command then exits 1.
 """
 
 from __future__ import annotations

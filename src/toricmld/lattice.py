@@ -4,10 +4,10 @@ A :class:`Lattice` is a rank-d subgroup N of Q^d containing Z^d, stored in
 a canonical integer form so equal lattices compare equal: D, the lcm of the
 generators' denominators (the least D with D N inside Z^d), and the d x d
 upper-triangular Hermite rows of the integer lattice D N.  Equality and
-hashing use (d, D, rows); the rational basis, those rows divided by D, is
-built on first use.  ``from_generators`` writes D N as span(D gens) + D Z^d
-and takes its rows from ``hnf_mod``, the Hermite form modulo D, with no
-transform and no Fraction; such an N contains Z^d by construction.
+hashing use (d, D, rows); the rational basis is those rows divided by D.
+``from_generators`` writes D N as span(D gens) + D Z^d and takes its rows
+from ``hnf_mod``, the Hermite form modulo D, with no transform and no
+Fraction; such an N contains Z^d by construction.
 Coordinates come from one integer substitution on the triangular rows: for
 v = w / e they are C / e with C @ rows = D w, and each division is exact
 because N contains Z^d, so ``coords``, ``contains`` and ``primitivize`` form
@@ -78,7 +78,7 @@ def _fractions(w: Sequence[int], e: int) -> Vector:
 class Lattice:
     """A finite-index overlattice N of Z^d, N subset of Q^d; basis = rows / denominator."""
 
-    __slots__ = ("dim", "denominator", "rows", "_basis")
+    __slots__ = ("dim", "denominator", "rows")
 
     @classmethod
     def standard(cls, dim: int) -> "Lattice":
@@ -101,16 +101,12 @@ class Lattice:
         lat.dim = dim
         lat.denominator = denom
         lat.rows = tuple(map(tuple, hnf_mod(rows or [[0] * dim], denom)))
-        lat._basis = None
         return lat
 
     @property
     def basis(self) -> tuple[Vector, ...]:
-        """The rational basis rows / D, built on first use."""
-        if self._basis is None:
-            denom = self.denominator
-            self._basis = tuple(_fractions(row, denom) for row in self.rows)
-        return self._basis
+        """The rational basis rows / D."""
+        return tuple(_fractions(row, self.denominator) for row in self.rows)
 
     def _read(self, v: Sequence) -> tuple[list[int], int]:
         """(w, e): integers with v = w / e, e the lcm of v's denominators."""

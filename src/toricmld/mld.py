@@ -15,74 +15,44 @@ fundamental parallelepiped of the cone generators, capped at 1:
 So the minimum over coset representatives of the generator sublattice,
 capped at 1, is complete.  ``mld`` finds it without visiting every coset.
 Every search is bounded at value 1, and a tie there goes to the least ray.
-In barycentric coordinates the lattice is an overlattice of Z^d, spanned by
-(H K) / (D_N q) for the lattice's Hermite rows H over its denominator D_N
-and the cone's integer inverse K over q.  Scaled by D, the denominator of
-that matrix in lowest terms, it becomes an integer lattice L containing
-D Z^d, whose Hermite rows come from ``hnf_mod`` with no D I block and no
-transform.  On an identity cone, (K, q) = (I, 1), which every well-formed
-cyclic quotient and every fibration's base has, the matrix is H / D_N, so
-D = D_N, as D_N is least, and the lattice's own rows are already the
-canonical Hermite form mod D_N: neither the product nor ``hnf_mod`` runs.
-On Z^d the matrix is K / q itself, already in lowest terms, so D = q and
-no product runs.  The nonzero representatives are the points x of L with
-0 <= x_i < D, of value sum(x) / D.  The Hermite form of L is upper
-triangular with diagonal h_i dividing D, so once x_0 .. x_{i-1} are fixed,
-x_i runs over one residue class mod h_i; a row with h_i = D is D e_i and
-fixes x_i.  The sweep walks the levels in that order and stops each level
-at ``best - used``, where ``best`` is the value numerator of the incumbent
-(D at the start, value 1) and ``used`` the sum of the coordinates already
-fixed.  This is complete: every coordinate is >= 0, so each partial sum of
-a representative is at most its value numerator, and a representative that
-could beat or tie the incumbent never exceeds the bound at any level.  The
-bound is inclusive so that ties reach the lexicographic tie-break.  Each
-level visits at most the projection of the group onto the coordinates fixed
-so far, so the sweep is never asymptotically worse than the full scan; the
-innermost free level is streamed as arithmetic progressions mod D.
+In barycentric coordinates the lattice is spanned by (H K) / (D_N q), for
+the lattice's Hermite rows H over its denominator D_N and the cone's integer
+inverse K over q.  Scaled by D, the denominator of that matrix in lowest
+terms, it is an integer lattice L containing D Z^d, whose Hermite rows come
+from ``hnf_mod``; on an identity cone, (K, q) = (I, 1), they are the
+lattice's own rows and D = D_N.  The nonzero representatives are the points
+x of L with 0 <= x_i < D, of value sum(x) / D.
 
-The other search is a width engine that branches on flat directions of the
-dual lattice (Lenstra 1983; Aardal, Hurkens and Lenstra 2000).  The points
-of value <= s are those of L in the simplex {x >= 0, sum(x) <= s} and the
-box x_i < D.  ``lll`` reduces D h^-T, an integral basis of D L*, and carries
-h through the contragredient of its steps, so the basis of L dual to the
-reduced rows comes out with them and no second inverse is needed.  The
-engine orders the rows u by their width on the simplex,
-max(0, max u) - min(0, min u), and fixes the integers
-<u_j, x> / D of the d - 1 flattest, each over its range on the whole
-simplex.  No level cuts another's range, so every value that occurs is
-covered; what is left is a line base + t w of L, w the dual basis row of the
-widest u.
-On it every constraint is linear in t, so t is clipped in closed form and
-the least sum is at an end, one step inward when that end is the origin;
-when sum(w) = 0 all its points tie and the end with the lex-smaller ambient
-point wins.  The bound is inclusive and drops to each incumbent.  s starts
-at the volume estimate floor((d! det L)^(1/d)) (det L = D^(d-1) for a cyclic
-group), capped at the incumbent's numerator, and doubles after a round that
-finds nothing, up to that numerator.  A round with bound s sees every point
-of value <= s, so the first round that finds one finds the sweep's minimum
-and witness.  Each search-tree node (a round's root, a fixed coordinate, a
-line) costs one guard unit.
+The sweep walks the upper-triangular Hermite rows h of L in order: once
+x_0 .. x_{i-1} are fixed, x_i runs over one residue class mod h_i (a row
+with h_i = D is D e_i and fixes x_i) up to ``best - used``, the incumbent's
+value numerator (D at the start) less the sum of the coordinates fixed.  Every coordinate is >= 0, so no
+representative that could beat or tie the incumbent is cut; the bound is
+inclusive so that ties reach the lexicographic tie-break.  The innermost
+free level is streamed as arithmetic progressions mod D, in doubling chunks.
+
+The width engine branches on flat directions of the dual lattice (Lenstra
+1983; Aardal, Hurkens and Lenstra 2000).  ``lll`` reduces D h^-T, an
+integral basis of D L*, and carries h along to the basis of L dual to the
+reduced rows.  The engine fixes the integers <u_j, x> / D of the d - 1 rows
+u flattest on the simplex {x >= 0, sum(x) <= s}, each over its range on the
+whole simplex, and clips the remaining line base + t w of L in closed form:
+the least sum is at an end, one step inward at the origin, and when
+sum(w) = 0 all its points tie and the lex-smaller end wins.  s starts at the
+volume estimate floor((d! det L)^(1/d)), capped at the incumbent, and
+doubles after a round that finds nothing; a round sees every point of value
+<= s, so the first round that finds one finds the sweep's minimum and witness.
 
 Both searches return the same least sum and lex-least key for any bound at
 or above the cone's minimum, so the choice between them moves only time and
-guard trip points, never an output.  Before either is chosen the bound is
-seeded: each Hermite row with h_i < D is a nonzero representative in the
-box, so the least row sum bounds the minimum, and the bound drops to it
-when it lies below the incumbent.  On 1/r(1, 1) the first row, (1, 1), is
-the minimum 2/r, so the sweep streams 2 points whatever r.
-
-The choice is made from an exact bound on the sweep's work at that limit.
-Each walked coordinate x_j takes one residue class mod h_j in
-[0, min(D - 1, limit)], and the bound only drops during the search, so
-level j visits at most count_j = prod_{i <= j} (floor(min(D - 1, limit) /
-h_i) + 1) nodes, a level with h_j = D a factor 1, and count_j is points at
-the last walked level.  A cone goes to the engine when an outer level's
-count exceeds the engine's cost in nodes or the last level's its cost in
-points, so a swept cone spends at most the sum of its counts.  Outer levels
-are priced too: on a cone whose Hermite diagonal is (2, D/2, D) each of
-about limit/2 nodes finds at most one point.  Each streamed chunk is charged
-before it is computed, clipped to one unit past what is left, so a sweep
-stopped by the guard is charged the points it streamed and that one unit.
+guard trip points, never an output.  The bound is first seeded with the
+least sum of a Hermite row with h_i < D, a nonzero representative.  Level j
+of the sweep then visits at most count_j = prod_{i <= j} (floor(min(D - 1,
+limit) / h_i) + 1) nodes, points at the last walked level, and a cone goes
+to the engine when an outer count exceeds the engine's cost in nodes or the
+last count its cost in points.  Each search charges a unit of the guard
+before it does the work that unit counts and raises TooLargeError at the
+first unit past it; no budget is read after it raises.
 
 The engine's cost in each unit comes from random cones, each one generator
 of order r, log-uniform in r up to 10^6, over random rays with entries in
@@ -108,9 +78,6 @@ outer level, so d = 2 drew no node; its node cost takes d = 3's node time.
 d = 7's point cost lies past the band's 2^14 points, on the fitted line.
 A dimension outside the table, d = 1 (whose seed, its first point, is its
 minimum, so its count is 2) or d >= 8, is priced at d = 7's row.
-
-``mld_bruteforce``, the independent box-scan oracle, documents its own
-search.
 """
 
 from __future__ import annotations
@@ -131,15 +98,15 @@ from .toric import ToricVariety, _locate, _require_full_dimensional
 DEFAULT_GUARD = 10**7
 # the work guard, set per context (thread or task) and read only by
 # ``_Budget``: each ``mld`` and ``mld_bruteforce`` call, witness scan and
-# fibration set-up gets the units it holds.  The sweep counts points, the box
-# scan the nodes it visits and its innermost box points over all its rounds,
-# the width engine search-tree nodes, the witness scan multiples, the set-up
-# the cube of its dimension
+# fibration set-up gets the units it holds.  A unit is a point of the sweep
+# (outer-level or streamed), a node of the width engine's tree, a node or
+# innermost box point of the box scan, a multiple of the witness scan, and
+# the cube of a set-up's dimension
 GUARD: ContextVar[int] = ContextVar("toricmld_guard", default=DEFAULT_GUARD)
-_CHUNK_MIN, _CHUNK_MAX = 64, 8192  # innermost stream chunk sizes, doubling
+_CHUNK = 64  # the first innermost stream chunk; each next one is twice as long
 # per dimension d: the width engine's median time on random cones in
 # outer-level nodes of the sweep and in its streamed points, from the band
-# table of the module docstring; a dimension outside it takes the last row
+# table of the module docstring; a dimension outside it takes row 7
 _ENGINE_COST = {
     2: (9, 195),
     3: (31, 407),
@@ -148,7 +115,6 @@ _ENGINE_COST = {
     6: (729, 4029),
     7: (5034, 25224),
 }
-_TABLE_TOP = max(_ENGINE_COST)
 
 
 class EmptyFanError(ValueError):
@@ -199,7 +165,9 @@ class _Best:
 
 
 class _Budget:
-    """Units of work the task ``what`` may still spend, ``GUARD`` at the start."""
+    """Units of work the task ``what`` may still spend, ``GUARD`` at the start.
+    Each search spends a unit before the work it counts; ``spend`` raises at
+    the first unit past the guard, and no budget is read after it raises."""
 
     __slots__ = ("guard", "left", "what", "unit")
 
@@ -244,10 +212,7 @@ def mld(x_var: ToricVariety) -> MldResult:
 
     Each cone takes the Hermite-order sweep unless a bound on its work
     exceeds the width engine's cost (module docstring); both give the same
-    answer.  Raises TooLargeError once the search has spent more than
-    ``GUARD`` units: the sweep counts partial points at the outer levels and
-    streamed representatives at the innermost one, the width engine one unit
-    per node of its enumeration tree.
+    answer.  Raises TooLargeError past ``GUARD`` units.
     """
     _check_cones(x_var)
     budget = _Budget("mld sweep")
@@ -276,7 +241,7 @@ def _sweep_cone(x_var: ToricVariety, ci: int, best: _Best, budget: _Budget) -> N
 def _pick_search(h, denom: int, limit: int):
     """``_width_cone`` when the sweep's work bound at ``limit`` exceeds the
     engine's cost at some level (module docstring), else ``_hnf_sweep``."""
-    nodes, points = _ENGINE_COST.get(len(h), _ENGINE_COST[_TABLE_TOP])
+    nodes, points = _ENGINE_COST.get(len(h), _ENGINE_COST[7])
     top = min(denom - 1, limit)
     last = max(i for i in range(len(h)) if h[i][i] < denom)
     count = 1  # the nodes of level j, points at the last
@@ -295,12 +260,10 @@ def _coset_lattice(x_var: ToricVariety, ci: int) -> Optional[tuple[int, Sequence
     lat = x_var.lattice
     d_n = lat.denominator
     k, q = x_var.fan.max_cones[ci].inverse
-    if d_n == 1:  # the rows of Z^d are I, and q is least, so K / q is in lowest terms
-        return None if q == 1 else (q, hnf_mod(k, q), _scaled_generators(x_var, ci))
     if q == 1 and k == _identity(len(k)):
         # L is D_N N itself: D_N is least, so the rows are in lowest terms, and
         # they are already the canonical Hermite form mod D_N
-        return d_n, lat.rows, _scaled_generators(x_var, ci)
+        return None if d_n == 1 else (d_n, lat.rows, _scaled_generators(x_var, ci))
     # lat.rows @ K over D_N q, reduced to lowest terms below: each triangular
     # row adds the rows of K at its nonzero entries
     bary = []
@@ -349,15 +312,13 @@ def _hnf_sweep(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tup
         t = 0
         if used == 0 and start == 0 and all(b % denom == 0 for b, _ in tail):
             t = 1  # the origin
-        chunk = _CHUNK_MIN
+        chunk = _CHUNK
         while True:
             lo = start + t * step
             top = min(denom - 1, limit - used)
             if lo > top:
                 return
-            # clipped to one point past the guard, so a refused chunk is
-            # charged only that point and never computed
-            n = min(chunk, (top - lo) // step + 1, budget.left + 1)
+            n = min(chunk, (top - lo) // step + 1)
             budget.spend(n)
             total = range(used + lo, used + lo + n * step, step)
             for b, s in tail:
@@ -385,7 +346,7 @@ def _hnf_sweep(h, denom: int, gint, limit: int, budget: _Budget) -> Optional[tup
                 if found is None or low < found or k < key:
                     found, key, limit = low, k, low
             t += n
-            chunk = min(2 * chunk, _CHUNK_MAX)
+            chunk *= 2
 
     def sweep(i: int, p: list[int], used: int) -> None:
         if i == last:
@@ -483,29 +444,20 @@ def mld_bruteforce(x_var: ToricVariety) -> MldResult:
     """Independent oracle: scan the lattice points with barycentric coordinates
     in [0, 1] for every maximal cone, in rounds of growing value.
 
-    A round with value bound s <= 1 walks the ambient box of the simplex
-    s conv(0, g_1 .. g_d), which holds every point of value <= s and lies in
-    the box of the cone body {sum l_i g_i : 0 <= l <= 1}, level by level,
-    one triangular lattice row per level, carrying the barycentric
-    numerators (point @ K) down the levels by adding each row's numerators.
-    Each level steps upward and stops once its coordinate passes the box; a
-    node's row on the next level is built only when it meets the box.  On
-    the innermost row the numerators are linear in the row index c, so the
-    loop of the level above clips c in closed form to 0 <= numerator <= D q,
-    and the row's minimum is at an end of that range: the origin is
-    skipped, and on ties the smallest c (the lex-smallest point) wins.  That
-    end is accepted when its value is at most s (then at most the cone's best
-    so far); each new best value t cuts the box to that of
-    t conv(0, g_1 .. g_d), which still holds every point of value <= t.  A
-    round sees every point of value <= s, so the first round that finds one
+    A round with value bound s <= 1 walks the lattice points of the ambient
+    box of s conv(0, g_1 .. g_d), which holds every point of value <= s, one
+    triangular lattice row per level, carrying the barycentric numerators
+    (point @ K) down the levels.  On an innermost row the numerators are
+    linear in the row index, so the row is clipped to the cone in closed
+    form and its least value, the origin skipped and ties to the
+    lex-smallest point, is at an end.  Each new best value t cuts the box to
+    that of t conv(0, g_1 .. g_d), so the first round that finds a point
     holds the cone's minimum and its lex-least witness.  s starts at
-    2^-floor(bitlen(D q) / d).  After a round that finds nothing, the next is
-    at min(2 s, v, 1), where v is the least value of a row end that the
-    round turned away only for exceeding s: that cone point proves the
-    minimum is at most v, so the round at v finds it or a better one; 1 is
-    the value of each generator.  Every node visited (a round's root
-    included) and every box point of an innermost row counts against
-    ``GUARD``, summed over rounds; past it TooLargeError is raised.  The
+    2^-floor(bitlen(D q) / d); after a round that finds nothing the next is
+    at min(2 s, v, 1), v the least value of a row end turned away only for
+    exceeding s, a cone point that bounds the minimum.  Each node (a round's
+    root included) and each box point of an innermost row is a unit of
+    ``GUARD``, over all rounds; past it TooLargeError is raised.  The
     witness's cone is located afresh, apart from the search.
     """
     _check_cones(x_var)
@@ -551,18 +503,15 @@ def mld_bruteforce(x_var: ToricVariety) -> MldResult:
                 step, bound, h, n = h_rows[i][i], hi, h_rows[i], row_nums[i]
                 x = partial[i] + c * step
             y = partial[j] + c * h[j]  # level j's coordinate where the node's row starts, at index 0
-            spent, left = 0, budget.left
             while x <= bound[i]:
-                spent += 1
+                budget.spend(1)
                 c_lo, c_hi = -((y - lo[j]) // step_j), (hi[j] - y) // step_j
                 if c_lo <= c_hi:
                     nums_c = [a + c * b for a, b in zip(nums, n)]
                     if j < last:
-                        budget.spend(spent)
                         walk(j, [a + c * b for a, b in zip(partial, h)], nums_c, c_lo)
-                        spent, left = 0, budget.left
                     else:
-                        spent += c_hi - c_lo + 1
+                        budget.spend(c_hi - c_lo + 1)
                         # 0 <= base + c rise <= scale for each numerator
                         for base, rise in zip(nums_c, row_nums[last]):
                             if rise > 0:
@@ -594,12 +543,9 @@ def mld_bruteforce(x_var: ToricVariety) -> MldResult:
                                     if cone_best is None or total < cone_best or point < cone_witness:
                                         cone_best, cone_witness, limit = total, point, total
                                         cut(total, scale)  # every point of value <= total stays in the box
-                if spent > left:
-                    budget.spend(spent)  # raises
                 x += step
                 y += h[j]
                 c += 1
-            budget.spend(spent)
 
         # the round's value bound s_num / s_den, which ends at 1
         s_num, s_den = 1, 1 << (scale.bit_length() // d)

@@ -96,9 +96,7 @@ class Fan:
     def build(cls, rays: Sequence[Sequence], cone_indices: Sequence[Sequence[int]]) -> "Fan":
         """Validate and assemble a fan from ray vectors and cone index lists."""
         ray_rows = [as_fractions(r) for r in rays]
-        if not ray_rows:
-            return cls(((), 1), (), 0)
-        dim = len(ray_rows[0])
+        dim = len(ray_rows[0]) if ray_rows else 0
         if any(len(r) != dim for r in ray_rows):
             raise DimensionMismatchError("rays have mixed dimensions")
         ints, e = _integral(ray_rows)  # every ray read once: rays = ints / e, e least
@@ -109,7 +107,7 @@ class Fan:
         """The fan on the table rays = ints / e, after every check of ``build``."""
         if len(set(ints)) != len(ints):
             raise ValueError("duplicate rays in fan")
-        dim = len(ints[0])
+        dim = len(ints[0]) if ints else 0
         cones = []
         covered: set[int] = set()
         for idx_list in cone_indices:

@@ -146,6 +146,7 @@ def test_toric_dim_builds_no_lattice_before_the_rays_are_checked(tmp_path, capsy
             {"rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]},
             f"error: $: fan dimension 2 does not match lattice dimension {big}",
         ),
+        ({"rays": [], "max_cones": [[0]]}, "error: $: ray index out of range in cone (0,)"),
     ]
     for fields, message in cases:
         path = write(tmp_path, "huge.json", {"kind": "toric", "dim": big, **fields})

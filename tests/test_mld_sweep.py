@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 import random
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -40,8 +42,10 @@ from toricmld import (
     mld,
     mld_bruteforce,
 )
+from toricmld.cli import load_instance
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
@@ -211,8 +215,7 @@ def test_guard_counts_the_points_the_sweep_streams():
         # the seed row (1, 99) is the minimum 100/10007 (t 99 < 10007 for
         # t <= 100), so the bound is 101 points and the sweep takes the cone;
         # it skips the origin and streams x_0 = 1..100 in chunks of 64 and 36
-        # points, and at 99 units the second chunk is clipped to one unit
-        # past the 35 left
+        # points, and at 99 units the second chunk is charged past the 35 left
         (10007, (1, 99), 100, (F(100, 10007), (F(1, 10007), F(99, 10007)), 0)),
     ]
     for r, weights, units, want in cases:
@@ -338,6 +341,30 @@ def test_bruteforce_guard_counts_every_box_point():
     assert (res.value, res.witness) == (F(23, 45), (F(-13, 15), F(-2, 5), F(-14, 15)))
     with pytest.raises(TooLargeError, match="enumeration exceeded guard of 421 points"):
         with_guard(421, mld_bruteforce, x_var)
+
+
+@pytest.mark.parametrize(
+    "name, search, units",
+    [
+        ("mfs_shuffled_fiber.json", mld_bruteforce, 13732),
+        ("mfs_shuffled_fiber.json", mld, 21),
+        ("mfs_sheared_bound.json", mld_bruteforce, 3946),
+        ("mfs_sheared_bound.json", mld, 258),
+    ],
+)
+def test_guard_trips_at_the_same_unit_across_cones(name, search, units):
+    # the total spaces of these goldens have several cones, so the search
+    # charges units in many cones and, in the box scan, at many depths; it
+    # passes at its least guard and fails one unit below
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the shuffled file's rays are replaced
+        x_var = load_instance(str(GOLDEN / name)).x
+    assert len(x_var.fan.max_cones) > 1
+    want = search(x_var)
+    res = with_guard(units, search, x_var)
+    assert (res.value, res.witness, res.cone_index) == (want.value, want.witness, want.cone_index)
+    with pytest.raises(TooLargeError, match=f"exceeded guard of {units - 1} points"):
+        with_guard(units - 1, search, x_var)
 
 
 @PROPERTY

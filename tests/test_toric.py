@@ -160,6 +160,9 @@ def test_fan_rejects_bad_input():
         Fan.build([(1, 0), (0, 1)], [[0]])  # ray 1 uncovered
     with pytest.raises(ValueError):
         Fan.build([(1, 0)], [[0, 3]])  # index out of range
+    with pytest.raises(ValueError, match=r"^ray index out of range in cone \(0,\)$"):
+        Fan.build([], [[0]])  # no rays: a cone's index is out of range, not dropped
+    assert Fan.build([], []) == Fan(((), 1), (), 0)
     with pytest.raises(ValueError):
         Fan.build([(1, 0), (0, 1)], [[0, 1], [1, 0]])  # one cone listed twice
 
@@ -181,6 +184,7 @@ MALFORMED_FANS = [
     ),
     ([(1, 0), (0, 1)], [[0, 1], [1, 0]], ValueError, "duplicate maximal cones in fan"),
     ([(1, 0), (0, 1), (-1, 0)], [[0, 1]], ValueError, "every ray must appear in at least one cone"),
+    ([], [[0, 1]], ValueError, "ray index out of range in cone (0, 1)"),
 ]
 
 
